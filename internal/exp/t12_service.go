@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/service"
+	"repro/internal/spec"
 )
 
 // T12: the protection-decision service under concurrent load. The
@@ -16,11 +17,10 @@ import (
 // pinned per batch — while a supervisor thread streams descriptor
 // edits (SetBrackets, Revoke, Restore) through the store's publish
 // path. Every decision reports the publication epoch of the snapshot
-// it consulted; replaying the same edit script single-threaded gives
-// an oracle, and each concurrent decision must be identical to the
-// oracle's answer at that epoch's state. Under snapshot reads every
-// interval is a single even epoch — a clean snapshot — so the check
-// is exact, not an interval search.
+// it consulted; replaying the edit script on the executable
+// specification (internal/spec) gives the oracle, and each concurrent
+// decision must equal the model's answer at that epoch's state, stamp
+// included — an exact check, not an interval search.
 
 // t12Segments is the image under test.
 func t12Segments() []service.Segment {
@@ -36,27 +36,27 @@ func t12Segments() []service.Segment {
 	}
 }
 
-// t12Script is the supervisor's edit sequence. Every edit changes only
-// the even word of its descriptor (brackets or the present bit), so a
-// concurrent reader of the word-atomic core sees exactly the old or the
-// new descriptor, never a torn one.
-func t12Script(n int) []func(st *service.Store) error {
-	wide := core.Brackets{R1: 2, R2: 4, R3: 4}
-	narrow := core.Brackets{R1: 0, R2: 1, R3: 1}
-	muts := make([]func(st *service.Store) error, n)
-	for i := range muts {
-		switch i % 4 {
-		case 0:
-			muts[i] = func(st *service.Store) error { return st.SetBrackets(0, true, true, false, narrow, 0) }
-		case 1:
-			muts[i] = func(st *service.Store) error { return st.Revoke(1) }
-		case 2:
-			muts[i] = func(st *service.Store) error { return st.SetBrackets(0, true, true, false, wide, 0) }
-		default:
-			muts[i] = func(st *service.Store) error { return st.Restore(1) }
-		}
+// t12Editor is what the edit script drives: the service's store, or
+// the spec model replaying it.
+type t12Editor interface {
+	SetBrackets(segno uint32, read, write, execute bool, b core.Brackets, gates uint32) error
+	Revoke(segno uint32) error
+	Restore(segno uint32) error
+}
+
+// t12Edit applies edit i of the supervisor's script to e: the brackets
+// of "data" and the present bit of "code", toggled back and forth.
+func t12Edit(e t12Editor, i int) error {
+	switch i % 4 {
+	case 0:
+		return e.SetBrackets(0, true, true, false, core.Brackets{R1: 0, R2: 1, R3: 1}, 0)
+	case 1:
+		return e.Revoke(1)
+	case 2:
+		return e.SetBrackets(0, true, true, false, core.Brackets{R1: 2, R2: 4, R3: 4}, 0)
+	default:
+		return e.Restore(1)
 	}
-	return muts
 }
 
 // t12Probes is the fixed query batch the load generator submits; the
@@ -78,21 +78,11 @@ func t12Probes() []service.Query {
 	}
 }
 
-// t12Strip clears the fields that legitimately differ between a
-// concurrent decision and its oracle counterpart.
-func t12Strip(d service.Decision) service.Decision {
-	d.VersionLo, d.VersionHi, d.Worker, d.Shard = 0, 0, 0, 0
-	return d
-}
-
-// t12Store builds the image under a single-shard store: T12's oracle
-// indexes the whole edit script by epoch/2, which is only meaningful
-// when one shard's epoch counts every mutation. The per-shard version
-// of this property is exercised by TestShardedConcurrentOracle in
-// internal/service.
-func t12Store() (*service.Store, error) {
-	return service.NewStore(service.StoreConfig{Shards: 1}, t12Segments())
-}
+// t12Shards is 1: T12's oracle indexes the whole edit script by
+// epoch/2, which is only meaningful when one shard's epoch counts every
+// mutation. The per-shard version of this property is exercised by
+// TestShardedConcurrentOracle in internal/service.
+const t12Shards = 1
 
 func init() {
 	register("T12", "decision service: concurrent workers vs. single-threaded oracle", func(r *Result) error {
@@ -104,7 +94,7 @@ func init() {
 		)
 		ctx := context.Background()
 
-		st, err := t12Store()
+		st, err := service.NewStore(service.StoreConfig{Shards: t12Shards}, t12Segments())
 		if err != nil {
 			return err
 		}
@@ -115,7 +105,6 @@ func init() {
 		defer svc.Close()
 
 		probes := t12Probes()
-		script := t12Script(mutations)
 
 		// Load phase: in every round, the clients' batches race one slice
 		// of the edit script. Within a round the interleaving is up to the
@@ -150,8 +139,8 @@ func init() {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for _, m := range script[round*perRound : (round+1)*perRound] {
-					if err := m(st); err != nil {
+				for i := round * perRound; i < (round+1)*perRound; i++ {
+					if err := t12Edit(st, i); err != nil {
 						errs <- err
 						return
 					}
@@ -169,57 +158,34 @@ func init() {
 			return fmt.Errorf("final store version %d, want %d", got, 2*mutations)
 		}
 
-		// Oracle phase: a fresh store stepped through the same script,
-		// served by a single uncached worker, answers each probe at every
-		// state k.
-		ost, err := t12Store()
-		if err != nil {
-			return err
-		}
-		osvc, err := service.New(ost, service.Config{Workers: 1})
-		if err != nil {
-			return err
-		}
-		defer osvc.Close()
+		// Oracle phase: the spec model stepped through the same script
+		// answers each probe at every state k.
+		model := spec.New(t12Shards, t12Segments())
 		oracle := make([][]service.Decision, mutations+1)
 		for k := 0; k <= mutations; k++ {
 			if k > 0 {
-				if err := script[k-1](ost); err != nil {
-					return fmt.Errorf("oracle mutation %d: %v", k, err)
+				if err := t12Edit(model, k-1); err != nil {
+					return fmt.Errorf("model mutation %d: %v", k, err)
 				}
 			}
-			ds, err := osvc.Submit(ctx, probes)
-			if err != nil {
-				return fmt.Errorf("oracle state %d: %v", k, err)
-			}
-			oracle[k] = make([]service.Decision, len(ds))
-			for i, d := range ds {
-				oracle[k][i] = t12Strip(d)
+			oracle[k] = make([]service.Decision, len(probes))
+			for i, q := range probes {
+				oracle[k][i] = model.Decide(q)
 			}
 		}
 
-		// Verdict: every concurrent decision must equal the oracle at
-		// some state within its epoch interval.
-		checked, clean, overlapped := 0, 0, 0
+		// Verdict: every concurrent decision is one published epoch and
+		// equals the model at that epoch's state.
+		checked := 0
 		for o := range results {
 			for i, d := range o.ds {
 				lo, hi := d.VersionLo, d.VersionHi
-				if hi < lo {
-					return fmt.Errorf("probe %d: epoch interval [%d,%d] runs backwards", i, lo, hi)
+				if lo != hi || lo%2 != 0 || lo > 2*mutations {
+					return fmt.Errorf("probe %d: epoch interval [%d,%d] is not one published epoch", i, lo, hi)
 				}
-				if lo == hi && lo%2 == 0 {
-					clean++
-				} else {
-					overlapped++
-				}
-				got := t12Strip(d)
-				matched := false
-				for k := lo / 2; k <= (hi+1)/2 && !matched; k++ {
-					matched = got == oracle[k][i]
-				}
-				if !matched {
-					return fmt.Errorf("probe %d: concurrent decision %+v matches no oracle state in [%d,%d]",
-						i, got, lo/2, (hi+1)/2)
+				d.Worker = 0
+				if want := oracle[lo/2][i]; d != want {
+					return fmt.Errorf("probe %d: concurrent decision %+v, model says %+v", i, d, want)
 				}
 				checked++
 			}
@@ -243,9 +209,9 @@ func init() {
 			workers, clients, rounds)
 		r.addf("%d descriptor edits, each publishing a fresh shard snapshot", mutations)
 		r.addf("")
-		r.addf("decisions checked against oracle: %d (every one identical at the", checked)
-		r.addf("oracle state of its pinned snapshot; %d clean snapshots, %d overlapping", clean, overlapped)
-		r.addf("an edit, %d batches shed by backpressure)", shedCount.Load())
+		r.addf("decisions checked against the spec model: %d (every one identical,", checked)
+		r.addf("epoch stamp included, to the model's answer at the state of its pinned")
+		r.addf("snapshot; %d batches shed by backpressure)", shedCount.Load())
 		r.addf("")
 		r.addf("per-worker snapshot readers (pins amortize lookups, like cache hits):")
 		r.addf("%-8s %10s %10s %14s", "worker", "pins", "lookups", "lookups/pin")
@@ -270,12 +236,11 @@ func init() {
 		r.addf("")
 		r.addf("snapshot publication keeps readers coherent without locks: a worker")
 		r.addf("pins one immutable snapshot per batch, so every decision is")
-		r.addf("bit-identical to the sequential oracle at that snapshot's epoch")
+		r.addf("bit-identical to the sequential model at that snapshot's epoch")
 
 		r.metric("workers", workers)
 		r.metric("decisions", float64(checked))
 		r.metric("oracle_states", float64(mutations+1))
-		r.metric("clean_fraction", float64(clean)/float64(checked))
 		r.metric("shed_batches", float64(shedCount.Load()))
 		if snap.Reads.Pins > 0 {
 			r.metric("lookups_per_pin", float64(snap.Reads.Lookups)/float64(snap.Reads.Pins))

@@ -3,6 +3,7 @@ package seg
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/word"
 )
 
@@ -62,6 +63,30 @@ func FuzzDBRRoundTrip(f *testing.F) {
 		}
 		if e3, o3 := DecodeDBR(e2, o2).Encode(); e3 != e2 || o3 != o2 {
 			t.Fatalf("encode not a fixed point")
+		}
+	})
+}
+
+// FuzzValidSDWCodec checks the converse direction: every present SDW
+// that Validate accepts is encodable, so Decode(Encode(s)) == s. The
+// decision service keeps descriptors decoded and never round-trips them
+// through core, so this property is what makes its answers equal to
+// the simulator's for every descriptor an edit can install. The seed
+// with a gate count one past the 14-bit GATE field is the case
+// Validate must reject rather than let Encode truncate.
+func FuzzValidSDWCodec(f *testing.F) {
+	f.Add(uint32(0o1000), uint32(0o777), uint32(8), uint8(1), uint8(3), uint8(5), uint8(0b101))
+	f.Add(uint32(0), uint32(MaxGate+1), uint32(MaxGate+1), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint32(1<<AddrBits-1), uint32(MaxBound), uint32(MaxGate), uint8(7), uint8(7), uint8(7), uint8(0b111))
+	f.Fuzz(func(t *testing.T, addr, bound, gate uint32, r1, r2, r3, flags uint8) {
+		s := SDW{Present: true, Addr: addr, Bound: bound, Gate: gate,
+			Read: flags&1 != 0, Write: flags&2 != 0, Execute: flags&4 != 0}
+		s.Brackets.R1, s.Brackets.R2, s.Brackets.R3 = core.Ring(r1), core.Ring(r2), core.Ring(r3)
+		if s.Validate() != nil {
+			return
+		}
+		if got := Decode(s.Encode()); got != s {
+			t.Fatalf("valid SDW %+v decodes as %+v", s, got)
 		}
 	})
 }

@@ -52,6 +52,9 @@ const MaxBound = (1 << WordnoBits) - 1
 // AddrBits is the width of an absolute core address in an SDW.
 const AddrBits = 24
 
+// MaxGate is the largest gate count the SDW's 14-bit GATE field holds.
+const MaxGate = (1 << 14) - 1
+
 // SDW is a decoded segment descriptor word pair.
 type SDW struct {
 	Present  bool
@@ -88,6 +91,9 @@ func (s SDW) Validate() error {
 	}
 	if s.Bound > MaxBound {
 		return fmt.Errorf("seg: bound %d exceeds %d", s.Bound, MaxBound)
+	}
+	if s.Gate > MaxGate {
+		return fmt.Errorf("seg: gate count %d exceeds %d", s.Gate, MaxGate)
 	}
 	if s.Gate > s.Bound {
 		return fmt.Errorf("seg: gate count %d exceeds bound %d", s.Gate, s.Bound)

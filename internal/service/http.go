@@ -15,7 +15,7 @@ import (
 //	POST /v1/check   — a batch of protection queries; 429 when the
 //	                   decision queue is full, 503 once closed
 //	POST /v1/mutate  — supervisor mutations (setbrackets, revoke,
-//	                   restore) through the coherent StoreSDW path
+//	                   restore) published as new descriptor snapshots
 //	GET  /healthz    — liveness and image shape
 //	GET  /metrics    — decision counts, faults by kind, cache and
 //	                   latency counters (JSON)

@@ -19,12 +19,11 @@ import (
 //
 // Lifecycle of a shard snapshot:
 //
-//  1. Build. A mutator, holding the shard mutex with the shard epoch
-//     odd, applies its edit to the descriptor segment in core through
-//     StoreSDW (core stays authoritative for the CPU-simulator path),
-//     then copies the current snapshot's SDW table into a buffer —
-//     reused from the shard free list when one is available — and
-//     folds in the edited descriptor.
+//  1. Build. A mutator, holding the shard mutex, edits and validates a
+//     copy of the descriptor's snapshot entry; then, with the shard
+//     epoch odd, copies the current SDW table into a buffer — reused
+//     from the shard free list when one is available — and folds in
+//     the edited descriptor.
 //  2. Publish. One atomic pointer store makes the new table, stamped
 //     with the closing (even) epoch, the shard's current snapshot.
 //     The predecessor is retired, recording its successor's
@@ -64,10 +63,10 @@ import (
 // exactly one state of the consulted shard.
 
 // snapshot is one immutable published view of a shard's descriptors:
-// sdws[k] is the descriptor of segment number shardIndex + k*Shards
-// (zero value, Present false, for segments never defined). Once
-// published a snapshot is never written again until its buffer has
-// been reclaimed through a grace period.
+// sdws[k] is the descriptor of segment number shardIndex + k*Shards,
+// one entry per image segment the shard owns. Once published a
+// snapshot is never written again until its buffer has been reclaimed
+// through a grace period.
 type snapshot struct {
 	// epoch is the owning shard's (even) mutation epoch at
 	// publication.
@@ -147,8 +146,7 @@ func (r *reader) unpin() {
 }
 
 // pinSum pins every shard in mask (a bit per shard index) and returns
-// the sum of the pinned epochs — the store-wide version analogue for
-// effring chains spanning several shards.
+// the sum of the pinned epochs: a decision's epoch stamp.
 //
 //ring:hotpath
 //ring:pins
@@ -165,16 +163,13 @@ func (r *reader) pinSum(mask uint64) uint64 {
 // LookupSDW implements mmu.SDWSource over the pinned snapshots:
 // shard-route the segment number, pin that shard's snapshot if this
 // batch has not yet, and index the immutable SDW table. Segment
-// numbers beyond the table (or the architectural maximum) are absent,
-// matching seg.Table.Fetch.
+// numbers past the image are absent, as past a descriptor segment's
+// bound (seg.Table.Fetch).
 //
 //ring:hotpath
 //ring:pins
 func (r *reader) LookupSDW(segno uint32) (seg.SDW, error) {
 	r.lookups++
-	if segno > seg.MaxSegno {
-		return seg.SDW{}, nil
-	}
 	s := r.pin(int(segno & r.st.shardMask))
 	idx := int(segno >> r.st.shardBits)
 	if idx >= len(s.sdws) {
@@ -219,27 +214,18 @@ func (st *Store) releaseReader(r *reader) {
 }
 
 // publishLocked builds and publishes the successor snapshot of shard
-// index shi after a successful descriptor edit of segno, then retires
-// the predecessor and attempts reclamation. Caller holds sh.mu with
-// the shard epoch odd; epoch is the closing (even) epoch the new
-// snapshot is stamped with.
+// index shi with sdw as segno's descriptor, then retires the
+// predecessor and attempts reclamation. Caller holds sh.mu with the
+// shard epoch odd; epoch is the closing (even) epoch the new snapshot
+// is stamped with.
 //
 //ring:locked mu
-func (st *Store) publishLocked(shi int, segno uint32, epoch uint64) error {
+func (st *Store) publishLocked(shi int, segno uint32, sdw seg.SDW, epoch uint64) {
 	sh := &st.shards[shi]
 	old := sh.snap.Load()
 	buf := sh.takeBufLocked(len(old.sdws))
 	copy(buf, old.sdws)
-	sdw, err := sh.sup.FetchSDW(segno) // re-read the edited descriptor from core
-	if err != nil {
-		// Core is unreadable — a simulator integrity fault. Return the
-		// buffer and leave the old snapshot current.
-		sh.putBufLocked(buf)
-		return err
-	}
-	if idx := int(segno >> st.shardBits); idx < len(buf) {
-		buf[idx] = sdw
-	}
+	buf[segno>>st.shardBits] = sdw
 	next := &snapshot{epoch: epoch, sdws: buf}
 	old.retireEpoch = epoch
 	sh.snap.Store(next)
@@ -262,7 +248,6 @@ func (st *Store) publishLocked(shi int, segno uint32, epoch uint64) error {
 		// whose publication it follows.
 		(*hook)(shi, segno, epoch)
 	}
-	return nil
 }
 
 // reclaimLocked scans the registered readers and recycles the buffers

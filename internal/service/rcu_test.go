@@ -25,12 +25,13 @@ func TestReaderPinsSnapshotAcrossMutationBurst(t *testing.T) {
 	}
 	rd := st.newReader()
 	defer st.releaseReader(rd)
-	u := st.newSnapshotMMU(mmu.Options{Validate: true}, rd)
+	u := mmu.New(nil, mmu.Options{Validate: true})
+	u.SetSDWSource(rd)
 
 	probes, _ := shardProbes()
 	pre := make([]Decision, len(probes))
 	for i := range probes {
-		evalQuery(st, rd, u, &probes[i], &pre[i])
+		evalQuery(rd, u, &probes[i], &pre[i])
 		if pre[i].VersionLo != 0 || pre[i].VersionHi != 0 {
 			t.Fatalf("probe %d: pinned epoch interval [%d,%d], want [0,0]",
 				i, pre[i].VersionLo, pre[i].VersionHi)
@@ -53,7 +54,7 @@ func TestReaderPinsSnapshotAcrossMutationBurst(t *testing.T) {
 			}
 			for i := range probes {
 				var d Decision
-				evalQuery(st, rd, u, &probes[i], &d)
+				evalQuery(rd, u, &probes[i], &d)
 				if d.VersionLo != 0 || d.VersionHi != 0 || stripDecision(d) != stripDecision(pre[i]) {
 					t.Errorf("probe %d: pinned decision drifted mid-burst: %+v (interval [%d,%d])",
 						i, stripDecision(d), d.VersionLo, d.VersionHi)
@@ -112,7 +113,7 @@ func TestReaderPinsSnapshotAcrossMutationBurst(t *testing.T) {
 	// The reader now pins the latest snapshot and sees every edit: the
 	// "code" probe hits the revoked descriptor.
 	var d Decision
-	evalQuery(st, rd, u, &probes[4], &d)
+	evalQuery(rd, u, &probes[4], &d)
 	if want := st.ShardVersion(0); d.VersionLo != want || d.VersionHi != want {
 		t.Errorf("fresh pin interval [%d,%d], want [%d,%d]", d.VersionLo, d.VersionHi, want, want)
 	}

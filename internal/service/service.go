@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -93,16 +94,15 @@ type Decision struct {
 	// read RCU snapshots, so both fields carry the (even) publication
 	// epoch of the pinned snapshot — a degenerate interval meaning a
 	// clean snapshot of that shard at that version (see the package
-	// comment). Single-threaded oracle replays against live core may
-	// still report a widened (or odd) interval.
+	// comment).
 	VersionLo uint64 `json:"version_lo"`
 	VersionHi uint64 `json:"version_hi"`
 	// Shard is the shard whose epoch VersionLo/VersionHi refer to.
 	// It is -1 when no single shard was consulted: a malformed query
 	// (no versions reported) or an effring chain touching segments in
-	// several shards — the interval then reports the sum of the
-	// consulted shards' pinned snapshot epochs (the store-wide Version
-	// analogue) instead.
+	// several shards or in none — the interval then reports the sum of
+	// the consulted shards' pinned snapshot epochs (the store-wide
+	// Version analogue; 0 for a chain of pointer-register steps only).
 	Shard int `json:"shard"`
 	// Worker is the index of the worker (simulated processor) that
 	// evaluated the decision.
@@ -117,10 +117,6 @@ type Config struct {
 	// QueueDepth bounds the batch queue; a full queue rejects Submit
 	// with ErrQueueFull (backpressure). Default 64.
 	QueueDepth int
-	// Validate disables ring validation when false and ValidateSet is
-	// true (the T5 ablation, exposed for comparison runs).
-	Validate    bool
-	ValidateSet bool
 	// BatchLimit caps the number of queries per submitted batch;
 	// default 1024.
 	BatchLimit int
@@ -201,10 +197,6 @@ func New(st *Store, cfg Config) (*Service, error) {
 	if cfg.BatchLimit <= 0 {
 		cfg.BatchLimit = 1024
 	}
-	opt := mmu.Options{Validate: true}
-	if cfg.ValidateSet {
-		opt.Validate = cfg.Validate
-	}
 	s := &Service{
 		store:   st,
 		cfg:     cfg,
@@ -213,10 +205,11 @@ func New(st *Store, cfg Config) (*Service, error) {
 		metrics: newMetrics(),
 	}
 	s.batchPool.New = func() any { return &batch{resp: make(chan struct{}, 1)} }
-	opt.Sink = s.events
 	for i := 0; i < cfg.Workers; i++ {
 		rd := st.newReader()
-		w := &worker{index: i, u: st.newSnapshotMMU(opt, rd), rd: rd}
+		u := mmu.New(nil, mmu.Options{Validate: true, Sink: s.events})
+		u.SetSDWSource(rd)
+		w := &worker{index: i, u: u, rd: rd}
 		s.workers = append(s.workers, w)
 		s.wg.Add(1)
 		go s.run(w)
@@ -361,48 +354,22 @@ func (s *Service) run(w *worker) {
 //ring:pins
 func (s *Service) decide(w *worker, q *Query, d *Decision) {
 	*d = Decision{Worker: w.index}
-	evalQuery(s.store, w.rd, w.u, q, d)
+	evalQuery(w.rd, w.u, q, d)
 	s.metrics.count(q.Op, d)
 }
 
-// intervalLo opens the epoch interval for a decision consulting shard
-// sh: the pinned snapshot's publication epoch when reading through a
-// reader (always even — a clean snapshot), the live shard epoch for
-// oracle replays with rd == nil.
+// evalQuery answers q into d using unit u, whose descriptor fetches
+// resolve from rd's pinned RCU snapshots — the whole decision
+// procedure. Malformed queries set d.Err and report no epoch interval;
+// architectural outcomes (violations, traps) are regular decisions
+// stamped with the consulted shard's snapshot epoch. internal/spec
+// states the same procedure as a plain model the tests check it
+// against.
 //
 //ring:hotpath
 //ring:pins
-func intervalLo(st *Store, rd *reader, sh int) uint64 {
-	if rd != nil {
-		return rd.pin(sh).epoch
-	}
-	return st.ShardVersion(sh)
-}
-
-// intervalHi closes the interval opened by intervalLo: the pinned
-// snapshot cannot change within a batch, so the reader form is
-// degenerate (Hi == Lo); oracle replays re-read the live epoch.
-//
-//ring:hotpath
-func intervalHi(st *Store, rd *reader, sh int, lo uint64) uint64 {
-	if rd != nil {
-		return lo
-	}
-	return st.ShardVersion(sh)
-}
-
-// evalQuery answers q into d using unit u over store st — the whole
-// decision procedure, shared by the concurrent workers (rd non-nil:
-// every descriptor fetch and epoch report resolves from rd's pinned
-// RCU snapshots) and by single-threaded oracle replays (rd nil: live
-// core reads bracketed by live epoch loads; T12 and the sharded
-// differential test). Malformed queries set d.Err and report no epoch
-// interval; architectural outcomes (violations, traps) are regular
-// decisions stamped with the consulted shard's snapshot epoch.
-//
-//ring:hotpath
-//ring:pins
-func evalQuery(st *Store, rd *reader, u *mmu.MMU, q *Query, d *Decision) {
+func evalQuery(rd *reader, u *mmu.MMU, q *Query, d *Decision) {
+	st := rd.st
 	d.Shard = -1
 	segno := q.Segno
 	if q.Segment != "" {
@@ -429,11 +396,8 @@ func evalQuery(st *Store, rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 			d.Err = fmt.Sprintf("invalid access kind %d", q.Kind)
 			return
 		}
-		sh := st.ShardOf(segno)
-		d.Shard = sh
-		d.VersionLo = intervalLo(st, rd, sh)
+		d.stamp(rd, 1<<st.ShardOf(segno))
 		kind, err := u.Access(segno, q.Wordno, q.Ring, q.Kind)
-		d.VersionHi = intervalHi(st, rd, sh, d.VersionLo)
 		if err != nil {
 			d.Err = err.Error()
 			return
@@ -450,11 +414,8 @@ func evalQuery(st *Store, rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 			d.Err = fmt.Sprintf("invalid effective ring %d", effRing)
 			return
 		}
-		sh := st.ShardOf(segno)
-		d.Shard = sh
-		d.VersionLo = intervalLo(st, rd, sh)
+		d.stamp(rd, 1<<st.ShardOf(segno))
 		dec, kind, err := u.Call(segno, q.Wordno, q.Ring, effRing, q.SameSegment)
-		d.VersionHi = intervalHi(st, rd, sh, d.VersionLo)
 		if err != nil {
 			d.Err = err.Error()
 			return
@@ -478,11 +439,8 @@ func evalQuery(st *Store, rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 			d.Err = fmt.Sprintf("invalid effective ring %d", effRing)
 			return
 		}
-		sh := st.ShardOf(segno)
-		d.Shard = sh
-		d.VersionLo = intervalLo(st, rd, sh)
+		d.stamp(rd, 1<<st.ShardOf(segno))
 		dec, kind, err := u.Return(segno, q.Wordno, q.Ring, effRing)
-		d.VersionHi = intervalHi(st, rd, sh, d.VersionLo)
 		if err != nil {
 			d.Err = err.Error()
 			return
@@ -498,13 +456,7 @@ func evalQuery(st *Store, rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 
 	case OpEffRing:
 		// Pre-scan the chain: validate the ring fields and find which
-		// shards the indirect steps will consult, so the epoch interval
-		// can name a single shard when only one is involved. A chain
-		// spanning shards is stamped with the sum of the consulted
-		// shards' pinned snapshot epochs (reader) or bracketed by the
-		// store-wide Version sum (oracle replay), with Shard = -1.
-		sh := -1
-		single := true
+		// shards the indirect steps will consult.
 		var mask uint64 // consulted shard set (MaxShards ≤ 64)
 		for i := range q.Chain {
 			step := &q.Chain[i]
@@ -513,24 +465,11 @@ func evalQuery(st *Store, rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 				d.Err = fmt.Sprintf("invalid ring %d in chain", step.Ring)
 				return
 			}
-			if step.PR {
-				continue
-			}
-			s := st.ShardOf(step.Segno)
-			mask |= 1 << s
-			if sh == -1 {
-				sh = s
-			} else if sh != s {
-				single = false
+			if !step.PR {
+				mask |= 1 << st.ShardOf(step.Segno)
 			}
 		}
-		if single && sh >= 0 {
-			d.Shard = sh
-			d.VersionLo = intervalLo(st, rd, sh)
-		} else {
-			sh = -1
-			d.VersionLo = chainLo(st, rd, mask)
-		}
+		d.stamp(rd, mask)
 		eff := q.Ring
 		for _, step := range q.Chain {
 			if step.PR {
@@ -546,13 +485,11 @@ func evalQuery(st *Store, rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 			// The indirect word itself is read during effective address
 			// formation, validated like any operand read (Figure 5).
 			if kind := u.AccessView(v, step.Segno, 0, eff, core.AccessRead); kind != core.ViolationNone {
-				d.VersionHi = chainHi(st, rd, sh, mask, d.VersionLo)
 				d.setViolationKind(kind)
 				return
 			}
 			eff = core.EffectiveRingIndirect(eff, step.Ring, v.R1)
 		}
-		d.VersionHi = chainHi(st, rd, sh, mask, d.VersionLo)
 		d.Allowed = true
 		d.NewRing = eff
 
@@ -562,32 +499,19 @@ func evalQuery(st *Store, rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 	}
 }
 
-// chainLo opens the epoch interval for an effring chain with no
-// single shard: through a reader, the sum of the pinned snapshot
-// epochs of the consulted shards; for oracle replays or chains with no
-// indirect steps, the live store-wide Version sum.
+// stamp reports the set of shards d consulted (a bit per shard): the
+// sum of the publication epochs of the snapshots rd pins for them (0
+// for none) as a degenerate interval, and the shard itself when the
+// set holds exactly one.
 //
 //ring:hotpath
 //ring:pins
-func chainLo(st *Store, rd *reader, mask uint64) uint64 {
-	if rd != nil && mask != 0 {
-		return rd.pinSum(mask)
+func (d *Decision) stamp(rd *reader, mask uint64) {
+	d.VersionLo = rd.pinSum(mask)
+	d.VersionHi = d.VersionLo
+	if bits.OnesCount64(mask) == 1 {
+		d.Shard = bits.TrailingZeros64(mask)
 	}
-	return st.Version()
-}
-
-// chainHi closes an effring chain's interval: degenerate for pinned
-// snapshot reads, a live re-read for oracle replays.
-//
-//ring:hotpath
-func chainHi(st *Store, rd *reader, sh int, mask uint64, lo uint64) uint64 {
-	if sh >= 0 {
-		return intervalHi(st, rd, sh, lo)
-	}
-	if rd != nil && mask != 0 {
-		return lo
-	}
-	return st.Version()
 }
 
 // setViolationKind fills the violation fields (allowed when kind is

@@ -3,12 +3,13 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mmu"
+	"repro/internal/seg"
 )
 
 // testSegments is the image most service tests run against:
@@ -372,13 +373,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // shardScript is segment segno's mutation sequence for the sharded
-// oracle test: each mutation changes only the even word of its
-// descriptor (brackets or the present bit), so a concurrent word-atomic
-// reader sees exactly the before or the after state, never a torn
-// descriptor. Each segment of testSegments lives in its own shard (of
-// 4), so shard segno's epoch counts exactly these mutations.
-func shardScript(segno uint32, n int) []func(st *Store) error {
-	muts := make([]func(st *Store) error, n)
+// oracle test: brackets or the present bit of one descriptor, toggled
+// back and forth. Each segment of testSegments lives in its own shard
+// (of 4), so shard segno's epoch counts exactly these mutations.
+func shardScript(segno uint32, n int) []func(e Editor) error {
+	muts := make([]func(e Editor) error, n)
 	for i := range muts {
 		alt := i%2 == 0
 		switch segno {
@@ -387,19 +386,19 @@ func shardScript(segno uint32, n int) []func(st *Store) error {
 			if alt {
 				b = core.Brackets{R1: 0, R2: 1, R3: 1}
 			}
-			muts[i] = func(st *Store) error { return st.SetBrackets(0, true, true, false, b, 0) }
+			muts[i] = func(e Editor) error { return e.SetBrackets(0, true, true, false, b, 0) }
 		case 1: // code: presence toggles
 			if alt {
-				muts[i] = func(st *Store) error { return st.Revoke(1) }
+				muts[i] = func(e Editor) error { return e.Revoke(1) }
 			} else {
-				muts[i] = func(st *Store) error { return st.Restore(1) }
+				muts[i] = func(e Editor) error { return e.Restore(1) }
 			}
 		default: // secret: read bracket widens and narrows
 			b := core.Brackets{R1: 0, R2: 1, R3: 1}
 			if alt {
 				b = core.Brackets{R1: 0, R2: 3, R3: 3}
 			}
-			muts[i] = func(st *Store) error { return st.SetBrackets(2, true, false, false, b, 0) }
+			muts[i] = func(e Editor) error { return e.SetBrackets(2, true, false, false, b, 0) }
 		}
 	}
 	return muts
@@ -425,306 +424,11 @@ func shardProbes() (probes []Query, probeSegno []uint32) {
 	return probes, probeSegno
 }
 
-// stripDecision clears the fields that legitimately differ between a
-// concurrent decision and its oracle counterpart. Shard is kept: the
-// oracle store is built with the same shard count, so the reported
-// shard must agree too.
+// stripDecision clears the fields that legitimately differ between two
+// decisions of one probe at different epochs or from different workers.
 func stripDecision(d Decision) Decision {
 	d.VersionLo, d.VersionHi, d.Worker = 0, 0, 0
 	return d
-}
-
-// TestShardedConcurrentOracle extends the T12 differential property to
-// the sharded store: one mutator goroutine per shard streams descriptor
-// edits while four workers answer single-segment probes. Every decision
-// reports the epoch interval of the shard it consulted; replaying that
-// shard's script single-threaded, the decision must be identical to the
-// oracle's answer at some state within the interval — regardless of
-// what the other shards' mutators were doing at the time. Run with
-// -race to also exercise the coherence protocol and the per-shard locks
-// under the race detector.
-func TestShardedConcurrentOracle(t *testing.T) {
-	const (
-		shards    = 4
-		mutations = 600 // per shard
-		rounds    = 30
-		clients   = 4
-	)
-	st, err := NewStore(StoreConfig{Shards: shards}, testSegments())
-	if err != nil {
-		t.Fatalf("NewStore: %v", err)
-	}
-	svc, err := New(st, Config{Workers: 4, QueueDepth: 64})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer svc.Close()
-
-	probes, probeSegno := shardProbes()
-	scripts := [3][]func(st *Store) error{}
-	for g := range scripts {
-		scripts[g] = shardScript(uint32(g), mutations)
-	}
-
-	// Concurrent phase: in every round the clients' batches race one
-	// slice of each shard's script, with the three mutators themselves
-	// racing one another. The round barrier guarantees edits interleave
-	// with decisions across the run even on a single-CPU host.
-	type obs struct{ ds []Decision }
-	results := make(chan obs, clients*rounds)
-	perRound := mutations / rounds
-	for round := 0; round < rounds; round++ {
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ds, err := svc.Submit(context.Background(), probes)
-				if err != nil {
-					if errors.Is(err, ErrQueueFull) {
-						return // backpressure is a legal answer
-					}
-					t.Errorf("Submit: %v", err)
-					return
-				}
-				results <- obs{ds}
-			}()
-		}
-		for g := range scripts {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for _, m := range scripts[g][round*perRound : (round+1)*perRound] {
-					if err := m(st); err != nil {
-						t.Errorf("shard %d mutation: %v", g, err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	close(results)
-
-	for g := range scripts {
-		if got := st.ShardVersion(g); got != 2*mutations {
-			t.Fatalf("shard %d final epoch = %d, want %d", g, got, 2*mutations)
-		}
-	}
-	if got := st.ShardVersion(3); got != 0 {
-		t.Fatalf("empty shard 3 epoch = %d, want 0", got)
-	}
-	if got := st.Version(); got != uint64(len(scripts))*2*mutations {
-		t.Fatalf("store version = %d, want %d", got, len(scripts)*2*mutations)
-	}
-
-	// Oracle replay, one shard at a time: a fresh store stepped through
-	// only shard g's script. Probes are single-segment, so the other
-	// shards' states cannot influence a shard-g decision — which is
-	// exactly the independence the oracle match below certifies.
-	oracle := [3][][]Decision{} // oracle[g][k][j]: shard-g probe j at state k
-	for g := range scripts {
-		ost, err := NewStore(StoreConfig{Shards: shards}, testSegments())
-		if err != nil {
-			t.Fatalf("oracle NewStore: %v", err)
-		}
-		u, err := ost.NewWorkerMMU(mmu.Options{Validate: true})
-		if err != nil {
-			t.Fatalf("oracle MMU: %v", err)
-		}
-		oracle[g] = make([][]Decision, mutations+1)
-		for k := 0; k <= mutations; k++ {
-			if k > 0 {
-				if err := scripts[g][k-1](ost); err != nil {
-					t.Fatalf("oracle shard %d mutation %d: %v", g, k, err)
-				}
-			}
-			for i := range probes {
-				if probeSegno[i] != uint32(g) {
-					continue
-				}
-				var d Decision
-				evalQuery(ost, nil, u, &probes[i], &d)
-				oracle[g][k] = append(oracle[g][k], stripDecision(d))
-			}
-		}
-	}
-	// probeIdx[i] is probe i's index within its shard's oracle rows.
-	probeIdx := make([]int, len(probes))
-	seen := map[uint32]int{}
-	for i, g := range probeSegno {
-		probeIdx[i] = seen[g]
-		seen[g]++
-	}
-
-	checked, clean := 0, 0
-	for o := range results {
-		for i, d := range o.ds {
-			g := int(probeSegno[i])
-			if d.Shard != g {
-				t.Fatalf("probe %d: decision reports shard %d, want %d", i, d.Shard, g)
-			}
-			lo, hi := d.VersionLo, d.VersionHi
-			if hi < lo {
-				t.Fatalf("probe %d: epoch interval [%d,%d] runs backwards", i, lo, hi)
-			}
-			loState, hiState := lo/2, (hi+1)/2
-			if lo == hi && lo%2 == 0 {
-				clean++
-			}
-			got := stripDecision(d)
-			matched := false
-			for k := loState; k <= hiState && !matched; k++ {
-				matched = got == oracle[g][k][probeIdx[i]]
-			}
-			if !matched {
-				t.Fatalf("probe %d (shard %d): decision %+v matches no oracle state in [%d,%d]",
-					i, g, got, loState, hiState)
-			}
-			checked++
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no decisions checked")
-	}
-	if clean == 0 {
-		t.Error("no clean-snapshot decisions observed")
-	}
-	t.Logf("checked %d decisions (%d clean snapshots, %d overlapping an edit) against %d oracle states per shard",
-		checked, clean, checked-clean, mutations+1)
-
-	snap := svc.Snapshot()
-	if snap.Reads.Pins == 0 || snap.Reads.Lookups == 0 {
-		t.Errorf("snapshot readers not exercised: %+v", snap.Reads)
-	}
-	if got := snap.RCU.Publishes; got != uint64(len(scripts))*mutations {
-		t.Errorf("snapshot publishes = %d, want %d (one per descriptor edit)",
-			got, len(scripts)*mutations)
-	}
-	// Every publish retires exactly one predecessor, which must end up
-	// recycled, dropped, or still awaiting its grace period.
-	if snap.RCU.Recycled+snap.RCU.Dropped+uint64(snap.RCU.Retired) != snap.RCU.Publishes {
-		t.Errorf("retired snapshots unaccounted for: %+v", snap.RCU)
-	}
-	if len(snap.LatencyNs) == 0 {
-		t.Error("latency histogram empty")
-	}
-}
-
-// TestBlockedMutationDoesNotBlockReaders parks a mutation inside its
-// critical section — shard mutex held, shard epoch odd — and checks
-// the RCU guarantee: decisions proceed without blocking, every one a
-// clean snapshot of the state before the stalled edit, in the mutating
-// shard and the others alike. After the mutation completes, a new
-// batch pins the published successor and observes the edit.
-func TestBlockedMutationDoesNotBlockReaders(t *testing.T) {
-	st, err := NewStore(StoreConfig{}, testSegments())
-	if err != nil {
-		t.Fatalf("NewStore: %v", err)
-	}
-	svc, err := New(st, Config{Workers: 2})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer svc.Close()
-	codeShard := st.ShardOf(1)
-
-	// Hold one mutation open: revoke "code" (segno 1), then park inside
-	// the epoch-odd window of its shard with the shard mutex held.
-	release := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		done <- st.mutate(1, func(sup *mmu.MMU) error {
-			sdw, err := sup.FetchSDW(1)
-			if err != nil {
-				return err
-			}
-			sdw.Present = false
-			if err := sup.StoreSDW(1, sdw); err != nil {
-				return err
-			}
-			<-release
-			return nil
-		})
-	}()
-	waitFor(t, "mutation to open", func() bool { return st.ShardVersion(codeShard) == 1 })
-
-	// Oracle states 0 (image as built) and 1 (code revoked).
-	states := make([][]Decision, 2)
-	probes, probeSegno := shardProbes()
-	for k := range states {
-		ost, err := NewStore(StoreConfig{}, testSegments())
-		if err != nil {
-			t.Fatalf("oracle NewStore: %v", err)
-		}
-		if k == 1 {
-			if err := ost.Revoke(1); err != nil {
-				t.Fatalf("oracle Revoke: %v", err)
-			}
-		}
-		u, err := ost.NewWorkerMMU(mmu.Options{Validate: true})
-		if err != nil {
-			t.Fatalf("oracle MMU: %v", err)
-		}
-		states[k] = make([]Decision, len(probes))
-		for i := range probes {
-			evalQuery(ost, nil, u, &probes[i], &states[k][i])
-		}
-	}
-	// The probe set must discriminate the two states, or the checks
-	// below are vacuous.
-	differs := false
-	for i := range probes {
-		differs = differs || stripDecision(states[0][i]) != stripDecision(states[1][i])
-	}
-	if !differs {
-		t.Fatal("probe set cannot distinguish the bracketed states")
-	}
-
-	// With the mutation parked mid-critical-section, a whole batch must
-	// complete — lock-free readers never contend with the held shard
-	// mutex — and every decision is the pre-edit snapshot at epoch 0.
-	ds, err := svc.Submit(context.Background(), probes)
-	if err != nil {
-		t.Fatalf("Submit during blocked mutation: %v", err)
-	}
-	for i, d := range ds {
-		if d.VersionLo != 0 || d.VersionHi != 0 {
-			t.Errorf("probe %d (shard %d): version interval [%d,%d] during blocked mutation, want clean [0,0]",
-				i, d.Shard, d.VersionLo, d.VersionHi)
-		}
-		if got, want := stripDecision(d), stripDecision(states[0][i]); got != want {
-			t.Errorf("probe %d: decision %+v, want pre-edit state %+v", i, got, want)
-		}
-	}
-	// The stalled edit also must not block /metrics.
-	if got := svc.Snapshot().RCU.Publishes; got != 0 {
-		t.Errorf("publishes = %d during blocked mutation, want 0", got)
-	}
-
-	// Complete the mutation; the next batch pins the successor snapshot
-	// (epoch 2 in the mutated shard) and observes the revocation.
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatalf("held mutation: %v", err)
-	}
-	ds, err = svc.Submit(context.Background(), probes)
-	if err != nil {
-		t.Fatalf("Submit after mutation: %v", err)
-	}
-	for i, d := range ds {
-		wantEpoch := uint64(0)
-		if probeSegno[i] == 1 {
-			wantEpoch = 2
-		}
-		if d.VersionLo != wantEpoch || d.VersionHi != wantEpoch {
-			t.Errorf("probe %d (shard %d): version interval [%d,%d] after mutation, want [%d,%d]",
-				i, d.Shard, d.VersionLo, d.VersionHi, wantEpoch, wantEpoch)
-		}
-		if got, want := stripDecision(d), stripDecision(states[1][i]); got != want {
-			t.Errorf("probe %d: decision %+v, want post-edit state %+v", i, got, want)
-		}
-	}
 }
 
 // TestSubmitIntoZeroAlloc is the hot-path allocation budget: one
@@ -791,10 +495,9 @@ func TestStoreShardConfig(t *testing.T) {
 		{Shards: 3},
 		{Shards: -1},
 		{Shards: MaxShards * 2},
-		{ShardsSet: true},
 	} {
 		if _, err := NewStore(bad, testSegments()); err == nil {
-			t.Errorf("NewStore(Shards=%d, set=%v): want error, got nil", bad.Shards, bad.ShardsSet)
+			t.Errorf("NewStore(Shards=%d): want error, got nil", bad.Shards)
 		}
 	}
 	st, err := NewStore(StoreConfig{}, testSegments())
@@ -813,6 +516,63 @@ func TestStoreShardConfig(t *testing.T) {
 	}
 	if one.Shards() != 1 || one.ShardOf(11) != 0 {
 		t.Errorf("single-shard store: Shards()=%d ShardOf(11)=%d", one.Shards(), one.ShardOf(11))
+	}
+}
+
+// TestNewStoreHeap bounds what one store costs: its descriptor tables
+// and bookkeeping, sized by the image, with no backing core.
+func TestNewStoreHeap(t *testing.T) {
+	defs := make([]Segment, 200)
+	for i := range defs {
+		defs[i] = Segment{Name: fmt.Sprintf("seg%03d", i), Size: 4096, Read: true,
+			Brackets: core.Brackets{R1: 1, R2: 4, R3: 5}, Gates: 4}
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := NewStore(StoreConfig{}, defs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	got := res.AllocedBytesPerOp()
+	if got >= 1<<20 {
+		t.Errorf("NewStore of a 200-segment image allocates %d bytes, want under 1 MiB", got)
+	}
+	t.Logf("NewStore of a 200-segment image: %d bytes, %d allocations", got, res.AllocsPerOp())
+}
+
+// TestGateCountBeyondField checks that a gate count the SDW's 14-bit
+// GATE field cannot hold is rejected, at load and by an edit, instead
+// of being kept unencoded (or, through core, truncated).
+func TestGateCountBeyondField(t *testing.T) {
+	big := []Segment{{Name: "wide", Size: 30000, Read: true, Execute: true,
+		Brackets: core.Brackets{R1: 1, R2: 3, R3: 5}, Gates: 20000}}
+	if _, err := NewStore(StoreConfig{}, big); err == nil {
+		t.Error("NewStore accepted 20000 gates")
+	}
+
+	big[0].Gates = seg.MaxGate
+	st, err := NewStore(StoreConfig{}, big)
+	if err != nil {
+		t.Fatalf("NewStore with MaxGate gates: %v", err)
+	}
+	if err := st.SetBrackets(0, true, false, true, big[0].Brackets, seg.MaxGate+1); err == nil {
+		t.Error("SetBrackets accepted a gate count past the GATE field")
+	}
+	if got := st.ShardVersion(0); got != 0 {
+		t.Errorf("rejected edit moved the shard epoch to %d", got)
+	}
+	svc, err := New(st, Config{Workers: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer svc.Close()
+	ds, err := svc.Submit(context.Background(), []Query{{Op: OpCall, Ring: 4, Segno: 0, Wordno: 5000}})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if !ds[0].Allowed || ds[0].Outcome != "downward call" {
+		t.Errorf("call to gate 5000 of %d: %+v", seg.MaxGate, ds[0])
 	}
 }
 

@@ -9,17 +9,17 @@
 // single access path of the simulated machine; this package puts a
 // server around it:
 //
-//   - a Store holds one machine image: word-atomic shared core, the
-//     descriptor segment, and a set of supervisor MMUs through which
-//     every run-time descriptor edit flows. Each shard additionally
-//     publishes its descriptors as an immutable RCU snapshot behind an
-//     atomic pointer (see rcu.go);
+//   - a Store holds one machine image's descriptor table, sharded by
+//     segment number. Each shard publishes its descriptors as an
+//     immutable RCU snapshot behind an atomic pointer (see rcu.go), and
+//     that snapshot is the only copy: supervisor edits build and
+//     publish a successor;
 //   - a Service runs a pool of workers, each a goroutine owning its own
 //     MMU pointed at an epoch-counted snapshot reader — the paper's
-//     several-processors-sharing-core configuration, with the
-//     descriptor state distributed as published configurations instead
-//     of coherently-cached mutable core — consuming batches of queries
-//     from a bounded queue with backpressure;
+//     several-processors-sharing-one-descriptor-segment configuration,
+//     with the descriptor state distributed as published configurations
+//     instead of coherently-cached mutable core — consuming batches of
+//     queries from a bounded queue with backpressure;
 //   - a Server speaks HTTP/JSON on top (see http.go) with /healthz and
 //     /metrics endpoints.
 //
@@ -27,29 +27,26 @@
 //
 // The descriptor store is sharded by segment number: shard i owns the
 // descriptors whose segno & (Shards-1) == i, with its own mutation
-// mutex, its own supervisor MMU, its own epoch counter — odd while an
-// edit of one of its descriptors is in flight, even when quiescent —
-// and its own published snapshot. Mutations of descriptors in
-// different shards proceed concurrently; an operation that ever needs
-// to quiesce the whole store must take the shard locks in ascending
-// index order.
+// mutex, its own epoch counter — odd while an edit of one of its
+// descriptors is in flight, even when quiescent — and its own
+// published snapshot. Mutations of descriptors in different shards
+// proceed concurrently; an operation that ever needs to quiesce the
+// whole store must take the shard locks in ascending index order.
 //
 // Decision workers never lock: each worker pins, per batch, the
 // current snapshot of every shard it consults (one atomic pointer load
 // per shard per batch) and decides against that immutable table. A
 // blocked or slow mutation therefore never delays a decision — readers
 // keep answering from the last published snapshot. Mutators serialize
-// per shard, write core (still authoritative for the CPU-simulator
-// path), publish the successor snapshot, and reclaim old snapshot
+// per shard, publish the successor snapshot, and reclaim old snapshot
 // buffers only after a grace period; rcu.go documents the lifecycle
 // and the reclamation rule.
 //
 // Each Decision reports the publication epoch of the snapshot it
 // consulted as a degenerate interval (VersionLo == VersionHi, even):
 // under snapshot reads every decision is a clean snapshot of the
-// consulted shard, which the T12 experiment and the sharded
-// differential test cross-check against a single-threaded oracle
-// replay.
+// consulted shard, which the T12 experiment and the oracle suites
+// check against the executable specification in internal/spec.
 package service
 
 import (
@@ -59,41 +56,31 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/mem"
-	"repro/internal/mmu"
 	"repro/internal/seg"
-	"repro/internal/word"
 )
 
 // Segment describes one segment of the protection image the store
 // serves decisions about.
 type Segment struct {
 	Name string
-	// Size is the segment length in words; zero means len(Words), and
-	// at least one word is always allocated.
-	Size  int
-	Words []word.Word
+	// Size is the segment length in words, at most seg.MaxBound; zero
+	// means one word.
+	Size int
 
 	Read, Write, Execute bool
 	Brackets             core.Brackets
-	// Gates is the number of gate locations (words 0..Gates-1).
+	// Gates is the number of gate locations (words 0..Gates-1), at most
+	// seg.MaxGate and at most Size.
 	Gates uint32
 }
 
 // StoreConfig sizes the store.
 type StoreConfig struct {
-	// MemWords is the shared core size; default 1<<21.
-	MemWords int
-	// MaxSegments bounds the descriptor segment; default 256.
-	MaxSegments int
 	// Shards is the number of descriptor-store shards (a power of two,
 	// at most 64); default 8. Each shard serializes mutations of its own
 	// descriptors under its own lock and epoch, so decision workers and
 	// supervisor edits touching different shards never contend.
 	Shards int
-	// ShardsSet forces Shards to be honoured even when zero (invalid —
-	// used by tests exercising the config check).
-	ShardsSet bool
 }
 
 // MaxShards bounds StoreConfig.Shards. Shard sets consulted by one
@@ -102,11 +89,13 @@ type StoreConfig struct {
 // not a hot global structure.
 const MaxShards = 64
 
+// MaxSegments bounds the number of segments in one image.
+const MaxSegments = 256
+
 // shard is one slice of the descriptor store: the descriptors with
-// segno ≡ index (mod Shards), their mutation lock, their supervisor MMU
-// (cache off — ring-0 software reads descriptors through core, and an
-// uncached unit can never itself go stale), their epoch, and their
-// published RCU snapshot with its retired/free buffer lists (rcu.go).
+// segno ≡ index (mod Shards), their mutation lock, their epoch, and
+// their published RCU snapshot with its retired/free buffer lists
+// (rcu.go).
 type shard struct {
 	// epoch is odd while a mutation of this shard's descriptors is in
 	// flight, even when quiescent; epoch/2 counts completed mutations.
@@ -121,8 +110,7 @@ type shard struct {
 	snap atomic.Pointer[snapshot]
 	_    [56]byte
 
-	mu  sync.Mutex
-	sup *mmu.MMU
+	mu sync.Mutex
 
 	// retired holds predecessors awaiting their grace period; free
 	// holds reclaimed SDW buffers for reuse. Both under mu, both
@@ -140,16 +128,10 @@ type shardRCUStats struct {
 	retired, free                        atomic.Int64
 }
 
-// Store is the shared descriptor state of a decision service: the
-// word-atomic core holding the descriptor segment and segment bodies,
-// the coherence group every worker MMU joins, and the sharded
-// supervisor units through which all mutations flow.
+// Store is the shared descriptor state of a decision service: one
+// image's descriptor table, split into per-shard RCU snapshots through
+// which all mutations are published.
 type Store struct {
-	mem   *mem.Atomic
-	alloc *mem.Allocator
-	dbr   seg.DBR
-	group *mmu.Group
-
 	shards    []shard
 	shardMask uint32
 	shardBits uint32 // log2(Shards): segno >> shardBits indexes a shard's SDW table
@@ -164,53 +146,46 @@ type Store struct {
 	// with the shard index, the edited segment number and the new (even)
 	// publication epoch — still under the shard's mutation lock, so for
 	// a given shard the calls arrive in strictly increasing epoch order.
-	// This is the network analogue of the coherence Group's shootdown
-	// broadcast: the tenant layer fans the event out to subscribed wire
+	// This is the network analogue of the paper's associative-memory
+	// shootdown: the tenant layer fans the event out to subscribed wire
 	// sessions. The hook must not block and must not call back into the
 	// store's mutation path.
 	publishHook atomic.Pointer[func(shard int, segno uint32, epoch uint64)]
+
+	// hold, when non-nil (tests), parks every edit inside its odd epoch
+	// window, shard mutex held, until the channel is closed.
+	hold chan struct{}
 
 	names  map[string]uint32
 	segnos []string
 }
 
 // NewStore builds a store holding the given segments, numbered in
-// order from 0.
+// order from 0. Each shard's table has one entry per image segment it
+// owns; segment numbers past the image decide as missing segments.
 func NewStore(cfg StoreConfig, defs []Segment) (*Store, error) {
-	if cfg.MemWords == 0 {
-		cfg.MemWords = 1 << 21
-	}
-	if cfg.MaxSegments == 0 {
-		cfg.MaxSegments = 256
-	}
-	if cfg.Shards == 0 && !cfg.ShardsSet {
+	if cfg.Shards == 0 {
 		cfg.Shards = 8
 	}
-	if cfg.Shards <= 0 || cfg.Shards > MaxShards || cfg.Shards&(cfg.Shards-1) != 0 {
+	if cfg.Shards < 0 || cfg.Shards > MaxShards || cfg.Shards&(cfg.Shards-1) != 0 {
 		return nil, fmt.Errorf("service: shard count %d is not a power of two in [1,%d]", cfg.Shards, MaxShards)
 	}
-	if len(defs) > cfg.MaxSegments {
-		return nil, fmt.Errorf("service: %d segments exceed MaxSegments %d", len(defs), cfg.MaxSegments)
+	if len(defs) > MaxSegments {
+		return nil, fmt.Errorf("service: %d segments exceed MaxSegments %d", len(defs), MaxSegments)
 	}
-	m := mem.NewAtomic(cfg.MemWords)
 	st := &Store{
-		mem:       m,
-		alloc:     mem.NewAllocator(cfg.MemWords, 2*cfg.MaxSegments),
-		dbr:       seg.DBR{Addr: 0, Bound: uint32(cfg.MaxSegments)},
-		group:     mmu.NewGroup(),
 		shards:    make([]shard, cfg.Shards),
 		shardMask: uint32(cfg.Shards - 1),
 		shardBits: uint32(bits.TrailingZeros32(uint32(cfg.Shards))),
 		names:     make(map[string]uint32, len(defs)),
+		segnos:    make([]string, len(defs)),
 	}
 	st.readers.Store(&[]*reader{})
+	// Shard i's table covers segment numbers i, i+Shards, i+2*Shards, ...
+	// below len(defs); it is filled in place before the store is shared.
 	for i := range st.shards {
-		sup := mmu.New(m, mmu.Options{Validate: true})
-		sup.SetDBR(st.dbr)
-		st.group.Join(sup)
-		st.shards[i].sup = sup
+		st.shards[i].snap.Store(&snapshot{sdws: make([]seg.SDW, (len(defs)+cfg.Shards-1-i)/cfg.Shards)})
 	}
-
 	for i, def := range defs {
 		if def.Name == "" {
 			return nil, fmt.Errorf("service: segment %d has no name", i)
@@ -218,80 +193,23 @@ func NewStore(cfg StoreConfig, defs []Segment) (*Store, error) {
 		if _, dup := st.names[def.Name]; dup {
 			return nil, fmt.Errorf("service: duplicate segment %q", def.Name)
 		}
-		size := def.Size
-		if size == 0 {
-			size = len(def.Words)
+		if def.Size < 0 {
+			return nil, fmt.Errorf("service: segment %q has negative size %d", def.Name, def.Size)
 		}
-		if size < len(def.Words) {
-			return nil, fmt.Errorf("service: segment %q size %d below contents %d", def.Name, size, len(def.Words))
-		}
-		if size == 0 {
-			size = 1 // a zero-length segment would make every reference a bound fault
-		}
-		base, err := st.alloc.Alloc(size)
-		if err != nil {
-			return nil, fmt.Errorf("service: placing %q: %w", def.Name, err)
-		}
-		if err := mem.WriteRange(m, base, def.Words); err != nil {
-			return nil, err
-		}
+		size := max(def.Size, 1) // a zero-length segment would make every reference a bound fault
 		sdw := seg.SDW{
-			Present: true, Addr: uint32(base), Bound: uint32(size),
+			Present: true, Bound: uint32(size),
 			Read: def.Read, Write: def.Write, Execute: def.Execute,
 			Brackets: def.Brackets, Gate: def.Gates,
 		}
-		if err := st.shardFor(uint32(i)).sup.StoreSDW(uint32(i), sdw); err != nil {
+		if err := sdw.Validate(); err != nil {
 			return nil, fmt.Errorf("service: segment %q: %w", def.Name, err)
 		}
+		st.shards[uint32(i)&st.shardMask].snap.Load().sdws[uint32(i)>>st.shardBits] = sdw
 		st.names[def.Name] = uint32(i)
-		st.segnos = append(st.segnos, def.Name)
-	}
-	// Publish each shard's initial snapshot (epoch 0). Shard i's table
-	// covers segment numbers i, i+Shards, i+2*Shards, ... below the
-	// descriptor bound.
-	for i := range st.shards {
-		sh := &st.shards[i]
-		n := (int(st.dbr.Bound) + cfg.Shards - 1 - i) / cfg.Shards
-		if n < 0 {
-			n = 0
-		}
-		sdws := make([]seg.SDW, n)
-		for k := range sdws {
-			segno := uint32(i + k*cfg.Shards)
-			sdw, err := sh.sup.FetchSDW(segno)
-			if err != nil {
-				return nil, fmt.Errorf("service: snapshot of segment %d: %w", segno, err)
-			}
-			sdws[k] = sdw
-		}
-		sh.snap.Store(&snapshot{epoch: 0, sdws: sdws})
+		st.segnos[i] = def.Name
 	}
 	return st, nil
-}
-
-// NewWorkerMMU creates one worker's MMU over the shared core, running
-// the store's descriptor segment and joined to its coherence group. The
-// returned unit must be owned by a single goroutine.
-func (st *Store) NewWorkerMMU(opt mmu.Options) (*mmu.MMU, error) {
-	if err := opt.Check(); err != nil {
-		return nil, err
-	}
-	u := mmu.New(st.mem, opt)
-	u.SetDBR(st.dbr)
-	st.group.Join(u)
-	return u, nil
-}
-
-// newSnapshotMMU builds one decision worker's MMU: no associative
-// memory, no coherence-group membership — every descriptor fetch
-// resolves from rd's pinned RCU snapshots instead of core. The
-// returned unit (and rd) must be owned by a single goroutine.
-func (st *Store) newSnapshotMMU(opt mmu.Options, rd *reader) *mmu.MMU {
-	opt.CacheSize = 0
-	u := mmu.New(st.mem, opt)
-	u.SetDBR(st.dbr)
-	u.SetSDWSource(rd)
-	return u
 }
 
 // Segno resolves a segment name.
@@ -305,9 +223,6 @@ func (st *Store) Segno(name string) (uint32, bool) {
 // Segments returns the segment names in segment-number order.
 func (st *Store) Segments() []string { return st.segnos }
 
-// MaxSegments returns the descriptor-segment bound.
-func (st *Store) MaxSegments() uint32 { return st.dbr.Bound }
-
 // Shards returns the shard count.
 func (st *Store) Shards() int { return len(st.shards) }
 
@@ -315,9 +230,6 @@ func (st *Store) Shards() int { return len(st.shards) }
 //
 //ring:hotpath
 func (st *Store) ShardOf(segno uint32) int { return int(segno & st.shardMask) }
-
-// shardFor returns the shard owning segno's descriptor.
-func (st *Store) shardFor(segno uint32) *shard { return &st.shards[segno&st.shardMask] }
 
 // ShardVersion returns shard i's mutation epoch: odd while an edit of
 // one of its descriptors is in flight, even when quiescent.
@@ -341,26 +253,33 @@ func (st *Store) Version() uint64 {
 	return sum
 }
 
-// mutate brackets a descriptor edit with the owning shard's epoch
-// counter and publishes the successor snapshot. The edit writes core
-// through the supervisor MMU (StoreSDW — core stays authoritative for
-// the CPU-simulator path and its shootdown protocol); on success the
-// shard's RCU snapshot is rebuilt copy-on-write and published with the
-// closing (even) epoch, so decision workers pick up the edit on their
-// next batch without ever locking. A failed edit publishes nothing and
-// leaves the old snapshot current.
-func (st *Store) mutate(segno uint32, f func(sup *mmu.MMU) error) error {
+// mutate applies edit to a copy of segno's descriptor under the shard
+// mutex and validates the result, so a rejected edit changes nothing;
+// an accepted one is published inside the shard's odd/even epoch
+// window as a successor snapshot stamped with the closing (even)
+// epoch. Segment numbers outside the image are rejected.
+func (st *Store) mutate(segno uint32, edit func(sdw seg.SDW) (seg.SDW, error)) error {
+	if segno >= uint32(len(st.segnos)) {
+		return fmt.Errorf("service: segment %d is not in the image (%d segments)", segno, len(st.segnos))
+	}
 	shi := st.ShardOf(segno)
 	sh := &st.shards[shi]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	epoch := sh.epoch.Add(1) // odd: edit in flight
-	err := f(sh.sup)
-	if err == nil {
-		err = st.publishLocked(shi, segno, epoch+1)
+	sdw, err := edit(sh.snap.Load().sdws[segno>>st.shardBits])
+	if err != nil {
+		return err
 	}
+	if err := sdw.Validate(); err != nil {
+		return fmt.Errorf("service: segment %d: %w", segno, err)
+	}
+	epoch := sh.epoch.Add(1) // odd: edit in flight
+	if st.hold != nil {
+		<-st.hold
+	}
+	st.publishLocked(shi, segno, sdw, epoch+1)
 	sh.epoch.Add(1)
-	return err
+	return nil
 }
 
 // SetPublishHook installs f to be called after every snapshot
@@ -377,59 +296,35 @@ func (st *Store) SetPublishHook(f func(shard int, segno uint32, epoch uint64)) {
 	st.publishHook.Store(&f)
 }
 
-// SDW fetches the current descriptor of segno through its shard's
-// (uncached) supervisor unit, serialized against that shard's edits.
-func (st *Store) SDW(segno uint32) (seg.SDW, error) {
-	sh := st.shardFor(segno)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.sup.FetchSDW(segno)
-}
-
 // SetBrackets replaces the flags, brackets and gate count of segno,
-// keeping its placement. Supervisor functionality: the edit goes
-// through StoreSDW, so every worker's associative memory sees it before
-// its next fetch of that descriptor.
+// keeping its bound. Supervisor functionality: every decision batch
+// that starts after the call returns sees the edit.
 func (st *Store) SetBrackets(segno uint32, read, write, execute bool, b core.Brackets, gates uint32) error {
-	return st.mutate(segno, func(sup *mmu.MMU) error {
-		sdw, err := sup.FetchSDW(segno)
-		if err != nil {
-			return err
-		}
+	return st.mutate(segno, func(sdw seg.SDW) (seg.SDW, error) {
 		if !sdw.Present {
-			return fmt.Errorf("service: setbrackets on absent segment %d", segno)
+			return sdw, fmt.Errorf("service: setbrackets on absent segment %d", segno)
 		}
 		sdw.Read, sdw.Write, sdw.Execute = read, write, execute
 		sdw.Brackets = b
 		sdw.Gate = gates
-		return sup.StoreSDW(segno, sdw)
+		return sdw, nil
 	})
 }
 
 // Revoke clears the present flag of segno, leaving the rest of the
 // descriptor intact: every subsequent reference takes a missing-segment
-// fault. Because only the present bit changes, the edit is a single
-// atomic core write and concurrent readers see exactly the old or the
-// new descriptor.
+// fault.
 func (st *Store) Revoke(segno uint32) error {
-	return st.mutate(segno, func(sup *mmu.MMU) error {
-		sdw, err := sup.FetchSDW(segno)
-		if err != nil {
-			return err
-		}
+	return st.mutate(segno, func(sdw seg.SDW) (seg.SDW, error) {
 		sdw.Present = false
-		return sup.StoreSDW(segno, sdw)
+		return sdw, nil
 	})
 }
 
 // Restore re-sets the present flag of a revoked segment.
 func (st *Store) Restore(segno uint32) error {
-	return st.mutate(segno, func(sup *mmu.MMU) error {
-		sdw, err := sup.FetchSDW(segno)
-		if err != nil {
-			return err
-		}
+	return st.mutate(segno, func(sdw seg.SDW) (seg.SDW, error) {
 		sdw.Present = true
-		return sup.StoreSDW(segno, sdw)
+		return sdw, nil
 	})
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -18,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/service"
+	"repro/internal/spec"
 	"repro/internal/tenant"
 )
 
@@ -251,9 +251,9 @@ func (m scriptMutation) wire() Mutation {
 // TestDifferentialRandomizedTrace is the live half of the transport
 // oracle argument (the T12 replay argument, lifted onto the wire):
 // concurrent wire checkers race a mutator that alternates transports
-// per step; every recorded decision must replay identically against a
-// single-worker oracle advanced to the store version the decision
-// reported. Run under -race in CI.
+// per step; every recorded decision must equal the spec model's answer
+// after the script prefix the decision's epoch names. Run under -race
+// in CI.
 func TestDifferentialRandomizedTrace(t *testing.T) {
 	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 4})
 	_, addr := startWireServer(t, reg, Config{})
@@ -359,17 +359,10 @@ func TestDifferentialRandomizedTrace(t *testing.T) {
 		return
 	}
 
-	// Replay every recorded decision against a fresh single-worker
-	// oracle advanced through the same script prefix the decision's
-	// version interval certifies.
-	oreg := tenant.NewRegistry(tenant.Config{})
-	otn, err := oreg.Load("oracle", testSegments(), tenant.TenantConfig{Workers: 1})
-	if err != nil {
-		t.Fatalf("load oracle: %v", err)
-	}
-	defer oreg.Close()
-	ost := otn.Store()
-
+	// Replay every recorded decision on the spec model advanced through
+	// the script prefix the decision's epoch names.
+	tn, _ := reg.Get(tenant.DefaultTenant)
+	model := spec.New(tn.Store().Shards(), testSegments())
 	sort.SliceStable(records, func(i, j int) bool { return records[i].d.VersionLo < records[j].d.VersionLo })
 	applied := 0
 	var dataRecords int
@@ -380,19 +373,15 @@ func TestDifferentialRandomizedTrace(t *testing.T) {
 		}
 		for applied < k {
 			m := script[applied]
-			if err := ost.SetBrackets(0, m.read, m.write, m.execute, m.brackets, m.gates); err != nil {
-				t.Fatalf("oracle mutation %d: %v", applied, err)
+			if err := model.SetBrackets(0, m.read, m.write, m.execute, m.brackets, m.gates); err != nil {
+				t.Fatalf("model mutation %d: %v", applied, err)
 			}
 			applied++
 		}
-		want, err := otn.Submit(context.Background(), []service.Query{rec.q})
-		if err != nil {
-			t.Fatalf("oracle submit: %v", err)
-		}
-		g, w := rec.d, want[0]
-		g.Worker, w.Worker = 0, 0
+		g, w := rec.d, model.Decide(rec.q)
+		g.Worker = 0
 		if g != w {
-			t.Fatalf("decision diverges from oracle at version %d:\nquery %+v\n live %+v\nwant %+v",
+			t.Fatalf("decision diverges from the model at version %d:\nquery %+v\n live %+v\nwant %+v",
 				rec.d.VersionLo, rec.q, g, w)
 		}
 		dataRecords++

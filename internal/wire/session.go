@@ -247,6 +247,14 @@ func (s *session) serve() {
 		s.wbuf = EncodeGoAway(s.wbuf)
 		_, _ = s.conn.Write(s.wbuf)
 		s.wmu.Unlock()
+		// Closing with unread input would reset the connection, which
+		// can destroy the GoAway before the peer reads it: half-close,
+		// then discard what the drain left unread until the peer closes.
+		if tc, ok := s.conn.(*net.TCPConn); ok {
+			_ = tc.CloseWrite()
+		}
+		_ = s.conn.SetReadDeadline(time.Now().Add(250 * time.Millisecond))
+		_, _ = io.Copy(io.Discard, s.conn)
 	}
 }
 
@@ -315,7 +323,10 @@ func (s *session) handshake() bool {
 		return false
 	}
 	_ = s.conn.SetReadDeadline(time.Time{})
-	return !s.draining.Load()
+	if s.draining.Load() {
+		s.drain() // a drain that began mid-handshake: restore its deadline
+	}
+	return true
 }
 
 // health reports the bound tenant's image shape.

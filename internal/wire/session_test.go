@@ -93,6 +93,47 @@ func TestClientCheckMutatePing(t *testing.T) {
 	}
 }
 
+// TestMutateOutsideImage checks that a raw segment number naming no
+// segment of the image cannot be edited: every op answers an error
+// frame, no epoch moves, the number still decides as a missing
+// segment, and the session keeps answering checks.
+func TestMutateOutsideImage(t *testing.T) {
+	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 1})
+	_, addr := startWireServer(t, reg, Config{})
+	c, err := Dial(addr, ClientConfig{})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+
+	probe := service.Query{Op: service.OpAccess, Ring: 1, Segment: "data", Kind: core.AccessRead}
+	for _, segno := range []uint32{3, 100, 256, 16383} {
+		for _, m := range []Mutation{
+			{Op: MutRevoke, Segno: segno},
+			{Op: MutRestore, Segno: segno},
+			{Op: MutSetBrackets, Segno: segno, Read: true, Brackets: core.Brackets{R1: 1, R2: 1, R3: 1}},
+		} {
+			var ef *ErrFrame
+			if _, err := c.Mutate(m); !errors.As(err, &ef) || ef.Code != CodeBadRequest {
+				t.Errorf("mutation %+v: err = %v, want a bad-request error frame", m, err)
+			}
+			if ds, err := c.Check(probe); err != nil || !ds[0].Allowed {
+				t.Fatalf("check after mutation %+v: %+v, %v", m, ds, err)
+			}
+		}
+		ds, err := c.Check(service.Query{Op: service.OpAccess, Ring: 0, Segno: segno, Kind: core.AccessRead})
+		if err != nil {
+			t.Fatalf("check of segno %d: %v", segno, err)
+		}
+		if ds[0].ViolationKind != core.ViolationMissingSegment || ds[0].VersionLo != 0 {
+			t.Errorf("segno %d after rejected edits: %+v, want a missing segment at epoch 0", segno, ds[0])
+		}
+	}
+	if h, err := c.Ping(); err != nil || h.StoreVersion != 0 {
+		t.Errorf("store version after rejected edits: %+v, %v", h, err)
+	}
+}
+
 func TestClientPipelinesOutOfOrder(t *testing.T) {
 	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 4})
 	_, addr := startWireServer(t, reg, Config{})

@@ -183,8 +183,8 @@ func (c *Checker) EffectiveRing(ring Ring, chain ...ChainStep) (Decision, error)
 func (c *Checker) Segno(name string) (uint32, bool) { return c.store.Segno(name) }
 
 // SetBrackets replaces the named segment's access flags, brackets and
-// gate count — ring-0 supervisor functionality, routed through the
-// coherent descriptor-store path.
+// gate count — ring-0 supervisor functionality, published to the
+// decision workers as a new descriptor snapshot.
 func (c *Checker) SetBrackets(segment string, read, write, execute bool, b Brackets, gates uint32) error {
 	segno, ok := c.store.Segno(segment)
 	if !ok {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/spec"
 	"repro/internal/tenant"
 	"repro/internal/wire"
 	"repro/rings"
@@ -15,13 +16,13 @@ import (
 
 // This file proves the distributed decision-lease cache (DialRemote
 // with CacheSize) against the repo's strongest correctness instrument:
-// the epoch-interval oracle. Every decision a cached client serves —
-// lease hit or remote fetch — carries a shard epoch interval, and the
-// differential test below replays each one against a single-threaded
-// oracle at every store state inside that interval while mutators race
-// the clients. A cached answer that outlived a shootdown, a key
-// collision, or a lease surviving a reconnect would all surface as a
-// decision no oracle state explains.
+// the epoch oracle. Every decision a cached client serves — lease hit
+// or remote fetch — carries the shard epoch it was decided at, and the
+// differential test below compares each one with the spec model's
+// answer at that epoch while mutators race the clients. A cached
+// answer that outlived a shootdown, a key collision, or a lease
+// surviving a reconnect would all surface as a decision the model does
+// not give.
 
 // wideData and narrowData are the two bracket states the mutation
 // script alternates "data" (segno 0, shard 0) between. Narrow pushes
@@ -64,46 +65,22 @@ func leaseProbes() []rings.Query {
 	}
 }
 
-// stripDecision removes the fields a replay cannot reproduce (epoch
-// interval, worker index) so decisions compare by substance.
-func stripDecision(d rings.Decision) rings.Decision {
-	d.VersionLo, d.VersionHi, d.Worker = 0, 0, 0
-	return d
-}
-
-// buildLeaseOracle replays the mutation script single-threaded:
-// oracle[k][p] is probe p's stripped decision after the first k
-// mutations.
-func buildLeaseOracle(t *testing.T, probes []rings.Query, mutations int) [][]rings.Decision {
+// buildLeaseOracle replays the mutation script on the spec model of a
+// store with the given shard count: oracle[k][p] is probe p's decision
+// after the first k mutations.
+func buildLeaseOracle(t *testing.T, probes []rings.Query, mutations, shards int) [][]rings.Decision {
 	t.Helper()
-	chk, err := rings.NewChecker(checkerImage())
-	if err != nil {
-		t.Fatalf("oracle checker: %v", err)
-	}
-	defer chk.Close()
+	model := spec.New(shards, checkerImage())
 	oracle := make([][]rings.Decision, mutations+1)
-	snap := func(k int) {
-		ds, err := chk.Check(probes...)
-		if err != nil {
-			t.Fatalf("oracle state %d: %v", k, err)
+	for k := 0; k <= mutations; k++ {
+		if k > 0 {
+			if err := setData(model, k-1); err != nil {
+				t.Fatalf("model mutation %d: %v", k, err)
+			}
 		}
-		for i := range ds {
-			ds[i] = stripDecision(ds[i])
+		for _, q := range probes {
+			oracle[k] = append(oracle[k], model.Decide(q))
 		}
-		oracle[k] = ds
-	}
-	snap(0)
-	for k := 1; k <= mutations; k++ {
-		b := wideData
-		if k%2 == 1 {
-			// Step k of the live script is setData(st, k-1): scripts
-			// count applied mutations, setData counts from step index.
-			b = narrowData
-		}
-		if err := chk.SetBrackets("data", true, true, false, b, 0); err != nil {
-			t.Fatalf("oracle mutate %d: %v", k, err)
-		}
-		snap(k)
 	}
 	return oracle
 }
@@ -115,11 +92,11 @@ type servedDecision struct {
 	dec   rings.Decision
 }
 
-// TestDistributedOracleDifferential is the tentpole's acceptance test:
-// cached wire clients race a supervisor mutating shard 0 through a
-// known script, and every served decision — lease hit or miss — must
-// equal the oracle's answer at some store state inside the decision's
-// recorded epoch interval. Run under -race in CI.
+// TestDistributedOracleDifferential is the decision-lease acceptance
+// test: cached wire clients race a supervisor mutating shard 0 through
+// a known script, and every served decision — lease hit or miss — must
+// equal the model's answer at the epoch the decision records. Run
+// under -race in CI.
 func TestDistributedOracleDifferential(t *testing.T) {
 	const (
 		clients   = 3
@@ -129,8 +106,8 @@ func TestDistributedOracleDifferential(t *testing.T) {
 	)
 	fx := startRemoteFixture(t)
 	probes := leaseProbes()
-	oracle := buildLeaseOracle(t, probes, mutations)
 	st := fx.def.Store()
+	oracle := buildLeaseOracle(t, probes, mutations, st.Shards())
 
 	rcs := make([]*rings.RemoteChecker, clients)
 	for c := range rcs {
@@ -189,30 +166,19 @@ func TestDistributedOracleDifferential(t *testing.T) {
 		t.Fatalf("shard 0 epoch = %d, want %d", got, 2*mutations)
 	}
 
-	// Replay: every served decision must match the oracle at some
-	// state within its epoch interval.
+	// Replay: every served decision must be one published epoch of
+	// shard 0 and match the model at that epoch's state.
 	var total, hits, shootdowns uint64
 	for c, list := range served {
 		for _, sd := range list {
 			total++
-			if sd.dec.Shard != 0 {
-				t.Fatalf("client %d probe %d: shard %d, want 0 (%+v)", c, sd.probe, sd.dec.Shard, sd.dec)
+			d := sd.dec
+			if d.Shard != 0 || d.VersionLo != d.VersionHi || d.VersionLo%2 != 0 || d.VersionLo > 2*mutations {
+				t.Fatalf("client %d probe %d: not one published epoch of shard 0: %+v", c, sd.probe, d)
 			}
-			lo, hi := sd.dec.VersionLo/2, (sd.dec.VersionHi+1)/2
-			if hi > uint64(mutations) {
-				hi = uint64(mutations)
-			}
-			got := stripDecision(sd.dec)
-			matched := false
-			for k := lo; k <= hi; k++ {
-				if got == oracle[k][sd.probe] {
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				t.Fatalf("client %d probe %d: decision %+v matches no oracle state in [%d,%d]",
-					c, sd.probe, got, lo, hi)
+			d.Worker = 0
+			if want := oracle[d.VersionLo/2][sd.probe]; d != want {
+				t.Fatalf("client %d probe %d: decision %+v, model says %+v", c, sd.probe, d, want)
 			}
 		}
 	}
