@@ -26,8 +26,8 @@
 //	GET  /v1/t/{name}/metrics    tenant decision/fault/RCU/lease counters
 //
 //	POST /v1/check   \
-//	POST /v1/mutate   | single-tenant compatibility surface: the
-//	GET  /healthz     | tenant named "default", wire format unchanged
+//	POST /v1/mutate   | single-tenant surface: the tenant named
+//	GET  /healthz     | "default"
 //	GET  /metrics    /
 //
 // With -listen-wire, a second TCP listener serves the binary streaming
@@ -50,8 +50,10 @@
 // access flags, ring brackets and gate count; POST /v1/images accepts
 // the same segments inline, or a "file" name resolved inside -image-dir
 // when that flag is set. Mutations against a sealed or draining tenant
-// answer 409. On SIGINT/SIGTERM the daemon stops accepting, drains
-// every tenant's decision queue and exits.
+// answer 409. Request bodies over 1 MiB answer 413, and HTTP
+// connections that stall mid-request, mid-response or idle are closed.
+// On SIGINT/SIGTERM the daemon stops accepting, drains every tenant's
+// decision queue and exits.
 package main
 
 import (
@@ -75,12 +77,24 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // Test hooks: when non-nil, testHookReady receives the bound HTTP
 // listen address (and testHookWireReady the bound wire address) once
-// serving, and closing testHookShutdown triggers the same graceful
-// drain a signal would.
+// serving, closing testHookShutdown triggers the same graceful drain a
+// signal would, and testHookHTTPServer may adjust the HTTP server
+// before it serves.
 var (
-	testHookReady     chan<- string
-	testHookWireReady chan<- string
-	testHookShutdown  <-chan struct{}
+	testHookReady      chan<- string
+	testHookWireReady  chan<- string
+	testHookShutdown   <-chan struct{}
+	testHookHTTPServer func(*http.Server)
+)
+
+// Bounds on every HTTP connection: a peer that stalls sending its
+// request headers or body, or reading the response, is disconnected,
+// and an idle keep-alive connection is closed.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 // loadImage reads a JSON image file, or returns the demo image for an
@@ -143,7 +157,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		h.Close()
 		return 1
 	}
-	hs := &http.Server{Handler: h}
+	hs := &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	if testHookHTTPServer != nil {
+		testHookHTTPServer(hs)
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

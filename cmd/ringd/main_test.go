@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -531,5 +532,31 @@ func TestRunWireListener(t *testing.T) {
 	// The drained server must refuse further work on this session.
 	if _, err := rc.Check(rings.Query{Op: rings.OpAccess, Ring: 5, Segment: "user_data", Kind: rings.AccessRead}); err == nil {
 		t.Error("check after drain: want error")
+	}
+}
+
+// TestRunDisconnectsStalledHeader checks the HTTP server's header
+// bound: a client that stops mid-header is disconnected. The test
+// shortens the bound through testHookHTTPServer.
+func TestRunDisconnectsStalledHeader(t *testing.T) {
+	testHookHTTPServer = func(hs *http.Server) { hs.ReadHeaderTimeout = 100 * time.Millisecond }
+	t.Cleanup(func() { testHookHTTPServer = nil })
+	base, shutdown, done := bootDaemon(t)
+	defer stopDaemon(t, shutdown, done)
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: ringd\r\n"); err != nil {
+		t.Fatalf("write partial header: %v", err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// The server hangs up; a client-side timeout means it never did.
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("stalled client was not disconnected: %v", err)
 	}
 }

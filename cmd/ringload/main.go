@@ -20,10 +20,12 @@
 // latency, repeat — a closed loop, so offered load adapts to service
 // capacity. In-process mode drives Checker.CheckInto (the
 // zero-allocation path); -target mode replays the same batches against
-// a running ringd — POSTing JSON to /v1/check by default, or (with
-// -transport wire) pipelining binary frames down one persistent
-// streaming session shared by every client, the correlation-ID path
-// ringd serves on -listen-wire. -mutators adds supervisor goroutines streaming
+// a running ringd through one rings.DialRemote client's CheckInto —
+// POSTing JSON to /v1/check by default, or (with -transport wire)
+// pipelining binary frames down one persistent streaming session
+// shared by every client, the correlation-ID path ringd serves on
+// -listen-wire. A shed batch (rings.ErrQueueFull) counts as shed on
+// every path. -mutators adds supervisor goroutines streaming
 // SetBrackets edits through the store's snapshot-publish path while
 // decisions run (in-process only). -sweep repeats the whole run across
 // several descriptor-store shard counts and -sweep-workers across
@@ -55,7 +57,7 @@
 // coherent via the Subscribe/Shootdown stream. A paced supervisor
 // goroutine edits user_data's brackets at each grid rate, so every
 // cell measures cached speedup and hit rate under that invalidation
-// pressure.
+// pressure; a cell whose trials deliver under 90% of its rate fails.
 //
 // With -json, results are emitted as a JSON array in the same shape as
 // ringbench -json (id, title, host_ns, metrics, lines), so the two
@@ -63,7 +65,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -288,180 +289,34 @@ func (h *hist) quantile(q float64) int64 {
 	return 0
 }
 
-// ---- Drivers ----
+// ---- Checkers ----
 
-// driver submits one pre-built batch and fills dst (in-process) or
-// parses the response (HTTP), returning service.ErrQueueFull-equivalent
-// shedding as (shed=true).
-type driver interface {
-	submit(client int, batch []rings.Query, dst []rings.Decision) (shed bool, err error)
-	close()
+// checker is what a trial's clients submit to: an in-process
+// rings.Checker or a rings.DialRemote client, over either transport.
+type checker interface {
+	CheckInto(queries []rings.Query, dst []rings.Decision) error
 }
 
-// checkerDriver drives the decision path in-process.
-type checkerDriver struct{ chk *rings.Checker }
-
-func (d *checkerDriver) submit(_ int, batch []rings.Query, dst []rings.Decision) (bool, error) {
-	err := d.chk.CheckInto(batch, dst)
-	if errors.Is(err, rings.ErrQueueFull) {
-		return true, nil
-	}
-	return false, err
-}
-
-func (d *checkerDriver) close() { d.chk.Close() }
-
-// httpDriver replays the batches against a running ringd. Request
-// bodies are marshalled once per pool batch and reused.
-type httpDriver struct {
-	target string
-	client *http.Client
-	bodies map[*rings.Query][]byte // keyed by &batch[0]
-	mu     sync.Mutex
-}
-
-func newHTTPDriver(target string) *httpDriver {
-	return &httpDriver{
-		target: strings.TrimSuffix(target, "/"),
-		client: &http.Client{Timeout: 30 * time.Second},
-		bodies: make(map[*rings.Query][]byte),
-	}
-}
-
-// segments asks /healthz how many segments the served image holds, so
-// generated segnos stay mostly in range.
-func (d *httpDriver) segments() (uint32, error) {
-	resp, err := d.client.Get(d.target + "/healthz")
+// remoteTrial runs one trial against the ringd at target over
+// transport. The batch pools are generated for the served image's
+// segment count, from its health answer, so generated segnos stay
+// mostly in range.
+func remoteTrial(cfg config, target, transport string) (*result, error) {
+	rc, err := rings.DialRemote(target, rings.RemoteConfig{Transport: transport})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	defer resp.Body.Close()
-	var h struct {
-		OK       bool `json:"ok"`
-		Segments int  `json:"segments"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return 0, err
-	}
-	if !h.OK || h.Segments <= 0 {
-		return 0, fmt.Errorf("target unhealthy: %+v", h)
-	}
-	return uint32(h.Segments), nil
-}
-
-// wireBatch mirrors the /v1/check request schema (access kinds as
-// strings).
-func wireBatch(batch []rings.Query) ([]byte, error) {
-	type wq struct {
-		Op          string            `json:"op"`
-		Ring        uint8             `json:"ring"`
-		Segno       uint32            `json:"segno,omitempty"`
-		Wordno      uint32            `json:"wordno,omitempty"`
-		Kind        string            `json:"kind,omitempty"`
-		EffRing     *uint8            `json:"eff_ring,omitempty"`
-		SameSegment bool              `json:"same_segment,omitempty"`
-		Chain       []rings.ChainStep `json:"chain,omitempty"`
-	}
-	kinds := map[rings.AccessKind]string{
-		rings.AccessRead: "read", rings.AccessWrite: "write", rings.AccessExecute: "execute",
-	}
-	out := struct {
-		Queries []wq `json:"queries"`
-	}{Queries: make([]wq, len(batch))}
-	for i, q := range batch {
-		w := wq{Op: string(q.Op), Ring: uint8(q.Ring), Segno: q.Segno,
-			Wordno: q.Wordno, SameSegment: q.SameSegment, Chain: q.Chain}
-		if q.Op == rings.OpAccess {
-			w.Kind = kinds[q.Kind]
-		}
-		if q.EffRing != nil {
-			r := uint8(*q.EffRing)
-			w.EffRing = &r
-		}
-		out.Queries[i] = w
-	}
-	return json.Marshal(out)
-}
-
-func (d *httpDriver) body(batch []rings.Query) ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if b, ok := d.bodies[&batch[0]]; ok {
-		return b, nil
-	}
-	b, err := wireBatch(batch)
-	if err == nil {
-		d.bodies[&batch[0]] = b
-	}
-	return b, err
-}
-
-func (d *httpDriver) submit(_ int, batch []rings.Query, dst []rings.Decision) (bool, error) {
-	body, err := d.body(batch)
-	if err != nil {
-		return false, err
-	}
-	resp, err := d.client.Post(d.target+"/v1/check", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusTooManyRequests {
-		io.Copy(io.Discard, resp.Body)
-		return true, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return false, fmt.Errorf("/v1/check: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	var cr struct {
-		Decisions []rings.Decision `json:"decisions"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
-		return false, err
-	}
-	if len(cr.Decisions) != len(batch) {
-		return false, fmt.Errorf("/v1/check: %d decisions for %d queries", len(cr.Decisions), len(batch))
-	}
-	copy(dst, cr.Decisions)
-	return false, nil
-}
-
-func (d *httpDriver) close() {}
-
-// wireDriver replays the batches over ONE binary streaming session
-// shared by every client goroutine: concurrent submits pipeline down
-// the persistent connection and complete out of order by correlation
-// ID — the transport shape -listen-wire exists for. (Per-client
-// sessions would measure connection fan-out, not streaming.)
-type wireDriver struct{ rc *rings.RemoteChecker }
-
-func dialWireDriver(target string) (*wireDriver, uint32, error) {
-	rc, err := rings.DialRemote(target, rings.RemoteConfig{Transport: "wire"})
-	if err != nil {
-		return nil, 0, err
-	}
+	defer rc.Close()
 	h, err := rc.Health()
 	if err != nil {
-		rc.Close()
-		return nil, 0, err
+		return nil, err
 	}
 	if h.Segments <= 0 {
-		rc.Close()
-		return nil, 0, fmt.Errorf("target unhealthy: %+v", h)
+		return nil, fmt.Errorf("target unhealthy: %+v", h)
 	}
-	return &wireDriver{rc: rc}, uint32(h.Segments), nil
+	cfg.mutators = 0 // supervisor edits are in-process only
+	return runTrial(cfg, rc, nil, genBatches(cfg, uint32(h.Segments)))
 }
-
-func (d *wireDriver) submit(_ int, batch []rings.Query, dst []rings.Decision) (bool, error) {
-	err := d.rc.CheckInto(batch, dst)
-	if errors.Is(err, rings.ErrQueueFull) {
-		return true, nil
-	}
-	return false, err
-}
-
-func (d *wireDriver) close() { d.rc.Close() }
 
 // ---- T16: transport comparison ----
 
@@ -503,19 +358,12 @@ func runT16(cfg config) ([]jsonResult, error) {
 		h.Close()
 	}()
 
-	cfg.mutators = 0 // both transports drive decisions only
-	pools := genBatches(cfg, uint32(len(segs)))
-
-	httpRes, err := runTrial(cfg, newHTTPDriver("http://"+hln.Addr().String()), nil, pools)
+	// Both trials generate the same seeded pools for the same image.
+	httpRes, err := remoteTrial(cfg, "http://"+hln.Addr().String(), "http")
 	if err != nil {
 		return nil, err
 	}
-	wd, _, err := dialWireDriver(wln.Addr().String())
-	if err != nil {
-		return nil, err
-	}
-	wireRes, err := runTrial(cfg, wd, nil, pools)
-	wd.close()
+	wireRes, err := remoteTrial(cfg, wln.Addr().String(), "wire")
 	if err != nil {
 		return nil, err
 	}
@@ -576,9 +424,9 @@ var t17Rates = []int{0, 100, 1000}
 // addr — through a plain session when cacheSize is 0, through a
 // decision-lease cache in front of the session otherwise — while a
 // paced supervisor goroutine edits user_data's brackets rate times per
-// second through the store's snapshot-publish path (the same edit
-// runTrial's in-process mutators stream, but rate-limited so both
-// trials in a grid cell see identical invalidation pressure).
+// second through Tenant.Mutate (the same edit runTrial's in-process
+// mutators stream, but rate-limited so both trials in a grid cell see
+// identical invalidation pressure).
 func t17Trial(cfg config, addr string, cacheSize int, rate int, tnt *tenant.Tenant, udSegno uint32, pools [][][]rings.Query) (*result, rings.CacheStats, error) {
 	rcfg := rings.RemoteConfig{Transport: "wire"}
 	if cacheSize > 0 {
@@ -589,7 +437,7 @@ func t17Trial(cfg config, addr string, cacheSize int, rate int, tnt *tenant.Tena
 	if err != nil {
 		return nil, rings.CacheStats{}, err
 	}
-	d := &wireDriver{rc: rc}
+	defer rc.Close()
 
 	stopMut := make(chan struct{})
 	var mutWG sync.WaitGroup
@@ -601,32 +449,38 @@ func t17Trial(cfg config, addr string, cacheSize int, rate int, tnt *tenant.Tena
 			defer mutWG.Done()
 			wide := rings.Brackets{R1: 4, R2: 6, R3: 6}
 			narrow := rings.Brackets{R1: 4, R2: 5, R3: 5}
-			tick := time.NewTicker(time.Second / time.Duration(rate))
+			period := time.Second / time.Duration(rate)
+			tick := time.NewTicker(period)
 			defer tick.Stop()
-			for i := 0; ; i++ {
+			start := time.Now()
+			for n := 0; ; {
 				select {
 				case <-stopMut:
 					return
 				case <-tick.C:
 				}
-				b := wide
-				if i%2 == 0 {
-					b = narrow
+				// A ticker drops the ticks a busy receiver misses; making
+				// every edit that has fallen due since start keeps the
+				// delivered rate at the target.
+				for due := int(time.Since(start) / period); n < due; n++ {
+					m := tenant.Mutation{Op: tenant.MutSetBrackets, Segno: udSegno, Read: true, Write: true, Brackets: wide}
+					if n%2 == 0 {
+						m.Brackets = narrow
+					}
+					if _, err := tnt.Mutate(m); err != nil {
+						mutErr.Store(err)
+						return
+					}
+					mutations.Add(1)
 				}
-				if err := tnt.Store().SetBrackets(udSegno, true, true, false, b, 0); err != nil {
-					mutErr.Store(err)
-					return
-				}
-				mutations.Add(1)
 			}
 		}()
 	}
 
-	res, err := runTrial(cfg, d, nil, pools)
+	res, err := runTrial(cfg, rc, nil, pools)
 	close(stopMut)
 	mutWG.Wait()
 	stats := rc.CacheStats()
-	d.close()
 	if err != nil {
 		return nil, stats, err
 	}
@@ -701,6 +555,11 @@ func runT17(cfg config) ([]jsonResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		// A cell measures its target rate only if both trials delivered it.
+		achieved := min(un.mutationRate(), ca.mutationRate())
+		if achieved < 0.9*float64(rate) {
+			return nil, fmt.Errorf("T17 cell at %d edits/s delivered %.0f edits/s, below 90%% of its target", rate, achieved)
+		}
 		hitRate := 0.0
 		if n := stats.Hits + stats.Misses; n > 0 {
 			hitRate = float64(stats.Hits) / float64(n)
@@ -719,6 +578,7 @@ func runT17(cfg config) ([]jsonResult, error) {
 			HostNs: un.elapsed.Nanoseconds() + ca.elapsed.Nanoseconds(),
 			Metrics: map[string]float64{
 				"mutation_rate":              float64(rate),
+				"achieved_mutation_rate":     achieved,
 				"uncached_decisions_per_sec": un.throughput(),
 				"cached_decisions_per_sec":   ca.throughput(),
 				"cached_speedup":             speedup,
@@ -734,8 +594,8 @@ func runT17(cfg config) ([]jsonResult, error) {
 				"workers":                    float64(cfg.workers),
 			},
 			Lines: []string{
-				fmt.Sprintf("%d clients x batch %d, %d workers, %v per trial, %d supervisor edits/s",
-					cfg.clients, cfg.batch, cfg.workers, cfg.duration, rate),
+				fmt.Sprintf("%d clients x batch %d, %d workers, %v per trial, %d supervisor edits/s (%.0f delivered)",
+					cfg.clients, cfg.batch, cfg.workers, cfg.duration, rate, achieved),
 				fmt.Sprintf("uncached wire: %.0f decisions/s, p99 %v", un.throughput(),
 					time.Duration(un.lat.quantile(0.99))),
 				fmt.Sprintf("cached wire: %.0f decisions/s, p99 %v (%.1f%% lease hits, %d shootdowns)",
@@ -1002,10 +862,19 @@ func (r *result) throughput() float64 {
 	return float64(r.decisions) / r.elapsed.Seconds()
 }
 
+// mutationRate is the supervisor edits per second the trial delivered.
+func (r *result) mutationRate() float64 {
+	if r.elapsed <= 0 {
+		return 0
+	}
+	return float64(r.mutations) / r.elapsed.Seconds()
+}
+
 // runTrial drives the closed loop: cfg.clients goroutines submitting
-// from their batch pools until the duration elapses, plus cfg.mutators
-// supervisor goroutines (in-process only) streaming bracket edits.
-func runTrial(cfg config, d driver, chk *rings.Checker, pools [][][]rings.Query) (*result, error) {
+// from their batch pools to c until the duration elapses, a shed batch
+// (rings.ErrQueueFull) counting as shed, plus cfg.mutators supervisor
+// goroutines streaming bracket edits through sup (in-process only).
+func runTrial(cfg config, c checker, sup *rings.Checker, pools [][][]rings.Query) (*result, error) {
 	res := &result{shards: cfg.shards}
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -1014,25 +883,25 @@ func runTrial(cfg config, d driver, chk *rings.Checker, pools [][][]rings.Query)
 	var decisions, batches, shed, mutations atomic.Uint64
 
 	start := time.Now()
-	for c := 0; c < cfg.clients; c++ {
+	for client := 0; client < cfg.clients; client++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			dst := make([]rings.Decision, cfg.batch)
-			pool := pools[c]
+			pool := pools[client]
 			for i := 0; !stop.Load(); i++ {
 				batch := pool[i%len(pool)]
 				t0 := time.Now()
-				wasShed, err := d.submit(c, batch, dst)
+				err := c.CheckInto(batch, dst)
+				if errors.Is(err, rings.ErrQueueFull) {
+					shed.Add(1)
+					continue
+				}
 				if err != nil {
 					errc <- err
 					return
 				}
-				if wasShed {
-					shed.Add(1)
-					continue
-				}
-				hists[c].add(time.Since(t0).Nanoseconds())
+				hists[client].add(time.Since(t0).Nanoseconds())
 				decisions.Add(uint64(len(batch)))
 				batches.Add(1)
 			}
@@ -1049,7 +918,7 @@ func runTrial(cfg config, d driver, chk *rings.Checker, pools [][][]rings.Query)
 				if i%2 == 0 {
 					b = narrow
 				}
-				if err := chk.SetBrackets("user_data", true, true, false, b, 0); err != nil {
+				if err := sup.SetBrackets("user_data", true, true, false, b, 0); err != nil {
 					errc <- err
 					return
 				}
@@ -1140,11 +1009,10 @@ func trialInProcess(cfg config, shards int) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &checkerDriver{chk: chk}
-	defer d.close()
+	defer chk.Close()
 	cfg.shards = chk.Shards()
 	pools := genBatches(cfg, uint32(len(loadImage())))
-	return runTrial(cfg, d, chk, pools)
+	return runTrial(cfg, chk, chk, pools)
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -1224,23 +1092,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var results []jsonResult
 	switch {
 	case cfg.target != "":
-		var d driver
-		var segments uint32
-		if cfg.transport == "wire" {
-			d, segments, err = dialWireDriver(cfg.target)
-		} else {
-			hd := newHTTPDriver(cfg.target)
-			segments, err = hd.segments()
-			d = hd
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "ringload:", err)
-			return 1
-		}
-		cfg.mutators = 0 // supervisor edits are in-process only
-		pools := genBatches(cfg, segments)
-		res, err := runTrial(cfg, d, nil, pools)
-		d.close()
+		res, err := remoteTrial(cfg, cfg.target, cfg.transport)
 		if err != nil {
 			fmt.Fprintln(stderr, "ringload:", err)
 			return 1

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net"
 	"net/http/httptest"
@@ -11,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/service"
 	"repro/internal/tenant"
 	"repro/internal/wire"
 	"repro/rings"
@@ -191,22 +191,20 @@ func TestRunSweepGrid(t *testing.T) {
 }
 
 func TestRunHTTPTarget(t *testing.T) {
-	st, err := service.NewStore(service.StoreConfig{}, []service.Segment{
+	reg := tenant.NewRegistry(tenant.Config{MaxTenants: 1, WorkerBudget: 2})
+	def, err := reg.Load(tenant.DefaultTenant, []rings.Segment{
 		{Name: "data", Size: 64, Read: true, Write: true,
 			Brackets: rings.Brackets{R1: 2, R2: 4, R3: 4}},
 		{Name: "code", Size: 64, Read: true, Execute: true,
 			Brackets: rings.Brackets{R1: 1, R2: 3, R3: 5}, Gates: 2},
-	})
+	}, tenant.TenantConfig{Workers: 2})
 	if err != nil {
-		t.Fatalf("NewStore: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
-	svc, err := service.New(st, service.Config{Workers: 2})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	srv := httptest.NewServer(service.NewServer(svc))
+	h := tenant.NewHandler(reg, tenant.HandlerOptions{})
+	srv := httptest.NewServer(h)
+	defer h.Close()
 	defer srv.Close()
-	defer svc.Close()
 
 	results := runJSON(t, "-c", "2", "-batch", "4", "-duration", "150ms", "-target", srv.URL)
 	if len(results) != 1 {
@@ -222,7 +220,7 @@ func TestRunHTTPTarget(t *testing.T) {
 	if !strings.Contains(strings.Join(r.Lines, "\n"), "mode http") {
 		t.Errorf("lines missing mode: %v", r.Lines)
 	}
-	if snap := svc.Snapshot(); snap.Queries == 0 {
+	if snap := def.Service().Snapshot(); snap.Queries == 0 {
 		t.Errorf("server saw no queries")
 	}
 }
@@ -326,5 +324,31 @@ func TestRunRejectsBadTransportFlags(t *testing.T) {
 		if code := run(args, &out, &errOut); code == 0 {
 			t.Errorf("run(%v): want non-zero exit", args)
 		}
+	}
+}
+
+// TestRunClientCache smoke-tests the T17 experiment: one cell per grid
+// rate plus the headline, every cell delivering at least 90% of its
+// target edit rate (the run itself fails a cell that does not).
+func TestRunClientCache(t *testing.T) {
+	results := runJSON(t, "-c", "2", "-batch", "8", "-duration", "400ms",
+		"-workers", "2", "-client-cache")
+	if len(results) != len(t17Rates)+1 {
+		t.Fatalf("got %d results, want %d", len(results), len(t17Rates)+1)
+	}
+	for i, rate := range t17Rates {
+		r := results[i]
+		if want := fmt.Sprintf("RINGLOAD-T17-M%d", rate); r.ID != want {
+			t.Errorf("result %d: id %s, want %s", i, r.ID, want)
+		}
+		if got := r.Metrics["achieved_mutation_rate"]; got < 0.9*float64(rate) {
+			t.Errorf("%s: achieved %.0f edits/s of %d", r.ID, got, rate)
+		}
+		if r.Metrics["cached_decisions_per_sec"] <= 0 || r.Metrics["uncached_decisions_per_sec"] <= 0 {
+			t.Errorf("%s measured no decisions: %v", r.ID, r.Metrics)
+		}
+	}
+	if head := results[len(t17Rates)]; head.ID != "RINGLOAD-T17" || head.Metrics["hit_rate"] <= 0 {
+		t.Errorf("headline: %+v", head)
 	}
 }

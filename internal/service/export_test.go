@@ -2,9 +2,10 @@ package service
 
 import "repro/internal/core"
 
-// The oracle suites (oracle_test.go) live in the external test package
-// because they check this package against internal/spec, which imports
-// it. This file lends them the shared fixtures and the edit hold.
+// The oracle suites (oracle_test.go) and the HTTP suites (http_test.go)
+// live in the external test package because they check this package
+// through internal/spec and internal/tenant, which import it. This file
+// lends them the shared fixtures and the edit and worker holds.
 
 // Editor is what an oracle script edits: a *Store, or the spec model
 // the script is replayed on.
@@ -24,3 +25,7 @@ var (
 // HoldEdits parks every later edit of st inside its odd epoch window,
 // shard mutex held, until release is closed.
 func HoldEdits(st *Store, release chan struct{}) { st.hold = release }
+
+// HoldWorkers parks each of s's workers before every batch until hold
+// is closed, sending on ack (when non-nil) as it parks.
+func HoldWorkers(s *Service, hold, ack chan struct{}) { s.hold, s.holdAck = hold, ack }

@@ -1,165 +1,169 @@
-package service
+package service_test
 
 import (
 	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/service"
+	"repro/internal/tenant"
 )
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+// The service's HTTP face is tenant.Handler, which imports this
+// package, so these suites drive it from the external test package.
+
+// goldenDir holds the HTTP golden fixtures. The tenant handler's replay
+// owns and regenerates them (go test ./internal/tenant -run Golden
+// -update); the suites here only read them.
+var goldenDir = filepath.Join("..", "tenant", "testdata", "golden")
+
+func readGolden(t *testing.T, name string) []byte {
 	t.Helper()
-	st, err := NewStore(StoreConfig{}, testSegments())
+	want, err := os.ReadFile(filepath.Join(goldenDir, name))
 	if err != nil {
-		t.Fatalf("NewStore: %v", err)
+		t.Fatalf("read fixture: %v", err)
 	}
-	svc, err := New(st, cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	srv := NewServer(svc)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
-	return srv, ts
+	return want
 }
 
-func postJSON(t *testing.T, url string, body interface{}) (*http.Response, []byte) {
-	t.Helper()
-	buf, err := json.Marshal(body)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
+// TestHTTPGolden decodes the /healthz and /v1/check bodies the golden
+// fixtures pin into this package's JSON schema, refusing unknown
+// fields, and re-encodes them in the daemon's two-space style: a client
+// decoding with these types reads every field the daemon writes, and
+// the schema writes nothing the fixtures do not hold.
+func TestHTTPGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body interface{}
+	}{
+		{"healthz.json", &service.Health{}},
+		{"check_ok.json", &service.CheckResponse{}},
+		{"check_after_mutate.json", &service.CheckResponse{}},
+	} {
+		want := readGolden(t, tc.name)
+		dec := json.NewDecoder(bytes.NewReader(want))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(tc.body); err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		var got bytes.Buffer
+		enc := json.NewEncoder(&got)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(tc.body); err != nil {
+			t.Fatalf("%s: encode: %v", tc.name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s does not round-trip through the schema\n--- got ---\n%s--- want ---\n%s",
+				tc.name, got.Bytes(), want)
+		}
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
+}
+
+// postCheck posts a one-query batch to url's /v1/check and returns the
+// response with its body read.
+func postCheck(url string) (*http.Response, []byte, error) {
+	body := `{"queries": [{"op": "access", "ring": 3, "segment": "data"}]}`
+	resp, err := http.Post(url+"/v1/check", "application/json", bytes.NewReader([]byte(body)))
 	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	var out bytes.Buffer
-	if _, err := out.ReadFrom(resp.Body); err != nil {
-		t.Fatalf("read body: %v", err)
-	}
-	return resp, out.Bytes()
+	_, err = out.ReadFrom(resp.Body)
+	return resp, out.Bytes(), err
 }
 
-func decode(t *testing.T, data []byte, v interface{}) {
+// shedServer serves a default tenant with one worker and a one-batch
+// queue, parks the worker on a first batch and queues a second, so the
+// next batch posted is shed. It returns the server's URL and release,
+// which frees the worker and returns the statuses of the two held
+// batches.
+func shedServer(t *testing.T) (string, func() []int) {
 	t.Helper()
-	if err := json.Unmarshal(data, v); err != nil {
-		t.Fatalf("decode %s: %v", data, err)
-	}
-}
-
-// TestHTTPCheck drives a mixed batch through POST /v1/check.
-func TestHTTPCheck(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
-	req := checkRequest{Queries: []wireQuery{
-		{Op: "access", Ring: 4, Segment: "data", Wordno: 3, Kind: "read"},
-		{Op: "access", Ring: 5, Segment: "data", Kind: "read"},
-		{Op: "access", Ring: 2, Segment: "data", Kind: "write"},
-		{Op: "call", Ring: 4, Segment: "code", Wordno: 1},
-		{Op: "return", Ring: 2, Segment: "code", EffRing: func() *uint8 { r := uint8(3); return &r }()},
-		{Op: "effring", Ring: 2, Chain: []ChainStep{{PR: true, Ring: 3}}},
-	}}
-	resp, body := postJSON(t, ts.URL+"/v1/check", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var out checkResponse
-	decode(t, body, &out)
-	if len(out.Decisions) != len(req.Queries) {
-		t.Fatalf("got %d decisions, want %d", len(out.Decisions), len(req.Queries))
-	}
-	wantAllowed := []bool{true, false, true, true, true, true}
-	for i, d := range out.Decisions {
-		if d.Err != "" {
-			t.Errorf("decision %d: err %q", i, d.Err)
-		}
-		if d.Allowed != wantAllowed[i] {
-			t.Errorf("decision %d: allowed=%v, want %v (%+v)", i, d.Allowed, wantAllowed[i], d)
-		}
-	}
-	if out.Decisions[1].Violation != "outside read bracket" {
-		t.Errorf("decision 1 violation = %q", out.Decisions[1].Violation)
-	}
-	if out.Decisions[3].Outcome != "downward call" || out.Decisions[3].NewRing != 3 {
-		t.Errorf("decision 3: %+v", out.Decisions[3])
-	}
-}
-
-// TestHTTPCheckErrors covers the 4xx paths of /v1/check.
-func TestHTTPCheckErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, BatchLimit: 2})
-
-	resp, err := http.Get(ts.URL + "/v1/check")
+	reg := tenant.NewRegistry(tenant.Config{})
+	def, err := reg.Load(tenant.DefaultTenant, service.TestSegments(),
+		tenant.TenantConfig{Workers: 1, QueueDepth: 1})
 	if err != nil {
-		t.Fatalf("GET: %v", err)
+		t.Fatalf("load default tenant: %v", err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/check: status %d, want 405", resp.StatusCode)
-	}
-
-	resp, err = http.Post(ts.URL+"/v1/check", "application/json", bytes.NewReader([]byte("{not json")))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad JSON: status %d, want 400", resp.StatusCode)
-	}
-
-	resp, _ = postJSON(t, ts.URL+"/v1/check", checkRequest{})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty batch: status %d, want 400", resp.StatusCode)
-	}
-
-	resp, body := postJSON(t, ts.URL+"/v1/check", checkRequest{Queries: []wireQuery{
-		{Op: "access", Ring: 1, Segment: "data", Kind: "sniff"},
-	}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown kind: status %d, want 400: %s", resp.StatusCode, body)
-	}
-
-	over := checkRequest{Queries: make([]wireQuery, 3)}
-	for i := range over.Queries {
-		over.Queries[i] = wireQuery{Op: "access", Ring: 1, Segment: "data"}
-	}
-	resp, _ = postJSON(t, ts.URL+"/v1/check", over)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("oversized batch: status %d, want 400", resp.StatusCode)
-	}
-}
-
-// TestHTTPBackpressure fills the queue behind a held worker and checks
-// the 429 + Retry-After contract.
-func TestHTTPBackpressure(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	svc := srv.Service()
+	h := tenant.NewHandler(reg, tenant.HandlerOptions{})
+	ts := httptest.NewServer(h)
+	svc := def.Service()
 	hold := make(chan struct{})
 	ack := make(chan struct{}, 4)
-	svc.hold, svc.holdAck = hold, ack
+	service.HoldWorkers(svc, hold, ack)
 	var once sync.Once
-	release := func() { once.Do(func() { close(hold) }) }
-	defer release() // a Fatal below must not leave the server's Close waiting on a parked worker
+	free := func() { once.Do(func() { close(hold) }) }
+	t.Cleanup(func() {
+		free() // a Fatal must not leave the server's Close waiting on a parked worker
+		ts.Close()
+		h.Close()
+	})
 
-	req := checkRequest{Queries: []wireQuery{{Op: "access", Ring: 3, Segment: "data"}}}
-	results := make(chan int, 2)
+	statuses := make(chan int, 2)
 	post := func() {
-		resp, _ := postJSON(t, ts.URL+"/v1/check", req)
-		results <- resp.StatusCode
+		resp, _, err := postCheck(ts.URL)
+		if err != nil {
+			statuses <- 0
+			return
+		}
+		statuses <- resp.StatusCode
 	}
-
 	go post()
 	<-ack // worker parked on the first batch; it cannot race the next one
 	go post()
-	waitFor(t, "second batch to queue", func() bool { return svc.QueueLen() == 1 })
+	service.WaitFor(t, "second batch to queue", func() bool { return svc.QueueLen() == 1 })
 
-	resp, body := postJSON(t, ts.URL+"/v1/check", req)
+	release := func() []int {
+		free()
+		var got []int
+		for i := 0; i < 2; i++ {
+			select {
+			case code := <-statuses:
+				got = append(got, code)
+			case <-time.After(5 * time.Second):
+				t.Fatal("held batches did not complete after release")
+			}
+		}
+		return got
+	}
+	return ts.URL, release
+}
+
+// TestHTTPGoldenQueueFull sheds a batch through the handler and pins
+// the answer: 429, a Retry-After of one second, and the fixture body.
+func TestHTTPGoldenQueueFull(t *testing.T) {
+	url, _ := shedServer(t)
+	resp, body, err := postCheck(url)
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429: %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want %q", got, "1")
+	}
+	if want := readGolden(t, "check_queue_full.json"); !bytes.Equal(body, want) {
+		t.Errorf("shed body drifted from check_queue_full.json\n--- got ---\n%s--- want ---\n%s", body, want)
+	}
+}
+
+// TestHTTPBackpressure sheds a batch behind a held worker, then frees
+// the worker: both held batches are answered, and the drained queue
+// takes batches again.
+func TestHTTPBackpressure(t *testing.T) {
+	url, release := shedServer(t)
+	resp, body, err := postCheck(url)
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("full queue: status %d, want 429: %s", resp.StatusCode, body)
 	}
@@ -167,173 +171,16 @@ func TestHTTPBackpressure(t *testing.T) {
 		t.Error("429 without Retry-After header")
 	}
 
-	release()
-	for i := 0; i < 2; i++ {
-		select {
-		case code := <-results:
-			if code != http.StatusOK {
-				t.Errorf("held request %d: status %d", i, code)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("held requests did not complete after release")
+	for i, code := range release() {
+		if code != http.StatusOK {
+			t.Errorf("held batch %d: status %d, want 200", i, code)
 		}
 	}
-}
-
-// TestHTTPMutate exercises /v1/mutate and observes the effect through
-// /v1/check.
-func TestHTTPMutate(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
-	check := func(wantAllowed bool) {
-		t.Helper()
-		resp, body := postJSON(t, ts.URL+"/v1/check", checkRequest{Queries: []wireQuery{
-			{Op: "access", Ring: 4, Segment: "data", Kind: "read"},
-		}})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("check: status %d: %s", resp.StatusCode, body)
-		}
-		var out checkResponse
-		decode(t, body, &out)
-		if out.Decisions[0].Allowed != wantAllowed {
-			t.Fatalf("allowed=%v, want %v: %+v", out.Decisions[0].Allowed, wantAllowed, out.Decisions[0])
-		}
+	resp, body, err = postCheck(url)
+	if err != nil {
+		t.Fatalf("POST after drain: %v", err)
 	}
-
-	check(true) // ring 4 is inside data's read bracket (R2=4)
-
-	// Narrow the read bracket to ring 1: same flags, new brackets.
-	resp, body := postJSON(t, ts.URL+"/v1/mutate", mutateRequest{
-		Op: "setbrackets", Segment: "data", Read: true, Write: true, R1: 1, R2: 1, R3: 1,
-	})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("mutate: status %d: %s", resp.StatusCode, body)
-	}
-	var mr mutateResponse
-	decode(t, body, &mr)
-	if !mr.OK || mr.Version != 2 {
-		t.Fatalf("mutate response %+v, want OK at version 2", mr)
-	}
-	check(false) // every batch after the publish pins the new snapshot
-
-	// Revoke, observe, restore, observe.
-	if resp, body = postJSON(t, ts.URL+"/v1/mutate", mutateRequest{Op: "revoke", Segment: "data"}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("revoke: status %d: %s", resp.StatusCode, body)
-	}
-	check(false)
-	if resp, body = postJSON(t, ts.URL+"/v1/mutate", mutateRequest{Op: "restore", Segment: "data"}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("restore: status %d: %s", resp.StatusCode, body)
-	}
-	resp, body = postJSON(t, ts.URL+"/v1/mutate", mutateRequest{Op: "setbrackets", Segment: "data", Read: true, Write: true, R1: 2, R2: 4, R3: 4})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("widen: status %d: %s", resp.StatusCode, body)
-	}
-	check(true)
-
-	// Error paths: unknown segment (404), bad brackets, unknown op.
-	resp, _ = postJSON(t, ts.URL+"/v1/mutate", mutateRequest{Op: "revoke", Segment: "nonesuch"})
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown segment: status %d, want 404", resp.StatusCode)
-	}
-	resp, _ = postJSON(t, ts.URL+"/v1/mutate", mutateRequest{Op: "setbrackets", Segment: "data", R1: 4, R2: 2, R3: 1})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad brackets: status %d, want 400", resp.StatusCode)
-	}
-	resp, _ = postJSON(t, ts.URL+"/v1/mutate", mutateRequest{Op: "transmogrify", Segment: "data"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown op: status %d, want 400", resp.StatusCode)
-	}
-}
-
-// TestHTTPHealthzAndMetrics checks the observability endpoints.
-func TestHTTPHealthzAndMetrics(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 3})
-
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatalf("GET /healthz: %v", err)
-	}
-	var hr healthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		t.Fatalf("decode healthz: %v", err)
-	}
-	resp.Body.Close()
-	if !hr.OK || hr.Workers != 3 || hr.Segments != 3 {
-		t.Errorf("healthz %+v", hr)
-	}
-
-	// Some traffic, then metrics.
-	req := checkRequest{Queries: []wireQuery{
-		{Op: "access", Ring: 4, Segment: "data", Kind: "read"},
-		{Op: "access", Ring: 7, Segment: "secret", Kind: "read"},
-	}}
-	for i := 0; i < 4; i++ {
-		if resp, body := postJSON(t, ts.URL+"/v1/check", req); resp.StatusCode != http.StatusOK {
-			t.Fatalf("check: status %d: %s", resp.StatusCode, body)
-		}
-	}
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	var snap Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatalf("decode metrics: %v", err)
-	}
-	resp.Body.Close()
-	if snap.Batches != 4 || snap.Queries != 8 || snap.Allowed != 4 || snap.Denied != 4 {
-		t.Errorf("metrics counts: %+v", snap)
-	}
-	if snap.Reads.Pins == 0 || snap.Reads.Lookups == 0 {
-		t.Error("metrics report no snapshot-read activity")
-	}
-	if len(snap.LatencyNs) == 0 {
-		t.Error("metrics report no latency buckets")
-	}
-	if snap.Faults["outside_read_bracket"] != 4 {
-		t.Errorf("faults: %v", snap.Faults)
-	}
-}
-
-// TestHTTPGracefulShutdown checks that a closed service answers 503.
-func TestHTTPGracefulShutdown(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1})
-	req := checkRequest{Queries: []wireQuery{{Op: "access", Ring: 3, Segment: "data"}}}
-	if resp, body := postJSON(t, ts.URL+"/v1/check", req); resp.StatusCode != http.StatusOK {
-		t.Fatalf("pre-close check: status %d: %s", resp.StatusCode, body)
-	}
-	srv.Close()
-	resp, body := postJSON(t, ts.URL+"/v1/check", req)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("post-close check: status %d, want 503: %s", resp.StatusCode, body)
-	}
-	var er errorResponse
-	decode(t, body, &er)
-	if er.Error == "" {
-		t.Error("503 without error body")
-	}
-}
-
-// TestWireQueryRoundTrip pins the JSON field names of the wire format.
-func TestWireQueryRoundTrip(t *testing.T) {
-	eff := uint8(3)
-	wq := wireQuery{Op: "call", Ring: 4, Segment: "code", Wordno: 1, Kind: "execute",
-		EffRing: &eff, SameSegment: true, Chain: []ChainStep{{PR: true, Ring: 2}}}
-	buf, err := json.Marshal(wq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, field := range []string{`"op"`, `"ring"`, `"segment"`, `"wordno"`, `"kind"`, `"eff_ring"`, `"same_segment"`, `"chain"`} {
-		if !bytes.Contains(buf, []byte(field)) {
-			t.Errorf("wire JSON %s missing field %s", buf, field)
-		}
-	}
-	var back wireQuery
-	decode(t, buf, &back)
-	q, err := back.toQuery()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Op != OpCall || q.Ring != 4 || *q.EffRing != 3 || !q.SameSegment {
-		t.Errorf("round trip lost fields: %+v", q)
+		t.Errorf("after drain: status %d, want 200: %s", resp.StatusCode, body)
 	}
 }

@@ -46,27 +46,27 @@ type Ring = core.Ring
 
 // Query is one protection question.
 type Query struct {
-	Op Op `json:"op"`
+	Op Op
 	// Ring is the ring of execution (IPR.RING) for access/call/return,
 	// the starting effective ring for effring.
-	Ring Ring `json:"ring"`
+	Ring Ring
 	// Segment names the target segment; when empty, Segno is used
 	// directly (numbers at or beyond the descriptor bound decide as
 	// missing segments, exactly as the hardware would).
-	Segment string `json:"segment,omitempty"`
-	Segno   uint32 `json:"segno,omitempty"`
+	Segment string
+	Segno   uint32
 	// Wordno is the target word number.
-	Wordno uint32 `json:"wordno,omitempty"`
+	Wordno uint32
 	// Kind selects the access kind for OpAccess.
-	Kind core.AccessKind `json:"kind,omitempty"`
+	Kind core.AccessKind
 	// EffRing is the effective ring of the operand address (TPR.RING)
 	// for call/return; nil means equal to Ring.
-	EffRing *Ring `json:"eff_ring,omitempty"`
+	EffRing *Ring
 	// SameSegment marks a call whose target lies in the segment
 	// containing the CALL itself (the gate list is then ignored).
-	SameSegment bool `json:"same_segment,omitempty"`
+	SameSegment bool
 	// Chain is the address chain for OpEffRing.
-	Chain []ChainStep `json:"chain,omitempty"`
+	Chain []ChainStep
 }
 
 // Decision is the service's answer to one Query.

@@ -20,8 +20,8 @@
 //     with the descriptor state distributed as published configurations
 //     instead of coherently-cached mutable core — consuming batches of
 //     queries from a bounded queue with backpressure;
-//   - a Server speaks HTTP/JSON on top (see http.go) with /healthz and
-//     /metrics endpoints.
+//   - json.go declares the JSON form of queries, decisions and health
+//     that ringd's HTTP handler (internal/tenant) and its clients share.
 //
 // # Consistency model
 //

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/core"
 	"repro/internal/service"
 )
 
@@ -20,15 +21,16 @@ import (
 //	GET    /v1/images/{name}        — one tenant's status and metrics
 //	POST   /v1/images/{name}/seal   — freeze the descriptor space
 //	POST   /v1/images/{name}/evict  — drain and remove (DELETE works too)
-//	ANY    /v1/t/{name}/check       — tenant-scoped decision batch
-//	ANY    /v1/t/{name}/mutate      — tenant-scoped supervisor edit
+//	POST   /v1/t/{name}/check       — tenant-scoped decision batch
+//	POST   /v1/t/{name}/mutate      — tenant-scoped supervisor edit
 //	GET    /v1/t/{name}/healthz     — tenant liveness and image shape
-//	GET    /v1/t/{name}/metrics     — tenant decision/fault/RCU counters
+//	GET    /v1/t/{name}/metrics     — tenant decision/fault/RCU/lease counters
 //
-// plus the single-tenant compatibility surface — /v1/check, /v1/mutate,
-// /healthz, /metrics — which routes to the tenant named "default" with
-// an unchanged wire format (the golden HTTP fixtures pass against it
-// byte for byte).
+// plus the single-tenant surface — /v1/check, /v1/mutate, /healthz,
+// /metrics — which serves the tenant named "default" (the golden HTTP
+// fixtures under testdata/golden pin its bodies byte for byte). Check
+// and healthz bodies use the JSON schema declared in internal/service;
+// every JSON request body is bounded by maxBody.
 //
 // Lifecycle conflicts map to HTTP as follows: a mutation against a
 // sealed or draining tenant answers 409 (conflict — the descriptor
@@ -62,12 +64,10 @@ func NewHandler(reg *Registry, opt HandlerOptions) *Handler {
 	h.mux.HandleFunc("POST /v1/images/{name}/seal", h.handleSeal)
 	h.mux.HandleFunc("POST /v1/images/{name}/evict", h.handleEvict)
 	h.mux.HandleFunc("/v1/t/{name}/{endpoint}", h.handleTenant)
-	// Single-tenant compatibility surface: the default tenant's wire
-	// format, unchanged.
-	h.mux.HandleFunc("/v1/check", h.forwardDefault("check"))
-	h.mux.HandleFunc("/v1/mutate", h.forwardDefault("mutate"))
+	h.mux.HandleFunc("/v1/check", h.onDefault("check"))
+	h.mux.HandleFunc("/v1/mutate", h.onDefault("mutate"))
 	h.mux.HandleFunc("/healthz", h.handleHealthz)
-	h.mux.HandleFunc("/metrics", h.forwardDefault("metrics"))
+	h.mux.HandleFunc("/metrics", h.onDefault("metrics"))
 	return h
 }
 
@@ -87,8 +87,13 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// writeJSON mirrors the service package's encoder (two-space indent)
-// so every endpoint of the daemon shares one wire style.
+// maxBody bounds every JSON request body the handler decodes: the
+// 1 MiB the wire protocol bounds a frame by (wire.DefaultMaxFrame),
+// enforced while the body is read.
+const maxBody = 1 << 20
+
+// writeJSON writes v as the response body in the daemon's one wire
+// style (two-space indent).
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -97,28 +102,48 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	_ = enc.Encode(v)
 }
 
-// lifecycleError maps a lifecycle rejection to its HTTP status:
-// 409 for mutations against a sealed or draining tenant, 503 with
-// Retry-After for decisions against a draining or loading one.
-func lifecycleError(w http.ResponseWriter, err error, mutation bool) {
+// decodeBody decodes r's JSON body into v, answering 413 for a body
+// longer than maxBody and 400 for a malformed one. It reports whether v
+// was filled.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	var tooLarge *http.MaxBytesError
 	switch {
-	case errors.Is(err, ErrSealed):
-		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
-	case errors.Is(err, ErrDraining):
-		if mutation {
-			writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
-			return
-		}
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-	case errors.Is(err, ErrLoading):
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-	case errors.Is(err, ErrTenantNotFound):
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", maxBody)})
 	default:
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request: " + err.Error()})
 	}
+	return false
+}
+
+// writeError answers a rejected check or mutation: 429 for a shed
+// batch and 503 for a loading or draining tenant, both with
+// Retry-After; 409 for an edit of a sealed or draining tenant; 404 for
+// an evicted tenant or an unknown segment; 400 for any other rejected
+// edit or an oversized batch; 503 when the service has closed or the
+// client went away.
+func writeError(w http.ResponseWriter, err error, mutation bool) {
+	status, retry := http.StatusServiceUnavailable, false
+	switch {
+	case errors.Is(err, service.ErrQueueFull):
+		status, retry = http.StatusTooManyRequests, true
+	case errors.Is(err, ErrSealed), mutation && errors.Is(err, ErrDraining):
+		status = http.StatusConflict
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrLoading):
+		retry = true
+	case errors.Is(err, ErrTenantNotFound), errors.Is(err, ErrUnknownSegment):
+		status = http.StatusNotFound
+	case mutation, errors.Is(err, service.ErrBatchTooLarge):
+		status = http.StatusBadRequest
+	}
+	if retry {
+		w.Header().Set("Retry-After", "1")
+	}
+	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
 func (h *Handler) handleList(w http.ResponseWriter, r *http.Request) {
@@ -163,8 +188,7 @@ func (h *Handler) imageFilePath(name string) (string, error) {
 
 func (h *Handler) handleLoad(w http.ResponseWriter, r *http.Request) {
 	var req loadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if !ValidName(req.Name) {
@@ -267,84 +291,143 @@ func (h *Handler) handleEvict(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, lifecycleResponse{OK: true, Name: name, State: StateEvicted.String()})
 }
 
-// forward rewrites a tenant-scoped request onto the tenant's
-// single-tenant server, gating it on the lifecycle state first so a
-// frozen or draining tenant answers its conflict status instead of a
-// surprising 500/503 from deeper layers.
-func (h *Handler) forward(w http.ResponseWriter, r *http.Request, t *Tenant, endpoint string) {
-	var target string
-	switch endpoint {
-	case "check":
-		if err := t.checkable(); err != nil {
-			lifecycleError(w, err, false)
-			return
-		}
-		target = "/v1/check"
-	case "mutate":
-		if err := t.mutable(); err != nil {
-			lifecycleError(w, err, true)
-			return
-		}
-		target = "/v1/mutate"
-	case "healthz":
-		target = "/healthz"
-	case "metrics":
-		if r.Method == http.MethodGet {
-			// Merge the tenant's lease-hub counters into the service
-			// snapshot. Embedding inlines the snapshot's existing keys,
-			// so the single-tenant wire shape is extended with a
-			// "leases" object, never changed.
-			writeJSON(w, http.StatusOK, struct {
-				service.Snapshot
-				Leases LeaseStats `json:"leases"`
-			}{t.Service().Snapshot(), t.LeaseStats()})
-			return
-		}
-		target = "/metrics"
-	default:
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown tenant endpoint %q", endpoint)})
-		return
-	}
-	r2 := r.Clone(r.Context())
-	r2.URL.Path = target
-	r2.URL.RawPath = ""
-	t.Server().ServeHTTP(w, r2)
-}
-
-func (h *Handler) handleTenant(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
+// serve answers one tenant-scoped endpoint from the tenant named name.
+func (h *Handler) serve(w http.ResponseWriter, r *http.Request, name, endpoint string) {
 	t, ok := h.reg.Get(name)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("%v: %q", ErrTenantNotFound, name)})
 		return
 	}
-	h.forward(w, r, t, r.PathValue("endpoint"))
-}
-
-// forwardDefault routes a single-tenant endpoint to the default
-// tenant.
-func (h *Handler) forwardDefault(endpoint string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		t, ok := h.reg.Get(DefaultTenant)
-		if !ok {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("%v: %q", ErrTenantNotFound, DefaultTenant)})
-			return
-		}
-		h.forward(w, r, t, endpoint)
+	// A tenant is listed while its image builds, and a failed build
+	// leaves it without a service to answer from.
+	if t.State() == StateLoading || t.svc == nil {
+		writeError(w, ErrLoading, false)
+		return
+	}
+	switch endpoint {
+	case "check":
+		h.check(w, r, t)
+	case "mutate":
+		h.mutate(w, r, t)
+	case "healthz":
+		writeJSON(w, http.StatusOK, service.Health{
+			OK:       true,
+			Workers:  t.svc.Workers(),
+			Segments: len(t.store.Segments()),
+			Shards:   t.store.Shards(),
+			Version:  t.store.Version(),
+		})
+	case "metrics":
+		// Embedding inlines the service snapshot's keys, so the lease-hub
+		// counters only add a "leases" object to its document.
+		writeJSON(w, http.StatusOK, struct {
+			service.Snapshot
+			Leases LeaseStats `json:"leases"`
+		}{t.svc.Snapshot(), t.LeaseStats()})
+	default:
+		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown tenant endpoint %q", endpoint)})
 	}
 }
 
-// handleHealthz forwards to the default tenant (unchanged single-
-// tenant wire shape) when one is loaded, and degrades to a registry-
-// level liveness answer when there is none — a fleet daemon with no
-// default image is still alive.
+func (h *Handler) handleTenant(w http.ResponseWriter, r *http.Request) {
+	h.serve(w, r, r.PathValue("name"), r.PathValue("endpoint"))
+}
+
+// onDefault serves a single-tenant endpoint from the default tenant.
+func (h *Handler) onDefault(endpoint string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		h.serve(w, r, DefaultTenant, endpoint)
+	}
+}
+
+// handleHealthz answers for the default tenant when one is loaded, and
+// degrades to a registry-level liveness answer when there is none — a
+// fleet daemon with no default image is still alive.
 func (h *Handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if t, ok := h.reg.Get(DefaultTenant); ok {
-		h.forward(w, r, t, "healthz")
+	if _, ok := h.reg.Get(DefaultTenant); ok {
+		h.serve(w, r, DefaultTenant, "healthz")
 		return
 	}
 	writeJSON(w, http.StatusOK, struct {
 		OK      bool `json:"ok"`
 		Tenants int  `json:"tenants"`
 	}{OK: true, Tenants: h.reg.Len()})
+}
+
+// check answers POST check: a batch of queries decided by the tenant.
+func (h *Handler) check(w http.ResponseWriter, r *http.Request, t *Tenant) {
+	if r.Method != http.MethodPost {
+		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
+		return
+	}
+	var req service.CheckRequest
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	if len(req.Queries) == 0 {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "empty batch"})
+		return
+	}
+	queries, err := req.Decode()
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		return
+	}
+	ds, err := t.Submit(r.Context(), queries)
+	if err != nil {
+		writeError(w, err, false)
+		return
+	}
+	writeJSON(w, http.StatusOK, service.CheckResponse{Decisions: ds})
+}
+
+// mutateRequest is the JSON body of POST mutate.
+type mutateRequest struct {
+	// Op is "setbrackets", "revoke" or "restore".
+	Op      string `json:"op"`
+	Segment string `json:"segment,omitempty"`
+	Segno   uint32 `json:"segno,omitempty"`
+
+	// setbrackets fields.
+	Read    bool   `json:"read,omitempty"`
+	Write   bool   `json:"write,omitempty"`
+	Execute bool   `json:"execute,omitempty"`
+	R1      uint8  `json:"r1,omitempty"`
+	R2      uint8  `json:"r2,omitempty"`
+	R3      uint8  `json:"r3,omitempty"`
+	Gates   uint32 `json:"gates,omitempty"`
+}
+
+type mutateResponse struct {
+	OK      bool   `json:"ok"`
+	Version uint64 `json:"version"`
+}
+
+// mutate answers POST mutate: one supervisor edit through
+// Tenant.Mutate.
+func (h *Handler) mutate(w http.ResponseWriter, r *http.Request, t *Tenant) {
+	if r.Method != http.MethodPost {
+		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
+		return
+	}
+	var req mutateRequest
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	op, ok := mutOpByName[req.Op]
+	if !ok {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown mutation op %q", req.Op)})
+		return
+	}
+	version, err := t.Mutate(Mutation{
+		Op: op, Segment: req.Segment, Segno: req.Segno,
+		Read: req.Read, Write: req.Write, Execute: req.Execute,
+		Brackets: core.Brackets{R1: core.Ring(req.R1), R2: core.Ring(req.R2), R3: core.Ring(req.R3)},
+		Gates:    req.Gates,
+	})
+	if err != nil {
+		writeError(w, err, true)
+		return
+	}
+	writeJSON(w, http.StatusOK, mutateResponse{OK: true, Version: version})
 }

@@ -55,6 +55,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/service"
 )
 
@@ -153,7 +154,6 @@ type Tenant struct {
 
 	store *service.Store
 	svc   *service.Service
-	srv   *service.Server
 	// hub fans descriptor mutations out to wire-session lease
 	// subscribers (leases.go); published with the same
 	// assign-then-activate discipline as store/svc.
@@ -175,11 +175,6 @@ func (t *Tenant) Store() *service.Store { return t.store }
 
 // Service returns the tenant's decision service, or nil while loading.
 func (t *Tenant) Service() *service.Service { return t.svc }
-
-// Server returns the tenant's HTTP face (the single-tenant wire
-// format, served under /v1/t/{name}/ by the registry handler), or nil
-// while loading.
-func (t *Tenant) Server() *service.Server { return t.srv }
 
 // Config returns the tenant's resolved sizing.
 func (t *Tenant) Config() TenantConfig { return t.cfg }
@@ -227,14 +222,6 @@ func (t *Tenant) Submit(ctx context.Context, queries []service.Query) ([]service
 	return t.svc.Submit(ctx, queries)
 }
 
-// Mutable returns nil when the tenant accepts supervisor mutations,
-// or the rejection error (ErrSealed, ErrDraining, ErrLoading,
-// ErrTenantNotFound); rejections are counted in DeniedMutations. Both
-// the HTTP mutate route and the binary wire protocol gate mutations
-// through it, so seal/drain races answer the same way on either
-// transport.
-func (t *Tenant) Mutable() error { return t.mutable() }
-
 // mutable returns nil when the tenant accepts supervisor mutations,
 // or the rejection error; rejections are counted.
 func (t *Tenant) mutable() error {
@@ -252,6 +239,79 @@ func (t *Tenant) mutable() error {
 	default:
 		return ErrTenantNotFound
 	}
+}
+
+// MutOp names a supervisor edit.
+type MutOp uint32
+
+// Supervisor edits.
+const (
+	// MutSetBrackets replaces a segment's flags, brackets and gates.
+	MutSetBrackets MutOp = 1 + iota
+	// MutRevoke clears a segment's present flag.
+	MutRevoke
+	// MutRestore re-sets a revoked segment's present flag.
+	MutRestore
+)
+
+// mutOpByName maps the op names of HTTP mutate bodies to their edits.
+var mutOpByName = map[string]MutOp{"setbrackets": MutSetBrackets, "revoke": MutRevoke, "restore": MutRestore}
+
+// Mutation is one supervisor edit of a tenant's descriptor space. The
+// target segment is named by Segment or, when that is empty, by Segno.
+type Mutation struct {
+	Op      MutOp
+	Segment string
+	Segno   uint32
+
+	// MutSetBrackets payload.
+	Read     bool
+	Write    bool
+	Execute  bool
+	Brackets core.Brackets
+	Gates    uint32
+}
+
+// ErrUnknownSegment reports a mutation naming a segment the tenant's
+// image does not hold.
+var ErrUnknownSegment = errors.New("unknown segment")
+
+// Mutate applies one supervisor edit and returns the store version it
+// published. Every transport's edits take this one path: the lifecycle
+// gate (ErrSealed, ErrDraining, ErrLoading, ErrTenantNotFound; seal and
+// drain rejections are counted in DeniedMutations), segment-name
+// resolution (ErrUnknownSegment), bracket validation, then the store
+// edit, so a seal or drain race answers the same way over HTTP and the
+// wire.
+func (t *Tenant) Mutate(m Mutation) (uint64, error) {
+	if err := t.mutable(); err != nil {
+		return 0, err
+	}
+	segno := m.Segno
+	if m.Segment != "" {
+		n, ok := t.store.Segno(m.Segment)
+		if !ok {
+			return 0, fmt.Errorf("%w %q", ErrUnknownSegment, m.Segment)
+		}
+		segno = n
+	}
+	var err error
+	switch m.Op {
+	case MutSetBrackets:
+		if err = m.Brackets.Validate(); err == nil {
+			err = t.store.SetBrackets(segno, m.Read, m.Write, m.Execute, m.Brackets, m.Gates)
+		}
+	case MutRevoke:
+		err = t.store.Revoke(segno)
+	case MutRestore:
+		err = t.store.Restore(segno)
+	default:
+		err = fmt.Errorf("unknown mutation op %d", m.Op)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return t.store.Version(), nil
 }
 
 // Registry is the image registry: the set of loaded tenants, their
@@ -363,7 +423,6 @@ func (r *Registry) Load(name string, segs []service.Segment, cfg TenantConfig) (
 		r.unregister(t)
 		return nil, fmt.Errorf("tenant %q: %w", name, err)
 	}
-	t.srv = service.NewServer(t.svc)
 	t.hub = newLeaseHub(st.Shards())
 	st.SetPublishHook(t.hub.broadcast)
 	t.state.Store(int32(StateActive))

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/seg"
 	"repro/internal/service"
+	"repro/internal/tenant"
 	"repro/internal/word"
 )
 
@@ -37,16 +38,14 @@ const (
 	opEffRing = 4
 )
 
-// Mutation op codes.
-type MutOp uint32
+// MutOp is a mutation's op code on the wire: the tenant's edit names.
+type MutOp = tenant.MutOp
 
+// Mutation op codes.
 const (
-	// MutSetBrackets replaces a segment's flags, brackets and gates.
-	MutSetBrackets MutOp = 1 + iota
-	// MutRevoke clears a segment's present flag.
-	MutRevoke
-	// MutRestore re-sets a revoked segment's present flag.
-	MutRestore
+	MutSetBrackets = tenant.MutSetBrackets
+	MutRevoke      = tenant.MutRevoke
+	MutRestore     = tenant.MutRestore
 )
 
 // outcomeName maps the 3-bit outcome code of a decision control word
@@ -754,21 +753,11 @@ func decodeWelcome(p []byte) (Welcome, error) {
 
 // ---- Mutation frames ----
 
-// Mutation is a supervisor mutation: the binary form of the JSON
-// mutate request. The target segment is named either by Segment or by
-// Segno (Segment takes precedence; both set is not encodable).
-type Mutation struct {
-	Op      MutOp
-	Segment string
-	Segno   uint32
-
-	// MutSetBrackets payload; must be zero for the other ops.
-	Read     bool
-	Write    bool
-	Execute  bool
-	Brackets core.Brackets
-	Gates    uint32
-}
+// Mutation is a supervisor mutation, the tenant's edit carried by a
+// Mutate frame. The target segment is named either by Segment or by
+// Segno (both set is not encodable); the setbrackets payload fields
+// must be zero for the other ops.
+type Mutation = tenant.Mutation
 
 // EncodeMutate fills buf with a complete Mutate frame. The
 // setbrackets payload travels as a genuine SDW even/odd word pair

@@ -21,11 +21,11 @@ import (
 	"repro/internal/tenant"
 )
 
-// readGolden loads a recorded HTTP fixture from the service package's
+// readGolden loads a recorded HTTP fixture from the tenant handler's
 // golden set and unmarshals it into v.
 func readGolden(t *testing.T, name string, v interface{}) {
 	t.Helper()
-	b, err := os.ReadFile(filepath.Join("..", "service", "testdata", "golden", name))
+	b, err := os.ReadFile(filepath.Join("..", "tenant", "testdata", "golden", name))
 	if err != nil {
 		t.Fatalf("read golden fixture: %v", err)
 	}
@@ -64,27 +64,19 @@ func TestDifferentialGoldenReplay(t *testing.T) {
 	defer c.Close()
 
 	// healthz.json <-> ping frame.
-	var health struct {
-		OK       bool   `json:"ok"`
-		Workers  uint32 `json:"workers"`
-		Segments uint32 `json:"segments"`
-		Shards   uint32 `json:"shards"`
-		Version  uint64 `json:"version"`
-	}
+	var health service.Health
 	readGolden(t, "healthz.json", &health)
 	h, err := c.Ping()
 	if err != nil {
 		t.Fatalf("ping: %v", err)
 	}
-	if !health.OK || h.Workers != health.Workers || h.Segments != health.Segments ||
-		h.Shards != health.Shards || h.StoreVersion != health.Version {
+	if !health.OK || int(h.Workers) != health.Workers || int(h.Segments) != health.Segments ||
+		int(h.Shards) != health.Shards || h.StoreVersion != health.Version {
 		t.Errorf("ping = %+v, healthz fixture = %+v", h, health)
 	}
 
 	// check_ok.json <-> the six-query batch.
-	var checkOK struct {
-		Decisions []service.Decision `json:"decisions"`
-	}
+	var checkOK service.CheckResponse
 	readGolden(t, "check_ok.json", &checkOK)
 	got, err := c.Check(goldenQueries()...)
 	if err != nil {
@@ -149,9 +141,7 @@ func TestDifferentialGoldenReplay(t *testing.T) {
 
 	// check_after_mutate.json <-> the post-mutation decision,
 	// including the advanced version interval.
-	var afterMut struct {
-		Decisions []service.Decision `json:"decisions"`
-	}
+	var afterMut service.CheckResponse
 	readGolden(t, "check_after_mutate.json", &afterMut)
 	after, err := c.Check(service.Query{Op: service.OpAccess, Ring: 4, Segment: "data", Wordno: 3})
 	if err != nil {
@@ -174,31 +164,7 @@ func TestDifferentialGoldenReplay(t *testing.T) {
 // returns the decisions.
 func httpCheck(t *testing.T, url string, queries []service.Query) []service.Decision {
 	t.Helper()
-	type wq struct {
-		Op          string              `json:"op"`
-		Ring        uint8               `json:"ring"`
-		Segment     string              `json:"segment,omitempty"`
-		Segno       uint32              `json:"segno,omitempty"`
-		Wordno      uint32              `json:"wordno,omitempty"`
-		Kind        string              `json:"kind,omitempty"`
-		EffRing     *uint8              `json:"eff_ring,omitempty"`
-		SameSegment bool                `json:"same_segment,omitempty"`
-		Chain       []service.ChainStep `json:"chain,omitempty"`
-	}
-	kinds := [3]string{"read", "write", "execute"}
-	req := struct {
-		Queries []wq `json:"queries"`
-	}{Queries: make([]wq, len(queries))}
-	for i, q := range queries {
-		req.Queries[i] = wq{Op: string(q.Op), Ring: uint8(q.Ring), Segment: q.Segment,
-			Segno: q.Segno, Wordno: q.Wordno, Kind: kinds[q.Kind],
-			SameSegment: q.SameSegment, Chain: q.Chain}
-		if q.EffRing != nil {
-			r := uint8(*q.EffRing)
-			req.Queries[i].EffRing = &r
-		}
-	}
-	body, err := json.Marshal(req)
+	body, err := json.Marshal(service.NewCheckRequest(queries))
 	if err != nil {
 		t.Fatalf("marshal check request: %v", err)
 	}
@@ -210,9 +176,7 @@ func httpCheck(t *testing.T, url string, queries []service.Query) []service.Deci
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("http check status %d", resp.StatusCode)
 	}
-	var out struct {
-		Decisions []service.Decision `json:"decisions"`
-	}
+	var out service.CheckResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatalf("decode check response: %v", err)
 	}

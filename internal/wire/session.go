@@ -447,16 +447,16 @@ func submitCode(err error) uint16 {
 	}
 }
 
-// mutateCode maps a lifecycle rejection of a mutation to its
-// error-frame code (the tenant HTTP handler's mapping: seal and drain
-// conflicts are 409).
+// mutateCode maps a rejected mutation to its error-frame code (the
+// tenant HTTP handler's mapping: seal and drain conflicts are 409, an
+// unknown tenant or segment 404).
 func mutateCode(err error) uint16 {
 	switch {
 	case errors.Is(err, tenant.ErrSealed), errors.Is(err, tenant.ErrDraining):
 		return CodeConflict
 	case errors.Is(err, tenant.ErrLoading):
 		return CodeUnavailable
-	case errors.Is(err, tenant.ErrTenantNotFound):
+	case errors.Is(err, tenant.ErrTenantNotFound), errors.Is(err, tenant.ErrUnknownSegment):
 		return CodeNotFound
 	default:
 		return CodeBadRequest
@@ -473,38 +473,13 @@ func (s *session) handleMutate(corr uint64, payload []byte) bool {
 		s.writeError(corr, CodeBadRequest, err.Error())
 		return false
 	}
-	if lerr := s.t.Mutable(); lerr != nil {
-		s.writeError(corr, mutateCode(lerr), lerr.Error())
-		return true
-	}
-	st := s.t.Store()
-	segno := m.Segno
-	if m.Segment != "" {
-		n, ok := st.Segno(m.Segment)
-		if !ok {
-			s.writeError(corr, CodeNotFound, fmt.Sprintf("unknown segment %q", m.Segment))
-			return true
-		}
-		segno = n
-	}
-	switch m.Op {
-	case MutSetBrackets:
-		if verr := m.Brackets.Validate(); verr != nil {
-			s.writeError(corr, CodeBadRequest, verr.Error())
-			return true
-		}
-		err = st.SetBrackets(segno, m.Read, m.Write, m.Execute, m.Brackets, m.Gates)
-	case MutRevoke:
-		err = st.Revoke(segno)
-	default:
-		err = st.Restore(segno)
-	}
+	version, err := s.t.Mutate(m)
 	if err != nil {
-		s.writeError(corr, CodeBadRequest, err.Error())
+		s.writeError(corr, mutateCode(err), err.Error())
 		return true
 	}
 	s.wmu.Lock()
-	s.wbuf = EncodeMutated(s.wbuf, corr, st.Version())
+	s.wbuf = EncodeMutated(s.wbuf, corr, version)
 	_, _ = s.conn.Write(s.wbuf)
 	s.wmu.Unlock()
 	return true

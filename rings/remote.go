@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/service"
 	"repro/internal/wire"
 )
 
@@ -178,7 +179,7 @@ func (rc *RemoteChecker) CheckInto(queries []Query, dst []Decision) error {
 	if wc := rc.wcp.Load(); wc != nil {
 		return mapWireErr(wc.CheckInto(queries, dst))
 	}
-	body, err := marshalCheck(queries)
+	body, err := json.Marshal(service.NewCheckRequest(queries))
 	if err != nil {
 		return err
 	}
@@ -194,9 +195,7 @@ func (rc *RemoteChecker) CheckInto(queries []Query, dst []Decision) error {
 	if resp.StatusCode != http.StatusOK {
 		return httpError(resp)
 	}
-	var cr struct {
-		Decisions []Decision `json:"decisions"`
-	}
+	var cr service.CheckResponse
 	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
 		return err
 	}
@@ -225,13 +224,7 @@ func (rc *RemoteChecker) Health() (RemoteHealth, error) {
 	if resp.StatusCode != http.StatusOK {
 		return RemoteHealth{}, httpError(resp)
 	}
-	var h struct {
-		OK       bool   `json:"ok"`
-		Workers  int    `json:"workers"`
-		Segments int    `json:"segments"`
-		Shards   int    `json:"shards"`
-		Version  uint64 `json:"version"`
-	}
+	var h service.Health
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		return RemoteHealth{}, err
 	}
@@ -261,39 +254,4 @@ func httpError(resp *http.Response) error {
 		return fmt.Errorf("rings: remote: %s: %s", resp.Status, e.Error)
 	}
 	return fmt.Errorf("rings: remote: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-}
-
-// marshalCheck builds the /v1/check JSON body (access kinds travel as
-// strings on the HTTP transport).
-func marshalCheck(queries []Query) ([]byte, error) {
-	type wq struct {
-		Op          string      `json:"op"`
-		Ring        uint8       `json:"ring"`
-		Segment     string      `json:"segment,omitempty"`
-		Segno       uint32      `json:"segno,omitempty"`
-		Wordno      uint32      `json:"wordno,omitempty"`
-		Kind        string      `json:"kind,omitempty"`
-		EffRing     *uint8      `json:"eff_ring,omitempty"`
-		SameSegment bool        `json:"same_segment,omitempty"`
-		Chain       []ChainStep `json:"chain,omitempty"`
-	}
-	kinds := map[AccessKind]string{
-		AccessRead: "read", AccessWrite: "write", AccessExecute: "execute",
-	}
-	out := struct {
-		Queries []wq `json:"queries"`
-	}{Queries: make([]wq, len(queries))}
-	for i, q := range queries {
-		w := wq{Op: string(q.Op), Ring: uint8(q.Ring), Segment: q.Segment, Segno: q.Segno,
-			Wordno: q.Wordno, SameSegment: q.SameSegment, Chain: q.Chain}
-		if q.Op == OpAccess {
-			w.Kind = kinds[q.Kind]
-		}
-		if q.EffRing != nil {
-			r := uint8(*q.EffRing)
-			w.EffRing = &r
-		}
-		out.Queries[i] = w
-	}
-	return json.Marshal(out)
 }

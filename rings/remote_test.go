@@ -175,6 +175,53 @@ func TestDialRemoteTenantRouting(t *testing.T) {
 	}
 }
 
+// TestRemoteUnknownKindNeverAllowed sends access kinds outside read,
+// write and execute down every path — in-process, HTTP, wire, and wire
+// behind a lease cache — for a reference that a read would pass. No
+// path may answer Allowed: each rejects the batch or the query.
+func TestRemoteUnknownKindNeverAllowed(t *testing.T) {
+	fx := startRemoteFixture(t)
+	chk, err := rings.NewChecker(checkerImage())
+	if err != nil {
+		t.Fatalf("NewChecker: %v", err)
+	}
+	defer chk.Close()
+	type checker interface {
+		Check(queries ...rings.Query) ([]rings.Decision, error)
+	}
+	paths := []struct {
+		name string
+		c    checker
+	}{{"in-process", chk}}
+	for _, d := range []struct {
+		name, target string
+		cfg          rings.RemoteConfig
+	}{
+		{"http", fx.httpURL, rings.RemoteConfig{}},
+		{"wire", fx.wireAddr, rings.RemoteConfig{}},
+		{"wire-cached", fx.wireAddr, rings.RemoteConfig{CacheSize: 64}},
+	} {
+		rc, err := rings.DialRemote(d.target, d.cfg)
+		if err != nil {
+			t.Fatalf("DialRemote %s: %v", d.name, err)
+		}
+		defer rc.Close()
+		paths = append(paths, struct {
+			name string
+			c    checker
+		}{d.name, rc})
+	}
+	for _, kind := range []rings.AccessKind{3, 7} {
+		q := rings.Query{Op: rings.OpAccess, Ring: 4, Segment: "data", Wordno: 3, Kind: kind}
+		for _, p := range paths {
+			ds, err := p.c.Check(q)
+			if err == nil && (ds[0].Allowed || ds[0].Err == "") {
+				t.Errorf("%s: kind %d answered %+v", p.name, kind, ds[0])
+			}
+		}
+	}
+}
+
 // TestDialRemoteErrors covers the transport vocabulary's edges: unknown
 // transport names, unreachable wire targets, and remote error bodies
 // surfacing as errors on both transports.
