@@ -33,9 +33,9 @@
 //	                          calls must be free of heap-allocating
 //	                          constructs (see hotpath).
 //	//ring:pins               on a function: it may return with RCU
-//	                          snapshot pins held (batch-scoped); its
-//	                          callers inherit the release obligation
-//	                          (see rcupin).
+//	                          snapshot pins held until the batch's
+//	                          unpin; its callers inherit the release
+//	                          obligation (see rcupin).
 //	//ring:locked <field>     on a function: the caller is required to
 //	                          hold the named mutex; guarded writes
 //	                          inside are legal, and every call site is

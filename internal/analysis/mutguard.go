@@ -16,7 +16,7 @@ import (
 // The check is intentionally lexical and intra-procedural: it will
 // not prove lock ownership across goroutines or through aliasing, but
 // it catches the realistic regression — a new code path that touches
-// sh.retired, registry bookkeeping, or shootdown lists without taking
+// registry bookkeeping, session maps, or shootdown lists without taking
 // the mutex first — and the -race CI runs backstop what it cannot see.
 var MutGuard = &Analyzer{
 	Name: "mutguard",
@@ -106,8 +106,8 @@ func (g *guardWalker) check(body *ast.BlockStmt) {
 }
 
 // checkWrite flags a write to a guarded field done without the mutex.
-// Index and dereference wrappers are unwrapped so sh.retired[i] = x
-// counts as a write to sh.retired.
+// Index and dereference wrappers are unwrapped so s.sessions[k] = x
+// counts as a write to s.sessions.
 func (g *guardWalker) checkWrite(lhs ast.Expr) {
 	for {
 		switch e := lhs.(type) {

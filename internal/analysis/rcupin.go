@@ -13,7 +13,10 @@ import (
 // function is itself marked //ring:pins (batch-scoped pinning: the
 // obligation transfers to the caller). While a pin may be held, no
 // blocking operation is allowed: mutex Lock/RLock, channel operations,
-// select, sync.WaitGroup.Wait, time.Sleep, or a fmt/log call.
+// select, sync.WaitGroup.Wait, time.Sleep, or a fmt/log call. A batch
+// that blocks with its pins held keeps answering from the snapshots it
+// pinned, so after the block it may answer from a snapshot that an
+// edit, already returned to its caller, has replaced.
 //
 // The walk is branch-aware, not lexical: each arm of an if/switch is
 // analyzed with the state it inherits, and the states are merged
@@ -152,7 +155,7 @@ func (w *pinWalker) stmt(s ast.Stmt, st pinState) pinState {
 		return out
 	case *ast.SelectStmt:
 		if st.pinned {
-			w.pass.Reportf(n.Pos(), "select while RCU snapshot pinned (blocks the grace period)")
+			w.pass.Reportf(n.Pos(), "select while RCU snapshot pinned (may answer from a replaced snapshot)")
 		}
 		out := st
 		for _, c := range n.Body.List {
@@ -180,7 +183,7 @@ func (w *pinWalker) stmt(s ast.Stmt, st pinState) pinState {
 		if st.pinned {
 			if t := w.pass.Pkg.Info.TypeOf(n.X); t != nil {
 				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					w.pass.Reportf(n.Pos(), "range over channel while RCU snapshot pinned (blocks the grace period)")
+					w.pass.Reportf(n.Pos(), "range over channel while RCU snapshot pinned (may answer from a replaced snapshot)")
 				}
 			}
 		}
@@ -188,7 +191,7 @@ func (w *pinWalker) stmt(s ast.Stmt, st pinState) pinState {
 		return merge(st, w.stmts(n.Body.List, st))
 	case *ast.SendStmt:
 		if st.pinned {
-			w.pass.Reportf(n.Pos(), "channel send while RCU snapshot pinned (blocks the grace period)")
+			w.pass.Reportf(n.Pos(), "channel send while RCU snapshot pinned (may answer from a replaced snapshot)")
 		}
 		st = w.expr(n.Value, st)
 		return st
@@ -217,7 +220,7 @@ func (w *pinWalker) expr(e ast.Expr, st pinState) pinState {
 		return w.call(n, st)
 	case *ast.UnaryExpr:
 		if n.Op == token.ARROW && st.pinned {
-			w.pass.Reportf(n.Pos(), "channel receive while RCU snapshot pinned (blocks the grace period)")
+			w.pass.Reportf(n.Pos(), "channel receive while RCU snapshot pinned (may answer from a replaced snapshot)")
 		}
 		return w.expr(n.X, st)
 	case *ast.BinaryExpr:
@@ -260,7 +263,7 @@ func (w *pinWalker) call(call *ast.CallExpr, st pinState) pinState {
 
 	if st.pinned {
 		if what := w.blocking(call, name); what != "" {
-			w.pass.Reportf(call.Pos(), "%s while RCU snapshot pinned (blocks the grace period)", what)
+			w.pass.Reportf(call.Pos(), "%s while RCU snapshot pinned (may answer from a replaced snapshot)", what)
 		}
 	}
 

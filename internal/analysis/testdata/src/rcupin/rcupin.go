@@ -70,27 +70,27 @@ func earlyReturn(r *reader, c bool) {
 
 func blocksOnLock(r *reader) {
 	r.pin()
-	r.mu.Lock() // want `mutex Lock while RCU snapshot pinned \(blocks the grace period\)`
+	r.mu.Lock() // want `mutex Lock while RCU snapshot pinned \(may answer from a replaced snapshot\)`
 	r.mu.Unlock()
 	r.unpin()
 }
 
 func sends(r *reader, ch chan int) {
 	r.pin()
-	ch <- 1 // want `channel send while RCU snapshot pinned \(blocks the grace period\)`
+	ch <- 1 // want `channel send while RCU snapshot pinned \(may answer from a replaced snapshot\)`
 	r.unpin()
 }
 
 func receives(r *reader, ch chan int) int {
 	r.pin()
-	v := <-ch // want `channel receive while RCU snapshot pinned \(blocks the grace period\)`
+	v := <-ch // want `channel receive while RCU snapshot pinned \(may answer from a replaced snapshot\)`
 	r.unpin()
 	return v
 }
 
 func selects(r *reader) {
 	r.pin()
-	select { // want `select while RCU snapshot pinned \(blocks the grace period\)`
+	select { // want `select while RCU snapshot pinned \(may answer from a replaced snapshot\)`
 	default:
 	}
 	r.unpin()
@@ -98,7 +98,7 @@ func selects(r *reader) {
 
 func logsWhilePinned(r *reader) {
 	r.pin()
-	fmt.Println("x") // want `fmt\.Println while RCU snapshot pinned \(blocks the grace period\)`
+	fmt.Println("x") // want `fmt\.Println while RCU snapshot pinned \(may answer from a replaced snapshot\)`
 	r.unpin()
 }
 

@@ -223,9 +223,6 @@ func init() {
 			r.addf("%-8d %10d %10d %14.1f", i, c.Pins, c.Lookups, perPin)
 		}
 		r.addf("")
-		r.addf("store RCU: %d publishes, %d buffers reused, %d recycled, %d dropped",
-			snap.RCU.Publishes, snap.RCU.Reused, snap.RCU.Recycled, snap.RCU.Dropped)
-		r.addf("")
 		r.addf("decision mix: %d allowed, %d denied, %d trapped; faults by kind:",
 			snap.Allowed, snap.Denied, snap.Trapped)
 		for kind, n := range snap.Faults {
@@ -246,7 +243,6 @@ func init() {
 			r.metric("lookups_per_pin", float64(snap.Reads.Lookups)/float64(snap.Reads.Pins))
 		}
 		r.metric("snapshot_publishes", float64(snap.RCU.Publishes))
-		r.metric("buffers_reused", float64(snap.RCU.Reused))
 		r.metric("latency_buckets", float64(len(snap.LatencyNs)))
 		return nil
 	})

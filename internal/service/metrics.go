@@ -120,9 +120,8 @@ type Snapshot struct {
 	Ops map[string]uint64 `json:"ops"`
 	// Faults counts denials per architectural violation kind.
 	Faults map[string]uint64 `json:"faults"`
-	// RCU reports the descriptor store's snapshot-publication
-	// machinery: publishes, buffer reuse, reclamation, and current
-	// retired/free list sizes (see rcu.go).
+	// RCU reports the descriptor store's snapshot publications (see
+	// rcu.go).
 	RCU RCUSnapshot `json:"rcu"`
 	// Reads sums the per-worker snapshot-read counters.
 	Reads ReaderSnapshot `json:"reads"`

@@ -142,11 +142,6 @@ func TestShardedConcurrentOracle(t *testing.T) {
 		t.Errorf("snapshot publishes = %d, want %d (one per descriptor edit)",
 			got, len(scripts)*mutations)
 	}
-	// Every publish retires exactly one predecessor, which must end up
-	// recycled, dropped, or still awaiting its grace period.
-	if snap.RCU.Recycled+snap.RCU.Dropped+uint64(snap.RCU.Retired) != snap.RCU.Publishes {
-		t.Errorf("retired snapshots unaccounted for: %+v", snap.RCU)
-	}
 	if len(snap.LatencyNs) == 0 {
 		t.Error("latency histogram empty")
 	}

@@ -145,9 +145,9 @@ type batch struct {
 }
 
 // worker is one decision worker: a goroutine owning an MMU whose
-// descriptor fetches resolve from rd, its registered epoch-counted
-// snapshot reader. The read path takes no locks: rd pins each
-// consulted shard's snapshot once per batch (rcu.go).
+// descriptor fetches resolve from rd, its snapshot reader. The read
+// path takes no locks: rd pins each consulted shard's snapshot once
+// per batch (rcu.go).
 type worker struct {
 	index int
 	u     *mmu.MMU
@@ -185,8 +185,8 @@ type Service struct {
 }
 
 // New starts a Service over st: Config.Workers goroutines, each with
-// its own MMU reading the store's RCU descriptor snapshots through a
-// registered epoch-counted reader.
+// its own MMU reading the store's RCU descriptor snapshots through its
+// own reader.
 func New(st *Store, cfg Config) (*Service, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -302,9 +302,7 @@ func (s *Service) putBatch(b *batch) {
 }
 
 // Close stops accepting work, lets the workers drain every queued
-// batch, waits for them to exit, and unregisters their snapshot
-// readers so they no longer delay store reclamation. Safe to call
-// more than once.
+// batch, and waits for them to exit. Safe to call more than once.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -316,9 +314,6 @@ func (s *Service) Close() {
 	close(s.queue)
 	s.mu.Unlock()
 	s.wg.Wait()
-	for _, w := range s.workers {
-		s.store.releaseReader(w.rd)
-	}
 }
 
 // run is one worker's loop: drain batches until the queue closes.
@@ -338,7 +333,7 @@ func (s *Service) run(w *worker) {
 		for i := range b.queries {
 			s.decide(w, &b.queries[i], &b.dst[i])
 		}
-		w.rd.unpin() // end of batch: quiesce so mutators can reclaim
+		w.rd.unpin() // end of batch: the next one pins the current snapshots
 		s.metrics.observe(b)
 		w.statsMu.Lock()
 		w.published = ReaderSnapshot{Pins: w.rd.pins, Lookups: w.rd.lookups}

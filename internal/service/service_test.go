@@ -620,9 +620,6 @@ func TestMetricsSnapshot(t *testing.T) {
 	if len(snap.PerWorkerReads) != 2 {
 		t.Errorf("per-worker read entries = %d, want 2", len(snap.PerWorkerReads))
 	}
-	if snap.RCU.Readers != 2 {
-		t.Errorf("registered readers = %d, want 2 (one per worker)", snap.RCU.Readers)
-	}
 	if len(snap.LatencyNs) == 0 {
 		t.Error("latency histogram empty")
 	}

@@ -15,7 +15,7 @@
 //     that snapshot is the only copy: supervisor edits build and
 //     publish a successor;
 //   - a Service runs a pool of workers, each a goroutine owning its own
-//     MMU pointed at an epoch-counted snapshot reader — the paper's
+//     MMU pointed at a snapshot reader — the paper's
 //     several-processors-sharing-one-descriptor-segment configuration,
 //     with the descriptor state distributed as published configurations
 //     instead of coherently-cached mutable core — consuming batches of
@@ -38,9 +38,9 @@
 // per shard per batch) and decides against that immutable table. A
 // blocked or slow mutation therefore never delays a decision — readers
 // keep answering from the last published snapshot. Mutators serialize
-// per shard, publish the successor snapshot, and reclaim old snapshot
-// buffers only after a grace period; rcu.go documents the lifecycle
-// and the reclamation rule.
+// per shard and publish a successor snapshot; the garbage collector
+// frees the replaced one once no batch still holds it. rcu.go
+// documents the lifecycle.
 //
 // Each Decision reports the publication epoch of the snapshot it
 // consulted as a degenerate interval (VersionLo == VersionHi, even):
@@ -94,8 +94,7 @@ const MaxSegments = 256
 
 // shard is one slice of the descriptor store: the descriptors with
 // segno ≡ index (mod Shards), their mutation lock, their epoch, and
-// their published RCU snapshot with its retired/free buffer lists
-// (rcu.go).
+// their published RCU snapshot (rcu.go).
 type shard struct {
 	// epoch is odd while a mutation of this shard's descriptors is in
 	// flight, even when quiescent; epoch/2 counts completed mutations.
@@ -112,20 +111,9 @@ type shard struct {
 
 	mu sync.Mutex
 
-	// retired holds predecessors awaiting their grace period; free
-	// holds reclaimed SDW buffers for reuse. Both under mu, both
-	// bounded (rcu.go).
-	retired []*snapshot //ring:guarded mu
-	free    [][]seg.SDW //ring:guarded mu
-	stats   shardRCUStats
-}
-
-// shardRCUStats mirrors the shard's snapshot bookkeeping in atomics so
-// RCUStats never takes a shard mutex (a blocked mutation must not
-// block /metrics).
-type shardRCUStats struct {
-	publishes, reused, recycled, dropped atomic.Uint64
-	retired, free                        atomic.Int64
+	// publishes counts published snapshots; atomic so RCUStats never
+	// takes mu (a blocked mutation must not block /metrics).
+	publishes atomic.Uint64
 }
 
 // Store is the shared descriptor state of a decision service: one
@@ -135,12 +123,6 @@ type Store struct {
 	shards    []shard
 	shardMask uint32
 	shardBits uint32 // log2(Shards): segno >> shardBits indexes a shard's SDW table
-
-	// readers is the copy-on-write list of registered epoch-counted
-	// readers (rcu.go); readersMu serializes registration only —
-	// reclamation scans load the pointer without locking.
-	readersMu sync.Mutex
-	readers   atomic.Pointer[[]*reader]
 
 	// publishHook, when set, is called after every snapshot publication
 	// with the shard index, the edited segment number and the new (even)
@@ -180,7 +162,6 @@ func NewStore(cfg StoreConfig, defs []Segment) (*Store, error) {
 		names:     make(map[string]uint32, len(defs)),
 		segnos:    make([]string, len(defs)),
 	}
-	st.readers.Store(&[]*reader{})
 	// Shard i's table covers segment numbers i, i+Shards, i+2*Shards, ...
 	// below len(defs); it is filled in place before the store is shared.
 	for i := range st.shards {

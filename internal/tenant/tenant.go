@@ -30,15 +30,14 @@
 //	    analogue of handing a subsystem a read-only descriptor segment.
 //	  - draining: eviction has begun — no new batches are accepted
 //	    (ErrDraining, HTTP 409 for mutations), queued batches complete,
-//	    and the worker pool shuts down, which unregisters every RCU
-//	    reader and lets the store's grace periods complete.
+//	    and the worker pool shuts down.
 //	  - evicted: the tenant is gone from the registry; its store is
 //	    unreachable and collectable.
 //
 // # Isolation
 //
 // Each tenant owns a full service.Service: its own worker goroutines,
-// its own bounded batch queue, its own RCU reader registrations. A hot
+// its own bounded batch queue, its own RCU snapshot readers. A hot
 // tenant that saturates its quota fills its own queue and sheds with
 // ErrQueueFull; tenants on other worker pools keep deciding at their
 // own pace (experiment T15 measures exactly this). The registry's
@@ -506,8 +505,7 @@ func (r *Registry) Seal(name string) error {
 
 // Evict removes the named tenant: the state moves to draining (new
 // work is rejected from that instant), every queued batch completes,
-// the worker pool exits — unregistering its RCU readers, so the
-// store's snapshot grace periods complete — and the name is released.
+// the worker pool exits, and the name is released.
 // Evict returns after the drain; a concurrent Evict of the same tenant
 // returns ErrDraining immediately.
 func (r *Registry) Evict(name string) error {
@@ -533,8 +531,7 @@ func (r *Registry) Evict(name string) error {
 		t.hub.close()
 	}
 	// Drain outside any registry lock: Close waits for the workers to
-	// finish every queued batch and then releases their snapshot
-	// readers, completing the RCU grace period.
+	// finish every queued batch.
 	t.svc.Close()
 	t.state.Store(int32(StateEvicted))
 	r.unregister(t)

@@ -245,7 +245,7 @@ func (s *session) serve() {
 	if s.draining.Load() {
 		s.wmu.Lock()
 		s.wbuf = EncodeGoAway(s.wbuf)
-		_, _ = s.conn.Write(s.wbuf)
+		s.writeLocked(s.wbuf)
 		s.wmu.Unlock()
 		// Closing with unread input would reset the connection, which
 		// can destroy the GoAway before the peer reads it: half-close,
@@ -424,7 +424,7 @@ func (s *session) serveJob(j *job) {
 	}
 	j.out = out
 	s.wmu.Lock()
-	_, _ = s.conn.Write(out)
+	s.writeLocked(out)
 	s.wmu.Unlock()
 }
 
@@ -480,7 +480,7 @@ func (s *session) handleMutate(corr uint64, payload []byte) bool {
 	}
 	s.wmu.Lock()
 	s.wbuf = EncodeMutated(s.wbuf, corr, version)
-	_, _ = s.conn.Write(s.wbuf)
+	s.writeLocked(s.wbuf)
 	s.wmu.Unlock()
 	return true
 }
@@ -538,7 +538,7 @@ func (s *session) writeShootdown(sd Shootdown) {
 	b, err := EncodeShootdown(s.wbuf, sd)
 	if err == nil {
 		s.wbuf = b
-		_, _ = s.conn.Write(b)
+		s.writeLocked(b)
 	}
 	s.wmu.Unlock()
 }
@@ -549,7 +549,7 @@ func (s *session) writeLeaseExpire(code uint16) {
 	b, err := EncodeLeaseExpire(s.wbuf, LeaseExpire{Code: code})
 	if err == nil {
 		s.wbuf = b
-		_, _ = s.conn.Write(b)
+		s.writeLocked(b)
 	}
 	s.wmu.Unlock()
 }
@@ -558,13 +558,12 @@ func (s *session) writeLeaseExpire(code uint16) {
 func (s *session) handlePing(corr uint64) {
 	s.wmu.Lock()
 	s.wbuf = EncodePong(s.wbuf, corr, s.health())
-	_, _ = s.conn.Write(s.wbuf)
+	s.writeLocked(s.wbuf)
 	s.wmu.Unlock()
 }
 
 // writeError writes an Error frame under the write lock, reusing the
-// session's scratch buffer. Write failures are ignored; the reader
-// notices the dead connection.
+// session's scratch buffer.
 //
 //ring:hotpath
 func (s *session) writeError(corr uint64, code uint16, msg string) {
@@ -572,9 +571,22 @@ func (s *session) writeError(corr uint64, code uint16, msg string) {
 	b, err := EncodeError(s.wbuf, corr, code, msg)
 	if err == nil {
 		s.wbuf = b
-		_, _ = s.conn.Write(b)
+		s.writeLocked(b)
 	}
 	s.wmu.Unlock()
+}
+
+// writeLocked writes one frame; the caller holds wmu. A failed write
+// closes the connection: readLoop's next read fails and serve tears
+// the session down, instead of reading on for a peer that waits
+// forever on an answer that never went out.
+//
+//ring:hotpath
+//ring:locked wmu
+func (s *session) writeLocked(b []byte) {
+	if _, err := s.conn.Write(b); err != nil {
+		_ = s.conn.Close()
+	}
 }
 
 // readFrame reads one frame from r into *buf, which is grown as

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -599,6 +600,67 @@ func TestGoAwayIsLastFrame(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Errorf("shutdown: %v", err)
+	}
+}
+
+// failRepliesListener accepts connections whose every write after the
+// first (the Welcome) fails without sending anything.
+type failRepliesListener struct{ net.Listener }
+
+func (l failRepliesListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &failRepliesConn{Conn: c}, nil
+}
+
+type failRepliesConn struct {
+	net.Conn
+	writes atomic.Int32
+}
+
+func (c *failRepliesConn) Write(p []byte) (int, error) {
+	if c.writes.Add(1) > 1 {
+		return 0, errors.New("injected write failure")
+	}
+	return c.Conn.Write(p)
+}
+
+// TestReplyWriteErrorEndsSession: when the server cannot write a reply
+// it must hang up rather than read on, so the client waiting for that
+// reply gets an error instead of blocking forever.
+func TestReplyWriteErrorEndsSession(t *testing.T) {
+	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 1})
+	srv := NewServer(reg, Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	go srv.Serve(failRepliesListener{ln})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	})
+	c, err := Dial(ln.Addr().String(), ClientConfig{})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Check(goldenQueries()...)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Error("check succeeded although every reply write failed")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("check still blocked 2s after the server's reply write failed")
 	}
 }
 

@@ -220,15 +220,19 @@ func (lc *leaseCache) serveHits(queries []Query, dst []Decision, now int64, live
 // an error, or that no single shard explains (Shard < 0), are not
 // cacheable; a full cache evicts an arbitrary victim (the map's first
 // iterated key — cheap, and correctness never depends on which lease
-// is dropped).
+// is dropped). The subscription check runs under the write lock: a
+// lapse and revive that land while put waits for the lock must still
+// refuse the insert, and the flush both take cannot run until put has
+// released the lock.
 func (lc *leaseCache) put(k leaseKey, dec Decision, now int64, gen uint64) {
 	if dec.Err != "" || dec.Shard < 0 || dec.Shard >= service.MaxShards {
 		return
 	}
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
 	if lc.lapsed.Load() || lc.gen.Load() != gen {
 		return
 	}
-	lc.mu.Lock()
 	if _, exists := lc.entries[k]; !exists && len(lc.entries) >= lc.cap {
 		for victim := range lc.entries {
 			delete(lc.entries, victim)
@@ -236,7 +240,6 @@ func (lc *leaseCache) put(k leaseKey, dec Decision, now int64, gen uint64) {
 		}
 	}
 	lc.entries[k] = &lease{dec: dec, epoch: dec.VersionLo, expires: now + int64(lc.ttl)}
-	lc.mu.Unlock()
 }
 
 // shootdown is the wire session's OnShootdown handler: raise the
@@ -469,6 +472,12 @@ func (rc *RemoteChecker) ensureLive() {
 	lc.revive()
 	if old != nil {
 		old.Close()
+	}
+	// A Close that ran during the dial closed only the dead session.
+	// Close stores closed before it loads the session pointer, so
+	// either it closes wc or this load sees closed.
+	if rc.closed.Load() {
+		wc.Close()
 	}
 }
 

@@ -447,6 +447,102 @@ func TestLeaseReconnectResubscribes(t *testing.T) {
 	}
 }
 
+// heldListener hands each accepted connection to its server only after
+// release is closed, holding the client's handshake in between;
+// accepted reports each connection as it arrives.
+type heldListener struct {
+	net.Listener
+	accepted chan struct{}
+	release  chan struct{}
+}
+
+func (l heldListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.accepted <- struct{}{}
+	<-l.release
+	return c, nil
+}
+
+// TestCloseDuringRedialClosesNewSession closes a cached client while
+// its redial is mid-handshake: the session the redial then installs
+// must be closed too, not left open and subscribed.
+func TestCloseDuringRedialClosesNewSession(t *testing.T) {
+	reg1 := tenant.NewRegistry(tenant.Config{})
+	defer reg1.Close()
+	if _, err := reg1.Load(tenant.DefaultTenant, checkerImage(), tenant.TenantConfig{Workers: 1}); err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	ln1, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	addr := ln1.Addr().String()
+	ws1 := wire.NewServer(reg1, wire.Config{})
+	go ws1.Serve(ln1)
+
+	rc, err := rings.DialRemote(addr, rings.RemoteConfig{
+		Transport: "wire", CacheSize: 64, CacheTTL: time.Hour,
+	})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	ws1.Shutdown(ctx)
+	cancel()
+	deadline := time.Now().Add(5 * time.Second)
+	for rc.CacheStats().Flushes == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("cache never lapsed after server shutdown")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	reg2 := tenant.NewRegistry(tenant.Config{})
+	defer reg2.Close()
+	def2, err := reg2.Load(tenant.DefaultTenant, checkerImage(), tenant.TenantConfig{Workers: 1})
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	ln2, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("rebind %s: %v", addr, err)
+	}
+	held := heldListener{Listener: ln2, accepted: make(chan struct{}, 1), release: make(chan struct{})}
+	ws2 := wire.NewServer(reg2, wire.Config{})
+	go ws2.Serve(held)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		ws2.Shutdown(ctx)
+	}()
+
+	checked := make(chan struct{})
+	go func() {
+		defer close(checked)
+		probe := []rings.Query{{Op: rings.OpAccess, Ring: 4, Segment: "data", Wordno: 1, Kind: rings.AccessRead}}
+		_ = rc.CheckInto(probe, make([]rings.Decision, 1)) // redials; its answer does not matter
+	}()
+	select {
+	case <-held.accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the redial never reached the second server")
+	}
+	rc.Close()
+	close(held.release)
+	<-checked
+
+	deadline = time.Now().Add(5 * time.Second)
+	for def2.LeaseStats().Subscribers != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d subscriber(s) still on the second server after Close", def2.LeaseStats().Subscribers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestRemoteCacheHitZeroAlloc is the alloc gate for the lease hit
 // path: a warm all-hit batch completes without a single allocation.
 // CI runs it by name alongside the other zero-alloc gates.

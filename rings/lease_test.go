@@ -1,6 +1,8 @@
 package rings
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -138,6 +140,54 @@ func TestLeaseLapseAndGeneration(t *testing.T) {
 	if lc.stats().Flushes < 2 {
 		t.Errorf("flushes = %d, want >= 2 (lapse + revive)", lc.stats().Flushes)
 	}
+}
+
+// TestLeasePutRacingLapseRevive parks a put on the cache lock, with the
+// generation it fetched under, while a lapse and a revive land: the
+// decision came over the dead session, so the revived cache must not
+// serve it.
+func TestLeasePutRacingLapseRevive(t *testing.T) {
+	lc := newLeaseCache(8, time.Hour)
+	q := Query{Op: OpAccess, Ring: 4, Segno: 0, Wordno: 7, Kind: AccessRead}
+	k := mustKey(t, q)
+	now := time.Now().UnixNano()
+	gen := lc.gen.Load()
+
+	lc.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		lc.put(k, Decision{Allowed: true, Shard: 0, VersionLo: 2, VersionHi: 2}, now, gen)
+	}()
+	waitParkedOnLock(t, "(*leaseCache).put")
+	// lapse() then revive(), their flushes applied under the lock this
+	// test already holds.
+	lc.lapsed.Store(true)
+	lc.gen.Add(1)
+	lc.entries = make(map[leaseKey]*lease, lc.cap)
+	lc.gen.Add(1)
+	lc.lapsed.Store(false)
+	lc.mu.Unlock()
+	<-done
+	if hit(lc, q, now) {
+		t.Error("revived cache serves a decision fetched over the dead session")
+	}
+}
+
+// waitParkedOnLock waits until a goroutine whose stack shows fn is
+// blocked taking a sync.RWMutex write lock.
+func waitParkedOnLock(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		for _, g := range strings.Split(stacks, "\n\n") {
+			if strings.Contains(g, fn) && strings.Contains(g, "sync.(*RWMutex).Lock") {
+				return
+			}
+		}
+	}
+	t.Fatalf("no goroutine in %s parked on its lock", fn)
 }
 
 func TestLeasePutRejectsUnshardable(t *testing.T) {
