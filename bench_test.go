@@ -7,6 +7,7 @@ package repro_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/asm"
@@ -709,18 +710,24 @@ func TestTracelessStepZeroAlloc(t *testing.T) {
 
 // ---- Decision service: the zero-allocation submit path ----
 
-// BenchmarkServiceCheckInto measures a complete decision round trip
-// through the service (queue, worker, MMU validation, reply) using the
-// pooled CheckInto path. Like the traceless step above, 0 B/op is an
-// acceptance criterion — asserted by TestSubmitIntoZeroAlloc in
-// internal/service.
-func BenchmarkServiceCheckInto(b *testing.B) {
-	chk, err := rings.NewCheckerWith(rings.CheckerConfig{Workers: 1}, []rings.Segment{
+// benchCheckerSegments is the image the decision-service benchmarks
+// serve: a writable data segment and a gated code segment.
+func benchCheckerSegments() []rings.Segment {
+	return []rings.Segment{
 		{Name: "data", Size: 64, Read: true, Write: true,
 			Brackets: core.Brackets{R1: 2, R2: 4, R3: 4}},
 		{Name: "code", Size: 64, Read: true, Execute: true,
 			Brackets: core.Brackets{R1: 1, R2: 3, R3: 5}, Gates: 2},
-	})
+	}
+}
+
+// BenchmarkServiceCheckInto measures a complete decision round trip
+// through the service (admission, borrowing a processor, MMU
+// validation) using the CheckInto path. Like the traceless step above,
+// 0 B/op is an acceptance criterion — asserted by
+// TestSubmitIntoZeroAlloc in internal/service.
+func BenchmarkServiceCheckInto(b *testing.B) {
+	chk, err := rings.NewCheckerWith(rings.CheckerConfig{Workers: 1}, benchCheckerSegments())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -756,6 +763,44 @@ func BenchmarkServiceCheckInto(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkServiceCheckIntoParallel runs one caller per P against a
+// service with one processor per P, each caller deciding a 64-query
+// access/call/return batch. ns/op is wall time per batch, so comparing
+// -cpu 1,2 shows whether a second processor adds throughput: it does
+// only while no decision writes state that another processor shares.
+func BenchmarkServiceCheckIntoParallel(b *testing.B) {
+	chk, err := rings.NewCheckerWith(rings.CheckerConfig{Workers: runtime.GOMAXPROCS(0)}, benchCheckerSegments())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer chk.Close()
+	upTo := core.Ring(4)
+	queries := make([]rings.Query, 64)
+	for i := range queries {
+		switch i % 3 {
+		case 0:
+			queries[i] = rings.Query{Op: rings.OpAccess, Ring: 4, Segment: "data",
+				Wordno: uint32(i), Kind: rings.AccessRead}
+		case 1:
+			queries[i] = rings.Query{Op: rings.OpCall, Ring: 4, Segment: "code", Wordno: 1}
+		case 2:
+			queries[i] = rings.Query{Op: rings.OpReturn, Ring: 3, Segment: "code", EffRing: &upTo}
+		}
+	}
+	b.SetParallelism(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		dst := make([]rings.Decision, len(queries))
+		for pb.Next() {
+			if err := chk.CheckInto(queries, dst); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 func benchSizeName(prefix string, n int) string {

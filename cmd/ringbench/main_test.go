@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/exp"
 )
 
 func TestRunList(t *testing.T) {
@@ -43,7 +45,7 @@ func TestRunJSON(t *testing.T) {
 	if code := run([]string{"-exp", "T10", "-json"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d (%s)", code, errb.String())
 	}
-	var results []jsonResult
+	var results []exp.Result
 	if err := json.Unmarshal([]byte(out.String()), &results); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, out.String())
 	}
@@ -53,6 +55,9 @@ func TestRunJSON(t *testing.T) {
 	r := results[0]
 	if r.HostNs <= 0 {
 		t.Errorf("host_ns = %d", r.HostNs)
+	}
+	if h := r.Host; h.NProc <= 0 || h.GOMAXPROCS <= 0 || h.GoVersion == "" || !strings.Contains(out.String(), `"commit"`) {
+		t.Errorf("host block incomplete: %+v", h)
 	}
 	for _, key := range []string{"cycles_cache_on", "cache_hit_rate"} {
 		if _, ok := r.Metrics[key]; !ok {

@@ -1,11 +1,12 @@
 // Command ringd is the protection-decision daemon: an image registry
 // serving N independent descriptor spaces (tenants) from one process.
 // Each loaded machine image becomes a tenant with its own sharded
-// descriptor store, its own pool of decision workers — each an MMU
-// reading immutable RCU descriptor snapshots pinned per batch, so
-// decisions never lock against supervisor edits — and its own bounded
-// queue, so one hot tenant sheds its own overload instead of starving
-// the rest.
+// descriptor store, its own decision processors — each an MMU reading
+// immutable RCU descriptor snapshots pinned per batch, so decisions
+// never lock against supervisor edits, borrowed by a request to decide
+// its batch — and its own bound on requests waiting for a processor,
+// so one hot tenant sheds its own overload instead of starving the
+// rest.
 //
 // Usage:
 //

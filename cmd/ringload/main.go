@@ -38,9 +38,9 @@
 // Zipf-skewed pick per batch, and one extra cold client drives tenant
 // N-1 alone. A baseline trial (cold client only) runs first; the
 // headline metric is the cold tenant's p99 under contention relative
-// to that baseline — per-tenant worker pools and bounded queues should
-// hold it near 1.0 while the hot tenants saturate their quotas and
-// shed.
+// to that baseline — per-tenant processors and waiter bounds should
+// keep it near the baseline while the hot tenants saturate their
+// quotas and shed.
 //
 // -compare-transports (in-process) runs the T16 transport experiment:
 // one registry serves the demo image simultaneously over a loopback
@@ -60,13 +60,12 @@
 // pressure; a cell whose trials deliver under 90% of its rate fails.
 //
 // With -json, results are emitted as a JSON array in the same shape as
-// ringbench -json (id, title, host_ns, metrics, lines), so the two
-// artifacts can feed the same dashboards.
+// ringbench -json (id, title, host_ns, host, metrics, lines), so the
+// two artifacts can feed the same dashboards.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -83,6 +82,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/exp"
 	"repro/internal/tenant"
 	"repro/internal/wire"
 	"repro/rings"
@@ -323,7 +323,7 @@ func remoteTrial(cfg config, target, transport string) (*result, error) {
 // runT16 serves one registry over both transports on loopback
 // listeners and measures the same closed-loop trial over each: the
 // JSON-vs-binary delta at equal worker count.
-func runT16(cfg config) ([]jsonResult, error) {
+func runT16(cfg config) ([]*exp.Result, error) {
 	reg := tenant.NewRegistry(tenant.Config{
 		MaxTenants:   1,
 		WorkerBudget: cfg.workers,
@@ -383,7 +383,7 @@ func runT16(cfg config) ([]jsonResult, error) {
 	if p := httpRes.lat.quantile(0.99); p > 0 {
 		p99Ratio = float64(wireRes.lat.quantile(0.99)) / float64(p)
 	}
-	delta := jsonResult{
+	delta := &exp.Result{
 		ID:     "RINGLOAD-T16",
 		Title:  "transport comparison: binary streaming vs HTTP/JSON delta",
 		HostNs: httpRes.elapsed.Nanoseconds() + wireRes.elapsed.Nanoseconds(),
@@ -408,7 +408,7 @@ func runT16(cfg config) ([]jsonResult, error) {
 			fmt.Sprintf("wire/http: %.2fx throughput, %.2fx p99", speedup, p99Ratio),
 		},
 	}
-	return []jsonResult{httpReport, wireReport, delta}, nil
+	return []*exp.Result{httpReport, wireReport, delta}, nil
 }
 
 // ---- T17: client-side decision leases ----
@@ -497,7 +497,7 @@ func t17Trial(cfg config, addr string, cacheSize int, rate int, tnt *tenant.Tena
 // answered from decision leases kept coherent by the shootdown
 // stream). The headline is the idle-store cell: cached throughput over
 // uncached, at the observed lease hit rate.
-func runT17(cfg config) ([]jsonResult, error) {
+func runT17(cfg config) ([]*exp.Result, error) {
 	reg := tenant.NewRegistry(tenant.Config{
 		MaxTenants:   1,
 		WorkerBudget: cfg.workers,
@@ -543,7 +543,7 @@ func runT17(cfg config) ([]jsonResult, error) {
 	cacheSize := 2 * cfg.clients * 16 * cfg.batch
 
 	addr := wln.Addr().String()
-	var out []jsonResult
+	var out []*exp.Result
 	var headSpeedup, headHitRate float64
 	var headNs int64
 	for _, rate := range t17Rates {
@@ -572,7 +572,7 @@ func runT17(cfg config) ([]jsonResult, error) {
 			headSpeedup, headHitRate = speedup, hitRate
 		}
 		headNs += un.elapsed.Nanoseconds() + ca.elapsed.Nanoseconds()
-		out = append(out, jsonResult{
+		out = append(out, &exp.Result{
 			ID:     fmt.Sprintf("RINGLOAD-T17-M%d", rate),
 			Title:  fmt.Sprintf("decision leases: cached vs uncached wire at %d edits/s", rate),
 			HostNs: un.elapsed.Nanoseconds() + ca.elapsed.Nanoseconds(),
@@ -605,7 +605,7 @@ func runT17(cfg config) ([]jsonResult, error) {
 			},
 		})
 	}
-	head := jsonResult{
+	head := &exp.Result{
 		ID:     "RINGLOAD-T17",
 		Title:  "decision leases: client cache speedup over uncached wire",
 		HostNs: headNs,
@@ -736,7 +736,7 @@ func t15Trial(cfg config, ts []*tenant.Tenant, pools [][][]rings.Query, contende
 // runT15 loads cfg.tenants independent demo-image tenants into one
 // registry, measures the cold tenant alone (baseline), then again with
 // Zipf-skewed hot neighbours, and reports both trials.
-func runT15(cfg config) ([]jsonResult, error) {
+func runT15(cfg config) ([]*exp.Result, error) {
 	if cfg.tenants < 2 {
 		return nil, fmt.Errorf("-tenants wants at least 2, got %d", cfg.tenants)
 	}
@@ -776,7 +776,7 @@ func runT15(cfg config) ([]jsonResult, error) {
 		}
 		return float64(r.coldN) / r.elapsed.Seconds()
 	}
-	baseline := jsonResult{
+	baseline := &exp.Result{
 		ID:     "RINGLOAD-T15-BASELINE",
 		Title:  "tenant isolation baseline: cold tenant alone",
 		HostNs: base.elapsed.Nanoseconds(),
@@ -811,7 +811,7 @@ func runT15(cfg config) ([]jsonResult, error) {
 	if cont.hotN > 0 {
 		hotShare = 100 * float64(cont.perTenant[hottest]) / float64(cont.hotN)
 	}
-	contended := jsonResult{
+	contended := &exp.Result{
 		ID:     "RINGLOAD-T15",
 		Title:  "tenant isolation: Zipf-hot neighbours vs cold tenant p99",
 		HostNs: cont.elapsed.Nanoseconds(),
@@ -839,7 +839,7 @@ func runT15(cfg config) ([]jsonResult, error) {
 				time.Duration(cont.cold.quantile(0.99)), time.Duration(base.cold.quantile(0.99)), ratio),
 		},
 	}
-	return []jsonResult{baseline, contended}, nil
+	return []*exp.Result{baseline, contended}, nil
 }
 
 // ---- Run loop ----
@@ -943,17 +943,7 @@ func runTrial(cfg config, c checker, sup *rings.Checker, pools [][][]rings.Query
 	return res, nil
 }
 
-// jsonResult matches ringbench -json's element shape so both artifacts
-// feed the same tooling.
-type jsonResult struct {
-	ID      string             `json:"id"`
-	Title   string             `json:"title"`
-	HostNs  int64              `json:"host_ns"`
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-	Lines   []string           `json:"lines"`
-}
-
-func report(cfg config, res *result, mode string) jsonResult {
+func report(cfg config, res *result, mode string) *exp.Result {
 	id := "RINGLOAD"
 	switch {
 	case len(cfg.sweep) > 0 && len(cfg.sweepWorkers) > 0:
@@ -976,7 +966,7 @@ func report(cfg config, res *result, mode string) jsonResult {
 		lines = append(lines, fmt.Sprintf("shards %d, workers %d, %d concurrent supervisor edits",
 			res.shards, cfg.workers, res.mutations))
 	}
-	return jsonResult{
+	return &exp.Result{
 		ID:     id,
 		Title:  "protection-decision load: synthetic access/call/return mix",
 		HostNs: res.elapsed.Nanoseconds(),
@@ -1089,7 +1079,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		compare: *compare, clientCache: *clientCache, jsonOut: *jsonOut,
 	}
 
-	var results []jsonResult
+	var results []*exp.Result
 	switch {
 	case cfg.target != "":
 		res, err := remoteTrial(cfg, cfg.target, cfg.transport)
@@ -1169,9 +1159,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if cfg.jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
+		if err := exp.WriteJSON(stdout, results); err != nil {
 			fmt.Fprintln(stderr, "ringload:", err)
 			return 1
 		}

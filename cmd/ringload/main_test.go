@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exp"
 	"repro/internal/tenant"
 	"repro/internal/wire"
 	"repro/rings"
@@ -104,13 +105,13 @@ func TestGenQueryDeterministicAndValid(t *testing.T) {
 }
 
 // runJSON runs the command and decodes its JSON output.
-func runJSON(t *testing.T, args ...string) []jsonResult {
+func runJSON(t *testing.T, args ...string) []exp.Result {
 	t.Helper()
 	var out, errOut bytes.Buffer
 	if code := run(append(args, "-json"), &out, &errOut); code != 0 {
 		t.Fatalf("run(%v) = %d, stderr: %s", args, code, errOut.String())
 	}
-	var results []jsonResult
+	var results []exp.Result
 	if err := json.Unmarshal(out.Bytes(), &results); err != nil {
 		t.Fatalf("output is not a JSON array: %v\n%s", err, out.String())
 	}
@@ -125,6 +126,9 @@ func TestRunInProcess(t *testing.T) {
 	r := results[0]
 	if r.ID != "RINGLOAD" || r.HostNs <= 0 {
 		t.Errorf("result shape: %+v", r)
+	}
+	if h := r.Host; h.NProc <= 0 || h.GOMAXPROCS <= 0 || h.GoVersion == "" {
+		t.Errorf("host block incomplete: %+v", h)
 	}
 	for _, key := range []string{"decisions_per_sec", "decisions", "p50_ns", "p95_ns", "p99_ns", "shards", "mutations"} {
 		if _, ok := r.Metrics[key]; !ok {

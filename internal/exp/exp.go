@@ -7,24 +7,65 @@
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
 )
 
-// Result is one experiment's report.
+// Result is one experiment's report, and one element of the
+// BENCH_*.json artifacts that ringbench -json and ringload -json write.
 type Result struct {
-	ID    string
-	Title string
-	Lines []string
+	ID    string `json:"id"`
+	Title string `json:"title"`
 	// HostNs is the wall-clock time the experiment took on the host, in
 	// nanoseconds, stamped by Run.
-	HostNs int64
+	HostNs int64 `json:"host_ns"`
+	// Host is the machine and build the result was measured on,
+	// stamped by WriteJSON.
+	Host Host `json:"host"`
 	// Metrics holds the experiment's machine-readable measurements —
 	// simulated cycles, cache hit rates and the like — for ringbench
 	// -json. Nil when the experiment reports prose only.
-	Metrics map[string]float64
+	Metrics map[string]float64 `json:"metrics,omitempty"`
+	Lines   []string           `json:"lines"`
+}
+
+// Host describes the machine and build a result was measured on.
+type Host struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	// Commit is the VCS revision go build stamps into the binary, with
+	// "-dirty" appended when the tree it built had uncommitted changes,
+	// or "" when the binary carries none (go run does not stamp it).
+	Commit string `json:"commit"`
+}
+
+// WriteJSON writes results as one indented JSON array, each stamped
+// with the running process's host.
+func WriteJSON(w io.Writer, results []*Result) error {
+	host := Host{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch {
+			case s.Key == "vcs.revision":
+				host.Commit = s.Value + host.Commit
+			case s.Key == "vcs.modified" && s.Value == "true":
+				host.Commit += "-dirty"
+			}
+		}
+	}
+	for _, r := range results {
+		r.Host = host
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(results)
 }
 
 func (r *Result) addf(format string, args ...interface{}) {

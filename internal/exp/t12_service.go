@@ -12,9 +12,9 @@ import (
 )
 
 // T12: the protection-decision service under concurrent load. The
-// service wraps the MMU decision procedure in a pool of workers — one
-// decision worker each, reading immutable RCU descriptor snapshots
-// pinned per batch — while a supervisor thread streams descriptor
+// service wraps the MMU decision procedure in processors that client
+// goroutines borrow — one MMU each, reading immutable RCU descriptor
+// snapshots pinned per batch — while a supervisor thread streams descriptor
 // edits (SetBrackets, Revoke, Restore) through the store's publish
 // path. Every decision reports the publication epoch of the snapshot
 // it consulted; replaying the edit script on the executable

@@ -428,8 +428,8 @@ func (u *MMU) DecideReturn(v core.SDWView, wordno uint32, execRing, effRing core
 
 // Trace detail strings are precomputed so that recording a validation
 // event never concatenates (and therefore never allocates): the sink
-// contract is "cheap when enabled", and the decision service leaves an
-// AtomicCounters sink enabled on its hot path.
+// contract is "cheap when enabled", and the decision service leaves a
+// trace.Counters sink enabled on every processor's hot path.
 const (
 	traceRead = iota
 	traceWrite

@@ -26,6 +26,7 @@ var (
 // shard mutex held, until release is closed.
 func HoldEdits(st *Store, release chan struct{}) { st.hold = release }
 
-// HoldWorkers parks each of s's workers before every batch until hold
-// is closed, sending on ack (when non-nil) as it parks.
+// HoldWorkers parks every caller of s after it borrows a processor and
+// before it decides, until hold is closed, sending on ack (when
+// non-nil) as it parks.
 func HoldWorkers(s *Service, hold, ack chan struct{}) { s.hold, s.holdAck = hold, ack }

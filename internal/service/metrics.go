@@ -2,7 +2,6 @@ package service
 
 import (
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -13,76 +12,100 @@ import (
 const violationKinds = core.ViolationKindCount
 
 // latencyBuckets is the number of power-of-two latency histogram
-// buckets; bucket i counts batches whose queue-to-completion latency
+// buckets; bucket i counts batches whose submit-to-completion latency
 // lay in [2^i, 2^(i+1)) nanoseconds.
 const latencyBuckets = 32
 
-// Metrics is the service's always-on instrumentation: decision counts,
-// faults by kind, backpressure rejections, and a power-of-two latency
-// histogram. All counters are atomic; readers see a monitoring-grade
-// (not transactionally consistent) view.
-type Metrics struct {
-	batches  atomic.Uint64
-	queries  atomic.Uint64
-	rejected atomic.Uint64
-	allowed  atomic.Uint64
-	denied   atomic.Uint64
-	errors   atomic.Uint64
-	trapped  atomic.Uint64
+// counters is one processor's share of the service's always-on
+// instrumentation: decision counts, faults by kind, trace events by
+// kind, and a power-of-two latency histogram. They are plain integers,
+// written by the borrower under the processor's mutex; Snapshot sums
+// them across processors.
+type counters struct {
+	batches uint64
+	queries uint64
+	allowed uint64
+	denied  uint64
+	errors  uint64
+	trapped uint64
 
-	opAccess  atomic.Uint64
-	opCall    atomic.Uint64
-	opReturn  atomic.Uint64
-	opEffRing atomic.Uint64
-	opOther   atomic.Uint64
+	opAccess  uint64
+	opCall    uint64
+	opReturn  uint64
+	opEffRing uint64
+	opOther   uint64
 
-	faults  [violationKinds]atomic.Uint64
-	latency [latencyBuckets]atomic.Uint64
+	faults  [violationKinds]uint64
+	latency [latencyBuckets]uint64
+	// events is the processor MMU's trace sink.
+	events trace.Counters
 }
 
-func newMetrics() *Metrics { return &Metrics{} }
-
 // count tallies one decision.
-func (m *Metrics) count(op Op, d *Decision) {
-	m.queries.Add(1)
+func (c *counters) count(op Op, d *Decision) {
+	c.queries++
 	switch op {
 	case OpAccess:
-		m.opAccess.Add(1)
+		c.opAccess++
 	case OpCall:
-		m.opCall.Add(1)
+		c.opCall++
 	case OpReturn:
-		m.opReturn.Add(1)
+		c.opReturn++
 	case OpEffRing:
-		m.opEffRing.Add(1)
+		c.opEffRing++
 	default:
-		m.opOther.Add(1)
+		c.opOther++
 	}
 	switch {
 	case d.Err != "":
-		m.errors.Add(1)
+		c.errors++
 	case d.Allowed:
-		m.allowed.Add(1)
+		c.allowed++
 		if d.Trapped {
-			m.trapped.Add(1)
+			c.trapped++
 		}
 	default:
-		m.denied.Add(1)
+		c.denied++
 		if k := int(d.ViolationKind); k >= 0 && k < violationKinds {
-			m.faults[k].Add(1)
+			c.faults[k]++
 		}
 	}
 }
 
-// observe tallies one completed batch and its queue-to-completion
+// observe tallies one completed batch and its submit-to-completion
 // latency.
-func (m *Metrics) observe(b *batch) {
-	m.batches.Add(1)
-	ns := time.Since(b.enqueued).Nanoseconds()
+func (c *counters) observe(start time.Time) {
+	c.batches++
+	ns := time.Since(start).Nanoseconds()
 	bucket := 0
 	for v := ns; v > 1 && bucket < latencyBuckets-1; v >>= 1 {
 		bucket++
 	}
-	m.latency[bucket].Add(1)
+	c.latency[bucket]++
+}
+
+// add folds o into c.
+func (c *counters) add(o *counters) {
+	c.batches += o.batches
+	c.queries += o.queries
+	c.allowed += o.allowed
+	c.denied += o.denied
+	c.errors += o.errors
+	c.trapped += o.trapped
+	c.opAccess += o.opAccess
+	c.opCall += o.opCall
+	c.opReturn += o.opReturn
+	c.opEffRing += o.opEffRing
+	c.opOther += o.opOther
+	for k := range c.faults {
+		c.faults[k] += o.faults[k]
+	}
+	for i := range c.latency {
+		c.latency[i] += o.latency[i]
+	}
+	for k := range c.events.Counts {
+		c.events.Counts[k] += o.events.Counts[k]
+	}
 }
 
 // LatencyBucket is one non-empty histogram bucket.
@@ -93,7 +116,7 @@ type LatencyBucket struct {
 	Count uint64 `json:"count"`
 }
 
-// ReaderSnapshot reports one worker's snapshot-read counters: how
+// ReaderSnapshot reports one processor's snapshot-read counters: how
 // many times it pinned a shard snapshot (once per consulted shard per
 // batch) and how many descriptor lookups those pins served. A high
 // Lookups/Pins ratio is the snapshot-era analogue of a high cache hit
@@ -123,13 +146,13 @@ type Snapshot struct {
 	// RCU reports the descriptor store's snapshot publications (see
 	// rcu.go).
 	RCU RCUSnapshot `json:"rcu"`
-	// Reads sums the per-worker snapshot-read counters.
+	// Reads sums the per-processor snapshot-read counters.
 	Reads ReaderSnapshot `json:"reads"`
-	// PerWorkerReads lists each worker's own counters (one decision
-	// worker each).
+	// PerWorkerReads lists each processor's own counters, in index
+	// order.
 	PerWorkerReads []ReaderSnapshot `json:"per_worker_reads"`
-	// Events tallies trace events by kind across all workers, fed from
-	// the zero-alloc mmu.Sink each worker's unit records into.
+	// Events tallies trace events by kind across all processors, fed
+	// from the zero-alloc mmu.Sink each processor's unit records into.
 	Events map[string]uint64 `json:"events"`
 	// LatencyNs is the non-empty part of the batch latency histogram.
 	LatencyNs []LatencyBucket `json:"latency_ns"`
@@ -152,74 +175,60 @@ func metricKey(s string) string {
 	}, s)
 }
 
-// Metrics returns the service's counters (live; reads are atomic).
-func (s *Service) Metrics() *Metrics { return s.metrics }
-
-// Events returns the shared trace-event counters every worker's MMU
-// records into.
-func (s *Service) Events() *trace.AtomicCounters { return s.events }
-
-// ReadStats sums the workers' published snapshot-read counters.
-func (s *Service) ReadStats() ReaderSnapshot {
-	var sum ReaderSnapshot
-	for _, w := range s.workers {
-		w.statsMu.Lock()
-		st := w.published
-		w.statsMu.Unlock()
-		sum.Pins += st.Pins
-		sum.Lookups += st.Lookups
-	}
-	return sum
-}
-
-// Snapshot assembles the full /metrics view.
+// Snapshot assembles the full /metrics view, summing the processors'
+// counters.
 func (s *Service) Snapshot() Snapshot {
-	m := s.metrics
+	var m counters
+	var reads ReaderSnapshot
+	var perProc []ReaderSnapshot
+	for _, p := range s.procs {
+		p.mu.Lock()
+		m.add(&p.counts)
+		rd := ReaderSnapshot{Pins: p.rd.pins, Lookups: p.rd.lookups}
+		p.mu.Unlock()
+		reads.Pins += rd.Pins
+		reads.Lookups += rd.Lookups
+		perProc = append(perProc, rd)
+	}
 	snap := Snapshot{
-		Workers:  len(s.workers),
-		QueueLen: len(s.queue),
-		QueueCap: cap(s.queue),
+		Workers:  len(s.procs),
+		QueueLen: s.QueueLen(),
+		QueueCap: s.QueueDepth(),
 		Version:  s.store.Version(),
-		Batches:  m.batches.Load(),
-		Queries:  m.queries.Load(),
-		Rejected: m.rejected.Load(),
-		Allowed:  m.allowed.Load(),
-		Denied:   m.denied.Load(),
-		Errors:   m.errors.Load(),
-		Trapped:  m.trapped.Load(),
+		Batches:  m.batches,
+		Queries:  m.queries,
+		Rejected: s.rejected.Load(),
+		Allowed:  m.allowed,
+		Denied:   m.denied,
+		Errors:   m.errors,
+		Trapped:  m.trapped,
 		Ops: map[string]uint64{
-			string(OpAccess):  m.opAccess.Load(),
-			string(OpCall):    m.opCall.Load(),
-			string(OpReturn):  m.opReturn.Load(),
-			string(OpEffRing): m.opEffRing.Load(),
+			string(OpAccess):  m.opAccess,
+			string(OpCall):    m.opCall,
+			string(OpReturn):  m.opReturn,
+			string(OpEffRing): m.opEffRing,
 		},
-		Faults: map[string]uint64{},
-		Events: map[string]uint64{},
+		Faults:         map[string]uint64{},
+		RCU:            s.store.RCUStats(),
+		Reads:          reads,
+		PerWorkerReads: perProc,
+		Events:         map[string]uint64{},
 	}
-	if n := m.opOther.Load(); n > 0 {
-		snap.Ops["other"] = n
+	if m.opOther > 0 {
+		snap.Ops["other"] = m.opOther
 	}
-	for k := 0; k < violationKinds; k++ {
-		if n := m.faults[k].Load(); n > 0 {
+	for k, n := range m.faults {
+		if n > 0 {
 			snap.Faults[metricKey(core.ViolationKind(k).String())] = n
 		}
 	}
-	for k := 0; k < trace.KindCount; k++ {
-		if n := s.events.Of(trace.Kind(k)); n > 0 {
+	for k, n := range m.events.Counts {
+		if n > 0 {
 			snap.Events[metricKey(trace.Kind(k).String())] = n
 		}
 	}
-	snap.RCU = s.store.RCUStats()
-	for _, w := range s.workers {
-		w.statsMu.Lock()
-		st := w.published
-		w.statsMu.Unlock()
-		snap.Reads.Pins += st.Pins
-		snap.Reads.Lookups += st.Lookups
-		snap.PerWorkerReads = append(snap.PerWorkerReads, st)
-	}
-	for i := 0; i < latencyBuckets; i++ {
-		if n := m.latency[i].Load(); n > 0 {
+	for i, n := range m.latency {
+		if n > 0 {
 			lo := int64(1) << i
 			if i == 0 {
 				lo = 0

@@ -13,8 +13,8 @@ import (
 // processor observes. This file takes the software consequence
 // seriously — access validation is a pure function of descriptor
 // state, so the store publishes that state as immutable per-shard
-// snapshots and decision workers evaluate against a snapshot without
-// ever acquiring a lock.
+// snapshots and decisions are evaluated against a snapshot without
+// acquiring any store lock.
 //
 // Lifecycle of a shard snapshot:
 //
@@ -54,23 +54,22 @@ type snapshot struct {
 	sdws  []seg.SDW
 }
 
-// reader is the read side of the store for one decision worker: its
-// per-batch pinned snapshots. It implements mmu.SDWSource, so a worker
-// MMU pointed at its reader resolves every descriptor fetch from the
-// pinned snapshots. Owned by the worker's goroutine.
+// reader is the read side of the store for one processor: its
+// per-batch pinned snapshots. It implements mmu.SDWSource, so a
+// processor's MMU pointed at its reader resolves every descriptor fetch
+// from the pinned snapshots. Used only by the processor's borrower.
 type reader struct {
 	st *Store
 	// views[i] is the snapshot pinned for shard i in the current
 	// batch; nil when not yet pinned this batch.
 	views []*snapshot
 	// pins and lookups count snapshot pins and descriptor lookups —
-	// owner-private hot-path counters, copied out under the worker's
-	// statsMu for /metrics.
+	// hot-path counters, read for /metrics under the processor's
+	// mutex.
 	pins, lookups uint64
 }
 
-// newReader returns a read side over the store for one decision
-// worker.
+// newReader returns a read side over the store for one processor.
 func (st *Store) newReader() *reader {
 	return &reader{st: st, views: make([]*snapshot, len(st.shards))}
 }

@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/mmu"
-	"repro/internal/trace"
 )
 
 // Op names a protection query kind.
@@ -104,18 +104,19 @@ type Decision struct {
 	// the consulted shards' pinned snapshot epochs (the store-wide
 	// Version analogue; 0 for a chain of pointer-register steps only).
 	Shard int `json:"shard"`
-	// Worker is the index of the worker (simulated processor) that
-	// evaluated the decision.
+	// Worker is the index of the processor the submitting caller
+	// borrowed to evaluate the decision.
 	Worker int `json:"worker"`
 }
 
 // Config sizes a Service.
 type Config struct {
-	// Workers is the number of decision workers, each with its own MMU
-	// reading the store's RCU descriptor snapshots; default 4.
+	// Workers is the number of processors, each with its own MMU
+	// reading the store's RCU descriptor snapshots: the most batches
+	// decided at once. Default 4.
 	Workers int
-	// QueueDepth bounds the batch queue; a full queue rejects Submit
-	// with ErrQueueFull (backpressure). Default 64.
+	// QueueDepth bounds the callers waiting for a processor; one more
+	// is rejected with ErrQueueFull (backpressure). Default 64.
 	QueueDepth int
 	// BatchLimit caps the number of queries per submitted batch;
 	// default 1024.
@@ -124,8 +125,9 @@ type Config struct {
 
 // Service errors.
 var (
-	// ErrQueueFull is returned by Submit when the bounded queue is at
-	// capacity: the caller should shed or retry (HTTP maps it to 429).
+	// ErrQueueFull is returned by Submit when QueueDepth callers already
+	// wait for a processor: the caller should shed or retry (HTTP maps
+	// it to 429).
 	ErrQueueFull = errors.New("service: decision queue full")
 	// ErrClosed is returned by Submit after Close (HTTP maps it to 503).
 	ErrClosed = errors.New("service: closed")
@@ -133,60 +135,49 @@ var (
 	ErrBatchTooLarge = errors.New("service: batch exceeds limit")
 )
 
-// batch is one queued unit of work. Batch descriptors are pooled and
-// their reply channels reused, so a steady submit/decide cycle runs
-// without allocating; decisions are written into the caller-supplied
-// dst slice in place.
-type batch struct {
-	queries  []Query
-	dst      []Decision
-	resp     chan struct{}
-	enqueued time.Time
-}
-
-// worker is one decision worker: a goroutine owning an MMU whose
-// descriptor fetches resolve from rd, its snapshot reader. The read
-// path takes no locks: rd pins each consulted shard's snapshot once
-// per batch (rcu.go).
-type worker struct {
+// processor is one simulated processor: an MMU whose descriptor
+// fetches resolve from rd, its snapshot reader, and the counters of the
+// batches decided on it. A caller borrows it from the free list for one
+// batch and holds mu while deciding; Snapshot takes mu to read the
+// counters. The read path takes no other lock: rd pins each consulted
+// shard's snapshot once per batch (rcu.go).
+type processor struct {
 	index int
 	u     *mmu.MMU
 	rd    *reader
 
-	// statsMu guards published, the worker's reader counters copied
-	// out after every batch so /metrics can read them without racing
-	// the owner goroutine.
-	statsMu   sync.Mutex
-	published ReaderSnapshot //ring:guarded statsMu
+	mu     sync.Mutex
+	counts counters
 }
 
-// Service is the concurrent protection-decision engine: a worker pool
-// over one Store, fed by a bounded batch queue.
+// Service is the concurrent protection-decision engine: a set of
+// processors over one Store that callers borrow to decide their
+// batches, with a bounded number of callers waiting for one.
 type Service struct {
-	store     *Store
-	cfg       Config
-	queue     chan *batch
-	workers   []*worker
-	events    *trace.AtomicCounters
-	metrics   *Metrics
-	batchPool sync.Pool
+	store *Store
+	cfg   Config
+	procs []*processor
+	free  chan *processor // idle processors; capacity Workers, so a return never blocks
 
-	mu     sync.RWMutex // guards closed vs. queue sends
-	closed bool         //ring:guarded mu
-	wg     sync.WaitGroup
+	waiting  atomic.Int64  // callers waiting for a processor (queue_len)
+	rejected atomic.Uint64 // callers shed with ErrQueueFull
 
-	// hold, when non-nil (tests), blocks each worker before every batch
-	// until the channel is closed — a deterministic way to fill the
-	// queue and exercise backpressure. A worker about to park first
-	// sends on holdAck (if set), so a test can wait for the park itself
-	// rather than inferring it from queue length.
+	mu      sync.RWMutex   // orders admission against Close
+	closed  bool           //ring:guarded mu
+	callers sync.WaitGroup // admitted callers, waiting or deciding
+
+	// hold, when non-nil (tests), parks each caller after it borrows a
+	// processor until the channel is closed — a deterministic way to
+	// occupy every processor and exercise backpressure. A caller about
+	// to park first sends on holdAck (if set), so a test can wait for
+	// the park itself.
 	hold    chan struct{}
 	holdAck chan struct{}
 }
 
-// New starts a Service over st: Config.Workers goroutines, each with
-// its own MMU reading the store's RCU descriptor snapshots through its
-// own reader.
+// New builds a Service over st with Config.Workers processors, each
+// with its own MMU reading the store's RCU descriptor snapshots through
+// its own reader. It starts no goroutine: callers decide on their own.
 func New(st *Store, cfg Config) (*Service, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -197,22 +188,13 @@ func New(st *Store, cfg Config) (*Service, error) {
 	if cfg.BatchLimit <= 0 {
 		cfg.BatchLimit = 1024
 	}
-	s := &Service{
-		store:   st,
-		cfg:     cfg,
-		queue:   make(chan *batch, cfg.QueueDepth),
-		events:  &trace.AtomicCounters{},
-		metrics: newMetrics(),
-	}
-	s.batchPool.New = func() any { return &batch{resp: make(chan struct{}, 1)} }
+	s := &Service{store: st, cfg: cfg, free: make(chan *processor, cfg.Workers)}
 	for i := 0; i < cfg.Workers; i++ {
-		rd := st.newReader()
-		u := mmu.New(nil, mmu.Options{Validate: true, Sink: s.events})
-		u.SetSDWSource(rd)
-		w := &worker{index: i, u: u, rd: rd}
-		s.workers = append(s.workers, w)
-		s.wg.Add(1)
-		go s.run(w)
+		p := &processor{index: i, rd: st.newReader()}
+		p.u = mmu.New(nil, mmu.Options{Validate: true, Sink: &p.counts.events})
+		p.u.SetSDWSource(p.rd)
+		s.procs = append(s.procs, p)
+		s.free <- p
 	}
 	return s, nil
 }
@@ -220,20 +202,20 @@ func New(st *Store, cfg Config) (*Service, error) {
 // Store returns the descriptor store the service decides against.
 func (s *Service) Store() *Store { return s.store }
 
-// Workers returns the worker-pool size.
-func (s *Service) Workers() int { return len(s.workers) }
+// Workers returns the number of processors.
+func (s *Service) Workers() int { return len(s.procs) }
 
-// QueueDepth returns the queue capacity.
-func (s *Service) QueueDepth() int { return cap(s.queue) }
+// QueueDepth returns the bound on callers waiting for a processor.
+func (s *Service) QueueDepth() int { return s.cfg.QueueDepth }
 
-// QueueLen returns the current number of queued batches.
-func (s *Service) QueueLen() int { return len(s.queue) }
+// QueueLen returns the number of callers waiting for a processor.
+func (s *Service) QueueLen() int { return int(s.waiting.Load()) }
 
-// Submit enqueues one batch of queries and waits for its decisions.
-// When the bounded queue is full it fails fast with ErrQueueFull
-// rather than blocking — the backpressure contract. A cancelled
-// context abandons the wait (the batch still completes; its reply
-// channel is buffered, so no worker blocks).
+// Submit decides one batch of queries and returns its decisions. When
+// every processor is busy and QueueDepth callers already wait for one
+// it fails fast with ErrQueueFull rather than blocking — the
+// backpressure contract. A context that ends while the caller waits for
+// a processor returns the context's error.
 func (s *Service) Submit(ctx context.Context, queries []Query) ([]Decision, error) {
 	ds := make([]Decision, len(queries))
 	if err := s.SubmitInto(ctx, queries, ds); err != nil {
@@ -244,14 +226,10 @@ func (s *Service) Submit(ctx context.Context, queries []Query) ([]Decision, erro
 
 // SubmitInto is the allocation-free form of Submit: decision i for
 // queries[i] is written into dst[i], which must hold at least
-// len(queries) elements. With the batch-descriptor pool warm, a
-// SubmitInto round trip performs no heap allocation (guarded by
-// TestSubmitIntoZeroAlloc).
-//
-// After a cancelled context the batch keeps running: the worker still
-// writes into dst and signals the (buffered) reply channel, so nothing
-// blocks, but the caller must treat dst as poisoned — discard it
-// rather than passing it to another in-flight call.
+// len(queries) elements. The batch is decided on the calling goroutine,
+// on a processor borrowed for it; dst is written only when SubmitInto
+// returns nil. A SubmitInto round trip performs no heap allocation
+// (guarded by TestSubmitIntoZeroAlloc).
 //
 //ring:hotpath
 func (s *Service) SubmitInto(ctx context.Context, queries []Query, dst []Decision) error {
@@ -263,94 +241,70 @@ func (s *Service) SubmitInto(ctx context.Context, queries []Query, dst []Decisio
 		//ring:allow caller-bug path: the error itself is the allocation
 		return fmt.Errorf("service: destination holds %d decisions for %d queries", len(dst), len(queries))
 	}
-	b := s.batchPool.Get().(*batch)
-	b.queries, b.dst, b.enqueued = queries, dst[:len(queries)], time.Now()
-
+	start := time.Now()
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
-		s.putBatch(b)
 		return ErrClosed
 	}
+	s.callers.Add(1)
+	s.mu.RUnlock()
+	defer s.callers.Done()
+
+	var p *processor
 	select {
-	case s.queue <- b:
-		s.mu.RUnlock()
+	case p = <-s.free:
 	default:
-		s.mu.RUnlock()
-		s.putBatch(b)
-		s.metrics.rejected.Add(1)
-		return ErrQueueFull
+		if s.waiting.Add(1) > int64(s.cfg.QueueDepth) {
+			s.waiting.Add(-1)
+			s.rejected.Add(1)
+			return ErrQueueFull
+		}
+		select {
+		case p = <-s.free:
+		case <-ctx.Done():
+		}
+		s.waiting.Add(-1)
+		if p == nil {
+			return ctx.Err()
+		}
 	}
-
-	select {
-	case <-b.resp:
-		s.putBatch(b)
-		return nil
-	case <-ctx.Done():
-		// Abandon the descriptor to the garbage collector: the worker
-		// may still be writing through it.
-		return ctx.Err()
+	if s.hold != nil {
+		if s.holdAck != nil {
+			s.holdAck <- struct{}{}
+		}
+		<-s.hold
 	}
+	p.mu.Lock()
+	for i := range queries {
+		p.decide(&queries[i], &dst[i])
+	}
+	p.rd.unpin() // end of batch: the next one pins the current snapshots
+	p.counts.observe(start)
+	p.mu.Unlock()
+	s.free <- p
+	return nil
 }
 
-// putBatch drops a descriptor's references and returns it to the pool.
-//
-//ring:hotpath
-func (s *Service) putBatch(b *batch) {
-	b.queries, b.dst = nil, nil
-	s.batchPool.Put(b)
-}
-
-// Close stops accepting work, lets the workers drain every queued
-// batch, and waits for them to exit. Safe to call more than once.
+// Close stops admitting callers and waits for every admitted one,
+// waiting or deciding, to have its batch answered. Safe to call more
+// than once.
 func (s *Service) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
 	s.closed = true
-	close(s.queue)
 	s.mu.Unlock()
-	s.wg.Wait()
+	s.callers.Wait()
 }
 
-// run is one worker's loop: drain batches until the queue closes.
-// The loop body between taking a batch and signalling its reply is the
-// decision hot path.
-//
-//ring:hotpath
-func (s *Service) run(w *worker) {
-	defer s.wg.Done()
-	for b := range s.queue {
-		if s.hold != nil {
-			if s.holdAck != nil {
-				s.holdAck <- struct{}{}
-			}
-			<-s.hold
-		}
-		for i := range b.queries {
-			s.decide(w, &b.queries[i], &b.dst[i])
-		}
-		w.rd.unpin() // end of batch: the next one pins the current snapshots
-		s.metrics.observe(b)
-		w.statsMu.Lock()
-		w.published = ReaderSnapshot{Pins: w.rd.pins, Lookups: w.rd.lookups}
-		w.statsMu.Unlock()
-		b.resp <- struct{}{}
-	}
-}
-
-// decide evaluates one query on worker w into d, in place and without
-// allocating (for well-formed queries).
+// decide evaluates one query on p into d, in place and without
+// allocating (for well-formed queries). The caller holds p.mu.
 //
 //ring:hotpath
 //ring:pins
-func (s *Service) decide(w *worker, q *Query, d *Decision) {
-	*d = Decision{Worker: w.index}
-	evalQuery(w.rd, w.u, q, d)
-	s.metrics.count(q.Op, d)
+func (p *processor) decide(q *Query, d *Decision) {
+	*d = Decision{Worker: p.index}
+	evalQuery(p.rd, p.u, q, d)
+	p.counts.count(q.Op, d)
 }
 
 // evalQuery answers q into d using unit u, whose descriptor fetches

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -217,7 +218,7 @@ func TestQueryErrors(t *testing.T) {
 				i, d.Shard, d.VersionLo, d.VersionHi)
 		}
 	}
-	if got := svc.Metrics().errors.Load(); got != uint64(len(bad)) {
+	if got := svc.Snapshot().Errors; got != uint64(len(bad)) {
 		t.Errorf("errors counter = %d, want %d", got, len(bad))
 	}
 }
@@ -237,9 +238,9 @@ func TestBatchLimit(t *testing.T) {
 	}
 }
 
-// TestBackpressure fills the bounded queue behind a held worker and
-// checks that Submit sheds with ErrQueueFull, then that held work
-// completes once released.
+// TestBackpressure parks a caller on the only processor, lets a second
+// one wait for it, and checks that a third is shed with ErrQueueFull,
+// then that held work completes once released.
 func TestBackpressure(t *testing.T) {
 	st, err := NewStore(StoreConfig{}, testSegments())
 	if err != nil {
@@ -255,7 +256,7 @@ func TestBackpressure(t *testing.T) {
 	svc.hold, svc.holdAck = hold, ack
 	var once sync.Once
 	release := func() { once.Do(func() { close(hold) }) }
-	defer release() // a Fatal below must not leave Close waiting on a parked worker
+	defer release() // a Fatal below must not leave Close waiting on a parked caller
 
 	qs := []Query{{Op: OpAccess, Ring: 3, Segment: "data", Kind: core.AccessRead}}
 	results := make(chan error, 2)
@@ -264,16 +265,17 @@ func TestBackpressure(t *testing.T) {
 		results <- err
 	}
 
-	// First batch: the worker pulls it and parks on hold (the ack tells
-	// us the park has happened, so this cannot race the next submit).
+	// First batch: its caller borrows the processor and parks on hold
+	// (the ack tells us the park has happened, so this cannot race the
+	// next submit).
 	go submit()
 	<-ack
 
-	// Second batch: sits in the queue; the worker cannot pull it.
+	// Second batch: its caller waits for the processor.
 	go submit()
 	waitFor(t, "second batch to queue", func() bool { return svc.QueueLen() == 1 })
 
-	// Third batch: queue full — backpressure.
+	// Third batch: QueueDepth callers already wait — backpressure.
 	if _, err := svc.Submit(context.Background(), qs); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("Submit on full queue: err = %v, want ErrQueueFull", err)
 	}
@@ -281,7 +283,8 @@ func TestBackpressure(t *testing.T) {
 		t.Errorf("Rejected = %d, want 1", got)
 	}
 
-	// Release the worker: both held batches complete without error.
+	// Release the parked caller: both held batches complete without
+	// error.
 	release()
 	for i := 0; i < 2; i++ {
 		select {
@@ -295,34 +298,125 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
-// TestSubmitContextCancelled checks that an abandoned wait returns the
-// context error while the batch still completes (buffered reply).
+// parkedService returns a one-processor service whose first batch
+// parks its caller on the processor, and release, which frees it.
+// The service is closed when the test ends.
+func parkedService(t *testing.T, queueDepth int) (svc *Service, release func()) {
+	t.Helper()
+	svc = newTestService(t, Config{Workers: 1, QueueDepth: queueDepth})
+	hold := make(chan struct{})
+	ack := make(chan struct{}, 1)
+	svc.hold, svc.holdAck = hold, ack
+	var once sync.Once
+	release = func() { once.Do(func() { close(hold) }) }
+	parked := make(chan error, 1)
+	// Cleanups run last-registered first: release, collect the parked
+	// batch, then Close.
+	t.Cleanup(func() {
+		if err := <-parked; err != nil {
+			t.Errorf("parked batch: %v", err)
+		}
+	})
+	t.Cleanup(release)
+	go func() {
+		_, err := svc.Submit(context.Background(), []Query{{Op: OpAccess, Ring: 3, Segment: "data", Kind: core.AccessRead}})
+		parked <- err
+	}()
+	<-ack
+	return svc, release
+}
+
+// TestSubmitContextCancelled checks that a caller whose context ends
+// while it waits for a processor gets the context's error, and that
+// its batch is never decided: dst stays as it was.
 func TestSubmitContextCancelled(t *testing.T) {
+	svc, release := parkedService(t, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	qs := []Query{{Op: OpAccess, Ring: 3, Segment: "data", Kind: core.AccessRead}}
+	untouched := Decision{Err: "untouched", Shard: 7}
+	dst := []Decision{untouched}
+	if err := svc.SubmitInto(ctx, qs, dst); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SubmitInto with cancelled ctx: err = %v, want context.Canceled", err)
+	}
+	if got := svc.QueueLen(); got != 0 {
+		t.Errorf("QueueLen after the cancelled caller left = %d, want 0", got)
+	}
+	release()
+	svc.Close()
+	if dst[0] != untouched {
+		t.Errorf("abandoned batch was decided into dst: %+v", dst[0])
+	}
+}
+
+// TestCloseWaitsForWaiter closes the service while a caller waits for
+// the only processor: Close returns only after that caller's batch is
+// answered, and a Submit after Close gets ErrClosed.
+func TestCloseWaitsForWaiter(t *testing.T) {
+	svc, release := parkedService(t, 1)
+	qs := []Query{{Op: OpAccess, Ring: 3, Segment: "data", Kind: core.AccessRead}}
+	dst := make([]Decision, 1)
+	waited := make(chan error, 1)
+	go func() { waited <- svc.SubmitInto(context.Background(), qs, dst) }()
+	waitFor(t, "second caller to wait", func() bool { return svc.QueueLen() == 1 })
+
+	closed := make(chan struct{})
+	go func() {
+		svc.Close()
+		close(closed)
+	}()
+	waitFor(t, "Close to stop admitting", func() bool {
+		_, err := svc.Submit(context.Background(), qs)
+		return errors.Is(err, ErrClosed)
+	})
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an admitted batch was still waiting")
+	default:
+	}
+	release()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the parked caller was released")
+	}
+	if !dst[0].Allowed {
+		t.Errorf("waiting batch not answered when Close returned: %+v", dst[0])
+	}
+	if err := <-waited; err != nil {
+		t.Errorf("waiting batch: %v", err)
+	}
+	if _, err := svc.Submit(context.Background(), qs); !errors.Is(err, ErrClosed) {
+		t.Errorf("Submit after Close: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestServiceStartsNoGoroutines checks that a service decides on its
+// callers' goroutines: New starts none, and Close leaves none behind.
+func TestServiceStartsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
 	st, err := NewStore(StoreConfig{}, testSegments())
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	svc, err := New(st, Config{Workers: 1, QueueDepth: 2})
+	svc, err := New(st, Config{Workers: 4})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	hold := make(chan struct{})
-	svc.hold = hold
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	qs := []Query{{Op: OpAccess, Ring: 3, Segment: "data", Kind: core.AccessRead}}
-	if _, err := svc.Submit(ctx, qs); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Submit with cancelled ctx: err = %v, want context.Canceled", err)
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("New started %d goroutines", n-before)
 	}
-	// The worker must still be able to drain the abandoned batch and
-	// exit: Close would hang otherwise.
-	close(hold)
+	if _, err := svc.Submit(context.Background(), []Query{{Op: OpAccess, Ring: 3, Segment: "data", Kind: core.AccessRead}}); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
 	svc.Close()
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines left after Close", n-before)
+	}
 }
 
-// TestGracefulShutdown checks that Close drains queued work and that
-// Submit afterwards reports ErrClosed.
+// TestGracefulShutdown checks that Close waits for admitted work and
+// that Submit afterwards reports ErrClosed.
 func TestGracefulShutdown(t *testing.T) {
 	st, err := NewStore(StoreConfig{}, testSegments())
 	if err != nil {
@@ -425,22 +519,23 @@ func shardProbes() (probes []Query, probeSegno []uint32) {
 }
 
 // stripDecision clears the fields that legitimately differ between two
-// decisions of one probe at different epochs or from different workers.
+// decisions of one probe at different epochs or on different
+// processors.
 func stripDecision(d Decision) Decision {
 	d.VersionLo, d.VersionHi, d.Worker = 0, 0, 0
 	return d
 }
 
 // TestSubmitIntoZeroAlloc is the hot-path allocation budget: one
-// warm-pool SubmitInto round trip — queue, decide, reply — performs
-// zero heap allocations, on the submitter and worker side combined.
-// CI runs this as its allocation-regression gate.
+// SubmitInto round trip — admit, borrow a processor, decide, return it
+// — performs zero heap allocations. CI runs this as its
+// allocation-regression gate.
 func TestSubmitIntoZeroAlloc(t *testing.T) {
 	svc := newTestService(t, Config{Workers: 1})
 	ctx := context.Background()
 	queries := []Query{{Op: OpAccess, Ring: 4, Segment: "data", Wordno: 5, Kind: core.AccessRead}}
 	dst := make([]Decision, len(queries))
-	for i := 0; i < 8; i++ { // warm the descriptor pool and the SDW cache
+	for i := 0; i < 8; i++ { // warm up
 		if err := svc.SubmitInto(ctx, queries, dst); err != nil {
 			t.Fatalf("warm-up SubmitInto: %v", err)
 		}

@@ -14,12 +14,14 @@
 //     immutable RCU snapshot behind an atomic pointer (see rcu.go), and
 //     that snapshot is the only copy: supervisor edits build and
 //     publish a successor;
-//   - a Service runs a pool of workers, each a goroutine owning its own
-//     MMU pointed at a snapshot reader — the paper's
+//   - a Service keeps a set of processors, each owning its own MMU
+//     pointed at a snapshot reader — the paper's
 //     several-processors-sharing-one-descriptor-segment configuration,
 //     with the descriptor state distributed as published configurations
-//     instead of coherently-cached mutable core — consuming batches of
-//     queries from a bounded queue with backpressure;
+//     instead of coherently-cached mutable core. A caller borrows a
+//     processor and decides its batch on its own goroutine, as the
+//     processor making a reference validates it; a bounded number of
+//     callers may wait for a processor (backpressure);
 //   - json.go declares the JSON form of queries, decisions and health
 //     that ringd's HTTP handler (internal/tenant) and its clients share.
 //
@@ -33,7 +35,7 @@
 // proceed concurrently; an operation that ever needs to quiesce the
 // whole store must take the shard locks in ascending index order.
 //
-// Decision workers never lock: each worker pins, per batch, the
+// Decisions take no store lock: a processor pins, per batch, the
 // current snapshot of every shard it consults (one atomic pointer load
 // per shard per batch) and decides against that immutable table. A
 // blocked or slow mutation therefore never delays a decision — readers
@@ -78,7 +80,7 @@ type Segment struct {
 type StoreConfig struct {
 	// Shards is the number of descriptor-store shards (a power of two,
 	// at most 64); default 8. Each shard serializes mutations of its own
-	// descriptors under its own lock and epoch, so decision workers and
+	// descriptors under its own lock and epoch, so decisions and
 	// supervisor edits touching different shards never contend.
 	Shards int
 }

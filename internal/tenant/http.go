@@ -253,7 +253,12 @@ func (h *Handler) handleDetail(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("%v: %q", ErrTenantNotFound, r.PathValue("name"))})
 		return
 	}
-	writeJSON(w, http.StatusOK, detailResponse{Status: t.Status(), Metrics: t.Service().Snapshot()})
+	svc := t.Service()
+	if svc == nil {
+		writeError(w, ErrLoading, false)
+		return
+	}
+	writeJSON(w, http.StatusOK, detailResponse{Status: t.Status(), Metrics: svc.Snapshot()})
 }
 
 type lifecycleResponse struct {
@@ -300,7 +305,7 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, name, endpoint s
 	}
 	// A tenant is listed while its image builds, and a failed build
 	// leaves it without a service to answer from.
-	if t.State() == StateLoading || t.svc == nil {
+	if t.Service() == nil {
 		writeError(w, ErrLoading, false)
 		return
 	}

@@ -539,4 +539,22 @@ func TestHandlerLoadingTenant(t *testing.T) {
 				endpoint, resp.StatusCode, resp.Header.Get("Retry-After"), body)
 		}
 	}
+
+	resp, err := http.Get(ts.URL + "/v1/images/slow")
+	if err != nil {
+		t.Fatalf("GET /v1/images/slow: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("detail of a loading tenant: status %d, Retry-After %q",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	code, list := do(t, http.MethodGet, ts.URL+"/v1/images", "")
+	rows, _ := list["tenants"].([]interface{})
+	if code != http.StatusOK || len(rows) != 1 {
+		t.Fatalf("listing with a loading tenant: status %d: %v", code, list)
+	}
+	if row, _ := rows[0].(map[string]interface{}); row["name"] != "slow" || row["state"] != "loading" {
+		t.Errorf("loading tenant listed as %v", rows[0])
+	}
 }

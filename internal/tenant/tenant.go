@@ -1,7 +1,8 @@
 // Package tenant multiplexes many independent descriptor spaces over
 // one decision daemon: an image registry in which every loaded machine
 // image becomes a tenant with its own service.Store shard group, its
-// own decision worker pool, and its own bounded queue.
+// own decision processors, and its own bound on callers waiting for
+// one.
 //
 // The paper's ring hardware multiplexes many mutually-suspicious
 // protection domains over a single validation mechanism; the modern
@@ -10,7 +11,7 @@
 // served by one enforcement engine. A tenant here is exactly such a
 // compartment: a complete descriptor space whose decisions never read
 // another tenant's descriptors, whose worker quota bounds the CPU it
-// can consume, and whose bounded queue sheds its own overload instead
+// can consume, and whose waiter bound sheds its own overload instead
 // of exporting it to its neighbours.
 //
 // # Lifecycle
@@ -29,20 +30,23 @@
 //	    mutations answer ErrSealed (HTTP 409). Sealing is the service
 //	    analogue of handing a subsystem a read-only descriptor segment.
 //	  - draining: eviction has begun — no new batches are accepted
-//	    (ErrDraining, HTTP 409 for mutations), queued batches complete,
-//	    and the worker pool shuts down.
+//	    (ErrDraining, HTTP 409 for mutations), and every batch already
+//	    admitted, deciding or waiting for a processor, completes.
 //	  - evicted: the tenant is gone from the registry; its store is
 //	    unreachable and collectable.
 //
 // # Isolation
 //
-// Each tenant owns a full service.Service: its own worker goroutines,
-// its own bounded batch queue, its own RCU snapshot readers. A hot
-// tenant that saturates its quota fills its own queue and sheds with
-// ErrQueueFull; tenants on other worker pools keep deciding at their
-// own pace (experiment T15 measures exactly this). The registry's
-// worker budget bounds the total goroutine count so loading tenants
-// cannot oversubscribe the host.
+// Each tenant owns a full service.Service: its own processors, each
+// with its own RCU snapshot reader, and its own bound on callers
+// waiting for one. A caller decides its batch on its own goroutine, on
+// a processor it borrows from its tenant. A hot tenant that saturates
+// its quota fills its own waiter bound and sheds with ErrQueueFull;
+// callers of other tenants borrow other processors and keep deciding
+// at their own pace (experiment T15 measures exactly this). The
+// registry's worker budget bounds the number of batches deciding at
+// once across tenants, so loading tenants cannot oversubscribe the
+// host.
 package tenant
 
 import (
@@ -69,7 +73,7 @@ const (
 	// StateSealed marks a frozen descriptor space: decisions are
 	// served, mutations are rejected.
 	StateSealed
-	// StateDraining marks a tenant whose eviction has begun: queued
+	// StateDraining marks a tenant whose eviction has begun: admitted
 	// batches complete, new work is rejected.
 	StateDraining
 	// StateEvicted marks a tenant removed from the registry.
@@ -120,10 +124,12 @@ var (
 // the registry's defaults.
 type TenantConfig struct {
 	// Workers is the tenant's decision worker quota — the number of
-	// goroutines (one snapshot-reading MMU each) it may occupy.
+	// processors (one snapshot-reading MMU each), and so of batches
+	// the tenant decides at once.
 	Workers int
-	// QueueDepth bounds the tenant's batch queue; overload sheds with
-	// service.ErrQueueFull instead of starving other tenants.
+	// QueueDepth bounds the tenant's callers waiting for a processor;
+	// overload sheds with service.ErrQueueFull instead of starving
+	// other tenants.
 	QueueDepth int
 	// BatchLimit caps queries per batch.
 	BatchLimit int
@@ -145,7 +151,7 @@ type Config struct {
 }
 
 // Tenant is one loaded image: a complete descriptor space with its own
-// decision service, queue, and lifecycle state.
+// decision service and lifecycle state.
 type Tenant struct {
 	name  string
 	cfg   TenantConfig
@@ -172,8 +178,15 @@ func (t *Tenant) State() State { return State(t.state.Load()) }
 // Store returns the tenant's descriptor store, or nil while loading.
 func (t *Tenant) Store() *service.Store { return t.store }
 
-// Service returns the tenant's decision service, or nil while loading.
-func (t *Tenant) Service() *service.Service { return t.svc }
+// Service returns the tenant's decision service, or nil while loading
+// or after a failed load. It reads the service only after the state
+// shows the load finished, which orders the read after Load's write.
+func (t *Tenant) Service() *service.Service {
+	if t.State() == StateLoading {
+		return nil
+	}
+	return t.svc
+}
 
 // Config returns the tenant's resolved sizing.
 func (t *Tenant) Config() TenantConfig { return t.cfg }
@@ -200,7 +213,7 @@ func (t *Tenant) checkable() error {
 }
 
 // SubmitInto answers a batch of queries in place (dst[i] answers
-// queries[i]) through the tenant's worker pool. One atomic state load
+// queries[i]) on a processor of the tenant's service. One atomic state load
 // guards the tenant lifecycle; beyond that the call is exactly the
 // zero-allocation service.SubmitInto hot path, so the per-tenant check
 // path stays 0 allocs/op (gated by TestTenantCheckZeroAlloc).
@@ -504,8 +517,8 @@ func (r *Registry) Seal(name string) error {
 }
 
 // Evict removes the named tenant: the state moves to draining (new
-// work is rejected from that instant), every queued batch completes,
-// the worker pool exits, and the name is released.
+// work is rejected from that instant), every admitted batch completes,
+// and the name is released.
 // Evict returns after the drain; a concurrent Evict of the same tenant
 // returns ErrDraining immediately.
 func (r *Registry) Evict(name string) error {
@@ -530,8 +543,8 @@ func (r *Registry) Evict(name string) error {
 	if t.hub != nil {
 		t.hub.close()
 	}
-	// Drain outside any registry lock: Close waits for the workers to
-	// finish every queued batch.
+	// Drain outside any registry lock: Close waits for every admitted
+	// batch to be answered.
 	t.svc.Close()
 	t.state.Store(int32(StateEvicted))
 	r.unregister(t)
@@ -579,8 +592,8 @@ func (t *Tenant) Status() TenantStatus {
 		Workers:         t.cfg.Workers,
 		DeniedMutations: t.deniedMutations.Load(),
 	}
-	if t.svc != nil {
-		snap := t.svc.Snapshot()
+	if svc := t.Service(); svc != nil {
+		snap := svc.Snapshot()
 		s.Segments = len(t.store.Segments())
 		s.Shards = t.store.Shards()
 		s.QueueCap = snap.QueueCap

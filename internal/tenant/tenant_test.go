@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -274,6 +275,28 @@ func TestRegistryCloseEvictsAll(t *testing.T) {
 	r.Close()
 	if r.Len() != 0 || r.WorkersInUse() != 0 {
 		t.Errorf("after Close: len %d workers %d, want 0/0", r.Len(), r.WorkersInUse())
+	}
+}
+
+// TestTenantStartsNoGoroutines checks that a tenant decides on its
+// callers' goroutines: Load starts none, and Evict leaves none behind.
+func TestTenantStartsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	r := NewRegistry(Config{})
+	tn := mustLoad(t, r, "alpha", TenantConfig{Workers: 4})
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("Load started %d goroutines", n-before)
+	}
+	if _, err := tn.Submit(context.Background(), []service.Query{
+		{Op: service.OpAccess, Ring: 4, Segment: "data", Kind: core.AccessRead},
+	}); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if err := r.Evict("alpha"); err != nil {
+		t.Fatalf("Evict: %v", err)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines left after Evict", n-before)
 	}
 }
 

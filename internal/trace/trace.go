@@ -8,7 +8,6 @@ package trace
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -126,56 +125,6 @@ func (b *Buffer) String() string {
 		fmt.Fprintf(&sb, "... %d events dropped\n", b.Dropped)
 	}
 	return sb.String()
-}
-
-// AtomicCounters is Counters for concurrent recorders: several
-// processors (or service workers) can share one instance, and a
-// monitoring goroutine can read the tallies while they record. Counts
-// are maintained with atomic adds; reads are individually atomic (a
-// snapshot across kinds is not a consistent cut, which is fine for
-// monitoring).
-type AtomicCounters struct {
-	counts [KindCount]atomic.Uint64
-	other  atomic.Uint64
-}
-
-// Enabled reports that the counters accept events.
-func (c *AtomicCounters) Enabled() bool { return true }
-
-// Record tallies the event.
-func (c *AtomicCounters) Record(e Event) {
-	if k := int(e.Kind); k >= 0 && k < KindCount {
-		c.counts[k].Add(1)
-		return
-	}
-	c.other.Add(1)
-}
-
-// Of returns the count for kind k.
-func (c *AtomicCounters) Of(k Kind) uint64 {
-	if i := int(k); i >= 0 && i < KindCount {
-		return c.counts[i].Load()
-	}
-	return 0
-}
-
-// Total returns the number of events recorded.
-func (c *AtomicCounters) Total() uint64 {
-	t := c.other.Load()
-	for i := range c.counts {
-		t += c.counts[i].Load()
-	}
-	return t
-}
-
-// Snapshot copies the per-kind counts into a plain Counters value.
-func (c *AtomicCounters) Snapshot() Counters {
-	var out Counters
-	for i := range c.counts {
-		out.Counts[i] = c.counts[i].Load()
-	}
-	out.Other = c.other.Load()
-	return out
 }
 
 // Func adapts a function to the Recorder interface.

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -67,45 +66,5 @@ func TestFuncRecorder(t *testing.T) {
 	r.Record(Event{Kind: KindTrap, Detail: "x"})
 	if len(got) != 1 || got[0].Detail != "x" {
 		t.Errorf("func recorder: %v", got)
-	}
-}
-
-// TestAtomicCounters checks the concurrent tally: several recorders
-// sharing one instance must lose no events, and the snapshot must agree
-// with the per-kind reads.
-func TestAtomicCounters(t *testing.T) {
-	var c AtomicCounters
-	if !c.Enabled() {
-		t.Fatal("AtomicCounters disabled")
-	}
-	const workers, per = 8, 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				c.Record(Event{Kind: KindValidate})
-				c.Record(Event{Kind: KindTrap})
-				c.Record(Event{Kind: Kind(99)})
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Of(KindValidate); got != workers*per {
-		t.Errorf("validate count = %d, want %d", got, workers*per)
-	}
-	if got := c.Of(KindTrap); got != workers*per {
-		t.Errorf("trap count = %d, want %d", got, workers*per)
-	}
-	if got := c.Total(); got != 3*workers*per {
-		t.Errorf("total = %d, want %d", got, 3*workers*per)
-	}
-	snap := c.Snapshot()
-	if snap.Of(KindValidate) != workers*per || snap.Other != workers*per {
-		t.Errorf("snapshot = %+v", snap)
-	}
-	if c.Of(Kind(99)) != 0 {
-		t.Errorf("out-of-range kind readable via Of")
 	}
 }

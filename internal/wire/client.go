@@ -61,7 +61,7 @@ func (c ClientConfig) withDefaults() ClientConfig {
 // Client is one streaming wire session. It is safe for concurrent
 // use: calls from multiple goroutines pipeline on the single
 // connection, correlated by ID, and may complete out of order — the
-// intended way to keep every decision worker busy from one client
+// intended way to keep every decision processor busy from one client
 // process.
 type Client struct {
 	conn    net.Conn

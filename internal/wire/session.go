@@ -390,7 +390,9 @@ func (s *session) frameError(err error) {
 	}
 }
 
-// responder serves pooled check jobs until the jobs channel closes.
+// responder serves pooled check jobs until the jobs channel closes,
+// deciding each batch on its own goroutine: the session's responders
+// are its concurrency.
 //
 //ring:hotpath
 func (s *session) responder() {

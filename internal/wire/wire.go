@@ -9,8 +9,8 @@
 // the network edge. A client opens one session, binds it to a tenant,
 // and pipelines check frames continuously; responses carry the client's
 // correlation IDs and may complete out of order, so the session keeps
-// every decision worker busy without per-request connections, headers
-// or JSON.
+// every decision processor busy without per-request connections,
+// headers or JSON.
 //
 // # Frame layout
 //
@@ -161,8 +161,9 @@ const (
 	// CodeConflict: mutation against a sealed or draining tenant
 	// (HTTP 409) — the seal/drain race answered as an error frame.
 	CodeConflict uint16 = 409
-	// CodeShed: the tenant's bounded decision queue was full; the batch
-	// was shed, not queued (HTTP 429). Retry after backing off.
+	// CodeShed: every processor of the tenant was busy and its bound of
+	// waiting callers reached; the batch was shed, not queued (HTTP
+	// 429). Retry after backing off.
 	CodeShed uint16 = 429
 	// CodeUnavailable: the tenant is loading, draining or closed
 	// (HTTP 503).

@@ -42,8 +42,8 @@ const (
 
 // Checker errors, re-exported from the decision service.
 var (
-	// ErrQueueFull reports that the bounded decision queue was at
-	// capacity — shed or retry.
+	// ErrQueueFull reports that every processor was busy and the bound
+	// of callers waiting for one was reached — shed or retry.
 	ErrQueueFull = service.ErrQueueFull
 	// ErrClosed reports a Check after Close.
 	ErrClosed = service.ErrClosed
@@ -54,8 +54,8 @@ var (
 // Checker answers protection queries against a descriptor image
 // without running any simulated program: the paper's validation
 // hardware packaged as a policy-decision point. It wraps the decision
-// service with a single worker, so decisions are strictly ordered with
-// respect to mutations made through the same Checker.
+// service with a single processor, so decisions are strictly ordered
+// with respect to mutations made through the same Checker.
 //
 //	chk, err := rings.NewChecker([]rings.Segment{
 //	    {Name: "data", Size: 64, Read: true, Write: true,
@@ -71,18 +71,19 @@ type Checker struct {
 }
 
 // CheckerConfig sizes a Checker built with NewCheckerWith. The zero
-// value matches NewChecker: one worker, default queue and shard
-// counts.
+// value matches NewChecker: one processor, default waiter bound and
+// shard count.
 type CheckerConfig struct {
-	// Workers is the decision worker-pool size; default 1. Workers
-	// read immutable RCU descriptor snapshots pinned per batch, so
-	// with more than one worker decisions never lock against
+	// Workers is the number of processors, the most Check calls that
+	// decide at once, each on its caller's goroutine; default 1.
+	// Processors read immutable RCU descriptor snapshots pinned per
+	// batch, so with more than one decisions never lock against
 	// mutations; ordering between batches and mutations is up to the
 	// scheduler (each Decision reports the publication epoch of the
 	// shard snapshot it consulted).
 	Workers int
-	// QueueDepth bounds the batch queue; a full queue makes Check fail
-	// fast with service.ErrQueueFull.
+	// QueueDepth bounds the Check calls waiting for a processor; one
+	// more fails fast with service.ErrQueueFull.
 	QueueDepth int
 	// BatchLimit caps the number of queries per Check call.
 	BatchLimit int
@@ -92,14 +93,14 @@ type CheckerConfig struct {
 }
 
 // NewChecker builds a descriptor image from segs (numbered in order
-// from 0) and starts a single-worker decision service over it. Close
-// the Checker when done.
+// from 0) and a single-processor decision service over it. Close the
+// Checker when done.
 func NewChecker(segs []Segment) (*Checker, error) {
 	return NewCheckerWith(CheckerConfig{}, segs)
 }
 
-// NewCheckerWith is NewChecker with explicit sizing — worker pool,
-// queue and descriptor-store shards. cmd/ringload uses it to drive the
+// NewCheckerWith is NewChecker with explicit sizing — processors,
+// waiter bound and descriptor-store shards. cmd/ringload uses it to drive the
 // decision path in-process at configurable parallelism.
 func NewCheckerWith(cfg CheckerConfig, segs []Segment) (*Checker, error) {
 	st, err := service.NewStore(service.StoreConfig{Shards: cfg.Shards}, segs)
@@ -121,7 +122,7 @@ func NewCheckerWith(cfg CheckerConfig, segs []Segment) (*Checker, error) {
 	return &Checker{store: st, svc: svc}, nil
 }
 
-// Close stops the decision worker.
+// Close stops admitting checks and waits for the ones in flight.
 func (c *Checker) Close() { c.svc.Close() }
 
 // Check answers a batch of queries.
@@ -131,9 +132,8 @@ func (c *Checker) Check(queries ...Query) ([]Decision, error) {
 
 // CheckInto answers a batch of queries into a caller-supplied decision
 // slice (dst[i] answers queries[i]; dst must hold at least
-// len(queries) elements). With the service's descriptor pool warm this
-// round trip performs no heap allocation — the form load generators
-// and embedders on a hot path should use.
+// len(queries) elements). This round trip performs no heap allocation
+// — the form load generators and embedders on a hot path should use.
 //
 //ring:hotpath
 func (c *Checker) CheckInto(queries []Query, dst []Decision) error {
@@ -184,7 +184,7 @@ func (c *Checker) Segno(name string) (uint32, bool) { return c.store.Segno(name)
 
 // SetBrackets replaces the named segment's access flags, brackets and
 // gate count — ring-0 supervisor functionality, published to the
-// decision workers as a new descriptor snapshot.
+// decision processors as a new descriptor snapshot.
 func (c *Checker) SetBrackets(segment string, read, write, execute bool, b Brackets, gates uint32) error {
 	segno, ok := c.store.Segno(segment)
 	if !ok {
