@@ -157,7 +157,7 @@ const (
 	ViolationRingAlarm
 )
 
-var violationNames = map[ViolationKind]string{
+var violationNames = [ViolationKindCount]string{
 	ViolationNone:           "no violation",
 	ViolationMissingSegment: "missing segment",
 	ViolationBound:          "out of segment bounds",
@@ -173,8 +173,9 @@ var violationNames = map[ViolationKind]string{
 }
 
 func (k ViolationKind) String() string {
-	if s, ok := violationNames[k]; ok {
-		return s
+	// The unsigned compare also rejects negative kinds.
+	if uint(k) < uint(len(violationNames)) {
+		return violationNames[k]
 	}
 	//ring:allow unknown-kind fallback: every architectural kind is interned above
 	return fmt.Sprintf("violation(%d)", int(k))

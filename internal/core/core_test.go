@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -617,8 +618,34 @@ func TestViolationStrings(t *testing.T) {
 	if v.Error() == "" {
 		t.Error("empty violation error")
 	}
-	if ViolationKind(99).String() == "" {
-		t.Error("unknown kind string empty")
+	// The names are part of the service's JSON and wire answers: pin
+	// every one exactly.
+	want := []string{
+		"no violation",
+		"missing segment",
+		"out of segment bounds",
+		"read flag off",
+		"outside read bracket",
+		"write flag off",
+		"outside write bracket",
+		"execute flag off",
+		"outside execute bracket",
+		"transfer not directed at a gate location",
+		"calling ring above gate extension",
+		"effective ring above ring of execution on transfer",
+	}
+	if len(want) != ViolationKindCount {
+		t.Fatalf("test pins %d names, ViolationKindCount is %d", len(want), ViolationKindCount)
+	}
+	for k := ViolationKind(0); int(k) < ViolationKindCount; k++ {
+		if got := k.String(); got != want[k] {
+			t.Errorf("ViolationKind(%d).String() = %q, want %q", int(k), got, want[k])
+		}
+	}
+	for _, k := range []ViolationKind{-1, ViolationKind(ViolationKindCount), 99} {
+		if got, want := k.String(), fmt.Sprintf("violation(%d)", int(k)); got != want {
+			t.Errorf("ViolationKind(%d).String() = %q, want %q", int(k), got, want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -167,12 +168,15 @@ func (c *Client) Close() error {
 }
 
 // readLoop dispatches response frames to their pending calls until
-// the connection dies.
+// the connection dies. It reads through a buffer, like the session's
+// read loop; the handshake read the connection directly, so the buffer
+// starts at the first frame after Welcome.
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
+	br := bufio.NewReaderSize(c.conn, readBufSize)
 	var rbuf []byte
 	for {
-		h, payload, err := readFrame(c.conn, &rbuf, c.cfg.MaxFrame)
+		h, payload, err := readFrame(br, &rbuf, c.cfg.MaxFrame)
 		if err != nil {
 			c.fail(err)
 			return

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/seg"
@@ -49,25 +50,33 @@ const (
 )
 
 // outcomeName maps the 3-bit outcome code of a decision control word
-// to the interned outcome strings of core.CallOutcome/ReturnOutcome;
-// outcomeCode is the reverse map. Code 0 is the empty outcome (access
-// and effring decisions, and denials).
-var (
-	outcomeName [7]string
-	outcomeCode map[string]uint64
-)
+// to the interned outcome strings of core.CallOutcome/ReturnOutcome.
+// Code 0 is the empty outcome (access and effring decisions, and
+// denials).
+var outcomeName = [7]string{
+	1: core.CallSameRing.String(),
+	2: core.CallDownward.String(),
+	3: core.CallUpwardTrap.String(),
+	4: core.ReturnSameRing.String(),
+	5: core.ReturnUpward.String(),
+	6: core.ReturnDownwardTrap.String(),
+}
 
-func init() {
-	outcomeName[1] = core.CallSameRing.String()
-	outcomeName[2] = core.CallDownward.String()
-	outcomeName[3] = core.CallUpwardTrap.String()
-	outcomeName[4] = core.ReturnSameRing.String()
-	outcomeName[5] = core.ReturnUpward.String()
-	outcomeName[6] = core.ReturnDownwardTrap.String()
-	outcomeCode = make(map[string]uint64, 6)
-	for i := 1; i < len(outcomeName); i++ {
-		outcomeCode[outcomeName[i]] = uint64(i)
+// outcomeCode returns the wire code of outcome and whether outcomeName
+// holds it. Most decisions carry no outcome; the rest carry the
+// interned strings, so each comparison is a length or pointer match.
+//
+//ring:hotpath
+func outcomeCode(outcome string) (uint64, bool) {
+	if outcome == "" {
+		return 0, true
 	}
+	for i := 1; i < len(outcomeName); i++ {
+		if outcomeName[i] == outcome {
+			return uint64(i), true
+		}
+	}
+	return 0, false
 }
 
 // ensure returns a length-n buffer, reusing buf's storage when it is
@@ -83,11 +92,14 @@ func ensure(buf []byte, n int) []byte {
 	return make([]byte, n)
 }
 
-// putWord writes one 36-bit word at off and returns the next offset.
+// putWord writes one 36-bit word at off, big endian, and returns the
+// next offset. It stores the byte-reversed word little endian: the
+// compiler fuses that into one swap and one store, where a big-endian
+// store of the masked word compiles to four stores.
 //
 //ring:hotpath
 func putWord(b []byte, off int, w word.Word) int {
-	binary.BigEndian.PutUint64(b[off:off+wordBytes], w.Uint64())
+	binary.LittleEndian.PutUint64(b[off:off+wordBytes], bits.ReverseBytes64(w.Uint64()))
 	return off + wordBytes
 }
 
@@ -285,7 +297,9 @@ func putQuery(b []byte, off int, q *service.Query) int {
 		Deposit(18, seg.SegnoBits, uint64(q.Segno)).
 		Deposit(0, seg.WordnoBits, uint64(q.Wordno))
 	off = putWord(b, off, aw)
-	off = putPackedString(b, off, q.Segment)
+	if q.Segment != "" {
+		off = putPackedString(b, off, q.Segment)
+	}
 	for i := range q.Chain {
 		st := &q.Chain[i]
 		sw := word.Word(0).
@@ -486,10 +500,8 @@ func decisionSize(d *service.Decision) (int, error) {
 	if d.ViolationKind < 0 || int(d.ViolationKind) >= core.ViolationKindCount {
 		return 0, ErrNotEncodable
 	}
-	if d.Outcome != "" {
-		if _, ok := outcomeCode[d.Outcome]; !ok {
-			return 0, ErrNotEncodable
-		}
+	if _, ok := outcomeCode(d.Outcome); !ok {
+		return 0, ErrNotEncodable
 	}
 	size := wordBytes + 16
 	if d.Err != "" {
@@ -507,11 +519,12 @@ func decisionSize(d *service.Decision) (int, error) {
 //
 //ring:hotpath
 func putDecision(b []byte, off int, d *service.Decision) int {
+	oc, _ := outcomeCode(d.Outcome)
 	cw := word.Word(0).
 		WithBit(35, d.Allowed).
 		WithBit(34, d.Trapped).
 		WithBit(33, d.Err != "").
-		Deposit(29, 3, outcomeCode[d.Outcome]).
+		Deposit(29, 3, oc).
 		Deposit(25, 4, uint64(d.ViolationKind)).
 		Deposit(22, 3, uint64(d.NewRing)).
 		Deposit(15, 7, uint64(d.Shard+1)).

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/seg"
 	"repro/internal/service"
+	"repro/internal/tenant"
 )
 
 // roundTrip encodes f, decodes the bytes, re-encodes, and asserts
@@ -231,5 +233,113 @@ func TestEncodeReusesBuffer(t *testing.T) {
 	}
 	if &b[0] != &buf[:1][0] {
 		t.Error("EncodeCheck did not reuse the provided buffer")
+	}
+}
+
+// codecMix returns a 64-query segno-form batch in ringload T16's
+// 8:1:1:1 access:call:return:effring mix over the test image (segno 3
+// is past its end), and the decisions the service gives it: allowed
+// and denied accesses, gate calls and returns with their outcomes.
+func codecMix(tb testing.TB) ([]service.Query, []service.Decision) {
+	tb.Helper()
+	queries := make([]service.Query, 64)
+	for i := range queries {
+		ring := core.Ring(i % 8)
+		switch k := i % 11; {
+		case k < 8:
+			queries[i] = service.Query{Op: service.OpAccess, Ring: ring, Segno: uint32(i % 4),
+				Wordno: uint32(i % 20), Kind: core.AccessKind(i % 3)}
+		case k == 8:
+			queries[i] = service.Query{Op: service.OpCall, Ring: ring, Segno: 1, Wordno: uint32(i % 3)}
+		case k == 9:
+			queries[i] = service.Query{Op: service.OpReturn, Ring: ring, Segno: 1, EffRing: ringp(core.Ring(i / 8 % 8))}
+		default:
+			queries[i] = service.Query{Op: service.OpEffRing, Ring: ring,
+				Chain: []service.ChainStep{{PR: true, Ring: core.Ring(i / 8 % 8)}, {Segno: 0, Ring: 1}}}
+		}
+	}
+	reg := newTestRegistry(tb, tenant.TenantConfig{Workers: 1})
+	tnt, _ := reg.Get(tenant.DefaultTenant)
+	decisions := make([]service.Decision, len(queries))
+	if err := tnt.SubmitInto(context.Background(), queries, decisions); err != nil {
+		tb.Fatal(err)
+	}
+	var allowed, denied, outcomes int
+	for _, d := range decisions {
+		switch {
+		case d.Outcome != "":
+			outcomes++
+		case d.Allowed:
+			allowed++
+		case d.ViolationKind != core.ViolationNone:
+			denied++
+		}
+	}
+	if allowed == 0 || denied == 0 || outcomes == 0 {
+		tb.Fatalf("mix lacks a decision class: %d allowed, %d denied, %d call/return outcomes",
+			allowed, denied, outcomes)
+	}
+	return queries, decisions
+}
+
+// codecRoundTrip runs one batch through the four codec calls of a wire
+// check: the client encodes the queries, the server decodes them into
+// its batch and encodes the decisions, the client decodes those.
+func codecRoundTrip(req, resp *[]byte, batch *Batch, dst []service.Decision,
+	queries []service.Query, decisions []service.Decision) error {
+	b, err := EncodeCheck(*req, 1, queries)
+	if err != nil {
+		return err
+	}
+	*req = b
+	if err := DecodeCheckInto(b[HeaderLen:], batch); err != nil {
+		return err
+	}
+	if b, err = EncodeDecisions(*resp, 1, decisions); err != nil {
+		return err
+	}
+	*resp = b
+	_, err = DecodeDecisionsInto(b[HeaderLen:], dst)
+	return err
+}
+
+// TestWireCodecZeroAlloc gates both halves of the codec, client and
+// server, at zero heap allocations per segno-form batch once the
+// buffers have grown.
+func TestWireCodecZeroAlloc(t *testing.T) {
+	queries, decisions := codecMix(t)
+	var req, resp []byte
+	var batch Batch
+	dst := make([]service.Decision, len(queries))
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := codecRoundTrip(&req, &resp, &batch, dst, queries, decisions); err != nil {
+			panic(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("codec round trip allocates %.1f times per batch, want 0", allocs)
+	}
+	if !reflect.DeepEqual(batch.Queries, queries) {
+		t.Errorf("queries drifted through the codec:\n got %+v\nwant %+v", batch.Queries, queries)
+	}
+	if !reflect.DeepEqual(dst, decisions) {
+		t.Errorf("decisions drifted through the codec:\n got %+v\nwant %+v", dst, decisions)
+	}
+}
+
+// BenchmarkWireCodecRoundTrip measures the four codec calls of one
+// 64-query wire check in the T16 mix. Compare its ns/op with deciding
+// a 64-query batch: BenchmarkServiceCheckIntoParallel at -cpu 1.
+func BenchmarkWireCodecRoundTrip(b *testing.B) {
+	queries, decisions := codecMix(b)
+	var req, resp []byte
+	var batch Batch
+	dst := make([]service.Decision, len(queries))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := codecRoundTrip(&req, &resp, &batch, dst, queries, decisions); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -13,6 +14,12 @@ import (
 	"repro/internal/service"
 	"repro/internal/tenant"
 )
+
+// readBufSize sizes the buffered reader of every session and client
+// read loop. 16 KiB holds a session's default 8 in-flight 64-query
+// check frames, so a frame's header, its payload and the frames
+// pipelined behind it arrive in one read.
+const readBufSize = 16 << 10
 
 // ErrServerClosed is returned by Serve after Shutdown.
 var ErrServerClosed = errors.New("wire: server closed")
@@ -124,8 +131,9 @@ func (s *Server) isClosed() bool {
 }
 
 // Shutdown stops accepting sessions and drains the live ones: each
-// session stops reading, answers every frame it had accepted, sends
-// GoAway and closes. Accepted batches are never dropped. When ctx
+// session stops reading from its connection, answers every frame it had
+// accepted (every complete frame already in its read buffer included),
+// sends GoAway and closes. Accepted batches are never dropped. When ctx
 // expires first the remaining connections are force-closed and the
 // context error returned.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -259,7 +267,9 @@ func (s *session) serve() {
 }
 
 // drain begins a graceful close: stop reading (a past read deadline
-// wakes the blocked reader), answer everything accepted, GoAway.
+// wakes the blocked reader), answer everything accepted, GoAway. The
+// read loop still answers the complete frames its buffer holds; the
+// deadline stops only reads from the connection.
 func (s *session) drain() {
 	s.draining.Store(true)
 	_ = s.conn.SetReadDeadline(time.Unix(1, 0))
@@ -344,10 +354,13 @@ func (s *session) health() Health {
 // drains, or the client commits a protocol error. Check batches are
 // handed to the responder pool (bounded by the free-job pool — the
 // session's backpressure); mutations and pings are answered inline,
-// off the hot path.
+// off the hot path. Frames are read through a buffer, so pipelined
+// frames cost one read between them; the handshake read the connection
+// directly, so the buffer starts at the first frame after Hello.
 func (s *session) readLoop() {
+	br := bufio.NewReaderSize(s.conn, readBufSize)
 	for {
-		h, payload, err := readFrame(s.conn, &s.rbuf, s.cfg.MaxFrame)
+		h, payload, err := readFrame(br, &s.rbuf, s.cfg.MaxFrame)
 		if err != nil {
 			if !s.draining.Load() {
 				s.frameError(err)

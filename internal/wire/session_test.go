@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -442,6 +444,15 @@ func TestSessionBackpressureShed(t *testing.T) {
 		}()
 	}
 
+	// The flood must meet a full queue. A blocker shed before the flood
+	// shows the other two hold the processor and the waiting slot.
+	for deadline := time.Now().Add(10 * time.Second); tnt.Service().Snapshot().Rejected == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("blockers never filled the depth-1 queue")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
 	var wbuf []byte
 	writeWave := func(lo, hi uint64) {
 		for corr := lo; corr <= hi; corr++ {
@@ -600,6 +611,111 @@ func TestGoAwayIsLastFrame(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Errorf("shutdown: %v", err)
+	}
+}
+
+// scriptConn is a net.Conn whose reads replay chunks, each Read taking
+// as much of the current chunk as fits, and fail once a past read
+// deadline is set; writes are recorded. onLast runs once, right after
+// the first Read that takes bytes from the last chunk.
+type scriptConn struct {
+	nopConn
+	mu       sync.Mutex
+	chunks   [][]byte
+	deadline time.Time
+	onLast   func()
+	out      bytes.Buffer
+}
+
+func (c *scriptConn) Read(p []byte) (int, error) {
+	c.mu.Lock()
+	if !c.deadline.IsZero() && time.Now().After(c.deadline) {
+		c.mu.Unlock()
+		return 0, os.ErrDeadlineExceeded
+	}
+	if len(c.chunks) == 0 {
+		c.mu.Unlock()
+		return 0, io.EOF
+	}
+	n := copy(p, c.chunks[0])
+	c.chunks[0] = c.chunks[0][n:]
+	var hook func()
+	if len(c.chunks) == 1 {
+		hook, c.onLast = c.onLast, nil
+	}
+	if len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+	}
+	c.mu.Unlock()
+	if hook != nil {
+		hook()
+	}
+	return n, nil
+}
+
+func (c *scriptConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.out.Write(p)
+}
+
+func (c *scriptConn) SetReadDeadline(t time.Time) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.deadline = t
+	return nil
+}
+
+// TestDrainAnswersBufferedFrames: a drain that begins right after one
+// read landed three pipelined check frames and part of a fourth in the
+// session's read buffer answers the three complete frames, then sends
+// GoAway. The torn fourth frame is dropped without an error frame.
+func TestDrainAnswersBufferedFrames(t *testing.T) {
+	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 1})
+	srv := NewServer(reg, Config{})
+	hello, err := EncodeHello(nil, Hello{MinVersion: Version, MaxVersion: Version})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pipelined []byte
+	for corr := uint64(1); corr <= 4; corr++ {
+		b, err := EncodeCheck(nil, corr, []service.Query{{Op: service.OpAccess, Ring: 3, Segno: 0, Wordno: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if corr == 4 {
+			b = b[:HeaderLen/2]
+		}
+		pipelined = append(pipelined, b...)
+	}
+	conn := &scriptConn{chunks: [][]byte{hello, pipelined}}
+	sess := srv.newSession(conn)
+	conn.onLast = sess.drain
+	sess.serve()
+
+	out := conn.out.Bytes()
+	var types []FrameType
+	answered := map[uint64]bool{}
+	for len(out) > 0 {
+		f, n, err := DecodeFrame(out)
+		if err != nil {
+			t.Fatalf("session wrote an undecodable frame after %v: %v", types, err)
+		}
+		out = out[n:]
+		types = append(types, f.Type)
+		if f.Type == FrameDecisions {
+			if len(f.Decisions) != 1 || !f.Decisions[0].Allowed {
+				t.Errorf("corr %d answered %+v, want one allowed decision", f.Corr, f.Decisions)
+			}
+			answered[f.Corr] = true
+		}
+	}
+	want := []FrameType{FrameWelcome, FrameDecisions, FrameDecisions, FrameDecisions, FrameGoAway}
+	if !reflect.DeepEqual(types, want) {
+		t.Fatalf("session wrote %v, want %v", types, want)
+	}
+	if !answered[1] || !answered[2] || !answered[3] {
+		t.Errorf("answered correlation IDs %v, want 1, 2 and 3", answered)
 	}
 }
 

@@ -26,7 +26,7 @@ func testSegments() []service.Segment {
 }
 
 // newTestRegistry loads testSegments as the default tenant.
-func newTestRegistry(t *testing.T, tcfg tenant.TenantConfig) *tenant.Registry {
+func newTestRegistry(t testing.TB, tcfg tenant.TenantConfig) *tenant.Registry {
 	t.Helper()
 	reg := tenant.NewRegistry(tenant.Config{})
 	if _, err := reg.Load(tenant.DefaultTenant, testSegments(), tcfg); err != nil {

@@ -52,14 +52,23 @@ func (w Word) Int64() int64 {
 	return int64(v)
 }
 
+// fieldError is the panic value of a field helper given an extent that
+// does not fit in a word. It formats its message only when asked, so
+// the range check costs the helpers one compare and they stay small
+// enough to inline.
+type fieldError struct{ lo, width uint }
+
+func (e fieldError) Error() string {
+	return fmt.Sprintf("word: field [%d,%d) exceeds %d bits", e.lo, e.lo+e.width, Bits)
+}
+
 // Field extracts width bits starting at bit lo (lo=0 is the least
 // significant bit). It panics if the requested field does not fit in a
 // word; field layouts are compile-time constants in this codebase, so a
 // bad extent is a programming error, not a runtime condition.
 func (w Word) Field(lo, width uint) uint64 {
 	if lo+width > Bits {
-		//ring:allow panic on compile-time-constant layout bug, never taken at run time
-		panic(fmt.Sprintf("word: field [%d,%d) exceeds %d bits", lo, lo+width, Bits))
+		panic(fieldError{lo, width})
 	}
 	return (uint64(w) >> lo) & ((1 << width) - 1)
 }
@@ -71,8 +80,7 @@ func (w Word) Bit(n uint) bool { return w.Field(n, 1) != 0 }
 // by the low bits of val. Bits of val beyond width are ignored.
 func (w Word) Deposit(lo, width uint, val uint64) Word {
 	if lo+width > Bits {
-		//ring:allow panic on compile-time-constant layout bug, never taken at run time
-		panic(fmt.Sprintf("word: field [%d,%d) exceeds %d bits", lo, lo+width, Bits))
+		panic(fieldError{lo, width})
 	}
 	m := ((uint64(1) << width) - 1) << lo
 	return Word((uint64(w) &^ m) | ((val << lo) & m))
@@ -80,10 +88,11 @@ func (w Word) Deposit(lo, width uint, val uint64) Word {
 
 // WithBit returns a copy of w with bit n set to b.
 func (w Word) WithBit(n uint, b bool) Word {
+	var v uint64
 	if b {
-		return w.Deposit(n, 1, 1)
+		v = 1
 	}
-	return w.Deposit(n, 1, 0)
+	return w.Deposit(n, 1, v)
 }
 
 // Lower returns the low 18-bit half word.

@@ -64,13 +64,38 @@ func TestDepositMasksValue(t *testing.T) {
 	}
 }
 
-func TestFieldPanicsOutOfRange(t *testing.T) {
+// wantFieldPanic runs f, which must panic with an error whose message
+// is want.
+func wantFieldPanic(t *testing.T, name, want string, f func()) {
+	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Fatal("Field beyond bit 35 did not panic")
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatalf("%s beyond bit 35 did not panic", name)
+		}
+		err, ok := r.(error)
+		if !ok {
+			t.Fatalf("%s panicked with %T %v, want an error", name, r, r)
+		}
+		if got := err.Error(); got != want {
+			t.Errorf("%s panic message %q, want %q", name, got, want)
 		}
 	}()
-	Word(0).Field(30, 7)
+	f()
+}
+
+func TestFieldPanicsOutOfRange(t *testing.T) {
+	wantFieldPanic(t, "Field", "word: field [30,37) exceeds 36 bits", func() { Word(0).Field(30, 7) })
+}
+
+func TestBitPanicsOutOfRange(t *testing.T) {
+	wantFieldPanic(t, "Bit", "word: field [36,37) exceeds 36 bits", func() { Word(0).Bit(36) })
+}
+
+func TestWithBitPanicsOutOfRange(t *testing.T) {
+	wantFieldPanic(t, "WithBit(true)", "word: field [36,37) exceeds 36 bits", func() { Word(0).WithBit(36, true) })
+	wantFieldPanic(t, "WithBit(false)", "word: field [40,41) exceeds 36 bits", func() { Word(0).WithBit(40, false) })
 }
 
 func TestHalves(t *testing.T) {
@@ -236,12 +261,7 @@ func TestBitAndWithBit(t *testing.T) {
 }
 
 func TestDepositPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Deposit beyond bit 35 did not panic")
-		}
-	}()
-	Word(0).Deposit(30, 7, 1)
+	wantFieldPanic(t, "Deposit", "word: field [30,37) exceeds 36 bits", func() { Word(0).Deposit(30, 7, 1) })
 }
 
 func TestPackCharsLayout(t *testing.T) {
