@@ -40,10 +40,12 @@
 // additionally receives the tenant's descriptor-invalidation stream:
 // one Shootdown push per mutation (naming the publishing shard's new
 // epoch) and a final LeaseExpire when the tenant drains — the feed a
-// client-side decision-lease cache (rings.DialRemote with CacheSize)
-// stays coherent by. Per-tenant subscriber/shootdown/expire counters
-// appear under "leases" in /metrics. See DESIGN.md "Wire protocol" and
-// "Distributed decision leases".
+// client-side SDW replica (rings.DialRemote with CacheSize) stays
+// coherent by. A Fetch frame answers the published descriptor tables
+// of the shards it names, each stamped with its even epoch, which is
+// how the replica fills and refreshes itself. Per-tenant
+// subscriber/shootdown/expire counters appear under "leases" in
+// /metrics. See DESIGN.md "Wire protocol" and "Client SDW replicas".
 //
 // The startup image (the -image file, or a built-in demonstration
 // image) is loaded as the tenant named "default". Image files are JSON

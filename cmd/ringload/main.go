@@ -49,15 +49,16 @@
 // streaming transport, and the headline metrics are the throughput
 // speedup and p99 ratio of wire over HTTP at equal worker count.
 //
-// -client-cache (in-process) runs the T17 decision-lease experiment:
+// -client-cache (in-process) runs the T17 client-cache experiment:
 // one registry behind a loopback wire listener is driven twice per
 // cell of a server-side mutation-rate grid — once through a plain
-// wire session, once through a session fronted by the client-side
-// decision-lease cache (rings.DialRemote with CacheSize), which stays
-// coherent via the Subscribe/Shootdown stream. A paced supervisor
-// goroutine edits user_data's brackets at each grid rate, so every
-// cell measures cached speedup and hit rate under that invalidation
-// pressure; a cell whose trials deliver under 90% of its rate fails.
+// wire session, once through a session fronted by the client-side SDW
+// replica (rings.DialRemote with CacheSize), which decides locally and
+// stays coherent via the Subscribe/Shootdown stream. A paced
+// supervisor goroutine edits user_data's brackets at each grid rate,
+// so every cell measures cached speedup and hit rate under that
+// invalidation pressure; a cell whose trials deliver under 90% of its
+// rate fails. One more cell draws every batch afresh on the idle store.
 //
 // With -json, results are emitted as a JSON array in the same shape as
 // ringbench -json (id, title, host_ns, host, metrics, lines), so the
@@ -315,7 +316,7 @@ func remoteTrial(cfg config, target, transport string) (*result, error) {
 		return nil, fmt.Errorf("target unhealthy: %+v", h)
 	}
 	cfg.mutators = 0 // supervisor edits are in-process only
-	return runTrial(cfg, rc, nil, genBatches(cfg, uint32(h.Segments)))
+	return runTrial(cfg, rc, nil, genBatches(cfg, uint32(h.Segments)), 0)
 }
 
 // ---- T16: transport comparison ----
@@ -411,23 +412,23 @@ func runT16(cfg config) ([]*exp.Result, error) {
 	return []*exp.Result{httpReport, wireReport, delta}, nil
 }
 
-// ---- T17: client-side decision leases ----
+// ---- T17: the client-side SDW replica ----
 
 // t17Rates is the server-side mutation-rate grid, supervisor edits per
 // second against the user_data segment: an idle store, a trickle, and
 // an aggressive editor. Each rate prices the shootdown stream — every
-// edit invalidates the edited shard's leases on every subscribed
-// client mid-trial.
+// edit makes the edited shard's table stale on every subscribed client
+// mid-trial.
 var t17Rates = []int{0, 100, 1000}
 
 // t17Trial runs one closed-loop trial against the wire listener at
-// addr — through a plain session when cacheSize is 0, through a
-// decision-lease cache in front of the session otherwise — while a
-// paced supervisor goroutine edits user_data's brackets rate times per
-// second through Tenant.Mutate (the same edit runTrial's in-process
-// mutators stream, but rate-limited so both trials in a grid cell see
-// identical invalidation pressure).
-func t17Trial(cfg config, addr string, cacheSize int, rate int, tnt *tenant.Tenant, udSegno uint32, pools [][][]rings.Query) (*result, rings.CacheStats, error) {
+// addr — through a plain session when cacheSize is 0, through an SDW
+// replica in front of the session otherwise — while a paced supervisor
+// goroutine edits user_data's brackets rate times per second through
+// Tenant.Mutate (the same edit runTrial's in-process mutators stream,
+// but rate-limited so both trials in a grid cell see identical
+// invalidation pressure). pools and fresh are runTrial's.
+func t17Trial(cfg config, addr string, cacheSize int, rate int, tnt *tenant.Tenant, udSegno uint32, pools [][][]rings.Query, fresh uint32) (*result, rings.CacheStats, error) {
 	rcfg := rings.RemoteConfig{Transport: "wire"}
 	if cacheSize > 0 {
 		rcfg.CacheSize = cacheSize
@@ -477,7 +478,7 @@ func t17Trial(cfg config, addr string, cacheSize int, rate int, tnt *tenant.Tena
 		}()
 	}
 
-	res, err := runTrial(cfg, rc, nil, pools)
+	res, err := runTrial(cfg, rc, nil, pools, fresh)
 	close(stopMut)
 	mutWG.Wait()
 	stats := rc.CacheStats()
@@ -493,10 +494,11 @@ func t17Trial(cfg config, addr string, cacheSize int, rate int, tnt *tenant.Tena
 
 // runT17 serves one registry over a loopback wire listener and, for
 // each mutation rate in t17Rates, measures the same batch pools twice:
-// uncached (every batch a wire round trip) and cached (repeat queries
-// answered from decision leases kept coherent by the shootdown
-// stream). The headline is the idle-store cell: cached throughput over
-// uncached, at the observed lease hit rate.
+// uncached (every batch a wire round trip) and cached (decided from
+// the client's SDW replica, kept coherent by the shootdown stream).
+// One more cell runs the idle store with every batch drawn afresh, as
+// no pool repeats. The headline is the idle-store cell: cached
+// throughput over uncached, at the observed hit rate.
 func runT17(cfg config) ([]*exp.Result, error) {
 	reg := tenant.NewRegistry(tenant.Config{
 		MaxTenants:   1,
@@ -530,35 +532,30 @@ func runT17(cfg config) ([]*exp.Result, error) {
 	}()
 
 	cfg.mutators = 0 // T17 paces its own supervisor edits per grid cell
-	// Multi-shard effring chains are stamped Shard = -1 (their epoch
-	// interval is a sum over consulted shards), which makes them
-	// deliberately lease-ineligible — a single shootdown can't name
-	// their interval. One such query per batch forces the whole batch
-	// onto the wire, so the grid measures the cacheable mix.
+	// T17 keeps the 8:1:1 mix without effring chains it was first
+	// recorded with: the decision-lease cache it was first measured
+	// against could not lease a chain across shards.
 	cfg.mix.effring = 0
 	pools := genBatches(cfg, uint32(len(segs)))
-	// Each client cycles a 16-batch pool, so the whole working set is
-	// clients x 16 x batch queries; size the cache past it so eviction
-	// never competes with shootdowns for the hit rate.
-	cacheSize := 2 * cfg.clients * 16 * cfg.batch
+	const cacheSize = 1 // any positive size switches the replica on
 
 	addr := wln.Addr().String()
 	var out []*exp.Result
 	var headSpeedup, headHitRate float64
 	var headNs int64
-	for _, rate := range t17Rates {
-		un, _, err := t17Trial(cfg, addr, 0, rate, tnt, udSegno, pools)
+	cell := func(id, title string, rate int, pools [][][]rings.Query, fresh uint32) error {
+		un, _, err := t17Trial(cfg, addr, 0, rate, tnt, udSegno, pools, fresh)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ca, stats, err := t17Trial(cfg, addr, cacheSize, rate, tnt, udSegno, pools)
+		ca, stats, err := t17Trial(cfg, addr, cacheSize, rate, tnt, udSegno, pools, fresh)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// A cell measures its target rate only if both trials delivered it.
 		achieved := min(un.mutationRate(), ca.mutationRate())
 		if achieved < 0.9*float64(rate) {
-			return nil, fmt.Errorf("T17 cell at %d edits/s delivered %.0f edits/s, below 90%% of its target", rate, achieved)
+			return fmt.Errorf("T17 cell at %d edits/s delivered %.0f edits/s, below 90%% of its target", rate, achieved)
 		}
 		hitRate := 0.0
 		if n := stats.Hits + stats.Misses; n > 0 {
@@ -568,13 +565,17 @@ func runT17(cfg config) ([]*exp.Result, error) {
 		if t := un.throughput(); t > 0 {
 			speedup = ca.throughput() / t
 		}
-		if rate == t17Rates[0] {
+		if pools != nil && rate == t17Rates[0] {
 			headSpeedup, headHitRate = speedup, hitRate
 		}
 		headNs += un.elapsed.Nanoseconds() + ca.elapsed.Nanoseconds()
+		batches := "the same pools both sides"
+		if pools == nil {
+			batches = "every batch drawn afresh"
+		}
 		out = append(out, &exp.Result{
-			ID:     fmt.Sprintf("RINGLOAD-T17-M%d", rate),
-			Title:  fmt.Sprintf("decision leases: cached vs uncached wire at %d edits/s", rate),
+			ID:     id,
+			Title:  title,
 			HostNs: un.elapsed.Nanoseconds() + ca.elapsed.Nanoseconds(),
 			Metrics: map[string]float64{
 				"mutation_rate":              float64(rate),
@@ -594,20 +595,32 @@ func runT17(cfg config) ([]*exp.Result, error) {
 				"workers":                    float64(cfg.workers),
 			},
 			Lines: []string{
-				fmt.Sprintf("%d clients x batch %d, %d workers, %v per trial, %d supervisor edits/s (%.0f delivered)",
-					cfg.clients, cfg.batch, cfg.workers, cfg.duration, rate, achieved),
+				fmt.Sprintf("%d clients x batch %d, %d workers, %v per trial, %d supervisor edits/s (%.0f delivered), %s",
+					cfg.clients, cfg.batch, cfg.workers, cfg.duration, rate, achieved, batches),
 				fmt.Sprintf("uncached wire: %.0f decisions/s, p99 %v", un.throughput(),
 					time.Duration(un.lat.quantile(0.99))),
-				fmt.Sprintf("cached wire: %.0f decisions/s, p99 %v (%.1f%% lease hits, %d shootdowns)",
+				fmt.Sprintf("cached wire: %.0f decisions/s, p99 %v (%.1f%% hits, %d shootdowns)",
 					ca.throughput(), time.Duration(ca.lat.quantile(0.99)),
 					100*hitRate, stats.Shootdowns),
 				fmt.Sprintf("cached/uncached: %.2fx throughput", speedup),
 			},
 		})
+		return nil
+	}
+	for _, rate := range t17Rates {
+		if err := cell(fmt.Sprintf("RINGLOAD-T17-M%d", rate),
+			fmt.Sprintf("client descriptor cache: cached vs uncached wire at %d edits/s", rate),
+			rate, pools, 0); err != nil {
+			return nil, err
+		}
+	}
+	if err := cell("RINGLOAD-T17-FRESH", "client descriptor cache: cached vs uncached wire, fresh queries",
+		0, nil, uint32(len(segs))); err != nil {
+		return nil, err
 	}
 	head := &exp.Result{
 		ID:     "RINGLOAD-T17",
-		Title:  "decision leases: client cache speedup over uncached wire",
+		Title:  "client descriptor cache: speedup over uncached wire",
 		HostNs: headNs,
 		Metrics: map[string]float64{
 			"cached_speedup": headSpeedup,
@@ -617,9 +630,9 @@ func runT17(cfg config) ([]*exp.Result, error) {
 			"workers":        float64(cfg.workers),
 		},
 		Lines: []string{
-			fmt.Sprintf("idle store: %.2fx cached throughput at %.1f%% lease hit rate",
+			fmt.Sprintf("idle store: %.2fx cached throughput at %.1f%% hit rate",
 				headSpeedup, 100*headHitRate),
-			fmt.Sprintf("grid: %v edits/s cells above, same pools both sides per cell", t17Rates),
+			fmt.Sprintf("grid: %v edits/s cells and a fresh-query cell above", t17Rates),
 		},
 	}
 	return append(out, head), nil
@@ -871,10 +884,12 @@ func (r *result) mutationRate() float64 {
 }
 
 // runTrial drives the closed loop: cfg.clients goroutines submitting
-// from their batch pools to c until the duration elapses, a shed batch
+// batches to c until the duration elapses, a shed batch
 // (rings.ErrQueueFull) counting as shed, plus cfg.mutators supervisor
 // goroutines streaming bracket edits through sup (in-process only).
-func runTrial(cfg config, c checker, sup *rings.Checker, pools [][][]rings.Query) (*result, error) {
+// Each client cycles its pool from pools or, when pools is nil, draws
+// every batch afresh over fresh segments.
+func runTrial(cfg config, c checker, sup *rings.Checker, pools [][][]rings.Query, fresh uint32) (*result, error) {
 	res := &result{shards: cfg.shards}
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -888,9 +903,19 @@ func runTrial(cfg config, c checker, sup *rings.Checker, pools [][][]rings.Query
 		go func() {
 			defer wg.Done()
 			dst := make([]rings.Decision, cfg.batch)
-			pool := pools[client]
+			var pool [][]rings.Query
+			var rng *rand.Rand
+			if pools != nil {
+				pool = pools[client]
+			} else {
+				rng = rand.New(rand.NewSource(cfg.seed + int64(client)))
+				pool = [][]rings.Query{make([]rings.Query, cfg.batch)}
+			}
 			for i := 0; !stop.Load(); i++ {
 				batch := pool[i%len(pool)]
+				for j := 0; rng != nil && j < len(batch); j++ {
+					batch[j] = genQuery(rng, cfg.mix, fresh)
+				}
 				t0 := time.Now()
 				err := c.CheckInto(batch, dst)
 				if errors.Is(err, rings.ErrQueueFull) {
@@ -1002,7 +1027,7 @@ func trialInProcess(cfg config, shards int) (*result, error) {
 	defer chk.Close()
 	cfg.shards = chk.Shards()
 	pools := genBatches(cfg, uint32(len(loadImage())))
-	return runTrial(cfg, chk, chk, pools)
+	return runTrial(cfg, chk, chk, pools, 0)
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -1023,7 +1048,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	target := fs.String("target", "", "ringd base URL; empty runs in-process")
 	transport := fs.String("transport", "http", "transport for -target mode: http (JSON request-response) or wire (binary streaming session)")
 	compare := fs.Bool("compare-transports", false, "run the T16 transport experiment in-process: same registry over HTTP and wire loopback listeners")
-	clientCache := fs.Bool("client-cache", false, "run the T17 decision-lease experiment in-process: cached wire clients vs uncached across a mutation-rate grid")
+	clientCache := fs.Bool("client-cache", false, "run the T17 client-cache experiment in-process: SDW-replica wire clients vs uncached across a mutation-rate grid")
 	jsonOut := fs.Bool("json", false, "emit results as a ringbench-compatible JSON array")
 	if err := fs.Parse(args); err != nil {
 		return 2

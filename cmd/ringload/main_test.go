@@ -332,13 +332,17 @@ func TestRunRejectsBadTransportFlags(t *testing.T) {
 }
 
 // TestRunClientCache smoke-tests the T17 experiment: one cell per grid
-// rate plus the headline, every cell delivering at least 90% of its
-// target edit rate (the run itself fails a cell that does not).
+// rate, the fresh-query cell and the headline, every cell delivering at
+// least 90% of its target edit rate (the run itself fails a cell that
+// does not).
 func TestRunClientCache(t *testing.T) {
 	results := runJSON(t, "-c", "2", "-batch", "8", "-duration", "400ms",
 		"-workers", "2", "-client-cache")
-	if len(results) != len(t17Rates)+1 {
-		t.Fatalf("got %d results, want %d", len(results), len(t17Rates)+1)
+	if len(results) != len(t17Rates)+2 {
+		t.Fatalf("got %d results, want %d", len(results), len(t17Rates)+2)
+	}
+	if fresh := results[len(t17Rates)]; fresh.ID != "RINGLOAD-T17-FRESH" || fresh.Metrics["hit_rate"] <= 0 {
+		t.Errorf("fresh-query cell: %+v", fresh)
 	}
 	for i, rate := range t17Rates {
 		r := results[i]
@@ -352,7 +356,7 @@ func TestRunClientCache(t *testing.T) {
 			t.Errorf("%s measured no decisions: %v", r.ID, r.Metrics)
 		}
 	}
-	if head := results[len(t17Rates)]; head.ID != "RINGLOAD-T17" || head.Metrics["hit_rate"] <= 0 {
+	if head := results[len(t17Rates)+1]; head.ID != "RINGLOAD-T17" || head.Metrics["hit_rate"] <= 0 {
 		t.Errorf("headline: %+v", head)
 	}
 }

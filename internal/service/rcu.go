@@ -43,56 +43,89 @@ import (
 // therefore a clean snapshot in the T12/T13 sense — explainable at
 // exactly one state of the consulted shard.
 
-// snapshot is one immutable published view of a shard's descriptors:
-// sdws[k] is the descriptor of segment number shardIndex + k*Shards,
-// one entry per image segment the shard owns. Once published a
-// snapshot is never written again.
-type snapshot struct {
-	// epoch is the owning shard's (even) mutation epoch at
-	// publication.
+// Table is one immutable per-shard descriptor table: SDWs()[k] is the
+// descriptor of segment number shard + k*Shards, one entry per image
+// segment the shard owns, and Epoch is the shard's (even) mutation
+// epoch when the table was published. The store's published snapshots
+// are Tables, and so are a client replica's fetched copies of them.
+// Once shared a Table is never written again.
+type Table struct {
 	epoch uint64
 	sdws  []seg.SDW
 }
 
-// reader is the read side of the store for one processor: its
-// per-batch pinned snapshots. It implements mmu.SDWSource, so a
-// processor's MMU pointed at its reader resolves every descriptor fetch
-// from the pinned snapshots. Used only by the processor's borrower.
+// NewTable returns a table of sdws stamped with epoch. The table owns
+// sdws: the caller must not write the slice afterwards.
+func NewTable(epoch uint64, sdws []seg.SDW) *Table { return &Table{epoch: epoch, sdws: sdws} }
+
+// Epoch returns the shard epoch the table was published at.
+//
+//ring:hotpath
+func (t *Table) Epoch() uint64 { return t.epoch }
+
+// SDWs returns the table's descriptors; the slice is shared and must
+// not be written.
+func (t *Table) SDWs() []seg.SDW { return t.sdws }
+
+// Tables is a set of per-shard descriptor tables decisions are
+// evaluated over: the store's published snapshots, or a client's
+// replica of them. Shards is a power of two, and shard i holds the
+// descriptors of segment numbers congruent to i modulo Shards.
+type Tables interface {
+	Shards() int
+	// Table returns shard i's current table.
+	Table(i int) *Table
+	// Segno resolves a segment name.
+	Segno(name string) (uint32, bool)
+}
+
+// reader is the read side of a Tables for one decider: its per-batch
+// pinned tables. It implements mmu.SDWSource, so an MMU pointed at the
+// reader resolves every descriptor fetch from the pinned tables. Used
+// only by the decider's owner.
 type reader struct {
-	st *Store
-	// views[i] is the snapshot pinned for shard i in the current
-	// batch; nil when not yet pinned this batch.
-	views []*snapshot
-	// pins and lookups count snapshot pins and descriptor lookups —
+	src       Tables
+	shardMask uint32
+	shardBits uint32 // log2(Shards): segno >> shardBits indexes a shard's table
+	// views[i] is the table pinned for shard i in the current batch;
+	// nil when not yet pinned this batch.
+	views []*Table
+	// pins and lookups count table pins and descriptor lookups —
 	// hot-path counters, read for /metrics under the processor's
 	// mutex.
 	pins, lookups uint64
 }
 
-// newReader returns a read side over the store for one processor.
-func (st *Store) newReader() *reader {
-	return &reader{st: st, views: make([]*snapshot, len(st.shards))}
+// newReader returns a read side over src for one decider.
+func newReader(src Tables) *reader {
+	n := src.Shards()
+	return &reader{
+		src:       src,
+		shardMask: uint32(n - 1),
+		shardBits: uint32(bits.TrailingZeros32(uint32(n))),
+		views:     make([]*Table, n),
+	}
 }
 
-// pin returns the snapshot this reader uses for shard sh, loading it
-// on first use in the current batch. No locks, no allocations: one
-// atomic load on first use per shard per batch, a plain slice read
-// afterwards.
+// pin returns the table this reader uses for shard sh, loading it on
+// first use in the current batch. No locks, no allocations: one
+// Tables.Table call on first use per shard per batch, a plain slice
+// read afterwards.
 //
 //ring:hotpath
 //ring:pins
-func (r *reader) pin(sh int) *snapshot {
+func (r *reader) pin(sh int) *Table {
 	if s := r.views[sh]; s != nil {
 		return s
 	}
-	s := r.st.shards[sh].snap.Load()
+	s := r.src.Table(sh)
 	r.views[sh] = s
 	r.pins++
 	return s
 }
 
 // unpin ends the batch: drop every pinned view, so the next batch
-// loads the current snapshots.
+// loads the current tables.
 //
 //ring:hotpath
 func (r *reader) unpin() {
@@ -114,23 +147,28 @@ func (r *reader) pinSum(mask uint64) uint64 {
 	return sum
 }
 
-// LookupSDW implements mmu.SDWSource over the pinned snapshots:
-// shard-route the segment number, pin that shard's snapshot if this
-// batch has not yet, and index the immutable SDW table. Segment
-// numbers past the image are absent, as past a descriptor segment's
-// bound (seg.Table.Fetch).
+// LookupSDW implements mmu.SDWSource over the pinned tables:
+// shard-route the segment number, pin that shard's table if this batch
+// has not yet, and index the immutable SDW table. Segment numbers past
+// the image are absent, as past a descriptor segment's bound
+// (seg.Table.Fetch).
 //
 //ring:hotpath
 //ring:pins
 func (r *reader) LookupSDW(segno uint32) (seg.SDW, error) {
 	r.lookups++
-	s := r.pin(int(segno & r.st.shardMask))
-	idx := int(segno >> r.st.shardBits)
+	s := r.pin(int(segno & r.shardMask))
+	idx := int(segno >> r.shardBits)
 	if idx >= len(s.sdws) {
 		return seg.SDW{}, nil
 	}
 	return s.sdws[idx], nil
 }
+
+// Table returns shard i's current published snapshot.
+//
+//ring:hotpath
+func (st *Store) Table(i int) *Table { return st.shards[i].snap.Load() }
 
 // publishLocked builds and publishes the successor snapshot of shard
 // index shi with sdw as segno's descriptor. Caller holds sh.mu with
@@ -144,7 +182,7 @@ func (st *Store) publishLocked(shi int, segno uint32, sdw seg.SDW, epoch uint64)
 	sdws := make([]seg.SDW, len(old))
 	copy(sdws, old)
 	sdws[segno>>st.shardBits] = sdw
-	sh.snap.Store(&snapshot{epoch: epoch, sdws: sdws})
+	sh.snap.Store(&Table{epoch: epoch, sdws: sdws})
 	sh.publishes.Add(1)
 	if hook := st.publishHook.Load(); hook != nil {
 		// Still under sh.mu: hook calls for one shard arrive in strictly

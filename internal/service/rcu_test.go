@@ -22,7 +22,7 @@ func TestReaderPinsSnapshotAcrossMutationBurst(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	rd := st.newReader()
+	rd := newReader(st)
 	u := mmu.New(nil, mmu.Options{Validate: true})
 	u.SetSDWSource(rd)
 

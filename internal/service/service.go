@@ -135,16 +135,82 @@ var (
 	ErrBatchTooLarge = errors.New("service: batch exceeds limit")
 )
 
-// processor is one simulated processor: an MMU whose descriptor
-// fetches resolve from rd, its snapshot reader, and the counters of the
-// batches decided on it. A caller borrows it from the free list for one
-// batch and holds mu while deciding; Snapshot takes mu to read the
-// counters. The read path takes no other lock: rd pins each consulted
-// shard's snapshot once per batch (rcu.go).
+// Decider decides batches of queries over a Tables on the calling
+// goroutine: an MMU whose descriptor fetches resolve from a reader that
+// pins each consulted shard's table once per batch. The service's
+// processors and a client's SDW replica decide through it, so both run
+// the same procedure. A Decider is not safe for concurrent use.
+type Decider struct {
+	u  *mmu.MMU
+	rd *reader
+}
+
+// NewDecider returns a decider over src.
+func NewDecider(src Tables) *Decider { return newDecider(src, nil) }
+
+func newDecider(src Tables, sink mmu.Sink) *Decider {
+	dc := &Decider{u: mmu.New(nil, mmu.Options{Validate: true, Sink: sink}), rd: newReader(src)}
+	dc.u.SetSDWSource(dc.rd)
+	return dc
+}
+
+// Decide answers queries into dst, which must hold len(queries)
+// decisions, pinning each consulted shard's table once for the whole
+// batch.
+//
+//ring:hotpath
+func (dc *Decider) Decide(queries []Query, dst []Decision) {
+	for i := range queries {
+		dst[i] = Decision{}
+		evalQuery(dc.rd, dc.u, &queries[i], &dst[i])
+	}
+	dc.rd.unpin()
+}
+
+// Consults returns the set of shards (a bit per shard index) deciding q
+// may read: the target segment's shard, or the shards of an effring
+// chain's indirect steps. A name the tables cannot resolve consults
+// none.
+//
+//ring:hotpath
+func (dc *Decider) Consults(q *Query) uint64 {
+	if q.Op == OpEffRing {
+		return chainShards(q.Chain, dc.rd.shardMask)
+	}
+	segno := q.Segno
+	if q.Segment != "" {
+		n, ok := dc.rd.src.Segno(q.Segment)
+		if !ok {
+			return 0
+		}
+		segno = n
+	}
+	return 1 << (segno & dc.rd.shardMask)
+}
+
+// chainShards returns the shards an effring chain's indirect steps
+// read.
+//
+//ring:hotpath
+func chainShards(chain []ChainStep, shardMask uint32) uint64 {
+	var mask uint64 // MaxShards ≤ 64
+	for i := range chain {
+		if !chain[i].PR {
+			mask |= 1 << (chain[i].Segno & shardMask)
+		}
+	}
+	return mask
+}
+
+// processor is one simulated processor: a decider over the store's
+// published snapshots and the counters of the batches decided on it. A
+// caller borrows it from the free list for one batch and holds mu while
+// deciding; Snapshot takes mu to read the counters. The read path takes
+// no other lock: the decider pins each consulted shard's snapshot once
+// per batch (rcu.go).
 type processor struct {
 	index int
-	u     *mmu.MMU
-	rd    *reader
+	*Decider
 
 	mu     sync.Mutex
 	counts counters
@@ -190,9 +256,8 @@ func New(st *Store, cfg Config) (*Service, error) {
 	}
 	s := &Service{store: st, cfg: cfg, free: make(chan *processor, cfg.Workers)}
 	for i := 0; i < cfg.Workers; i++ {
-		p := &processor{index: i, rd: st.newReader()}
-		p.u = mmu.New(nil, mmu.Options{Validate: true, Sink: &p.counts.events})
-		p.u.SetSDWSource(p.rd)
+		p := &processor{index: i}
+		p.Decider = newDecider(st, &p.counts.events)
 		s.procs = append(s.procs, p)
 		s.free <- p
 	}
@@ -308,21 +373,20 @@ func (p *processor) decide(q *Query, d *Decision) {
 }
 
 // evalQuery answers q into d using unit u, whose descriptor fetches
-// resolve from rd's pinned RCU snapshots — the whole decision
-// procedure. Malformed queries set d.Err and report no epoch interval;
+// resolve from rd's pinned tables — the whole decision procedure.
+// Malformed queries set d.Err and report no epoch interval;
 // architectural outcomes (violations, traps) are regular decisions
-// stamped with the consulted shard's snapshot epoch. internal/spec
+// stamped with the consulted shard's table epoch. internal/spec
 // states the same procedure as a plain model the tests check it
 // against.
 //
 //ring:hotpath
 //ring:pins
 func evalQuery(rd *reader, u *mmu.MMU, q *Query, d *Decision) {
-	st := rd.st
 	d.Shard = -1
 	segno := q.Segno
 	if q.Segment != "" {
-		n, ok := st.Segno(q.Segment)
+		n, ok := rd.src.Segno(q.Segment)
 		if !ok {
 			//ring:allow malformed query: Err formatting is the cold path
 			d.Err = fmt.Sprintf("unknown segment %q", q.Segment)
@@ -335,6 +399,7 @@ func evalQuery(rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 		d.Err = fmt.Sprintf("invalid ring %d", q.Ring)
 		return
 	}
+	segShard := uint64(1) << (segno & rd.shardMask) // the target segment's shard
 
 	switch q.Op {
 	case OpAccess:
@@ -345,7 +410,7 @@ func evalQuery(rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 			d.Err = fmt.Sprintf("invalid access kind %d", q.Kind)
 			return
 		}
-		d.stamp(rd, 1<<st.ShardOf(segno))
+		d.stamp(rd, segShard)
 		kind, err := u.Access(segno, q.Wordno, q.Ring, q.Kind)
 		if err != nil {
 			d.Err = err.Error()
@@ -363,7 +428,7 @@ func evalQuery(rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 			d.Err = fmt.Sprintf("invalid effective ring %d", effRing)
 			return
 		}
-		d.stamp(rd, 1<<st.ShardOf(segno))
+		d.stamp(rd, segShard)
 		dec, kind, err := u.Call(segno, q.Wordno, q.Ring, effRing, q.SameSegment)
 		if err != nil {
 			d.Err = err.Error()
@@ -388,7 +453,7 @@ func evalQuery(rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 			d.Err = fmt.Sprintf("invalid effective ring %d", effRing)
 			return
 		}
-		d.stamp(rd, 1<<st.ShardOf(segno))
+		d.stamp(rd, segShard)
 		dec, kind, err := u.Return(segno, q.Wordno, q.Ring, effRing)
 		if err != nil {
 			d.Err = err.Error()
@@ -404,21 +469,15 @@ func evalQuery(rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 		d.Trapped = dec.Outcome == core.ReturnDownwardTrap
 
 	case OpEffRing:
-		// Pre-scan the chain: validate the ring fields and find which
-		// shards the indirect steps will consult.
-		var mask uint64 // consulted shard set (MaxShards ≤ 64)
+		// Validate the chain's ring fields before consulting any shard.
 		for i := range q.Chain {
-			step := &q.Chain[i]
-			if !step.Ring.Valid() {
+			if !q.Chain[i].Ring.Valid() {
 				//ring:allow malformed query: Err formatting is the cold path
-				d.Err = fmt.Sprintf("invalid ring %d in chain", step.Ring)
+				d.Err = fmt.Sprintf("invalid ring %d in chain", q.Chain[i].Ring)
 				return
 			}
-			if !step.PR {
-				mask |= 1 << st.ShardOf(step.Segno)
-			}
 		}
-		d.stamp(rd, mask)
+		d.stamp(rd, chainShards(q.Chain, rd.shardMask))
 		eff := q.Ring
 		for _, step := range q.Chain {
 			if step.PR {

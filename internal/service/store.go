@@ -108,7 +108,7 @@ type shard struct {
 	// snap is the current published snapshot; readers load it with a
 	// single atomic operation per pin and never lock. Padded so
 	// publishes do not bounce the neighbouring shard's reader lines.
-	snap atomic.Pointer[snapshot]
+	snap atomic.Pointer[Table]
 	_    [56]byte
 
 	mu sync.Mutex
@@ -124,7 +124,7 @@ type shard struct {
 type Store struct {
 	shards    []shard
 	shardMask uint32
-	shardBits uint32 // log2(Shards): segno >> shardBits indexes a shard's SDW table
+	shardBits uint32 // log2(Shards): segno >> shardBits indexes a shard's Table
 
 	// publishHook, when set, is called after every snapshot publication
 	// with the shard index, the edited segment number and the new (even)
@@ -167,7 +167,7 @@ func NewStore(cfg StoreConfig, defs []Segment) (*Store, error) {
 	// Shard i's table covers segment numbers i, i+Shards, i+2*Shards, ...
 	// below len(defs); it is filled in place before the store is shared.
 	for i := range st.shards {
-		st.shards[i].snap.Store(&snapshot{sdws: make([]seg.SDW, (len(defs)+cfg.Shards-1-i)/cfg.Shards)})
+		st.shards[i].snap.Store(&Table{sdws: make([]seg.SDW, (len(defs)+cfg.Shards-1-i)/cfg.Shards)})
 	}
 	for i, def := range defs {
 		if def.Name == "" {

@@ -5,19 +5,19 @@ import (
 	"sync/atomic"
 )
 
-// This file is the server half of the distributed decision-lease
+// This file is the server half of descriptor replication's coherence
 // protocol: a per-tenant subscriber hub fanning every descriptor
 // mutation out to the wire sessions that asked for invalidations.
 //
 // The paper's processors keep per-processor SDW associative memories
 // coherent through an explicit shootdown group — the supervisor edits
 // core, then broadcasts "drop your copy of this descriptor" to every
-// member. Remote clients caching decisions are the network's
-// associative memories, and the hub is their group: the store's RCU
-// publish step (which already serializes per shard and stamps each
-// publication with an even epoch) calls the hub once per mutation,
-// still under the shard's mutation lock, and the hub records the event
-// in every subscriber's per-shard mailbox.
+// member. Remote clients replicating a tenant's descriptor tables are
+// the network's associative memories, and the hub is their group: the
+// store's RCU publish step (which already serializes per shard and
+// stamps each publication with an even epoch) calls the hub once per
+// mutation, still under the shard's mutation lock, and the hub records
+// the event in every subscriber's per-shard mailbox.
 //
 // # Coalescing
 //
@@ -42,7 +42,7 @@ type Subscriber struct {
 	notify chan struct{}
 	// expired flips once when the tenant drains or the hub closes: the
 	// subscription is revoked, no further shootdowns will arrive, and
-	// the client must drop every cached decision.
+	// the client must drop its replica.
 	expired atomic.Bool
 }
 
@@ -67,7 +67,9 @@ func (s *Subscriber) wake() {
 // with a nonzero slot: the shard index, the advisory segno, and the
 // (even) epoch whose publication the event followed. Slots are swapped
 // to zero, so concurrent mutations during the drain are kept for the
-// next round. Single consumer: the session's pusher goroutine.
+// next round. Callers serialize the drains of one subscriber: the wire
+// session drains under its write lock, from its pusher and when it
+// answers a ping.
 func (s *Subscriber) Drain(f func(shard int, segno uint32, epoch uint64)) {
 	for i := range s.epochs {
 		if e := s.epochs[i].Swap(0); e != 0 {

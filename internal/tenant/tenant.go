@@ -535,11 +535,11 @@ func (r *Registry) Evict(name string) error {
 			return fmt.Errorf("tenant %q: cannot evict while %s", name, t.State())
 		}
 	}
-	// Revoke every decision lease before the drain: subscribers hear
-	// the expiration (and drop their caches) rather than riding a TTL
-	// out against a store about to disappear. Sealing, by contrast,
-	// leaves leases valid — a frozen descriptor space can never
-	// invalidate them.
+	// Revoke every subscription before the drain: subscribers hear the
+	// expiration (and drop their replicas) rather than riding a TTL out
+	// against a store about to disappear. Sealing, by contrast, leaves
+	// replicas valid — a frozen descriptor space can never invalidate
+	// them.
 	if t.hub != nil {
 		t.hub.close()
 	}

@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/service"
@@ -22,9 +25,11 @@ type ClientConfig struct {
 	MaxVersion uint16
 	// MaxFrame bounds response payloads; default DefaultMaxFrame.
 	MaxFrame uint32
-	// DialTimeout bounds connection establishment and the handshake;
-	// default 10s.
-	DialTimeout time.Duration
+	// Timeout bounds connection establishment and the handshake, and
+	// then every call: while calls are pending and no frame arrives
+	// within Timeout, the session fails and every pending call returns
+	// an error wrapping os.ErrDeadlineExceeded. Default 10s.
+	Timeout time.Duration
 
 	// OnShootdown, when set, receives every Shootdown push the server
 	// sends after a Subscribe: the shard index, the advisory edited
@@ -38,8 +43,8 @@ type ClientConfig struct {
 	OnLeaseExpire func(le LeaseExpire)
 	// OnClose, when set, is called exactly once when the session dies —
 	// GoAway, connection failure, or Close — with the fatal error.
-	// Everything a decision-lease cache holds from this session is
-	// unverifiable from that instant, so this is where it drops.
+	// Everything a replica holds from this session is unverifiable from
+	// that instant, so this is where it lapses.
 	OnClose func(err error)
 }
 
@@ -53,8 +58,8 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	if c.MaxFrame == 0 {
 		c.MaxFrame = DefaultMaxFrame
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 10 * time.Second
+	if c.Timeout <= 0 {
+		c.Timeout = 10 * time.Second
 	}
 	return c
 }
@@ -76,6 +81,12 @@ type Client struct {
 	nextCorr uint64           //ring:guarded mu
 	pending  map[uint64]*call //ring:guarded mu
 	fatal    error            //ring:guarded mu
+	watch    *time.Timer      //ring:guarded mu (runs watchdog; nil until the first call)
+
+	// progress is when the session last showed life to pending calls,
+	// in UnixNano: the last frame read, or the first call of a busy
+	// spell. The watchdog fails the session Timeout after it.
+	progress atomic.Int64
 
 	readerDone chan struct{}
 }
@@ -86,6 +97,7 @@ type call struct {
 	dst     []service.Decision
 	version uint64
 	health  Health
+	tables  Tables
 	err     error
 	done    chan struct{}
 }
@@ -95,7 +107,7 @@ type call struct {
 // *ErrFrame.
 func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	cfg = cfg.withDefaults()
-	conn, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, cfg.Timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +126,7 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 }
 
 func (c *Client) handshake() error {
-	deadline := time.Now().Add(c.cfg.DialTimeout)
+	deadline := time.Now().Add(c.cfg.Timeout)
 	_ = c.conn.SetDeadline(deadline)
 	defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
 	b, err := EncodeHello(nil, Hello{
@@ -181,6 +193,7 @@ func (c *Client) readLoop() {
 			c.fail(err)
 			return
 		}
+		c.progress.Store(time.Now().UnixNano())
 		switch {
 		case h.Type == FrameGoAway:
 			c.fail(ErrGoAway)
@@ -265,9 +278,30 @@ func (cl *call) complete(t FrameType, payload []byte) {
 		cl.version = binary.BigEndian.Uint64(payload)
 	case FramePong:
 		cl.health, cl.err = decodePong(payload)
+	case FrameTables:
+		cl.tables, cl.err = decodeTables(payload)
 	default:
 		cl.err = ErrBadFrame
 	}
+}
+
+// watchdog bounds every call: it fails the session when calls are
+// pending and no frame has arrived for Timeout, and otherwise sleeps
+// until that could first be true. roundTrip starts it when a call
+// finds nothing else pending; it goes dormant when nothing is.
+func (c *Client) watchdog() {
+	c.mu.Lock()
+	if len(c.pending) == 0 || c.fatal != nil {
+		c.mu.Unlock()
+		return
+	}
+	if wait := time.Until(time.Unix(0, c.progress.Load())) + c.cfg.Timeout; wait > 0 {
+		c.watch.Reset(wait)
+		c.mu.Unlock()
+		return
+	}
+	c.mu.Unlock()
+	c.fail(fmt.Errorf("wire: no frame for %v with calls pending: %w", c.cfg.Timeout, os.ErrDeadlineExceeded))
 }
 
 // fail terminates every pending call with err (first failure wins)
@@ -281,6 +315,9 @@ func (c *Client) fail(err error) {
 	err = c.fatal
 	pending := c.pending
 	c.pending = make(map[uint64]*call)
+	if c.watch != nil {
+		c.watch.Stop()
+	}
 	c.mu.Unlock()
 	if first && c.cfg.OnClose != nil {
 		c.cfg.OnClose(err)
@@ -306,6 +343,14 @@ func (c *Client) roundTrip(cl *call, enc func(buf []byte, corr uint64) ([]byte, 
 	c.nextCorr++
 	id := c.nextCorr
 	c.pending[id] = cl
+	if len(c.pending) == 1 { // the first pending call starts the clock
+		c.progress.Store(time.Now().UnixNano())
+		if c.watch == nil {
+			c.watch = time.AfterFunc(c.cfg.Timeout, c.watchdog)
+		} else {
+			c.watch.Reset(c.cfg.Timeout)
+		}
+	}
 	c.mu.Unlock()
 
 	c.wmu.Lock()
@@ -373,6 +418,25 @@ func (c *Client) Subscribe() (Health, error) {
 		return EncodeSubscribe(buf, corr), nil
 	})
 	return cl.health, err
+}
+
+// Fetch returns the current published table of every shard in
+// f.Shards, each stamped with its even epoch, plus the image's segment
+// names when f.Names is set.
+func (c *Client) Fetch(f Fetch) (*Tables, error) {
+	cl := &call{typ: FrameTables}
+	err := c.roundTrip(cl, func(buf []byte, corr uint64) ([]byte, error) {
+		return EncodeFetch(buf, corr, f), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, tab := range cl.tables.Tables {
+		if (tab != nil) != (f.Shards&(1<<i) != 0) {
+			return nil, ErrBadFrame // not the shards asked for
+		}
+	}
+	return &cl.tables, nil
 }
 
 // Ping probes liveness and returns the tenant's current image shape.

@@ -999,16 +999,16 @@ func EncodeGoAway(buf []byte) []byte {
 
 // ---- Subscribe / Shootdown / LeaseExpire ----
 //
-// The invalidation stream: a client that caches decisions subscribes
-// once, after which every descriptor publication on its tenant fans
-// out as a Shootdown push, and the lease itself is revoked with a
-// LeaseExpire push when the tenant drains. Pushes carry correlation
-// ID 0 — they answer no request.
+// The invalidation stream: a client replicating descriptor tables
+// subscribes once, after which every descriptor publication on its
+// tenant fans out as a Shootdown push, and the subscription itself is
+// revoked with a LeaseExpire push when the tenant drains. Pushes carry
+// correlation ID 0 — they answer no request.
 
 // Shootdown is the payload of a FrameShootdown push: shard Shard
 // published epoch Epoch after a mutation of segment Segno. Epoch is
-// the authority — a cached decision for Shard with VersionLo < Epoch
-// is stale; Segno is advisory (coalesced pushes report the latest
+// the authority — a replica's table of Shard older than Epoch is
+// stale; Segno is advisory (coalesced pushes report the latest
 // edited segment).
 type Shootdown struct {
 	Shard uint32
@@ -1017,7 +1017,7 @@ type Shootdown struct {
 }
 
 // LeaseExpire is the payload of a FrameLeaseExpire push: the
-// subscription is revoked and every cached decision must be dropped.
+// subscription is revoked and the client's replica must be dropped.
 // Code mirrors the error-code vocabulary (CodeConflict: the tenant is
 // draining; CodeUnavailable: the server is shutting the stream down).
 type LeaseExpire struct {
@@ -1089,4 +1089,193 @@ func decodeLeaseExpire(p []byte) (LeaseExpire, error) {
 		return le, ErrBadFrame
 	}
 	return le, nil
+}
+
+// ---- Fetch / Tables ----
+//
+// The replication pair: a client keeping a replica of its tenant's
+// descriptor tables fetches the shards it needs, and the server answers
+// with each named shard's current published table, stamped with the
+// shard's even epoch, every SDW in the Figure 3 even/odd word format
+// (seg.SDW.Encode). The first fetch of a session also asks for the
+// image's segment names, so named queries decide locally too.
+
+// Fetch is the payload of a FrameFetch request: the shards whose
+// tables the client wants (bit i names shard i) and whether the
+// image's segment names should come along.
+type Fetch struct {
+	Shards uint64
+	Names  bool
+}
+
+// Tables is the payload of a FrameTables response. Tables[i] is shard
+// i's table, nil for a shard the fetch did not name. Names are the
+// image's segment names in segment-number order, nil unless the fetch
+// asked for them.
+type Tables struct {
+	Tables [service.MaxShards]*service.Table
+	Names  []string
+}
+
+// EncodeFetch fills buf with a Fetch frame.
+func EncodeFetch(buf []byte, corr uint64, f Fetch) []byte {
+	const size = 16
+	b := ensure(buf, HeaderLen+size)
+	PutHeader(b, Header{Len: size, Type: FrameFetch, Corr: corr})
+	binary.BigEndian.PutUint64(b[HeaderLen:], f.Shards)
+	var flags uint32
+	if f.Names {
+		flags = 1
+	}
+	binary.BigEndian.PutUint32(b[HeaderLen+8:], flags)
+	binary.BigEndian.PutUint32(b[HeaderLen+12:], 0)
+	return b
+}
+
+// decodeFetch decodes a Fetch payload.
+func decodeFetch(p []byte) (Fetch, error) {
+	var f Fetch
+	if len(p) != 16 {
+		return f, ErrBadFrame
+	}
+	flags := binary.BigEndian.Uint32(p[8:12])
+	if flags > 1 || binary.BigEndian.Uint32(p[12:16]) != 0 {
+		return f, ErrBadFrame
+	}
+	f.Shards = binary.BigEndian.Uint64(p[0:8])
+	f.Names = flags == 1
+	return f, nil
+}
+
+// canonicalSDW reports whether sdw survives its Figure 3 word pair
+// unchanged and holds the store's invariants (seg.SDW.Validate).
+func canonicalSDW(sdw seg.SDW) bool {
+	return seg.Decode(sdw.Encode()) == sdw && sdw.Validate() == nil
+}
+
+// EncodeTables fills buf with a Tables frame. Every table's epoch must
+// be even and every SDW canonical; names follow the query-name rules.
+//
+//	0   8  mask of the shards carried (bit i: Tables[i] follows)
+//	8   4  name count
+//	12  4  reserved (zero)
+//	then, per carried shard in ascending order: epoch (8), SDW count
+//	(4), reserved (4), and the SDWs as even/odd word pairs; then each
+//	name as a length word and packed characters.
+func EncodeTables(buf []byte, corr uint64, t *Tables) ([]byte, error) {
+	var mask uint64
+	size := 16
+	for i, tab := range t.Tables {
+		if tab == nil {
+			continue
+		}
+		if tab.Epoch()&1 != 0 {
+			return nil, ErrNotEncodable
+		}
+		for _, sdw := range tab.SDWs() {
+			if !canonicalSDW(sdw) {
+				return nil, ErrNotEncodable
+			}
+		}
+		mask |= 1 << i
+		size += 16 + 2*wordBytes*len(tab.SDWs())
+	}
+	for _, name := range t.Names {
+		if err := validString(name, maxQueryName); err != nil {
+			return nil, err
+		}
+		size += wordBytes + stringWords(len(name))*wordBytes
+	}
+	b := ensure(buf, HeaderLen+size)
+	PutHeader(b, Header{Len: uint32(size), Type: FrameTables, Corr: corr})
+	binary.BigEndian.PutUint64(b[HeaderLen:], mask)
+	binary.BigEndian.PutUint32(b[HeaderLen+8:], uint32(len(t.Names)))
+	binary.BigEndian.PutUint32(b[HeaderLen+12:], 0)
+	off := HeaderLen + 16
+	for _, tab := range t.Tables {
+		if tab == nil {
+			continue
+		}
+		binary.BigEndian.PutUint64(b[off:], tab.Epoch())
+		binary.BigEndian.PutUint32(b[off+8:], uint32(len(tab.SDWs())))
+		binary.BigEndian.PutUint32(b[off+12:], 0)
+		off += 16
+		for _, sdw := range tab.SDWs() {
+			even, odd := sdw.Encode()
+			off = putWord(b, off, even)
+			off = putWord(b, off, odd)
+		}
+	}
+	for _, name := range t.Names {
+		off = putLenWord(b, off, len(name))
+		off = putPackedString(b, off, name)
+	}
+	return b, nil
+}
+
+// decodeTables decodes a Tables payload, enforcing even epochs and
+// canonical SDWs. Every count is bounded by the payload length before
+// anything is allocated for it.
+func decodeTables(p []byte) (Tables, error) {
+	var t Tables
+	if len(p) < 16 || binary.BigEndian.Uint32(p[12:16]) != 0 {
+		return t, ErrBadFrame
+	}
+	mask := binary.BigEndian.Uint64(p[0:8])
+	names := binary.BigEndian.Uint32(p[8:12])
+	off := 16
+	for m := mask; m != 0; m &= m - 1 {
+		if off+16 > len(p) {
+			return t, ErrBadFrame
+		}
+		epoch := binary.BigEndian.Uint64(p[off:])
+		count := binary.BigEndian.Uint32(p[off+8:])
+		if epoch&1 != 0 || binary.BigEndian.Uint32(p[off+12:]) != 0 ||
+			uint64(count)*2*wordBytes > uint64(len(p)-off-16) {
+			return t, ErrBadFrame
+		}
+		off += 16
+		var sdws []seg.SDW
+		if count > 0 {
+			sdws = make([]seg.SDW, count)
+		}
+		for k := range sdws {
+			even, err := getWord(p, off)
+			if err != nil {
+				return t, err
+			}
+			odd, err := getWord(p, off+wordBytes)
+			if err != nil {
+				return t, err
+			}
+			off += 2 * wordBytes
+			sdws[k] = seg.Decode(even, odd)
+			if e2, o2 := sdws[k].Encode(); e2 != even || o2 != odd || sdws[k].Validate() != nil {
+				return t, ErrBadFrame
+			}
+		}
+		t.Tables[bits.TrailingZeros64(m)] = service.NewTable(epoch, sdws)
+	}
+	if uint64(names)*wordBytes > uint64(len(p)-off) {
+		return t, ErrBadFrame
+	}
+	if names > 0 {
+		t.Names = make([]string, names)
+	}
+	for k := range t.Names {
+		if off+wordBytes > len(p) {
+			return t, ErrBadFrame
+		}
+		n, next, err := getLenWord(p, off, maxQueryName)
+		if err != nil {
+			return t, err
+		}
+		if t.Names[k], off, err = getPackedString(p, next, n); err != nil {
+			return t, err
+		}
+	}
+	if off != len(p) {
+		return t, ErrBadFrame
+	}
+	return t, nil
 }

@@ -70,6 +70,10 @@ func TestFrameRoundTrips(t *testing.T) {
 			Health: Health{Segments: 3, Shards: 8, Workers: 1, StoreVersion: 4}},
 		"error":  {Type: FrameError, Corr: 13, Err: ErrFrame{Code: CodeShed, Msg: "service: decision queue full"}},
 		"goaway": {Type: FrameGoAway},
+		"fetch":  {Type: FrameFetch, Corr: 14, Fetch: Fetch{Shards: 1 << 63}},
+		"tables": {Type: FrameTables, Corr: 14, Tables: goldenTables()},
+		"tables_empty_shard": {Type: FrameTables, Corr: 15, Tables: Tables{
+			Tables: [service.MaxShards]*service.Table{63: service.NewTable(1<<40, nil)}}},
 	}
 	for name, f := range frames {
 		t.Run(name, func(t *testing.T) {
@@ -142,6 +146,16 @@ func TestEncodeRejectsUnencodable(t *testing.T) {
 		"hello zero min":       {Type: FrameHello, Hello: Hello{MaxVersion: 1}},
 		"hello inverted range": {Type: FrameHello, Hello: Hello{MinVersion: 2, MaxVersion: 1}},
 		"error zero code":      {Type: FrameError, Err: ErrFrame{Msg: "x"}},
+		"tables odd epoch": {Type: FrameTables, Tables: Tables{
+			Tables: [service.MaxShards]*service.Table{service.NewTable(3, nil)}}},
+		"tables address too wide": {Type: FrameTables, Tables: Tables{
+			Tables: [service.MaxShards]*service.Table{service.NewTable(2, []seg.SDW{{Addr: 1 << seg.AddrBits}})}}},
+		"tables brackets out of order": {Type: FrameTables, Tables: Tables{
+			Tables: [service.MaxShards]*service.Table{service.NewTable(2, []seg.SDW{{Present: true, Bound: 1,
+				Brackets: core.Brackets{R1: 3, R2: 1, R3: 1}}})}}},
+		"tables gates past bound": {Type: FrameTables, Tables: Tables{
+			Tables: [service.MaxShards]*service.Table{service.NewTable(2, []seg.SDW{{Present: true, Bound: 1, Gate: 2}})}}},
+		"tables nul in name": {Type: FrameTables, Tables: Tables{Names: []string{"da\x00ta"}}},
 	}
 	for name, f := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -159,6 +173,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 		{Type: FrameCheck, Corr: 7, Queries: goldenQueries()},
 		{Type: FrameHello, Hello: Hello{MinVersion: 1, MaxVersion: 1, Tenant: "acme"}},
 		{Type: FrameError, Corr: 3, Err: ErrFrame{Code: 400, Msg: "nope"}},
+		{Type: FrameTables, Corr: 14, Tables: goldenTables()},
 	} {
 		b, err := EncodeFrame(nil, f)
 		if err != nil {
@@ -183,6 +198,8 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		{Type: FrameMutate, Corr: 9, Mutation: Mutation{
 			Op: MutSetBrackets, Segment: "data", Read: true,
 			Brackets: core.Brackets{R1: 1, R2: 1, R3: 1}}},
+		{Type: FrameFetch, Corr: 14, Fetch: Fetch{Shards: 0b101, Names: true}},
+		{Type: FrameTables, Corr: 14, Tables: goldenTables()},
 	} {
 		orig, err := EncodeFrame(nil, f)
 		if err != nil {
@@ -219,7 +236,7 @@ func TestHeaderRejectsReservedBits(t *testing.T) {
 		}
 	}
 	mut := bytes.Clone(b)
-	mut[4] = byte(FrameLeaseExpire) + 1
+	mut[4] = byte(FrameTables) + 1
 	if _, err := ParseHeader(mut); err == nil {
 		t.Error("unknown frame type accepted")
 	}

@@ -23,6 +23,8 @@ type Frame struct {
 	Err          ErrFrame           // FrameError
 	Shootdown    Shootdown          // FrameShootdown
 	Expire       LeaseExpire        // FrameLeaseExpire
+	Fetch        Fetch              // FrameFetch
+	Tables       Tables             // FrameTables
 }
 
 // DecodeFrame decodes one complete frame from the front of b,
@@ -110,6 +112,10 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 			return f, 0, ErrBadFrame
 		}
 		f.Expire, err = decodeLeaseExpire(p)
+	case FrameFetch:
+		f.Fetch, err = decodeFetch(p)
+	case FrameTables:
+		f.Tables, err = decodeTables(p)
 	}
 	if err != nil {
 		return Frame{}, 0, err
@@ -162,6 +168,10 @@ func EncodeFrame(buf []byte, f Frame) ([]byte, error) {
 			return nil, ErrNotEncodable
 		}
 		return EncodeLeaseExpire(buf, f.Expire)
+	case FrameFetch:
+		return EncodeFetch(buf, f.Corr, f.Fetch), nil
+	case FrameTables:
+		return EncodeTables(buf, f.Corr, &f.Tables)
 	default:
 		return nil, ErrNotEncodable
 	}

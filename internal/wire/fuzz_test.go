@@ -89,6 +89,8 @@ func FuzzSessionBytes(f *testing.F) {
 	f.Add(append(append([]byte{}, hello...), check...))
 	f.Add(append(append([]byte{}, hello...), EncodePing(nil, 2)...))
 	f.Add(append(append([]byte{}, hello...), EncodeSubscribe(nil, 3)...))
+	f.Add(append(append([]byte{}, hello...), EncodeFetch(nil, 4, Fetch{Shards: 0xFF, Names: true})...))
+	f.Add(append(append([]byte{}, hello...), EncodeFetch(nil, 5, Fetch{Shards: 1 << 40})...))
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"))
 	f.Add(append(append([]byte{}, hello...), 0xFF, 0xFF, 0xFF, 0xFF))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/seg"
 	"repro/internal/service"
 )
 
@@ -60,7 +61,23 @@ func goldenFrames() []struct {
 			Shootdown: Shootdown{Shard: 2, Segno: 10, Epoch: 4}}},
 		{"lease_expire", Frame{Type: FrameLeaseExpire,
 			Expire: LeaseExpire{Code: CodeConflict}}},
+		{"fetch", Frame{Type: FrameFetch, Corr: 14,
+			Fetch: Fetch{Shards: 0b101, Names: true}}},
+		{"tables", Frame{Type: FrameTables, Corr: 14, Tables: goldenTables()}},
 	}
+}
+
+// goldenTables answers the golden fetch against testSegments in an
+// 8-shard store: shard 0 ("data") after two edits, shard 2 ("secret")
+// revoked — an absent SDW keeps its other fields — and the names.
+func goldenTables() Tables {
+	var ts Tables
+	ts.Tables[0] = service.NewTable(4, []seg.SDW{{Present: true, Bound: 16, Read: true, Write: true,
+		Brackets: core.Brackets{R1: 2, R2: 4, R3: 4}}})
+	ts.Tables[2] = service.NewTable(2, []seg.SDW{{Bound: 8, Read: true,
+		Brackets: core.Brackets{R1: 0, R2: 1, R3: 1}}})
+	ts.Names = []string{"data", "code", "secret"}
+	return ts
 }
 
 // TestWireGolden pins each frame encoding against its .bin fixture

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -387,6 +388,10 @@ func (s *session) readLoop() {
 			if !s.handleSubscribe(h.Corr, payload) {
 				return
 			}
+		case FrameFetch:
+			if !s.handleFetch(h.Corr, payload) {
+				return
+			}
 		default:
 			s.writeError(h.Corr, CodeBadRequest, "unexpected frame type")
 			return
@@ -500,6 +505,48 @@ func (s *session) handleMutate(corr uint64, payload []byte) bool {
 	return true
 }
 
+// handleFetch answers one Fetch frame inline on the reader, as Ping
+// is: the current published table of every named shard, each a clean
+// snapshot of its shard at its even epoch, plus the image's segment
+// names when asked. A shard at or beyond the tenant's shard count, or
+// a tenant no longer serving, answers an Error frame and keeps the
+// session open; a malformed frame reports false, which closes it.
+func (s *session) handleFetch(corr uint64, payload []byte) bool {
+	f, err := decodeFetch(payload)
+	if err != nil {
+		s.writeError(corr, CodeBadRequest, err.Error())
+		return false
+	}
+	st := s.t.Store()
+	if f.Shards>>st.Shards() != 0 {
+		s.writeError(corr, CodeBadRequest, fmt.Sprintf("fetch names shard %d of a %d-shard store", bits.Len64(f.Shards)-1, st.Shards()))
+		return true
+	}
+	if state := s.t.State(); state != tenant.StateActive && state != tenant.StateSealed {
+		s.writeError(corr, CodeUnavailable, state.String())
+		return true
+	}
+	var ts Tables
+	for m := f.Shards; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		ts.Tables[i] = st.Table(i)
+	}
+	if f.Names {
+		ts.Names = st.Segments()
+	}
+	s.wmu.Lock()
+	b, err := EncodeTables(s.wbuf, corr, &ts)
+	if err == nil {
+		s.wbuf = b
+		s.writeLocked(b)
+	}
+	s.wmu.Unlock()
+	if err != nil {
+		s.writeError(corr, CodeBadRequest, err.Error())
+	}
+	return true
+}
+
 // handleSubscribe registers the session for descriptor-invalidation
 // pushes and acks with a Pong (its StoreVersion is the subscription's
 // starting epoch sum). Registration happens BEFORE the ack is written,
@@ -516,7 +563,9 @@ func (s *session) handleSubscribe(corr uint64, payload []byte) bool {
 		s.sub = s.t.Subscribe()
 		s.pusherStop = make(chan struct{})
 	}
-	s.handlePing(corr)
+	s.wmu.Lock()
+	s.pongLocked(corr) // no flush: no push precedes the ack
+	s.wmu.Unlock()
 	if first {
 		s.pusherWG.Add(1)
 		go s.pusher()
@@ -541,21 +590,25 @@ func (s *session) pusher() {
 			s.writeLeaseExpire(CodeUnavailable)
 			return
 		}
-		sub.Drain(func(shard int, segno uint32, epoch uint64) {
-			s.writeShootdown(Shootdown{Shard: uint32(shard), Segno: segno, Epoch: epoch})
-		})
+		s.wmu.Lock()
+		s.flushLocked()
+		s.wmu.Unlock()
 	}
 }
 
-// writeShootdown pushes one Shootdown frame under the write lock.
-func (s *session) writeShootdown(sd Shootdown) {
-	s.wmu.Lock()
-	b, err := EncodeShootdown(s.wbuf, sd)
-	if err == nil {
-		s.wbuf = b
-		s.writeLocked(b)
-	}
-	s.wmu.Unlock()
+// flushLocked writes a Shootdown frame for every invalidation pending
+// in the session's subscription. Drains run under the write lock, so
+// a frame written after one follows every event it drained.
+//
+//ring:locked wmu
+func (s *session) flushLocked() {
+	s.sub.Drain(func(shard int, segno uint32, epoch uint64) {
+		b, err := EncodeShootdown(s.wbuf, Shootdown{Shard: uint32(shard), Segno: segno, Epoch: epoch})
+		if err == nil {
+			s.wbuf = b
+			s.writeLocked(b)
+		}
+	})
 }
 
 // writeLeaseExpire pushes the subscription-revoked frame.
@@ -569,12 +622,26 @@ func (s *session) writeLeaseExpire(code uint16) {
 	s.wmu.Unlock()
 }
 
-// handlePing answers one Ping frame inline on the reader.
+// handlePing answers one Ping frame inline on the reader. On a
+// subscribed session it first announces every invalidation still
+// pending, under the same write lock: a ping is then a barrier after
+// which the client has been told of every edit published before the
+// server answered.
 func (s *session) handlePing(corr uint64) {
 	s.wmu.Lock()
+	if s.sub != nil {
+		s.flushLocked()
+	}
+	s.pongLocked(corr)
+	s.wmu.Unlock()
+}
+
+// pongLocked writes a Pong carrying the image shape.
+//
+//ring:locked wmu
+func (s *session) pongLocked(corr uint64) {
 	s.wbuf = EncodePong(s.wbuf, corr, s.health())
 	s.writeLocked(s.wbuf)
-	s.wmu.Unlock()
 }
 
 // writeError writes an Error frame under the write lock, reusing the

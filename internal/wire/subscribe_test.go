@@ -2,7 +2,10 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"net"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -332,5 +335,111 @@ func TestSubscribeStartingEpochCoversGap(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("post-subscribe mutation never announced")
+	}
+}
+
+// TestFetchTables checks the replication pair end to end: a fetch
+// answers each named shard's current published table at its even
+// epoch, the image's names when asked, and nothing it was not asked
+// for.
+func TestFetchTables(t *testing.T) {
+	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 1})
+	_, addr := startWireServer(t, reg, Config{})
+	c, err := Dial(addr, ClientConfig{})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	if _, err := c.Mutate(Mutation{Op: MutRevoke, Segment: "secret"}); err != nil {
+		t.Fatalf("revoke: %v", err)
+	}
+	ts, err := c.Fetch(Fetch{Shards: 0b111, Names: true})
+	if err != nil {
+		t.Fatalf("fetch: %v", err)
+	}
+	def, _ := reg.Get(tenant.DefaultTenant)
+	st := def.Store()
+	for i := 0; i < 3; i++ {
+		got, want := ts.Tables[i], st.Table(i)
+		if got.Epoch() != want.Epoch() || !reflect.DeepEqual(got.SDWs(), want.SDWs()) {
+			t.Errorf("shard %d: fetched epoch %d %v, store has epoch %d %v",
+				i, got.Epoch(), got.SDWs(), want.Epoch(), want.SDWs())
+		}
+	}
+	if sdw := ts.Tables[2].SDWs()[0]; ts.Tables[2].Epoch() != 2 || sdw.Present || sdw.Bound != 8 {
+		t.Errorf("revoked secret fetched at epoch %d as %v, want epoch 2, absent, bound kept",
+			ts.Tables[2].Epoch(), sdw)
+	}
+	if !reflect.DeepEqual(ts.Names, st.Segments()) {
+		t.Errorf("names %q, want %q", ts.Names, st.Segments())
+	}
+	ts, err = c.Fetch(Fetch{Shards: 0b10})
+	if err != nil {
+		t.Fatalf("fetch without names: %v", err)
+	}
+	if ts.Names != nil || ts.Tables[0] != nil || ts.Tables[1] == nil {
+		t.Errorf("fetch of shard 1 alone answered %+v", ts)
+	}
+}
+
+// TestFetchBeyondShardCount checks that a fetch naming a shard at or
+// beyond the tenant's shard count answers CodeBadRequest and leaves
+// the session open.
+func TestFetchBeyondShardCount(t *testing.T) {
+	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 1, Shards: 4})
+	_, addr := startWireServer(t, reg, Config{})
+	c, err := Dial(addr, ClientConfig{})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	for _, shards := range []uint64{1 << 4, 1<<63 | 1} {
+		_, err := c.Fetch(Fetch{Shards: shards})
+		var ef *ErrFrame
+		if !errors.As(err, &ef) || ef.Code != CodeBadRequest {
+			t.Errorf("fetch of shards %#x answered %v, want a %d error frame", shards, err, CodeBadRequest)
+		}
+	}
+	if _, err := c.Fetch(Fetch{Shards: 0b1111}); err != nil {
+		t.Errorf("session unusable after a rejected fetch: %v", err)
+	}
+}
+
+// TestPingFlushesShootdowns checks that a ping on a subscribed session
+// is a barrier: when Ping returns, the client has been told of every
+// edit published before the server answered it, whether or not the
+// session's pusher had run yet.
+func TestPingFlushesShootdowns(t *testing.T) {
+	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 1})
+	_, addr := startWireServer(t, reg, Config{})
+	var heard atomic.Uint64 // highest shard-0 epoch announced
+	c, err := Dial(addr, ClientConfig{OnShootdown: func(sd Shootdown) {
+		if sd.Shard == 0 && sd.Epoch > heard.Load() {
+			heard.Store(sd.Epoch)
+		}
+	}})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	if _, err := c.Subscribe(); err != nil {
+		t.Fatalf("subscribe: %v", err)
+	}
+	def, _ := reg.Get(tenant.DefaultTenant)
+	st := def.Store()
+	for i := 0; i < 50; i++ {
+		b := core.Brackets{R1: 2, R2: 4, R3: 4}
+		if i%2 == 0 {
+			b = core.Brackets{R1: 0, R2: 1, R3: 1}
+		}
+		if err := st.SetBrackets(0, true, true, false, b, 0); err != nil {
+			t.Fatalf("edit %d: %v", i, err)
+		}
+		if _, err := c.Ping(); err != nil {
+			t.Fatalf("ping %d: %v", i, err)
+		}
+		if got, want := heard.Load(), st.ShardVersion(0); got < want {
+			t.Fatalf("edit %d: ping answered with shard 0 announced at epoch %d, published %d", i, got, want)
+		}
 	}
 }

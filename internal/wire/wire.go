@@ -102,14 +102,22 @@ const (
 	FrameSubscribe
 	// FrameShootdown is a server push (correlation 0) on a subscribed
 	// session: a descriptor of the named shard changed, and the frame
-	// names the shard's new (even) publication epoch. Every cached
-	// decision for that shard tagged with an older epoch is stale.
+	// names the shard's new (even) publication epoch. A replica's table
+	// of that shard at an older epoch is stale.
 	FrameShootdown
 	// FrameLeaseExpire is a server push (correlation 0) revoking the
 	// subscription itself: the tenant is draining or evicted, so no
-	// further shootdowns will arrive and every cached decision must be
+	// further shootdowns will arrive and the client's replica must be
 	// dropped.
 	FrameLeaseExpire
+	// FrameFetch asks for the current published descriptor tables of
+	// the named shards (and, optionally, the image's segment names): a
+	// client replicating the tenant's SDWs fills and refreshes its
+	// replica with it.
+	FrameFetch
+	// FrameTables answers a Fetch: each named shard's table stamped
+	// with its even publication epoch, SDWs in Figure 3 format.
+	FrameTables
 )
 
 // String returns the frame type's wire name.
@@ -141,6 +149,10 @@ func (t FrameType) String() string {
 		return "shootdown"
 	case FrameLeaseExpire:
 		return "lease_expire"
+	case FrameFetch:
+		return "fetch"
+	case FrameTables:
+		return "tables"
 	default:
 		return fmt.Sprintf("frame(%d)", uint8(t))
 	}
@@ -149,7 +161,7 @@ func (t FrameType) String() string {
 // valid reports whether t names a version-1 frame type.
 //
 //ring:hotpath
-func (t FrameType) valid() bool { return t >= FrameHello && t <= FrameLeaseExpire }
+func (t FrameType) valid() bool { return t >= FrameHello && t <= FrameTables }
 
 // Error codes carried by FrameError, mirroring the HTTP status the
 // JSON surface would answer for the same condition.

@@ -1,6 +1,8 @@
 package rings
 
 import (
+	"errors"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,247 +11,332 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the client half of the distributed decision-lease
-// protocol: the network analogue of the paper's per-processor SDW
-// associative memory. A RemoteChecker dialed with a CacheSize holds a
-// bounded map from query tuples to decisions, each lease tagged with
-// the decision's shard publication epoch and a wall-clock TTL; the
-// wire session's subscription stream delivers the supervisor's
-// shootdowns, and a shootdown naming shard epoch E retires every lease
-// on that shard tagged with an older epoch.
+// This file is the client half of descriptor replication: the network
+// analogue of the paper's per-processor SDW associative memory. A
+// RemoteChecker dialed with a CacheSize keeps a replica of its tenant's
+// descriptor tables, one per shard, each fetched at an even publication
+// epoch, and decides every query locally through the procedure the
+// server runs (service.Decider). The wire session's subscription
+// stream delivers the supervisor's shootdowns: a shootdown naming shard
+// epoch E makes that shard's table stale if it is older than E, and the
+// next batch consulting the shard fetches it again.
 //
 // # Staleness argument
 //
-// A cached decision is served only while three conditions hold:
+// A batch decides from a shard's table only while three conditions
+// hold:
 //
 //  1. its epoch is at or beyond the shard's shootdown floor — no
-//     acknowledged shootdown names it;
-//  2. its TTL has not elapsed — a stalled or lagging stream bounds
-//     staleness by the TTL instead of forever;
-//  3. the subscription is live — a dead session (GoAway, disconnect,
-//     lease-expire) drops the whole cache and every lookup misses
-//     until a fresh session resubscribes and starts from empty.
+//     acknowledged shootdown names a newer publication;
+//  2. its TTL, counted from when its fetch was sent, has not elapsed —
+//     a stalled or lagging stream bounds staleness by the TTL instead
+//     of forever;
+//  3. its session is live — a dead session (GoAway, disconnect, call
+//     timeout, lease-expire) lapses the whole replica, and every query
+//     goes to the server until a fresh session resubscribes and fills a
+//     new replica.
 //
-// Every served decision therefore remains explainable at some store
-// state within its recorded epoch interval, and no decision is served
-// after the client has acknowledged a shootdown naming its epoch: the
-// floor store in the shootdown handler happens before the handler
-// returns, and every subsequent lookup reads the floor.
+// Callers deciding locally can keep every processor busy and starve
+// the session's reader, leaving shootdowns the server sent unread; so
+// a batch that finds the stream silent for longer than syncEvery pings
+// it first, and the server announces every edit it published before
+// answering. A batch checks every shard it consults before deciding,
+// fetches the stale ones in one round trip, and decides from exactly
+// the tables it checked or fetched, each a clean snapshot of its
+// shard. Every decision is therefore the server's answer at the epoch
+// it reports, and no batch that begins after the client has
+// acknowledged a shootdown decides from a table older than the epoch
+// it names: the floor store in the shootdown handler happens before
+// the handler returns, and every later batch reads the floor.
 
-// maxLeaseChain bounds the effective-ring chain length a lease key can
-// represent; longer chains bypass the cache (they are rare and their
-// decisions span shards anyway).
-const maxLeaseChain = 4
-
-// leaseKey is a fixed-size comparable image of one Query: cache
-// lookups build it on the stack and index the lease map directly, so
-// the hit path neither hashes by hand nor allocates, and distinct
-// queries can never collide. The op travels as a one-byte code and
-// fields the decision procedure ignores for an op are canonicalized to
-// zero — both shrink the hashed bytes, which is most of a hit's cost.
-type leaseKey struct {
-	op          uint8 // 1 access, 2 call, 3 return, 4 effring
-	ring        Ring
-	kind        uint8 // validated AccessKind; meaningful for access only
-	effRing     Ring
-	hasEff      bool
-	sameSegment bool
-	chainLen    uint8
-	segno       uint32
-	wordno      uint32
-	chain       [maxLeaseChain]ChainStep
-	segment     string
-}
-
-// leaseKeyOf builds q's cache key. It reports false for queries the
-// cache does not serve: unknown ops, out-of-range access kinds (a
-// narrowed kind must never collide with a valid one), and
-// effective-ring chains longer than maxLeaseChain.
-//
-//ring:hotpath
-func leaseKeyOf(q *Query) (leaseKey, bool) {
-	k := leaseKey{
-		ring:    q.Ring,
-		segment: q.Segment,
-		segno:   q.Segno,
-		wordno:  q.Wordno,
-	}
-	switch q.Op {
-	case OpAccess:
-		// Only access reads the kind; call/return/effring ignore it, so
-		// leaving it zero there folds equivalent queries into one lease.
-		if q.Kind != AccessRead && q.Kind != AccessWrite && q.Kind != AccessExecute {
-			return k, false
-		}
-		k.op, k.kind = 1, uint8(q.Kind)
-	case OpCall:
-		k.op = 2
-		k.sameSegment = q.SameSegment
-	case OpReturn:
-		k.op = 3
-	default:
-		if q.Op != OpEffRing {
-			return k, false
-		}
-		k.op = 4
-	}
-	if q.EffRing != nil {
-		k.hasEff = true
-		k.effRing = *q.EffRing
-	}
-	if len(q.Chain) > maxLeaseChain {
-		return k, false
-	}
-	k.chainLen = uint8(len(q.Chain))
-	for i := range q.Chain {
-		k.chain[i] = q.Chain[i]
-	}
-	return k, true
-}
-
-// lease is one cached decision: the answer, the (even) shard
-// publication epoch it was decided at, and its wall-clock expiry.
-type lease struct {
-	dec     Decision
-	epoch   uint64
-	expires int64 // UnixNano
-}
-
-// flight is one in-flight miss being fetched by a leader call;
-// followers for the same key wait on done instead of duplicating the
-// remote fetch.
-type flight struct {
-	done chan struct{}
-	dec  Decision
-	ok   bool
-}
-
-// CacheStats is a lease cache's counters, for /metrics-style
-// reporting and the T17 experiment.
+// CacheStats is a replica's counters, for /metrics-style reporting and
+// the T17 experiment.
 type CacheStats struct {
-	// Hits and Misses count individual queries served from the cache
-	// vs fetched remotely.
+	// Hits counts queries decided from a resident fresh table. Misses
+	// counts queries whose shard table had to be fetched for them, and
+	// queries sent to the server while the replica was lapsed.
 	Hits, Misses uint64
 	// Shootdowns counts invalidation pushes received; Expires counts
-	// lease-expire pushes; Flushes counts whole-cache drops (lapse,
+	// lease-expire pushes; Flushes counts whole-replica drops (lapse,
 	// reconnect).
 	Shootdowns, Expires, Flushes uint64
-	// Size is the current lease count.
+	// Size is the number of resident shard tables.
 	Size int
 }
 
-// leaseCache is the bounded decision-lease cache behind a cached
-// RemoteChecker.
-type leaseCache struct {
-	cap int
-	ttl time.Duration
+// cacheCounters back CacheStats; every session's replica of one
+// checker shares them.
+type cacheCounters struct {
+	hits, misses, shootdowns, expires, flushes atomic.Uint64
+}
 
-	mu      sync.RWMutex
-	entries map[leaseKey]*lease //ring:guarded mu (pointer values: put replaces, never mutates in place)
+// resident is one shard's installed table and the instant its TTL runs
+// out.
+type resident struct {
+	tab     *service.Table
+	expires int64 // UnixNano
+}
+
+// flight is one table fetch in progress; a batch needing one of its
+// shards waits on done instead of fetching the shard again.
+type flight struct {
+	done chan struct{}
+	ts   *wire.Tables
+	err  error
+}
+
+// replica is one wire session's copy of its tenant's descriptor
+// tables. Its handlers belong to its session alone, so a session's
+// death lapses only its own replica: an old session closed after a
+// redial cannot lapse the replica that replaced it.
+type replica struct {
+	wc     *wire.Client
+	ttl    time.Duration
+	shards int
+	names  map[string]uint32 // filled before the replica is shared
+	stats  *cacheCounters
+
+	// floors[i] is shard i's shootdown floor: the highest epoch a
+	// shootdown on this session has named for it.
+	floors [service.MaxShards]atomic.Uint64
+	tables [service.MaxShards]atomic.Pointer[resident]
+	// lapsed is set once, when the session dies or its subscription is
+	// revoked; a lapsed replica holds no table and decides nothing.
+	lapsed atomic.Bool
+	// heard is when the stream last showed it was being read (UnixNano):
+	// the fill, a shootdown, or a ping barrier. busy is when a batch last
+	// marked the replica in use, at most once per syncEvery/4. syncing
+	// marks a barrier in flight.
+	heard, busy atomic.Int64
+	syncing     atomic.Bool
 
 	flightMu sync.Mutex
-	flights  map[leaseKey]*flight //ring:guarded flightMu
+	flights  [service.MaxShards]*flight //ring:guarded flightMu
 
-	// floors[i] is shard i's shootdown floor: the highest invalidation
-	// epoch acknowledged for that shard. Sized to the store's shard
-	// bound so the handler can never race a sizing step.
-	floors [service.MaxShards]atomic.Uint64
-
-	// lapsed is set the instant the subscription stream dies (GoAway,
-	// disconnect, lease-expire): every lookup fails closed to a miss
-	// and nothing is inserted until a fresh session resubscribes.
-	lapsed atomic.Bool
-	// gen counts subscription generations; it bumps on every lapse and
-	// revive, and an insert whose fetch began under an older generation
-	// is refused — a decision fetched over a dead session must never
-	// seed the revived cache (the mutations it missed were never
-	// announced to the new subscription).
-	gen atomic.Uint64
-
-	hits       atomic.Uint64
-	misses     atomic.Uint64
-	shootdowns atomic.Uint64
-	expires    atomic.Uint64
-	flushes    atomic.Uint64
+	// idle holds batch scratch between calls; a call finding it empty
+	// builds a new batch, and a full one drops the batch it returns.
+	idle chan *batch
 }
 
-func newLeaseCache(capacity int, ttl time.Duration) *leaseCache {
-	return &leaseCache{
-		cap:     capacity,
-		ttl:     ttl,
-		entries: make(map[leaseKey]*lease, capacity),
-		flights: make(map[leaseKey]*flight),
-	}
+// maxIdleBatches bounds a replica's idle batch scratch, about 1 KB
+// each: more concurrent callers than this allocate a batch per call.
+// It is several times the callers one client process usually runs
+// (perfbench and ringload run four).
+const maxIdleBatches = 16
+
+// batch is one caller's scratch for deciding locally: the tables it
+// checked or fetched, which it implements service.Tables over, and a
+// decider reading them.
+type batch struct {
+	r    *replica
+	tabs [service.MaxShards]*service.Table
+	dc   *service.Decider
 }
 
-// serveHits answers every lease-resident query of the batch in one
-// read-locked pass, filling dst[i] for each hit and appending a
-// missRec for everything else. The epoch-floor and TTL checks run
-// under the read lock on every hit, so a lookup beginning after a
-// shootdown (or lapse) is acknowledged can never return the lease it
-// retired; taking the lock once per batch instead of once per query is
-// what keeps the hit path ahead of the wire on a saturated core.
+func (b *batch) Shards() int                { return b.r.shards }
+func (b *batch) Table(i int) *service.Table { return b.tabs[i] }
+
+// Segno resolves a segment name from the image's names.
 //
 //ring:hotpath
-func (lc *leaseCache) serveHits(queries []Query, dst []Decision, now int64, live bool, misses []missRec) []missRec {
-	var nhits uint64
-	lc.mu.RLock()
-	serveLive := live && !lc.lapsed.Load()
+func (b *batch) Segno(name string) (uint32, bool) {
+	n, ok := b.r.names[name]
+	return n, ok
+}
+
+// dialReplica opens a session with its own replica, subscribes it, and
+// fills it with every shard's table and the image's segment names.
+func (rc *RemoteChecker) dialReplica() (*replica, error) {
+	r := &replica{ttl: rc.ttl, stats: rc.cache}
+	cfg := rc.wcfg
+	cfg.OnShootdown = r.shootdown
+	cfg.OnLeaseExpire = func(wire.LeaseExpire) {
+		r.stats.expires.Add(1)
+		r.lapse()
+	}
+	cfg.OnClose = func(error) { r.lapse() }
+	wc, err := wire.Dial(rc.wireAddr, cfg)
+	if err != nil {
+		return nil, err
+	}
+	r.wc = wc
+	r.shards = int(wc.Welcome().Shards)
+	var ts *wire.Tables
+	all := uint64(1)<<r.shards - 1
+	sent := time.Now().UnixNano()
+	if r.shards < 1 || r.shards > service.MaxShards || r.shards&(r.shards-1) != 0 {
+		err = errors.New("rings: server reports an invalid shard count")
+	} else if _, err = wc.Subscribe(); err == nil {
+		ts, err = wc.Fetch(wire.Fetch{Shards: all, Names: true})
+	}
+	if err != nil {
+		r.lapsed.Store(true) // never installed: its close is no flush
+		wc.Close()
+		return nil, mapWireErr(err)
+	}
+	r.names = make(map[string]uint32, len(ts.Names))
+	for i, name := range ts.Names {
+		r.names[name] = uint32(i)
+	}
+	r.install(all, ts, sent)
+	r.heard.Store(sent)
+	r.idle = make(chan *batch, maxIdleBatches)
+	return r, nil
+}
+
+// syncEvery bounds how long a busy replica decides without hearing from
+// its stream. Shootdowns are read by the session's reader goroutine,
+// which waits for a processor like any other: callers that keep every
+// processor busy with local decisions can hold it off for a scheduler
+// round, about a millisecond on two processors. A caller that finds
+// the replica in use within the last quarter of syncEvery and the
+// stream silent for longer than syncEvery first pings it (one round
+// trip, one caller at a time), and the server announces every edit it
+// published before answering, so the replica's floors are that fresh
+// before the batch checks its tables. A replica used less often than
+// that leaves its reader the processor and never pings.
+const syncEvery = 500 * time.Microsecond
+
+// decide answers the batch locally: it checks the table of every shard
+// the batch consults, fetches the stale ones, and decides from exactly
+// the tables it checked.
+//
+//ring:hotpath
+func (r *replica) decide(queries []Query, dst []Decision) error {
+	now := time.Now().UnixNano()
+	if now-r.busy.Load() > int64(syncEvery/4) {
+		r.busy.Store(now)
+	} else if now-r.heard.Load() > int64(syncEvery) && r.syncing.CompareAndSwap(false, true) {
+		//ring:allow stream barrier: one round trip per syncEvery of silence
+		_, err := r.wc.Ping()
+		r.syncing.Store(false)
+		if err != nil {
+			return mapWireErr(err)
+		}
+		r.heard.Store(now)
+		now = time.Now().UnixNano()
+	}
+	var b *batch
+	select {
+	case b = <-r.idle:
+	default:
+		//ring:allow more concurrent callers than idle batches: each builds its own
+		b = &batch{r: r}
+		//ring:allow more concurrent callers than idle batches: each builds its own
+		b.dc = service.NewDecider(b)
+	}
+	var need uint64
 	for i := range queries {
-		k, cacheable := leaseKeyOf(&queries[i])
-		if serveLive && cacheable {
-			if l, ok := lc.entries[k]; ok &&
-				now < l.expires &&
-				l.epoch >= lc.floors[l.dec.Shard].Load() {
-				dst[i] = l.dec
-				nhits++
-				continue
+		need |= b.dc.Consults(&queries[i])
+	}
+	var stale, missed uint64
+	for m := need; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if b.tabs[i] = r.fresh(i, now); b.tabs[i] == nil {
+			stale |= 1 << i
+		}
+	}
+	var err error
+	if stale != 0 {
+		for i := range queries {
+			if b.dc.Consults(&queries[i])&stale != 0 {
+				missed++
 			}
 		}
-		//ring:allow miss path: appends only for queries the lease map cannot serve
-		misses = append(misses, missRec{idx: i, key: k, cacheable: live && cacheable})
+		r.stats.misses.Add(missed)
+		//ring:allow miss path: a fetch allocates its flight and the tables it brings
+		err = r.fetch(stale, &b.tabs)
 	}
-	lc.mu.RUnlock()
-	if nhits > 0 {
-		lc.hits.Add(nhits)
+	if err == nil {
+		r.stats.hits.Add(uint64(len(queries)) - missed)
+		b.dc.Decide(queries, dst)
 	}
-	return misses
+	clear(b.tabs[:])
+	select {
+	case r.idle <- b:
+	default:
+	}
+	return err
 }
 
-// put records a fetched decision as a lease. Decisions that answered
-// an error, or that no single shard explains (Shard < 0), are not
-// cacheable; a full cache evicts an arbitrary victim (the map's first
-// iterated key — cheap, and correctness never depends on which lease
-// is dropped). The subscription check runs under the write lock: a
-// lapse and revive that land while put waits for the lock must still
-// refuse the insert, and the flush both take cannot run until put has
-// released the lock.
-func (lc *leaseCache) put(k leaseKey, dec Decision, now int64, gen uint64) {
-	if dec.Err != "" || dec.Shard < 0 || dec.Shard >= service.MaxShards {
-		return
+// fresh returns shard i's resident table if a batch beginning at now
+// may decide from it: within its TTL and at or beyond the shard's
+// shootdown floor. Otherwise it returns nil.
+//
+//ring:hotpath
+func (r *replica) fresh(i int, now int64) *service.Table {
+	if e := r.tables[i].Load(); e != nil && now < e.expires && e.tab.Epoch() >= r.floors[i].Load() {
+		return e.tab
 	}
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if lc.lapsed.Load() || lc.gen.Load() != gen {
-		return
-	}
-	if _, exists := lc.entries[k]; !exists && len(lc.entries) >= lc.cap {
-		for victim := range lc.entries {
-			delete(lc.entries, victim)
-			break
+	return nil
+}
+
+// fetch stores a current table for every shard in stale into tabs.
+// Shards another batch is already fetching are waited for; the rest
+// are fetched in one round trip and installed for later batches —
+// single flight per shard. A batch decides from what it fetched even
+// if a shootdown lands during the round trip, as it would from the
+// server's own answer; only later batches see the table go stale.
+func (r *replica) fetch(stale uint64, tabs *[service.MaxShards]*service.Table) error {
+	var waits [service.MaxShards]*flight
+	var lead uint64
+	mine := &flight{done: make(chan struct{})}
+	r.flightMu.Lock()
+	for m := stale; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if waits[i] = r.flights[i]; waits[i] == nil {
+			waits[i], r.flights[i] = mine, mine
+			lead |= 1 << i
 		}
 	}
-	lc.entries[k] = &lease{dec: dec, epoch: dec.VersionLo, expires: now + int64(lc.ttl)}
+	r.flightMu.Unlock()
+	if lead != 0 {
+		sent := time.Now().UnixNano()
+		if mine.ts, mine.err = r.wc.Fetch(wire.Fetch{Shards: lead}); mine.err == nil {
+			r.install(lead, mine.ts, sent)
+		}
+		r.flightMu.Lock()
+		for m := lead; m != 0; m &= m - 1 {
+			r.flights[bits.TrailingZeros64(m)] = nil
+		}
+		r.flightMu.Unlock()
+		close(mine.done)
+	}
+	for m := stale; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		<-waits[i].done
+		if err := waits[i].err; err != nil {
+			return mapWireErr(err)
+		}
+		tabs[i] = waits[i].ts.Tables[i]
+	}
+	return nil
 }
 
-// shootdown is the wire session's OnShootdown handler: raise the
-// shard's floor to the named epoch. Floors only rise (epochs are
-// monotonic per shard, but a reconnected session could replay an older
-// one), and the store-before-return ordering is what makes the
-// no-stale-after-acknowledge property hold.
-func (lc *leaseCache) shootdown(sd wire.Shootdown) {
+// install makes the fetched tables of the shards in mask resident until
+// their TTL, counted from sent, runs out. A lapsed replica holds no
+// table: a lapse racing the stores either precedes the check below,
+// which undoes them, or follows it and drops them itself.
+func (r *replica) install(mask uint64, ts *wire.Tables, sent int64) {
+	for m := mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		r.tables[i].Store(&resident{tab: ts.Tables[i], expires: sent + int64(r.ttl)})
+	}
+	if r.lapsed.Load() {
+		for m := mask; m != 0; m &= m - 1 {
+			r.tables[bits.TrailingZeros64(m)].Store(nil)
+		}
+	}
+}
+
+// shootdown is the session's OnShootdown handler: raise the shard's
+// floor to the named epoch. Floors only rise, and the store-before-
+// return ordering is what makes the no-stale-after-acknowledge
+// property hold.
+func (r *replica) shootdown(sd wire.Shootdown) {
+	r.heard.Store(time.Now().UnixNano())
 	if sd.Shard < service.MaxShards {
-		f := &lc.floors[sd.Shard]
+		f := &r.floors[sd.Shard]
 		for {
 			cur := f.Load()
 			if sd.Epoch <= cur || f.CompareAndSwap(cur, sd.Epoch) {
@@ -259,195 +346,45 @@ func (lc *leaseCache) shootdown(sd wire.Shootdown) {
 	}
 	// Counter last: anyone who observes the count knows the floor it
 	// announced is already in place.
-	lc.shootdowns.Add(1)
+	r.stats.shootdowns.Add(1)
 }
 
-// lapse fails the cache closed: the subscription stream is gone, so
-// every lease is unverifiable. Lookups miss and inserts are refused
-// until a reconnect resubscribes and calls revive.
-func (lc *leaseCache) lapse() {
-	lc.lapsed.Store(true)
-	lc.gen.Add(1)
-	lc.flush()
-}
-
-// flush drops every lease.
-func (lc *leaseCache) flush() {
-	lc.mu.Lock()
-	lc.entries = make(map[leaseKey]*lease, lc.cap)
-	lc.mu.Unlock()
-	lc.flushes.Add(1)
-}
-
-// revive re-arms the cache after a fresh session has subscribed: the
-// cache is empty (flush precedes it) and the new subscription will
-// announce every mutation from here on.
-func (lc *leaseCache) revive() {
-	lc.flush()
-	lc.gen.Add(1)
-	lc.lapsed.Store(false)
-}
-
-// stats snapshots the counters.
-func (lc *leaseCache) stats() CacheStats {
-	lc.mu.RLock()
-	size := len(lc.entries)
-	lc.mu.RUnlock()
-	return CacheStats{
-		Hits:       lc.hits.Load(),
-		Misses:     lc.misses.Load(),
-		Shootdowns: lc.shootdowns.Load(),
-		Expires:    lc.expires.Load(),
-		Flushes:    lc.flushes.Load(),
-		Size:       size,
+// lapse fails the replica closed: its session is gone or its
+// subscription revoked, so its tables are unverifiable. Every table is
+// dropped, and the checker's next call redials.
+func (r *replica) lapse() {
+	if r.lapsed.Swap(true) {
+		return
 	}
+	for i := range r.tables {
+		r.tables[i].Store(nil)
+	}
+	r.stats.flushes.Add(1)
 }
 
-// missRec tracks one query the hit pass could not serve.
-type missRec struct {
-	idx       int
-	key       leaseKey
-	cacheable bool
-	fl        *flight
-	owned     bool
-}
-
-// cachedCheckInto is CheckInto with the lease cache in front of the
-// wire session: a read-locked hit pass, then single-flight remote
-// fetches for the misses.
+// cachedCheckInto is CheckInto with the replica in front of the wire
+// session: decided locally while the replica is live, sent to the
+// server while it is lapsed.
 func (rc *RemoteChecker) cachedCheckInto(queries []Query, dst []Decision) error {
-	lc := rc.cache
 	rc.ensureLive()
-	live := !lc.lapsed.Load()
-	gen := lc.gen.Load()
-	now := time.Now().UnixNano()
-
-	misses := lc.serveHits(queries, dst, now, live, nil)
-	if len(misses) == 0 {
-		return nil
+	r := rc.rep.Load()
+	if r.lapsed.Load() {
+		rc.cache.misses.Add(uint64(len(queries)))
+		return mapWireErr(r.wc.CheckInto(queries, dst))
 	}
-	lc.misses.Add(uint64(len(misses)))
-
-	// Single-flight: the first call to miss a key leads the fetch;
-	// concurrent calls missing the same key follow its flight instead
-	// of duplicating the remote round trip. In-batch duplicates are
-	// safe: every owned flight completes before any wait below.
-	lc.flightMu.Lock()
-	for m := range misses {
-		if !misses[m].cacheable {
-			misses[m].owned = true
-			continue
-		}
-		if fl, ok := lc.flights[misses[m].key]; ok {
-			misses[m].fl = fl
-			continue
-		}
-		fl := &flight{done: make(chan struct{})}
-		lc.flights[misses[m].key] = fl
-		misses[m].fl, misses[m].owned = fl, true
-	}
-	lc.flightMu.Unlock()
-
-	var subQ []Query
-	for m := range misses {
-		if misses[m].owned {
-			subQ = append(subQ, queries[misses[m].idx])
-		}
-	}
-	var ferr error
-	var subD []Decision
-	if len(subQ) > 0 {
-		subD = make([]Decision, len(subQ))
-		ferr = rc.fetchRemote(subQ, subD)
-	}
-	j := 0
-	lc.flightMu.Lock()
-	for m := range misses {
-		if !misses[m].owned {
-			continue
-		}
-		if ferr == nil {
-			dst[misses[m].idx] = subD[j]
-			if fl := misses[m].fl; fl != nil {
-				fl.dec, fl.ok = subD[j], true
-			}
-		}
-		j++
-		if fl := misses[m].fl; fl != nil {
-			delete(lc.flights, misses[m].key)
-			close(fl.done)
-		}
-	}
-	lc.flightMu.Unlock()
-	if ferr == nil {
-		j = 0
-		for m := range misses {
-			if misses[m].owned {
-				if misses[m].cacheable {
-					lc.put(misses[m].key, subD[j], now, gen)
-				}
-				j++
-			}
-		}
-	}
-
-	// Followers: collect leases fetched by other calls; a failed
-	// leader falls back to a direct fetch of the leftovers.
-	var retry []missRec
-	for m := range misses {
-		if misses[m].owned {
-			continue
-		}
-		<-misses[m].fl.done
-		if misses[m].fl.ok {
-			dst[misses[m].idx] = misses[m].fl.dec
-			continue
-		}
-		retry = append(retry, misses[m])
-	}
-	if ferr != nil {
-		return ferr
-	}
-	if len(retry) > 0 {
-		rq := make([]Query, len(retry))
-		rd := make([]Decision, len(retry))
-		for i, m := range retry {
-			rq[i] = queries[m.idx]
-		}
-		if err := rc.fetchRemote(rq, rd); err != nil {
-			return err
-		}
-		for i, m := range retry {
-			dst[m.idx] = rd[i]
-			if m.cacheable {
-				lc.put(m.key, rd[i], now, gen)
-			}
-		}
-	}
-	return nil
-}
-
-// fetchRemote sends one miss batch down the current wire session.
-func (rc *RemoteChecker) fetchRemote(queries []Query, dst []Decision) error {
-	wc := rc.wcp.Load()
-	if wc == nil {
-		return ErrClosed
-	}
-	return mapWireErr(wc.CheckInto(queries, dst))
+	return r.decide(queries, dst)
 }
 
 // redialInterval paces reconnect attempts while the daemon is
 // unreachable, so every batch does not pay a dial timeout.
 const redialInterval = 50 * time.Millisecond
 
-// ensureLive redials and resubscribes after the subscription stream
-// lapsed. On success the cache is flushed (leases from the dead
-// session are unverifiable) and re-armed; on failure the cache stays
-// lapsed — every query goes remote — and the next call past the
-// backoff retries.
+// ensureLive replaces a lapsed replica: it redials, resubscribes and
+// fills a new replica, then closes the old session. On failure the
+// replica stays lapsed — every query goes to the server — and the next
+// call past the backoff retries.
 func (rc *RemoteChecker) ensureLive() {
-	lc := rc.cache
-	if !lc.lapsed.Load() || rc.closed.Load() {
+	if !rc.rep.Load().lapsed.Load() || rc.closed.Load() {
 		return
 	}
 	now := time.Now().UnixNano()
@@ -457,35 +394,44 @@ func (rc *RemoteChecker) ensureLive() {
 	}
 	rc.redialMu.Lock()
 	defer rc.redialMu.Unlock()
-	if !lc.lapsed.Load() || rc.closed.Load() {
+	if !rc.rep.Load().lapsed.Load() || rc.closed.Load() {
 		return
 	}
-	wc, err := wire.Dial(rc.wireAddr, rc.wcfg)
+	r, err := rc.dialReplica()
 	if err != nil {
 		return
 	}
-	if _, err := wc.Subscribe(); err != nil {
-		wc.Close()
-		return
-	}
-	old := rc.wcp.Swap(wc)
-	lc.revive()
-	if old != nil {
-		old.Close()
-	}
+	old := rc.rep.Swap(r)
+	rc.wcp.Store(r.wc)
+	rc.cache.flushes.Add(1)
+	old.wc.Close()
 	// A Close that ran during the dial closed only the dead session.
 	// Close stores closed before it loads the session pointer, so
-	// either it closes wc or this load sees closed.
+	// either it closes r.wc or this load sees closed.
 	if rc.closed.Load() {
-		wc.Close()
+		r.wc.Close()
 	}
 }
 
-// CacheStats returns the lease cache's counters; the zero value when
-// the checker was dialed without a cache.
+// CacheStats returns the replica's counters; the zero value when the
+// checker was dialed without a cache.
 func (rc *RemoteChecker) CacheStats() CacheStats {
-	if rc.cache == nil {
+	c := rc.cache
+	if c == nil {
 		return CacheStats{}
 	}
-	return rc.cache.stats()
+	cs := CacheStats{
+		Hits:       c.hits.Load(),
+		Misses:     c.misses.Load(),
+		Shootdowns: c.shootdowns.Load(),
+		Expires:    c.expires.Load(),
+		Flushes:    c.flushes.Load(),
+	}
+	r := rc.rep.Load()
+	for i := range r.tables {
+		if r.tables[i].Load() != nil {
+			cs.Size++
+		}
+	}
+	return cs
 }

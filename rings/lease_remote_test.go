@@ -3,26 +3,28 @@ package rings_test
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/seg"
+	"repro/internal/service"
 	"repro/internal/spec"
 	"repro/internal/tenant"
 	"repro/internal/wire"
 	"repro/rings"
 )
 
-// This file proves the distributed decision-lease cache (DialRemote
-// with CacheSize) against the repo's strongest correctness instrument:
-// the epoch oracle. Every decision a cached client serves — lease hit
-// or remote fetch — carries the shard epoch it was decided at, and the
-// differential test below compares each one with the spec model's
-// answer at that epoch while mutators race the clients. A cached
-// answer that outlived a shootdown, a key collision, or a lease
-// surviving a reconnect would all surface as a decision the model does
-// not give.
+// This file proves the client SDW replica (DialRemote with CacheSize)
+// against the repo's strongest correctness instrument: the epoch
+// oracle. Every decision a cached client serves — from a resident table
+// or a freshly fetched one — carries the shard epoch it was decided at,
+// and the differential test below compares each one with the spec
+// model's answer at that epoch while mutators race the clients. A
+// table that outlived a shootdown, or one surviving a reconnect, would
+// surface as a decision the model does not give.
 
 // wideData and narrowData are the two bracket states the mutation
 // script alternates "data" (segno 0, shard 0) between. Narrow pushes
@@ -587,5 +589,190 @@ func TestDialRemoteHTTPRejectsCache(t *testing.T) {
 		Transport: "http", CacheSize: 64,
 	}); err == nil {
 		t.Fatal("HTTP dial with CacheSize succeeded")
+	}
+}
+
+// TestRedialAfterExpireKeepsNewReplica is the regression test for a
+// redial that replaces a live session: a lease-expire (the tenant
+// evicted, its session left open) lapses the replica, and once the
+// tenant is reloaded the next call redials and closes the old session.
+// That close must not lapse the new replica, or every later call
+// redials again and none is ever a hit.
+func TestRedialAfterExpireKeepsNewReplica(t *testing.T) {
+	fx := startRemoteFixture(t)
+	rc, err := rings.DialRemote(fx.wireAddr, rings.RemoteConfig{
+		Transport: "wire", CacheSize: 64, CacheTTL: time.Hour,
+	})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer rc.Close()
+	probe := []rings.Query{{Op: rings.OpAccess, Ring: 4, Segment: "data", Wordno: 1, Kind: rings.AccessRead}}
+	dst := make([]rings.Decision, 1)
+	for i := 0; i < 2; i++ {
+		if err := rc.CheckInto(probe, dst); err != nil {
+			t.Fatalf("warm %d: %v", i, err)
+		}
+	}
+	if err := fx.reg.Evict(tenant.DefaultTenant); err != nil {
+		t.Fatalf("evict: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for rc.CacheStats().Expires == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("lease-expire never processed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := fx.reg.Load(tenant.DefaultTenant, checkerImage(), tenant.TenantConfig{Workers: 1}); err != nil {
+		t.Fatalf("reload: %v", err)
+	}
+
+	before := rc.CacheStats()
+	for i := 0; i < 40; i++ {
+		_ = rc.CheckInto(probe, dst) // the first call redials
+		time.Sleep(15 * time.Millisecond)
+	}
+	cs := rc.CacheStats()
+	if n := cs.Flushes - before.Flushes; n > 2 {
+		t.Errorf("%d flushes over 40 calls: closing the replaced session lapsed the new replica", n)
+	}
+	if n := cs.Hits - before.Hits; n < 30 {
+		t.Errorf("%d hits over 40 calls after the redial, want at least 30 (%+v)", n, cs)
+	}
+}
+
+// TestReplicaDecidesAnyChain checks that a replica decides effring
+// chains of any length, across shards, locally, each decision equal to
+// the server's.
+func TestReplicaDecidesAnyChain(t *testing.T) {
+	fx := startRemoteFixture(t)
+	plain, err := rings.DialRemote(fx.wireAddr, rings.RemoteConfig{Transport: "wire"})
+	if err != nil {
+		t.Fatalf("dial plain: %v", err)
+	}
+	defer plain.Close()
+	cached, err := rings.DialRemote(fx.wireAddr, rings.RemoteConfig{
+		Transport: "wire", CacheSize: 64, CacheTTL: time.Hour,
+	})
+	if err != nil {
+		t.Fatalf("dial cached: %v", err)
+	}
+	defer cached.Close()
+
+	chain := []rings.ChainStep{{Ring: 1, Segno: 0}, {PR: true, Ring: 2}, {Ring: 3, Segno: 1},
+		{Ring: 0, Segno: 2}, {PR: true, Ring: 3}, {Ring: 2, Segno: 0}}
+	queries := []rings.Query{
+		{Op: rings.OpEffRing, Ring: 0, Chain: chain},
+		{Op: rings.OpEffRing, Ring: 1, Chain: chain[:5]},
+		{Op: rings.OpEffRing, Ring: 0, Chain: []rings.ChainStep{{PR: true, Ring: 4}}},
+	}
+	want, err := plain.Check(queries...)
+	if err != nil {
+		t.Fatalf("plain: %v", err)
+	}
+	got, err := cached.Check(queries...)
+	if err != nil {
+		t.Fatalf("cached: %v", err)
+	}
+	for i := range queries {
+		got[i].Worker, want[i].Worker = 0, 0
+		if got[i] != want[i] {
+			t.Errorf("chain %d: replica decided %+v, server %+v", i, got[i], want[i])
+		}
+	}
+	if cs := cached.CacheStats(); cs.Misses != 0 || cs.Hits != uint64(len(queries)) {
+		t.Errorf("chains not decided from the replica: %+v", cs)
+	}
+}
+
+// stallAfterHandshake serves wire peers on a loopback listener that
+// complete the handshake, answer a Subscribe and one Fetch (a 1-shard
+// image holding "data"), then read every further frame without
+// answering.
+func stallAfterHandshake(t *testing.T) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	shape := wire.Health{Segments: 1, Shards: 1, Workers: 1}
+	var tables wire.Tables
+	tables.Tables[0] = service.NewTable(0, []seg.SDW{{Present: true, Bound: 64, Read: true,
+		Brackets: rings.Brackets{R1: 2, R2: 4, R3: 4}}})
+	tables.Names = []string{"data"}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				fetched := false
+				hdr := make([]byte, wire.HeaderLen)
+				for {
+					if _, err := io.ReadFull(conn, hdr); err != nil {
+						return
+					}
+					h, err := wire.ParseHeader(hdr)
+					if err != nil {
+						return
+					}
+					if _, err := io.CopyN(io.Discard, conn, int64(h.Len)); err != nil {
+						return
+					}
+					var out []byte
+					switch {
+					case h.Type == wire.FrameHello:
+						out, _ = wire.EncodeWelcome(nil, wire.Welcome{Version: wire.Version, Health: shape})
+					case h.Type == wire.FrameSubscribe:
+						out = wire.EncodePong(nil, h.Corr, shape)
+					case h.Type == wire.FrameFetch && !fetched:
+						fetched = true
+						out, _ = wire.EncodeTables(nil, h.Corr, &tables)
+					default:
+						continue // read, never answer
+					}
+					if _, err := conn.Write(out); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestWireCallTimeout checks that Timeout bounds every wire call:
+// against a peer that reads and never answers, CheckInto returns an
+// error within about twice the timeout, on a plain client and on a
+// cached one whose expired table sends its batch to fetch.
+func TestWireCallTimeout(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	addr := stallAfterHandshake(t)
+	probe := []rings.Query{{Op: rings.OpAccess, Ring: 4, Segment: "data", Wordno: 1, Kind: rings.AccessRead}}
+	for _, tc := range []struct {
+		name string
+		cfg  rings.RemoteConfig
+	}{
+		{"plain", rings.RemoteConfig{Transport: "wire", Timeout: timeout}},
+		{"cached", rings.RemoteConfig{Transport: "wire", Timeout: timeout, CacheSize: 64, CacheTTL: time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rc, err := rings.DialRemote(addr, tc.cfg)
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer rc.Close()
+			time.Sleep(2 * time.Millisecond) // past the cached table's TTL
+			start := time.Now()
+			if err := rc.CheckInto(probe, make([]rings.Decision, 1)); err == nil {
+				t.Fatal("CheckInto against a silent peer succeeded")
+			}
+			if elapsed := time.Since(start); elapsed > 2*timeout {
+				t.Errorf("CheckInto failed after %v, want within %v", elapsed, 2*timeout)
+			}
+		})
 	}
 }

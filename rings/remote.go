@@ -30,18 +30,22 @@ type RemoteConfig struct {
 	// "default". Over HTTP this routes through /v1/t/{name}; over the
 	// wire the session binds the tenant at the Hello handshake.
 	Tenant string
-	// Timeout bounds each HTTP request, or the wire dial+handshake;
-	// default 30s.
+	// Timeout bounds each HTTP request. Over the wire it bounds the dial
+	// and handshake and then every call: a session with calls pending
+	// that receives no frame for Timeout fails, its calls return an
+	// error, and a cached checker's next call redials. Default 30s.
 	Timeout time.Duration
 
-	// CacheSize, when positive, puts a bounded decision-lease cache in
-	// front of the session (wire transport only): decisions are cached
-	// by query tuple, tagged with their shard publication epoch, kept
-	// coherent by the server's shootdown stream, and bounded in
-	// staleness by CacheTTL. See lease.go for the staleness argument.
+	// CacheSize, when positive, puts an SDW replica in front of the
+	// session (wire transport only): the client keeps every shard's
+	// descriptor table, fetched at an even publication epoch and kept
+	// coherent by the server's shootdown stream, and decides each query
+	// locally; CacheTTL bounds a table's staleness. The value only
+	// switches the replica on, since a tenant's tables hold at most
+	// service.MaxSegments SDWs. See lease.go for the staleness argument.
 	CacheSize int
-	// CacheTTL bounds how long a lease may be served if the shootdown
-	// stream lags; default 1s when CacheSize is set.
+	// CacheTTL bounds how long a fetched table may be decided from if
+	// the shootdown stream lags; default 1s when CacheSize is set.
 	CacheTTL time.Duration
 }
 
@@ -52,13 +56,15 @@ type RemoteConfig struct {
 // out of order by correlation ID.
 type RemoteChecker struct {
 	// wcp holds the wire session (nil on the HTTP transport); cached
-	// checkers swap in a fresh session when the subscription stream
-	// lapses and a redial succeeds.
+	// checkers swap in a fresh session when their replica lapses and a
+	// redial succeeds.
 	wcp      atomic.Pointer[wire.Client]
 	wireAddr string
 	wcfg     wire.ClientConfig
 
-	cache      *leaseCache // nil when dialed without CacheSize
+	cache      *cacheCounters          // nil when dialed without CacheSize
+	ttl        time.Duration           // a fetched table's lifetime
+	rep        atomic.Pointer[replica] // the current session's replica
 	redialMu   sync.Mutex
 	lastRedial atomic.Int64
 	closed     atomic.Bool
@@ -96,7 +102,7 @@ func DialRemote(target string, cfg RemoteConfig) (*RemoteChecker, error) {
 	switch transport {
 	case "http":
 		if cfg.CacheSize > 0 {
-			return nil, errors.New("rings: decision-lease cache requires the wire transport (no shootdown stream over HTTP)")
+			return nil, errors.New("rings: an SDW replica requires the wire transport (no shootdown stream over HTTP)")
 		}
 		base := strings.TrimSuffix(target, "/")
 		rc := &RemoteChecker{
@@ -112,34 +118,26 @@ func DialRemote(target string, cfg RemoteConfig) (*RemoteChecker, error) {
 		}
 		return rc, nil
 	case "wire":
-		addr := strings.TrimPrefix(target, "wire://")
-		rc := &RemoteChecker{wireAddr: addr}
-		rc.wcfg = wire.ClientConfig{Tenant: cfg.Tenant, DialTimeout: cfg.Timeout}
-		if cfg.CacheSize > 0 {
-			ttl := cfg.CacheTTL
-			if ttl <= 0 {
-				ttl = time.Second
+		rc := &RemoteChecker{wireAddr: strings.TrimPrefix(target, "wire://")}
+		rc.wcfg = wire.ClientConfig{Tenant: cfg.Tenant, Timeout: cfg.Timeout}
+		if cfg.CacheSize <= 0 {
+			wc, err := wire.Dial(rc.wireAddr, rc.wcfg)
+			if err != nil {
+				return nil, err
 			}
-			cache := newLeaseCache(cfg.CacheSize, ttl)
-			rc.cache = cache
-			rc.wcfg.OnShootdown = cache.shootdown
-			rc.wcfg.OnLeaseExpire = func(le wire.LeaseExpire) {
-				cache.expires.Add(1)
-				cache.lapse()
-			}
-			rc.wcfg.OnClose = func(error) { cache.lapse() }
+			rc.wcp.Store(wc)
+			return rc, nil
 		}
-		wc, err := wire.Dial(addr, rc.wcfg)
+		rc.cache, rc.ttl = &cacheCounters{}, cfg.CacheTTL
+		if rc.ttl <= 0 {
+			rc.ttl = time.Second
+		}
+		r, err := rc.dialReplica()
 		if err != nil {
 			return nil, err
 		}
-		if rc.cache != nil {
-			if _, err := wc.Subscribe(); err != nil {
-				wc.Close()
-				return nil, err
-			}
-		}
-		rc.wcp.Store(wc)
+		rc.rep.Store(r)
+		rc.wcp.Store(r.wc)
 		return rc, nil
 	default:
 		return nil, fmt.Errorf("rings: unknown remote transport %q", cfg.Transport)
