@@ -115,13 +115,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8642", "listen address")
 	wireAddr := fs.String("listen-wire", "", "TCP address for the binary streaming protocol (disabled when empty)")
-	workers := fs.Int("workers", 4, "default tenant's decision workers, one snapshot-reading MMU each")
-	queue := fs.Int("queue", 64, "bounded batch-queue depth per tenant (full queue answers 429)")
+	workers := fs.Int("workers", 4, "default tenant's processors, one snapshot-reading MMU each")
+	queue := fs.Int("queue", 64, "per tenant, the bound on callers waiting for a processor (one more answers 429)")
 	batchLimit := fs.Int("batch", 1024, "maximum queries per batch")
 	shards := fs.Int("shards", 0, "descriptor-store shards per tenant (power of two; 0 = default 8)")
 	imagePath := fs.String("image", "", "default tenant's machine image JSON (built-in demo image when empty)")
 	maxTenants := fs.Int("max-tenants", 16, "maximum simultaneously loaded images")
-	workerBudget := fs.Int("worker-budget", 64, "total decision workers across all tenants")
+	workerBudget := fs.Int("worker-budget", 64, "total processors across all tenants")
 	imageDir := fs.String("image-dir", "", "directory POST /v1/images may load \"file\" images from (disabled when empty)")
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -25,12 +25,17 @@
 // pipelining binary frames down one persistent streaming session
 // shared by every client, the correlation-ID path ringd serves on
 // -listen-wire. A shed batch (rings.ErrQueueFull) counts as shed on
-// every path. -mutators adds supervisor goroutines streaming
-// SetBrackets edits through the store's snapshot-publish path while
-// decisions run (in-process only). -sweep repeats the whole run across
-// several descriptor-store shard counts and -sweep-workers across
-// several worker-pool sizes; given both, the cross product is swept
-// (the T14 scaling grid).
+// every path. In-process, -workers sets the processors: a caller
+// borrows one to decide a batch on its own goroutine, and -queue bounds
+// the callers waiting for one, so a caller past that bound is shed.
+// -mutators adds supervisor goroutines streaming SetBrackets edits
+// through the store's snapshot-publish path while decisions run
+// (in-process only). -sweep repeats the whole run across several
+// descriptor-store shard counts and -sweep-workers across several
+// processor counts; given both, the cross product is swept (the T14
+// scaling grid). Every mode is a short spec over one trial runner:
+// closed-loop clients, each keeping its own counts and latency
+// histogram, and optional supervisor editors, paced or not.
 //
 // -tenants N (N >= 2, in-process) runs the T15 isolation experiment
 // instead: N independent tenants are loaded into one tenant.Registry,
@@ -71,7 +76,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/bits"
 	"math/rand"
 	"net"
 	"net/http"
@@ -80,10 +84,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/hist"
 	"repro/internal/tenant"
 	"repro/internal/wire"
 	"repro/rings"
@@ -164,26 +168,6 @@ func parseSweep(s string) ([]int, error) {
 	return out, nil
 }
 
-// loadImage is the image the in-process modes serve: the same
-// Multics-flavoured layout ringd's built-in demo image uses, so
-// in-process and -target runs exercise comparable descriptor shapes.
-func loadImage() []rings.Segment {
-	return []rings.Segment{
-		{Name: "supervisor", Size: 4096, Read: true, Execute: true,
-			Brackets: rings.Brackets{R1: 0, R2: 0, R3: 7}, Gates: 8},
-		{Name: "sys_data", Size: 1024, Read: true, Write: true,
-			Brackets: rings.Brackets{R1: 0, R2: 2, R3: 2}},
-		{Name: "math_lib", Size: 2048, Read: true, Execute: true,
-			Brackets: rings.Brackets{R1: 0, R2: 7, R3: 7}},
-		{Name: "editor", Size: 2048, Read: true, Execute: true,
-			Brackets: rings.Brackets{R1: 4, R2: 4, R3: 5}, Gates: 2},
-		{Name: "user_code", Size: 1024, Read: true, Execute: true,
-			Brackets: rings.Brackets{R1: 4, R2: 6, R3: 6}},
-		{Name: "user_data", Size: 4096, Read: true, Write: true,
-			Brackets: rings.Brackets{R1: 4, R2: 6, R3: 6}},
-	}
-}
-
 // genQuery draws one query from the mix. Targets are numbered segments
 // (segno form), so the same generator works in-process and against any
 // ringd image with at least `segments` segments.
@@ -234,74 +218,223 @@ func genBatches(cfg config, segments uint32) [][][]rings.Query {
 	return pools
 }
 
-// ---- Log-linear latency histogram ----
+// ---- The trial runner ----
 
-// subBits gives 2^subBits linear sub-buckets per power-of-two range:
-// ~6% relative resolution, enough for p99 on a histogram that never
-// needs sorting or unbounded memory.
-const subBits = 4
-
-type hist struct {
-	counts [64 << subBits]uint64
-	n      uint64
+// client is one closed-loop client of a trial. It submits batches
+// through check until the trial ends, cycling pool or, when pool is
+// nil, drawing every batch afresh from seed over fresh segments, and
+// counts them toward its result group.
+type client struct {
+	check func(batch []rings.Query, dst []rings.Decision) error
+	pool  [][]rings.Query
+	seed  int64
+	fresh uint32
+	group int
 }
 
-func (h *hist) add(ns int64) {
-	v := uint64(max(ns, 0))
-	h.n++
-	if v < 1<<subBits {
-		h.counts[v]++
-		return
-	}
-	exp := bits.Len64(v) - 1
-	sub := (v >> (exp - subBits)) & (1<<subBits - 1)
-	h.counts[uint64(exp-subBits+1)<<subBits|sub]++
+// editors are a trial's supervisor goroutines: n of them call edit
+// with 0, 1, 2, ... until the trial ends, as fast as they can or, with
+// rate > 0, each at rate edits per second.
+type editors struct {
+	n    int
+	edit func(i int) error
+	rate int
 }
 
-func (h *hist) merge(o *hist) {
-	h.n += o.n
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
-	}
+// tally is one result group's measurements. A shed batch
+// (rings.ErrQueueFull) counts as shed, not as decided.
+type tally struct {
+	decisions, batches, shed uint64
+	lat                      hist.Hist // decided batches' latency, ns
 }
 
-// quantile returns the lower bound of the bucket holding the q-th
-// sample (0 < q <= 1).
-func (h *hist) quantile(q float64) int64 {
-	if h.n == 0 {
+// result is one trial's measurements: a tally per client group and the
+// supervisor edits made.
+type result struct {
+	elapsed time.Duration
+	groups  []tally
+	edits   uint64
+}
+
+// rate is n per second of the trial.
+func (r *result) rate(n uint64) float64 { return ratio(float64(n), r.elapsed.Seconds()) }
+
+// ratio is a/b, or 0 when b is not positive.
+func ratio(a, b float64) float64 {
+	if b <= 0 {
 		return 0
 	}
-	target := uint64(q * float64(h.n))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			block := uint64(i) >> subBits
-			sub := uint64(i) & (1<<subBits - 1)
-			if block == 0 {
-				return int64(sub)
-			}
-			return int64((1<<subBits | sub) << (block - 1))
-		}
-	}
-	return 0
+	return a / b
 }
 
-// ---- Checkers ----
+// runTrial runs clients and eds for cfg.duration. Each goroutine keeps
+// plain counters of its own, merged after the last one exits; the first
+// error any of them met fails the trial.
+func runTrial(cfg config, clients []client, eds editors) (*result, error) {
+	done := make(chan struct{})
+	errc := make(chan error, len(clients)+eds.n)
+	tallies := make([]tally, len(clients))
+	edits := make([]uint64, eds.n)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i, c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := c.run(cfg, done, &tallies[i]); err != nil {
+				errc <- err
+			}
+		}()
+	}
+	for i := range edits {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := eds.run(done, &edits[i]); err != nil {
+				errc <- err
+			}
+		}()
+	}
+	time.Sleep(cfg.duration)
+	close(done)
+	wg.Wait()
+	res := &result{elapsed: time.Since(start)}
+	select {
+	case err := <-errc:
+		return nil, err
+	default:
+	}
+	for i, c := range clients {
+		for len(res.groups) <= c.group {
+			res.groups = append(res.groups, tally{})
+		}
+		g, t := &res.groups[c.group], &tallies[i]
+		g.decisions += t.decisions
+		g.batches += t.batches
+		g.shed += t.shed
+		g.lat.Merge(&t.lat)
+	}
+	for _, n := range edits {
+		res.edits += n
+	}
+	return res, nil
+}
 
-// checker is what a trial's clients submit to: an in-process
-// rings.Checker or a rings.DialRemote client, over either transport.
-type checker interface {
-	CheckInto(queries []rings.Query, dst []rings.Decision) error
+// run submits c's batches until done closes, counting them in t.
+func (c client) run(cfg config, done <-chan struct{}, t *tally) error {
+	dst := make([]rings.Decision, cfg.batch)
+	pool := c.pool
+	var rng *rand.Rand
+	if pool == nil {
+		rng = rand.New(rand.NewSource(c.seed))
+		pool = [][]rings.Query{make([]rings.Query, cfg.batch)}
+	}
+	for i := 0; ; i++ {
+		select {
+		case <-done:
+			return nil
+		default:
+		}
+		batch := pool[i%len(pool)]
+		for j := 0; rng != nil && j < len(batch); j++ {
+			batch[j] = genQuery(rng, cfg.mix, c.fresh)
+		}
+		t0 := time.Now()
+		switch err := c.check(batch, dst); {
+		case err == nil:
+			t.lat.Add(time.Since(t0).Nanoseconds())
+			t.decisions += uint64(len(batch))
+			t.batches++
+		case errors.Is(err, rings.ErrQueueFull):
+			t.shed++
+		default:
+			return err
+		}
+	}
+}
+
+// run makes edits until done closes, counting them in *made. Paced,
+// edit n falls due (n+1)/rate seconds in; one already due runs at once,
+// so a late wake-up catches up and the delivered rate holds the target.
+func (e editors) run(done <-chan struct{}, made *uint64) error {
+	start := time.Now()
+	for n := 0; ; n++ {
+		if e.rate > 0 {
+			due := start.Add(time.Duration(n+1) * time.Second / time.Duration(e.rate))
+			if wait := time.Until(due); wait > 0 {
+				select {
+				case <-done:
+					return nil
+				case <-time.After(wait):
+				}
+			}
+		}
+		select {
+		case <-done:
+			return nil
+		default:
+		}
+		if err := e.edit(n); err != nil {
+			return err
+		}
+		*made++
+	}
+}
+
+// clientsOf is cfg.clients clients of group 0 submitting through check:
+// client c cycles pools[c] or, when pools is nil, draws afresh from seed
+// cfg.seed+c over fresh segments.
+func clientsOf(cfg config, check func([]rings.Query, []rings.Decision) error, pools [][][]rings.Query, fresh uint32) []client {
+	cs := make([]client, cfg.clients)
+	for c := range cs {
+		cs[c] = client{check: check, seed: cfg.seed + int64(c), fresh: fresh}
+		if pools != nil {
+			cs[c].pool = pools[c]
+		}
+	}
+	return cs
+}
+
+// flip is supervisor edit i's brackets for user_data: narrowed on even
+// edits, restored on odd ones.
+func flip(i int) rings.Brackets {
+	if i%2 == 0 {
+		return rings.Brackets{R1: 4, R2: 5, R3: 5}
+	}
+	return rings.Brackets{R1: 4, R2: 6, R3: 6}
+}
+
+// ---- Trial specs ----
+
+// inProcess runs one trial against an in-process Checker at cfg.shards
+// shards while cfg.mutators supervisor goroutines stream bracket edits
+// through the store's snapshot-publish path.
+func inProcess(cfg config) (*exp.Result, error) {
+	segs := tenant.DemoImage()
+	chk, err := rings.NewCheckerWith(rings.CheckerConfig{
+		Workers:    cfg.workers,
+		QueueDepth: cfg.queue,
+		Shards:     cfg.shards,
+	}, segs)
+	if err != nil {
+		return nil, err
+	}
+	defer chk.Close()
+	cfg.shards = chk.Shards()
+	res, err := runTrial(cfg, clientsOf(cfg, chk.CheckInto, genBatches(cfg, uint32(len(segs))), 0),
+		editors{n: cfg.mutators, edit: func(i int) error {
+			return chk.SetBrackets("user_data", true, true, false, flip(i), 0)
+		}})
+	if err != nil {
+		return nil, err
+	}
+	return report(cfg, res, "in-process"), nil
 }
 
 // remoteTrial runs one trial against the ringd at target over
 // transport. The batch pools are generated for the served image's
 // segment count, from its health answer, so generated segnos stay
-// mostly in range.
+// mostly in range. Supervisor edits are in-process only.
 func remoteTrial(cfg config, target, transport string) (*result, error) {
 	rc, err := rings.DialRemote(target, rings.RemoteConfig{Transport: transport})
 	if err != nil {
@@ -315,8 +448,52 @@ func remoteTrial(cfg config, target, transport string) (*result, error) {
 	if h.Segments <= 0 {
 		return nil, fmt.Errorf("target unhealthy: %+v", h)
 	}
-	cfg.mutators = 0 // supervisor edits are in-process only
-	return runTrial(cfg, rc, nil, genBatches(cfg, uint32(h.Segments)), 0)
+	return runTrial(cfg, clientsOf(cfg, rc.CheckInto, genBatches(cfg, uint32(h.Segments)), 0), editors{})
+}
+
+// loopback is one demo-image tenant served over loopback HTTP and wire
+// listeners; close stops both and the registry.
+type loopback struct {
+	tnt      *tenant.Tenant
+	httpURL  string
+	wireAddr string
+	close    func()
+}
+
+// serveLoopback loads the demo image as the default tenant of a fresh
+// registry sized by cfg and serves it over both transports.
+func serveLoopback(cfg config) (*loopback, error) {
+	reg := tenant.NewRegistry(tenant.Config{MaxTenants: 1, WorkerBudget: cfg.workers})
+	tnt, err := reg.Load(tenant.DefaultTenant, tenant.DemoImage(), tenant.TenantConfig{
+		Workers: cfg.workers, QueueDepth: cfg.queue, Shards: cfg.shards,
+	})
+	if err != nil {
+		reg.Close()
+		return nil, err
+	}
+	hln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		reg.Close()
+		return nil, err
+	}
+	wln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		hln.Close()
+		reg.Close()
+		return nil, err
+	}
+	hs := &http.Server{Handler: tenant.NewHandler(reg, tenant.HandlerOptions{})}
+	ws := wire.NewServer(reg, wire.Config{})
+	go hs.Serve(hln)
+	go ws.Serve(wln)
+	return &loopback{tnt: tnt, httpURL: "http://" + hln.Addr().String(), wireAddr: wln.Addr().String(),
+		close: func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			hs.Shutdown(ctx)
+			ws.Shutdown(ctx)
+			reg.Close()
+		}}, nil
 }
 
 // ---- T16: transport comparison ----
@@ -325,46 +502,18 @@ func remoteTrial(cfg config, target, transport string) (*result, error) {
 // listeners and measures the same closed-loop trial over each: the
 // JSON-vs-binary delta at equal worker count.
 func runT16(cfg config) ([]*exp.Result, error) {
-	reg := tenant.NewRegistry(tenant.Config{
-		MaxTenants:   1,
-		WorkerBudget: cfg.workers,
-	})
-	segs := loadImage()
-	if _, err := reg.Load(tenant.DefaultTenant, segs, tenant.TenantConfig{
-		Workers: cfg.workers, QueueDepth: cfg.queue, Shards: cfg.shards,
-	}); err != nil {
-		return nil, err
-	}
-	h := tenant.NewHandler(reg, tenant.HandlerOptions{})
-	hln, err := net.Listen("tcp", "127.0.0.1:0")
+	lb, err := serveLoopback(cfg)
 	if err != nil {
-		h.Close()
 		return nil, err
 	}
-	hs := &http.Server{Handler: h}
-	go hs.Serve(hln)
-	wln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		hs.Close()
-		h.Close()
-		return nil, err
-	}
-	ws := wire.NewServer(reg, wire.Config{})
-	go ws.Serve(wln)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		hs.Shutdown(ctx)
-		ws.Shutdown(ctx)
-		h.Close()
-	}()
+	defer lb.close()
 
 	// Both trials generate the same seeded pools for the same image.
-	httpRes, err := remoteTrial(cfg, "http://"+hln.Addr().String(), "http")
+	httpRes, err := remoteTrial(cfg, lb.httpURL, "http")
 	if err != nil {
 		return nil, err
 	}
-	wireRes, err := remoteTrial(cfg, wln.Addr().String(), "wire")
+	wireRes, err := remoteTrial(cfg, lb.wireAddr, "wire")
 	if err != nil {
 		return nil, err
 	}
@@ -376,14 +525,10 @@ func runT16(cfg config) ([]*exp.Result, error) {
 	wireReport.ID = "RINGLOAD-T16-WIRE"
 	wireReport.Title = "transport comparison: binary streaming session"
 
-	speedup := 0.0
-	if t := httpRes.throughput(); t > 0 {
-		speedup = wireRes.throughput() / t
-	}
-	p99Ratio := 0.0
-	if p := httpRes.lat.quantile(0.99); p > 0 {
-		p99Ratio = float64(wireRes.lat.quantile(0.99)) / float64(p)
-	}
+	httpTPS, wireTPS := httpRes.rate(httpRes.groups[0].decisions), wireRes.rate(wireRes.groups[0].decisions)
+	httpP99, wireP99 := httpRes.groups[0].lat.Quantile(0.99), wireRes.groups[0].lat.Quantile(0.99)
+	speedup := ratio(wireTPS, httpTPS)
+	p99Ratio := ratio(float64(wireP99), float64(httpP99))
 	delta := &exp.Result{
 		ID:     "RINGLOAD-T16",
 		Title:  "transport comparison: binary streaming vs HTTP/JSON delta",
@@ -391,10 +536,10 @@ func runT16(cfg config) ([]*exp.Result, error) {
 		Metrics: map[string]float64{
 			"wire_speedup":           speedup,
 			"p99_ratio":              p99Ratio,
-			"http_decisions_per_sec": httpRes.throughput(),
-			"wire_decisions_per_sec": wireRes.throughput(),
-			"http_p99_ns":            float64(httpRes.lat.quantile(0.99)),
-			"wire_p99_ns":            float64(wireRes.lat.quantile(0.99)),
+			"http_decisions_per_sec": httpTPS,
+			"wire_decisions_per_sec": wireTPS,
+			"http_p99_ns":            float64(httpP99),
+			"wire_p99_ns":            float64(wireP99),
 			"clients":                float64(cfg.clients),
 			"batch":                  float64(cfg.batch),
 			"workers":                float64(cfg.workers),
@@ -402,10 +547,8 @@ func runT16(cfg config) ([]*exp.Result, error) {
 		Lines: []string{
 			fmt.Sprintf("%d clients x batch %d, %d workers, %v per transport",
 				cfg.clients, cfg.batch, cfg.workers, cfg.duration),
-			fmt.Sprintf("http: %.0f decisions/s, p99 %v", httpRes.throughput(),
-				time.Duration(httpRes.lat.quantile(0.99))),
-			fmt.Sprintf("wire: %.0f decisions/s, p99 %v (one session, pipelined)",
-				wireRes.throughput(), time.Duration(wireRes.lat.quantile(0.99))),
+			fmt.Sprintf("http: %.0f decisions/s, p99 %v", httpTPS, time.Duration(httpP99)),
+			fmt.Sprintf("wire: %.0f decisions/s, p99 %v (one session, pipelined)", wireTPS, time.Duration(wireP99)),
 			fmt.Sprintf("wire/http: %.2fx throughput, %.2fx p99", speedup, p99Ratio),
 		},
 	}
@@ -421,77 +564,6 @@ func runT16(cfg config) ([]*exp.Result, error) {
 // mid-trial.
 var t17Rates = []int{0, 100, 1000}
 
-// t17Trial runs one closed-loop trial against the wire listener at
-// addr — through a plain session when cacheSize is 0, through an SDW
-// replica in front of the session otherwise — while a paced supervisor
-// goroutine edits user_data's brackets rate times per second through
-// Tenant.Mutate (the same edit runTrial's in-process mutators stream,
-// but rate-limited so both trials in a grid cell see identical
-// invalidation pressure). pools and fresh are runTrial's.
-func t17Trial(cfg config, addr string, cacheSize int, rate int, tnt *tenant.Tenant, udSegno uint32, pools [][][]rings.Query, fresh uint32) (*result, rings.CacheStats, error) {
-	rcfg := rings.RemoteConfig{Transport: "wire"}
-	if cacheSize > 0 {
-		rcfg.CacheSize = cacheSize
-		rcfg.CacheTTL = 5 * time.Second // coherence comes from shootdowns; TTL is the lag backstop
-	}
-	rc, err := rings.DialRemote(addr, rcfg)
-	if err != nil {
-		return nil, rings.CacheStats{}, err
-	}
-	defer rc.Close()
-
-	stopMut := make(chan struct{})
-	var mutWG sync.WaitGroup
-	var mutations atomic.Uint64
-	var mutErr atomic.Value
-	if rate > 0 {
-		mutWG.Add(1)
-		go func() {
-			defer mutWG.Done()
-			wide := rings.Brackets{R1: 4, R2: 6, R3: 6}
-			narrow := rings.Brackets{R1: 4, R2: 5, R3: 5}
-			period := time.Second / time.Duration(rate)
-			tick := time.NewTicker(period)
-			defer tick.Stop()
-			start := time.Now()
-			for n := 0; ; {
-				select {
-				case <-stopMut:
-					return
-				case <-tick.C:
-				}
-				// A ticker drops the ticks a busy receiver misses; making
-				// every edit that has fallen due since start keeps the
-				// delivered rate at the target.
-				for due := int(time.Since(start) / period); n < due; n++ {
-					m := tenant.Mutation{Op: tenant.MutSetBrackets, Segno: udSegno, Read: true, Write: true, Brackets: wide}
-					if n%2 == 0 {
-						m.Brackets = narrow
-					}
-					if _, err := tnt.Mutate(m); err != nil {
-						mutErr.Store(err)
-						return
-					}
-					mutations.Add(1)
-				}
-			}
-		}()
-	}
-
-	res, err := runTrial(cfg, rc, nil, pools, fresh)
-	close(stopMut)
-	mutWG.Wait()
-	stats := rc.CacheStats()
-	if err != nil {
-		return nil, stats, err
-	}
-	if e, ok := mutErr.Load().(error); ok {
-		return nil, stats, e
-	}
-	res.mutations = mutations.Load()
-	return res, stats, nil
-}
-
 // runT17 serves one registry over a loopback wire listener and, for
 // each mutation rate in t17Rates, measures the same batch pools twice:
 // uncached (every batch a wire round trip) and cached (decided from
@@ -500,71 +572,68 @@ func t17Trial(cfg config, addr string, cacheSize int, rate int, tnt *tenant.Tena
 // no pool repeats. The headline is the idle-store cell: cached
 // throughput over uncached, at the observed hit rate.
 func runT17(cfg config) ([]*exp.Result, error) {
-	reg := tenant.NewRegistry(tenant.Config{
-		MaxTenants:   1,
-		WorkerBudget: cfg.workers,
-	})
-	segs := loadImage()
-	tnt, err := reg.Load(tenant.DefaultTenant, segs, tenant.TenantConfig{
-		Workers: cfg.workers, QueueDepth: cfg.queue, Shards: cfg.shards,
-	})
+	lb, err := serveLoopback(cfg)
 	if err != nil {
-		reg.Close()
 		return nil, err
 	}
-	udSegno, ok := tnt.Store().Segno("user_data")
-	if !ok {
-		reg.Close()
-		return nil, errors.New("demo image has no user_data segment")
-	}
-	wln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		reg.Close()
-		return nil, err
-	}
-	ws := wire.NewServer(reg, wire.Config{})
-	go ws.Serve(wln)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		ws.Shutdown(ctx)
-		reg.Close()
-	}()
+	defer lb.close()
 
-	cfg.mutators = 0 // T17 paces its own supervisor edits per grid cell
 	// T17 keeps the 8:1:1 mix without effring chains it was first
 	// recorded with: the decision-lease cache it was first measured
 	// against could not lease a chain across shards.
 	cfg.mix.effring = 0
-	pools := genBatches(cfg, uint32(len(segs)))
-	const cacheSize = 1 // any positive size switches the replica on
+	segs := uint32(len(tenant.DemoImage()))
+	pools := genBatches(cfg, segs)
 
-	addr := wln.Addr().String()
+	// trial runs one trial through a plain wire session or, cached,
+	// through an SDW replica in front of one, while a paced supervisor
+	// edits user_data's brackets rate times per second through
+	// Tenant.Mutate, so both trials in a cell see identical
+	// invalidation pressure.
+	trial := func(cached bool, rate int, pools [][][]rings.Query) (*result, rings.CacheStats, error) {
+		rcfg := rings.RemoteConfig{Transport: "wire"}
+		if cached {
+			rcfg.CacheSize = 1              // any positive size switches the replica on
+			rcfg.CacheTTL = 5 * time.Second // coherence comes from shootdowns; TTL is the lag backstop
+		}
+		rc, err := rings.DialRemote(lb.wireAddr, rcfg)
+		if err != nil {
+			return nil, rings.CacheStats{}, err
+		}
+		defer rc.Close()
+		var eds editors
+		if rate > 0 {
+			eds = editors{n: 1, rate: rate, edit: func(i int) error {
+				_, err := lb.tnt.Mutate(tenant.Mutation{Op: tenant.MutSetBrackets, Segment: "user_data",
+					Read: true, Write: true, Brackets: flip(i)})
+				return err
+			}}
+		}
+		res, err := runTrial(cfg, clientsOf(cfg, rc.CheckInto, pools, segs), eds)
+		return res, rc.CacheStats(), err
+	}
+
 	var out []*exp.Result
 	var headSpeedup, headHitRate float64
 	var headNs int64
-	cell := func(id, title string, rate int, pools [][][]rings.Query, fresh uint32) error {
-		un, _, err := t17Trial(cfg, addr, 0, rate, tnt, udSegno, pools, fresh)
+	cell := func(id, title string, rate int, pools [][][]rings.Query) error {
+		un, _, err := trial(false, rate, pools)
 		if err != nil {
 			return err
 		}
-		ca, stats, err := t17Trial(cfg, addr, cacheSize, rate, tnt, udSegno, pools, fresh)
+		ca, stats, err := trial(true, rate, pools)
 		if err != nil {
 			return err
 		}
 		// A cell measures its target rate only if both trials delivered it.
-		achieved := min(un.mutationRate(), ca.mutationRate())
+		achieved := min(un.rate(un.edits), ca.rate(ca.edits))
 		if achieved < 0.9*float64(rate) {
 			return fmt.Errorf("T17 cell at %d edits/s delivered %.0f edits/s, below 90%% of its target", rate, achieved)
 		}
-		hitRate := 0.0
-		if n := stats.Hits + stats.Misses; n > 0 {
-			hitRate = float64(stats.Hits) / float64(n)
-		}
-		speedup := 0.0
-		if t := un.throughput(); t > 0 {
-			speedup = ca.throughput() / t
-		}
+		unTPS, caTPS := un.rate(un.groups[0].decisions), ca.rate(ca.groups[0].decisions)
+		unP99, caP99 := un.groups[0].lat.Quantile(0.99), ca.groups[0].lat.Quantile(0.99)
+		hitRate := ratio(float64(stats.Hits), float64(stats.Hits+stats.Misses))
+		speedup := ratio(caTPS, unTPS)
 		if pools != nil && rate == t17Rates[0] {
 			headSpeedup, headHitRate = speedup, hitRate
 		}
@@ -580,16 +649,16 @@ func runT17(cfg config) ([]*exp.Result, error) {
 			Metrics: map[string]float64{
 				"mutation_rate":              float64(rate),
 				"achieved_mutation_rate":     achieved,
-				"uncached_decisions_per_sec": un.throughput(),
-				"cached_decisions_per_sec":   ca.throughput(),
+				"uncached_decisions_per_sec": unTPS,
+				"cached_decisions_per_sec":   caTPS,
 				"cached_speedup":             speedup,
 				"hit_rate":                   hitRate,
-				"uncached_p99_ns":            float64(un.lat.quantile(0.99)),
-				"cached_p99_ns":              float64(ca.lat.quantile(0.99)),
+				"uncached_p99_ns":            float64(unP99),
+				"cached_p99_ns":              float64(caP99),
 				"lease_hits":                 float64(stats.Hits),
 				"lease_misses":               float64(stats.Misses),
 				"lease_shootdowns":           float64(stats.Shootdowns),
-				"mutations":                  float64(ca.mutations),
+				"mutations":                  float64(ca.edits),
 				"clients":                    float64(cfg.clients),
 				"batch":                      float64(cfg.batch),
 				"workers":                    float64(cfg.workers),
@@ -597,11 +666,9 @@ func runT17(cfg config) ([]*exp.Result, error) {
 			Lines: []string{
 				fmt.Sprintf("%d clients x batch %d, %d workers, %v per trial, %d supervisor edits/s (%.0f delivered), %s",
 					cfg.clients, cfg.batch, cfg.workers, cfg.duration, rate, achieved, batches),
-				fmt.Sprintf("uncached wire: %.0f decisions/s, p99 %v", un.throughput(),
-					time.Duration(un.lat.quantile(0.99))),
+				fmt.Sprintf("uncached wire: %.0f decisions/s, p99 %v", unTPS, time.Duration(unP99)),
 				fmt.Sprintf("cached wire: %.0f decisions/s, p99 %v (%.1f%% hits, %d shootdowns)",
-					ca.throughput(), time.Duration(ca.lat.quantile(0.99)),
-					100*hitRate, stats.Shootdowns),
+					caTPS, time.Duration(caP99), 100*hitRate, stats.Shootdowns),
 				fmt.Sprintf("cached/uncached: %.2fx throughput", speedup),
 			},
 		})
@@ -610,12 +677,12 @@ func runT17(cfg config) ([]*exp.Result, error) {
 	for _, rate := range t17Rates {
 		if err := cell(fmt.Sprintf("RINGLOAD-T17-M%d", rate),
 			fmt.Sprintf("client descriptor cache: cached vs uncached wire at %d edits/s", rate),
-			rate, pools, 0); err != nil {
+			rate, pools); err != nil {
 			return nil, err
 		}
 	}
 	if err := cell("RINGLOAD-T17-FRESH", "client descriptor cache: cached vs uncached wire, fresh queries",
-		0, nil, uint32(len(segs))); err != nil {
+		0, nil); err != nil {
 		return nil, err
 	}
 	head := &exp.Result{
@@ -645,107 +712,6 @@ func runT17(cfg config) ([]*exp.Result, error) {
 // neighbour" shape.
 const zipfS = 1.2
 
-// t15Result is one T15 trial's measurements: the cold tenant's own
-// latency/throughput, the hot aggregate, and the per-tenant decision
-// spread.
-type t15Result struct {
-	elapsed   time.Duration
-	cold      hist
-	coldN     uint64
-	hot       hist
-	hotN      uint64
-	shed      uint64
-	perTenant []uint64
-}
-
-// t15Trial drives one trial: a single cold client on the last tenant,
-// plus (when contended) cfg.clients hot clients Zipf-spread over the
-// others. pools must hold cfg.clients+1 client pools; the extra one
-// feeds the cold client.
-func t15Trial(cfg config, ts []*tenant.Tenant, pools [][][]rings.Query, contended bool) (*t15Result, error) {
-	res := &t15Result{}
-	cold := ts[len(ts)-1]
-	nhot := 0
-	if contended {
-		nhot = cfg.clients
-	}
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	errc := make(chan error, nhot+1)
-	hotHists := make([]hist, nhot)
-	perTenant := make([]atomic.Uint64, len(ts))
-	var hotN, shed atomic.Uint64
-	ctx := context.Background()
-
-	start := time.Now()
-	for c := 0; c < nhot; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.seed + 1000 + int64(c)))
-			zipf := rand.NewZipf(rng, zipfS, 1, uint64(len(ts)-2))
-			dst := make([]rings.Decision, cfg.batch)
-			pool := pools[c]
-			for i := 0; !stop.Load(); i++ {
-				idx := int(zipf.Uint64())
-				batch := pool[i%len(pool)]
-				t0 := time.Now()
-				err := ts[idx].SubmitInto(ctx, batch, dst)
-				switch {
-				case err == nil:
-					hotHists[c].add(time.Since(t0).Nanoseconds())
-					perTenant[idx].Add(uint64(len(batch)))
-					hotN.Add(uint64(len(batch)))
-				case errors.Is(err, rings.ErrQueueFull):
-					shed.Add(1)
-				default:
-					errc <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		dst := make([]rings.Decision, cfg.batch)
-		pool := pools[cfg.clients]
-		for i := 0; !stop.Load(); i++ {
-			batch := pool[i%len(pool)]
-			t0 := time.Now()
-			err := cold.SubmitInto(ctx, batch, dst)
-			switch {
-			case err == nil:
-				res.cold.add(time.Since(t0).Nanoseconds())
-				res.coldN += uint64(len(batch))
-			case errors.Is(err, rings.ErrQueueFull):
-				shed.Add(1)
-			default:
-				errc <- err
-				return
-			}
-		}
-	}()
-	time.Sleep(cfg.duration)
-	stop.Store(true)
-	wg.Wait()
-	res.elapsed = time.Since(start)
-	select {
-	case err := <-errc:
-		return nil, err
-	default:
-	}
-	res.hotN, res.shed = hotN.Load(), shed.Load()
-	for i := range hotHists {
-		res.hot.merge(&hotHists[i])
-	}
-	res.perTenant = make([]uint64, len(ts))
-	for i := range perTenant {
-		res.perTenant[i] = perTenant[i].Load()
-	}
-	return res, nil
-}
-
 // runT15 loads cfg.tenants independent demo-image tenants into one
 // registry, measures the cold tenant alone (baseline), then again with
 // Zipf-skewed hot neighbours, and reports both trials.
@@ -758,7 +724,7 @@ func runT15(cfg config) ([]*exp.Result, error) {
 		WorkerBudget: cfg.tenants * cfg.workers,
 	})
 	defer reg.Close()
-	segs := loadImage()
+	segs := tenant.DemoImage()
 	ts := make([]*tenant.Tenant, cfg.tenants)
 	for i := range ts {
 		t, err := reg.Load(fmt.Sprintf("t%d", i), segs, tenant.TenantConfig{
@@ -774,29 +740,43 @@ func runT15(cfg config) ([]*exp.Result, error) {
 	gen.clients = cfg.clients + 1 // the extra pool feeds the cold client
 	pools := genBatches(gen, uint32(len(segs)))
 
-	base, err := t15Trial(cfg, ts, pools, false)
+	// trial runs one cold client on the last tenant (group 0) beside
+	// nhot hot clients (group 1), each of which picks one of the other
+	// tenants per batch, Zipf-skewed.
+	ctx := context.Background()
+	cold := ts[len(ts)-1]
+	trial := func(nhot int) (*result, error) {
+		cs := []client{{pool: pools[cfg.clients], check: func(b []rings.Query, dst []rings.Decision) error {
+			return cold.SubmitInto(ctx, b, dst)
+		}}}
+		for c := 0; c < nhot; c++ {
+			zipf := rand.NewZipf(rand.New(rand.NewSource(cfg.seed+1000+int64(c))), zipfS, 1, uint64(len(ts)-2))
+			cs = append(cs, client{pool: pools[c], group: 1, check: func(b []rings.Query, dst []rings.Decision) error {
+				return ts[zipf.Uint64()].SubmitInto(ctx, b, dst)
+			}})
+		}
+		return runTrial(cfg, cs, editors{})
+	}
+	base, err := trial(0)
 	if err != nil {
 		return nil, err
 	}
-	cont, err := t15Trial(cfg, ts, pools, true)
+	cont, err := trial(cfg.clients)
 	if err != nil {
 		return nil, err
 	}
 
-	coldTPS := func(r *t15Result) float64 {
-		if r.elapsed <= 0 {
-			return 0
-		}
-		return float64(r.coldN) / r.elapsed.Seconds()
-	}
+	bc, cc, hot := &base.groups[0], &cont.groups[0], &cont.groups[1]
+	baseTPS, contTPS, hotTPS := base.rate(bc.decisions), cont.rate(cc.decisions), cont.rate(hot.decisions)
+	baseP99, contP99 := bc.lat.Quantile(0.99), cc.lat.Quantile(0.99)
 	baseline := &exp.Result{
 		ID:     "RINGLOAD-T15-BASELINE",
 		Title:  "tenant isolation baseline: cold tenant alone",
 		HostNs: base.elapsed.Nanoseconds(),
 		Metrics: map[string]float64{
-			"cold_decisions_per_sec": coldTPS(base),
-			"cold_p50_ns":            float64(base.cold.quantile(0.50)),
-			"cold_p99_ns":            float64(base.cold.quantile(0.99)),
+			"cold_decisions_per_sec": baseTPS,
+			"cold_p50_ns":            float64(bc.lat.Quantile(0.50)),
+			"cold_p99_ns":            float64(baseP99),
 			"tenants":                float64(cfg.tenants),
 			"workers_per_tenant":     float64(cfg.workers),
 			"batch":                  float64(cfg.batch),
@@ -805,37 +785,32 @@ func runT15(cfg config) ([]*exp.Result, error) {
 			fmt.Sprintf("%d tenants x %d workers, cold client only, batch %d, %v",
 				cfg.tenants, cfg.workers, cfg.batch, cfg.duration),
 			fmt.Sprintf("cold tenant t%d: %d decisions (%.0f/s), p50 %v p99 %v",
-				cfg.tenants-1, base.coldN, coldTPS(base),
-				time.Duration(base.cold.quantile(0.50)), time.Duration(base.cold.quantile(0.99))),
+				cfg.tenants-1, bc.decisions, baseTPS,
+				time.Duration(bc.lat.Quantile(0.50)), time.Duration(baseP99)),
 		},
 	}
 
-	ratio := 0.0
-	if p := base.cold.quantile(0.99); p > 0 {
-		ratio = float64(cont.cold.quantile(0.99)) / float64(p)
-	}
-	hottest := 0
-	for i, n := range cont.perTenant {
-		if n > cont.perTenant[hottest] {
-			hottest = i
+	// The hot tenants decide only the contended trial's hot batches, so
+	// their own query counts split the hot aggregate.
+	hottest, most := 0, uint64(0)
+	for i, t := range ts[:len(ts)-1] {
+		if n := t.Service().Snapshot().Queries; n > most {
+			hottest, most = i, n
 		}
 	}
-	hotShare := 0.0
-	if cont.hotN > 0 {
-		hotShare = 100 * float64(cont.perTenant[hottest]) / float64(cont.hotN)
-	}
+	p99Ratio := ratio(float64(contP99), float64(baseP99))
 	contended := &exp.Result{
 		ID:     "RINGLOAD-T15",
 		Title:  "tenant isolation: Zipf-hot neighbours vs cold tenant p99",
 		HostNs: cont.elapsed.Nanoseconds(),
 		Metrics: map[string]float64{
-			"hot_decisions_per_sec":  float64(cont.hotN) / cont.elapsed.Seconds(),
-			"hot_p99_ns":             float64(cont.hot.quantile(0.99)),
-			"shed_batches":           float64(cont.shed),
-			"cold_decisions_per_sec": coldTPS(cont),
-			"cold_p99_ns":            float64(cont.cold.quantile(0.99)),
-			"cold_p99_baseline_ns":   float64(base.cold.quantile(0.99)),
-			"cold_p99_ratio":         ratio,
+			"hot_decisions_per_sec":  hotTPS,
+			"hot_p99_ns":             float64(hot.lat.Quantile(0.99)),
+			"shed_batches":           float64(hot.shed + cc.shed),
+			"cold_decisions_per_sec": contTPS,
+			"cold_p99_ns":            float64(contP99),
+			"cold_p99_baseline_ns":   float64(baseP99),
+			"cold_p99_ratio":         p99Ratio,
 			"tenants":                float64(cfg.tenants),
 			"workers_per_tenant":     float64(cfg.workers),
 			"clients":                float64(cfg.clients),
@@ -845,189 +820,63 @@ func runT15(cfg config) ([]*exp.Result, error) {
 			fmt.Sprintf("%d tenants x %d workers, %d hot clients (zipf s=%.1f over t0..t%d) + 1 cold client, batch %d, %v",
 				cfg.tenants, cfg.workers, cfg.clients, zipfS, cfg.tenants-2, cfg.batch, cfg.duration),
 			fmt.Sprintf("hot aggregate: %d decisions (%.0f/s), p99 %v, %d batches shed; hottest t%d took %.0f%%",
-				cont.hotN, float64(cont.hotN)/cont.elapsed.Seconds(),
-				time.Duration(cont.hot.quantile(0.99)), cont.shed, hottest, hotShare),
+				hot.decisions, hotTPS, time.Duration(hot.lat.Quantile(0.99)), hot.shed+cc.shed,
+				hottest, 100*ratio(float64(most), float64(hot.decisions))),
 			fmt.Sprintf("cold tenant t%d: %d decisions (%.0f/s), p99 %v vs baseline %v (ratio %.2f)",
-				cfg.tenants-1, cont.coldN, coldTPS(cont),
-				time.Duration(cont.cold.quantile(0.99)), time.Duration(base.cold.quantile(0.99)), ratio),
+				cfg.tenants-1, cc.decisions, contTPS, time.Duration(contP99), time.Duration(baseP99), p99Ratio),
 		},
 	}
 	return []*exp.Result{baseline, contended}, nil
 }
 
-// ---- Run loop ----
-
-// result is one trial's measurements.
-type result struct {
-	shards    int
-	elapsed   time.Duration
-	decisions uint64
-	batches   uint64
-	shed      uint64
-	mutations uint64
-	lat       hist
-}
-
-func (r *result) throughput() float64 {
-	if r.elapsed <= 0 {
-		return 0
-	}
-	return float64(r.decisions) / r.elapsed.Seconds()
-}
-
-// mutationRate is the supervisor edits per second the trial delivered.
-func (r *result) mutationRate() float64 {
-	if r.elapsed <= 0 {
-		return 0
-	}
-	return float64(r.mutations) / r.elapsed.Seconds()
-}
-
-// runTrial drives the closed loop: cfg.clients goroutines submitting
-// batches to c until the duration elapses, a shed batch
-// (rings.ErrQueueFull) counting as shed, plus cfg.mutators supervisor
-// goroutines streaming bracket edits through sup (in-process only).
-// Each client cycles its pool from pools or, when pools is nil, draws
-// every batch afresh over fresh segments.
-func runTrial(cfg config, c checker, sup *rings.Checker, pools [][][]rings.Query, fresh uint32) (*result, error) {
-	res := &result{shards: cfg.shards}
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	errc := make(chan error, cfg.clients+cfg.mutators)
-	hists := make([]hist, cfg.clients)
-	var decisions, batches, shed, mutations atomic.Uint64
-
-	start := time.Now()
-	for client := 0; client < cfg.clients; client++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dst := make([]rings.Decision, cfg.batch)
-			var pool [][]rings.Query
-			var rng *rand.Rand
-			if pools != nil {
-				pool = pools[client]
-			} else {
-				rng = rand.New(rand.NewSource(cfg.seed + int64(client)))
-				pool = [][]rings.Query{make([]rings.Query, cfg.batch)}
-			}
-			for i := 0; !stop.Load(); i++ {
-				batch := pool[i%len(pool)]
-				for j := 0; rng != nil && j < len(batch); j++ {
-					batch[j] = genQuery(rng, cfg.mix, fresh)
-				}
-				t0 := time.Now()
-				err := c.CheckInto(batch, dst)
-				if errors.Is(err, rings.ErrQueueFull) {
-					shed.Add(1)
-					continue
-				}
-				if err != nil {
-					errc <- err
-					return
-				}
-				hists[client].add(time.Since(t0).Nanoseconds())
-				decisions.Add(uint64(len(batch)))
-				batches.Add(1)
-			}
-		}()
-	}
-	wide := rings.Brackets{R1: 4, R2: 6, R3: 6}
-	narrow := rings.Brackets{R1: 4, R2: 5, R3: 5}
-	for m := 0; m < cfg.mutators; m++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; !stop.Load(); i++ {
-				b := wide
-				if i%2 == 0 {
-					b = narrow
-				}
-				if err := sup.SetBrackets("user_data", true, true, false, b, 0); err != nil {
-					errc <- err
-					return
-				}
-				mutations.Add(1)
-			}
-		}()
-	}
-	time.Sleep(cfg.duration)
-	stop.Store(true)
-	wg.Wait()
-	res.elapsed = time.Since(start)
-	select {
-	case err := <-errc:
-		return nil, err
-	default:
-	}
-	res.decisions, res.batches = decisions.Load(), batches.Load()
-	res.shed, res.mutations = shed.Load(), mutations.Load()
-	for i := range hists {
-		res.lat.merge(&hists[i])
-	}
-	return res, nil
-}
+// ---- Reports ----
 
 func report(cfg config, res *result, mode string) *exp.Result {
 	id := "RINGLOAD"
 	switch {
 	case len(cfg.sweep) > 0 && len(cfg.sweepWorkers) > 0:
-		id = fmt.Sprintf("RINGLOAD-S%d-W%d", res.shards, cfg.workers)
+		id = fmt.Sprintf("RINGLOAD-S%d-W%d", cfg.shards, cfg.workers)
 	case len(cfg.sweep) > 0:
-		id = fmt.Sprintf("RINGLOAD-S%d", res.shards)
+		id = fmt.Sprintf("RINGLOAD-S%d", cfg.shards)
 	case len(cfg.sweepWorkers) > 0:
 		id = fmt.Sprintf("RINGLOAD-W%d", cfg.workers)
 	}
+	g := &res.groups[0]
+	tps := res.rate(g.decisions)
+	p50, p95, p99 := g.lat.Quantile(0.50), g.lat.Quantile(0.95), g.lat.Quantile(0.99)
 	lines := []string{
 		fmt.Sprintf("mode %s, %d clients x batch %d, %v", mode, cfg.clients, cfg.batch, cfg.duration),
 		fmt.Sprintf("mix access=%d call=%d return=%d effring=%d, seed %d",
 			cfg.mix.access, cfg.mix.call, cfg.mix.ret, cfg.mix.effring, cfg.seed),
 		fmt.Sprintf("decisions %d in %v (%.0f decisions/s), %d batches, %d shed",
-			res.decisions, res.elapsed.Round(time.Millisecond), res.throughput(), res.batches, res.shed),
+			g.decisions, res.elapsed.Round(time.Millisecond), tps, g.batches, g.shed),
 		fmt.Sprintf("batch latency p50 %v p95 %v p99 %v",
-			time.Duration(res.lat.quantile(0.50)), time.Duration(res.lat.quantile(0.95)), time.Duration(res.lat.quantile(0.99))),
+			time.Duration(p50), time.Duration(p95), time.Duration(p99)),
 	}
 	if mode == "in-process" {
 		lines = append(lines, fmt.Sprintf("shards %d, workers %d, %d concurrent supervisor edits",
-			res.shards, cfg.workers, res.mutations))
+			cfg.shards, cfg.workers, res.edits))
 	}
 	return &exp.Result{
 		ID:     id,
 		Title:  "protection-decision load: synthetic access/call/return mix",
 		HostNs: res.elapsed.Nanoseconds(),
 		Metrics: map[string]float64{
-			"decisions_per_sec": res.throughput(),
-			"decisions":         float64(res.decisions),
-			"batches":           float64(res.batches),
-			"shed_batches":      float64(res.shed),
-			"mutations":         float64(res.mutations),
-			"p50_ns":            float64(res.lat.quantile(0.50)),
-			"p95_ns":            float64(res.lat.quantile(0.95)),
-			"p99_ns":            float64(res.lat.quantile(0.99)),
+			"decisions_per_sec": tps,
+			"decisions":         float64(g.decisions),
+			"batches":           float64(g.batches),
+			"shed_batches":      float64(g.shed),
+			"mutations":         float64(res.edits),
+			"p50_ns":            float64(p50),
+			"p95_ns":            float64(p95),
+			"p99_ns":            float64(p99),
 			"clients":           float64(cfg.clients),
 			"batch":             float64(cfg.batch),
 			"workers":           float64(cfg.workers),
-			"shards":            float64(res.shards),
+			"shards":            float64(cfg.shards),
 		},
 		Lines: lines,
 	}
-}
-
-// trialInProcess builds a Checker at the given shard count and runs one
-// trial over it.
-func trialInProcess(cfg config, shards int) (*result, error) {
-	chk, err := rings.NewCheckerWith(rings.CheckerConfig{
-		Workers:    cfg.workers,
-		QueueDepth: cfg.queue,
-		Shards:     shards,
-	}, loadImage())
-	if err != nil {
-		return nil, err
-	}
-	defer chk.Close()
-	cfg.shards = chk.Shards()
-	pools := genBatches(cfg, uint32(len(loadImage())))
-	return runTrial(cfg, chk, chk, pools, 0)
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -1037,9 +886,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	duration := fs.Duration("duration", 2*time.Second, "run length per trial")
 	batch := fs.Int("batch", 64, "queries per submitted batch")
 	mixFlag := fs.String("mix", "access=8,call=1,return=1,effring=1", "query mix weights")
-	workers := fs.Int("workers", 4, "decision workers (in-process mode)")
+	workers := fs.Int("workers", 4, "processors callers borrow to decide their batches (in-process mode)")
 	shards := fs.Int("shards", 0, "descriptor-store shards (in-process; 0 = default)")
-	queue := fs.Int("queue", 0, "batch-queue depth (in-process; 0 = default)")
+	queue := fs.Int("queue", 0, "bound on callers waiting for a processor (in-process; 0 = default)")
 	mutators := fs.Int("mutators", 1, "concurrent supervisor-edit goroutines (in-process)")
 	seed := fs.Int64("seed", 1, "query-generation seed")
 	sweepFlag := fs.String("sweep", "", "comma-separated shard counts to sweep (in-process)")
@@ -1104,90 +953,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		compare: *compare, clientCache: *clientCache, jsonOut: *jsonOut,
 	}
 
-	var results []*exp.Result
-	switch {
-	case cfg.target != "":
-		res, err := remoteTrial(cfg, cfg.target, cfg.transport)
-		if err != nil {
-			fmt.Fprintln(stderr, "ringload:", err)
-			return 1
-		}
-		results = append(results, report(cfg, res, cfg.transport))
-	default:
-		// In-process sections compose: a sweep grid, the T15 tenant
-		// experiment, or (when neither is asked for) one plain trial —
-		// all emitted into the same results array, so CI gets one
-		// artifact from one invocation.
-		ran := false
-		if len(cfg.sweep) > 0 || len(cfg.sweepWorkers) > 0 {
-			// Sweep the worker × shard grid in ascending order; a missing
-			// axis holds the flag (or default) value fixed.
-			shardCounts := append([]int(nil), cfg.sweep...)
-			if len(shardCounts) == 0 {
-				shardCounts = []int{cfg.shards}
-			}
-			workerCounts := append([]int(nil), cfg.sweepWorkers...)
-			if len(workerCounts) == 0 {
-				workerCounts = []int{cfg.workers}
-			}
-			sort.Ints(shardCounts)
-			sort.Ints(workerCounts)
-			scfg := cfg
-			for _, w := range workerCounts {
-				for _, n := range shardCounts {
-					scfg.workers = w
-					res, err := trialInProcess(scfg, n)
-					if err != nil {
-						fmt.Fprintln(stderr, "ringload:", err)
-						return 1
-					}
-					results = append(results, report(scfg, res, "in-process"))
-				}
-			}
-			ran = true
-		}
-		if cfg.tenants > 1 {
-			t15, err := runT15(cfg)
-			if err != nil {
-				fmt.Fprintln(stderr, "ringload:", err)
-				return 1
-			}
-			results = append(results, t15...)
-			ran = true
-		}
-		if cfg.compare {
-			t16, err := runT16(cfg)
-			if err != nil {
-				fmt.Fprintln(stderr, "ringload:", err)
-				return 1
-			}
-			results = append(results, t16...)
-			ran = true
-		}
-		if cfg.clientCache {
-			t17, err := runT17(cfg)
-			if err != nil {
-				fmt.Fprintln(stderr, "ringload:", err)
-				return 1
-			}
-			results = append(results, t17...)
-			ran = true
-		}
-		if !ran {
-			res, err := trialInProcess(cfg, cfg.shards)
-			if err != nil {
-				fmt.Fprintln(stderr, "ringload:", err)
-				return 1
-			}
-			results = append(results, report(cfg, res, "in-process"))
-		}
+	results, err := experiments(cfg)
+	if err == nil && cfg.jsonOut {
+		err = exp.WriteJSON(stdout, results)
 	}
-
+	if err != nil {
+		fmt.Fprintln(stderr, "ringload:", err)
+		return 1
+	}
 	if cfg.jsonOut {
-		if err := exp.WriteJSON(stdout, results); err != nil {
-			fmt.Fprintln(stderr, "ringload:", err)
-			return 1
-		}
 		return 0
 	}
 	for _, r := range results {
@@ -1197,4 +971,64 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// experiments runs what cfg asks for. In-process sections compose: a
+// sweep grid, the T15, T16 and T17 experiments, or (when none is asked
+// for) one plain trial, all emitted into the same results array, so CI
+// gets one artifact from one invocation.
+func experiments(cfg config) ([]*exp.Result, error) {
+	if cfg.target != "" {
+		res, err := remoteTrial(cfg, cfg.target, cfg.transport)
+		if err != nil {
+			return nil, err
+		}
+		return []*exp.Result{report(cfg, res, cfg.transport)}, nil
+	}
+	var results []*exp.Result
+	if len(cfg.sweep) > 0 || len(cfg.sweepWorkers) > 0 {
+		// Sweep the worker × shard grid in ascending order; a missing
+		// axis holds the flag (or default) value fixed.
+		shardCounts := append([]int(nil), cfg.sweep...)
+		if len(shardCounts) == 0 {
+			shardCounts = []int{cfg.shards}
+		}
+		workerCounts := append([]int(nil), cfg.sweepWorkers...)
+		if len(workerCounts) == 0 {
+			workerCounts = []int{cfg.workers}
+		}
+		sort.Ints(shardCounts)
+		sort.Ints(workerCounts)
+		scfg := cfg
+		for _, w := range workerCounts {
+			for _, n := range shardCounts {
+				scfg.workers, scfg.shards = w, n
+				r, err := inProcess(scfg)
+				if err != nil {
+					return nil, err
+				}
+				results = append(results, r)
+			}
+		}
+	}
+	for _, x := range []struct {
+		on  bool
+		run func(config) ([]*exp.Result, error)
+	}{{cfg.tenants > 1, runT15}, {cfg.compare, runT16}, {cfg.clientCache, runT17}} {
+		if x.on {
+			rs, err := x.run(cfg)
+			if err != nil {
+				return nil, err
+			}
+			results = append(results, rs...)
+		}
+	}
+	if len(results) > 0 {
+		return results, nil
+	}
+	r, err := inProcess(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return []*exp.Result{r}, nil
 }

@@ -51,40 +51,13 @@ func TestParseSweep(t *testing.T) {
 	}
 }
 
-// TestHistQuantile feeds a known distribution and checks the log-linear
-// histogram's percentiles land within its ~6% bucket resolution.
-func TestHistQuantile(t *testing.T) {
-	var h hist
-	for i := int64(1); i <= 10000; i++ {
-		h.add(i)
-	}
-	for _, c := range []struct {
-		q    float64
-		want int64
-	}{{0.50, 5000}, {0.95, 9500}, {0.99, 9900}} {
-		got := h.quantile(c.q)
-		if got < c.want*9/10 || got > c.want*11/10 {
-			t.Errorf("quantile(%.2f) = %d, want within 10%% of %d", c.q, got, c.want)
-		}
-	}
-	var empty hist
-	if got := empty.quantile(0.5); got != 0 {
-		t.Errorf("empty quantile = %d", got)
-	}
-	var tiny hist
-	tiny.add(7)
-	if got := tiny.quantile(0.99); got != 7 {
-		t.Errorf("single-sample quantile = %d, want 7", got)
-	}
-}
-
 // TestGenQueryDeterministicAndValid checks that generation is
 // reproducible for a seed and only produces well-formed queries (the
 // load must measure decisions, not error handling).
 func TestGenQueryDeterministicAndValid(t *testing.T) {
 	m := mix{access: 8, call: 1, ret: 1, effring: 1}
 	a, b := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
-	chk, err := rings.NewChecker(loadImage())
+	chk, err := rings.NewChecker(tenant.DemoImage())
 	if err != nil {
 		t.Fatalf("NewChecker: %v", err)
 	}
@@ -249,7 +222,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // decisions, mirroring TestRunHTTPTarget.
 func TestRunWireTarget(t *testing.T) {
 	reg := tenant.NewRegistry(tenant.Config{MaxTenants: 1, WorkerBudget: 2})
-	if _, err := reg.Load(tenant.DefaultTenant, loadImage(), tenant.TenantConfig{Workers: 2}); err != nil {
+	if _, err := reg.Load(tenant.DefaultTenant, tenant.DemoImage(), tenant.TenantConfig{Workers: 2}); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -328,6 +301,53 @@ func TestRunRejectsBadTransportFlags(t *testing.T) {
 		if code := run(args, &out, &errOut); code == 0 {
 			t.Errorf("run(%v): want non-zero exit", args)
 		}
+	}
+}
+
+// TestRunTenants smoke-tests the T15 isolation experiment: the baseline
+// (cold tenant alone) then the contended trial, each measuring the
+// cold tenant, and a p99 ratio consistent with the two p99s.
+func TestRunTenants(t *testing.T) {
+	results := runJSON(t, "-tenants", "3", "-c", "2", "-workers", "1", "-queue", "2",
+		"-batch", "8", "-duration", "150ms")
+	if len(results) != 2 {
+		t.Fatalf("got %d results, want 2", len(results))
+	}
+	base, cont := results[0], results[1]
+	if base.ID != "RINGLOAD-T15-BASELINE" || cont.ID != "RINGLOAD-T15" {
+		t.Fatalf("ids %s, %s; want RINGLOAD-T15-BASELINE, RINGLOAD-T15", base.ID, cont.ID)
+	}
+	for _, c := range []struct {
+		r    exp.Result
+		keys []string
+	}{
+		{base, []string{"cold_decisions_per_sec", "cold_p50_ns", "cold_p99_ns",
+			"tenants", "workers_per_tenant", "batch"}},
+		{cont, []string{"hot_decisions_per_sec", "hot_p99_ns", "shed_batches",
+			"cold_decisions_per_sec", "cold_p99_ns", "cold_p99_baseline_ns", "cold_p99_ratio",
+			"tenants", "workers_per_tenant", "clients", "batch"}},
+	} {
+		if len(c.r.Metrics) != len(c.keys) {
+			t.Errorf("%s: %d metrics, want %d: %v", c.r.ID, len(c.r.Metrics), len(c.keys), c.r.Metrics)
+		}
+		for _, key := range c.keys {
+			if _, ok := c.r.Metrics[key]; !ok {
+				t.Errorf("%s: metric %q missing: %v", c.r.ID, key, c.r.Metrics)
+			}
+		}
+		if c.r.Metrics["cold_decisions_per_sec"] <= 0 {
+			t.Errorf("%s: cold tenant measured no decisions: %v", c.r.ID, c.r.Metrics)
+		}
+	}
+	if cont.Metrics["hot_decisions_per_sec"] <= 0 {
+		t.Errorf("hot tenants measured no decisions: %v", cont.Metrics)
+	}
+	want := cont.Metrics["cold_p99_ns"] / cont.Metrics["cold_p99_baseline_ns"]
+	if got := cont.Metrics["cold_p99_ratio"]; got < want*0.99 || got > want*1.01 {
+		t.Errorf("cold_p99_ratio = %v, want cold_p99_ns / cold_p99_baseline_ns = %v", got, want)
+	}
+	if got := cont.Metrics["cold_p99_baseline_ns"]; got != base.Metrics["cold_p99_ns"] {
+		t.Errorf("cold_p99_baseline_ns = %v, want the baseline's cold_p99_ns %v", got, base.Metrics["cold_p99_ns"])
 	}
 }
 

@@ -229,7 +229,7 @@ func init() {
 			r.addf("  %-50s %8d", kind, n)
 		}
 		r.addf("")
-		r.addf("batch latency histogram: %d non-empty power-of-two buckets", len(snap.LatencyNs))
+		r.addf("batch latency histogram: %d non-empty log-linear buckets", len(snap.LatencyNs))
 		r.addf("")
 		r.addf("snapshot publication keeps readers coherent without locks: a worker")
 		r.addf("pins one immutable snapshot per batch, so every decision is")

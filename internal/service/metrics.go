@@ -5,20 +5,16 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/hist"
 	"repro/internal/trace"
 )
 
 // violationKinds is the number of distinct ViolationKind values.
 const violationKinds = core.ViolationKindCount
 
-// latencyBuckets is the number of power-of-two latency histogram
-// buckets; bucket i counts batches whose submit-to-completion latency
-// lay in [2^i, 2^(i+1)) nanoseconds.
-const latencyBuckets = 32
-
 // counters is one processor's share of the service's always-on
 // instrumentation: decision counts, faults by kind, trace events by
-// kind, and a power-of-two latency histogram. They are plain integers,
+// kind, and a histogram of batch latency. They are plain integers,
 // written by the borrower under the processor's mutex; Snapshot sums
 // them across processors.
 type counters struct {
@@ -35,8 +31,9 @@ type counters struct {
 	opEffRing uint64
 	opOther   uint64
 
-	faults  [violationKinds]uint64
-	latency [latencyBuckets]uint64
+	faults [violationKinds]uint64
+	// latency holds each batch's submit-to-completion time.
+	latency hist.Hist
 	// events is the processor MMU's trace sink.
 	events trace.Counters
 }
@@ -76,12 +73,7 @@ func (c *counters) count(op Op, d *Decision) {
 // latency.
 func (c *counters) observe(start time.Time) {
 	c.batches++
-	ns := time.Since(start).Nanoseconds()
-	bucket := 0
-	for v := ns; v > 1 && bucket < latencyBuckets-1; v >>= 1 {
-		bucket++
-	}
-	c.latency[bucket]++
+	c.latency.Add(time.Since(start).Nanoseconds())
 }
 
 // add folds o into c.
@@ -100,9 +92,7 @@ func (c *counters) add(o *counters) {
 	for k := range c.faults {
 		c.faults[k] += o.faults[k]
 	}
-	for i := range c.latency {
-		c.latency[i] += o.latency[i]
-	}
+	c.latency.Merge(&o.latency)
 	for k := range c.events.Counts {
 		c.events.Counts[k] += o.events.Counts[k]
 	}
@@ -154,7 +144,8 @@ type Snapshot struct {
 	// Events tallies trace events by kind across all processors, fed
 	// from the zero-alloc mmu.Sink each processor's unit records into.
 	Events map[string]uint64 `json:"events"`
-	// LatencyNs is the non-empty part of the batch latency histogram.
+	// LatencyNs is the non-empty part of the batch latency histogram,
+	// in ascending order.
 	LatencyNs []LatencyBucket `json:"latency_ns"`
 }
 
@@ -227,16 +218,8 @@ func (s *Service) Snapshot() Snapshot {
 			snap.Events[metricKey(trace.Kind(k).String())] = n
 		}
 	}
-	for i, n := range m.latency {
-		if n > 0 {
-			lo := int64(1) << i
-			if i == 0 {
-				lo = 0
-			}
-			snap.LatencyNs = append(snap.LatencyNs, LatencyBucket{
-				LoNs: lo, HiNs: int64(1) << (i + 1), Count: n,
-			})
-		}
-	}
+	m.latency.Buckets(func(lo, hi int64, n uint64) {
+		snap.LatencyNs = append(snap.LatencyNs, LatencyBucket{LoNs: lo, HiNs: hi, Count: n})
+	})
 	return snap
 }

@@ -383,7 +383,9 @@ func (s *session) readLoop() {
 				return
 			}
 		case FramePing:
-			s.handlePing(h.Corr)
+			if !s.handlePing(h.Corr, payload) {
+				return
+			}
 		case FrameSubscribe:
 			if !s.handleSubscribe(h.Corr, payload) {
 				return
@@ -626,14 +628,20 @@ func (s *session) writeLeaseExpire(code uint16) {
 // subscribed session it first announces every invalidation still
 // pending, under the same write lock: a ping is then a barrier after
 // which the client has been told of every edit published before the
-// server answered.
-func (s *session) handlePing(corr uint64) {
+// server answered. A Ping with a payload is a protocol error, as
+// DecodeFrame rules, and ends the session.
+func (s *session) handlePing(corr uint64, payload []byte) bool {
+	if len(payload) != 0 {
+		s.writeError(corr, CodeBadRequest, "ping carries no payload")
+		return false
+	}
 	s.wmu.Lock()
 	if s.sub != nil {
 		s.flushLocked()
 	}
 	s.pongLocked(corr)
 	s.wmu.Unlock()
+	return true
 }
 
 // pongLocked writes a Pong carrying the image shape.

@@ -249,6 +249,40 @@ func TestHandshakeRejections(t *testing.T) {
 	})
 }
 
+// TestPayloadOnEmptyFrameRejected sends, after the handshake, a Ping
+// and a Subscribe that each carry a payload their type forbids, as
+// DecodeFrame rules: the session answers Error 400 and closes.
+func TestPayloadOnEmptyFrameRejected(t *testing.T) {
+	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 1})
+	_, addr := startWireServer(t, reg, Config{})
+	for _, typ := range []FrameType{FramePing, FrameSubscribe} {
+		t.Run(typ.String(), func(t *testing.T) {
+			conn := dialRaw(t, addr)
+			frame := make([]byte, HeaderLen+8)
+			PutHeader(frame, Header{Len: 8, Type: typ, Corr: 7})
+			if _, _, err := DecodeFrame(frame); !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("DecodeFrame = %v, want ErrBadFrame", err)
+			}
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			h, payload, err := readConnFrame(t, conn)
+			if err != nil {
+				t.Fatalf("read answer: %v", err)
+			}
+			if h.Type != FrameError || h.Corr != 7 {
+				t.Fatalf("answered %v corr %d, want error corr 7", h.Type, h.Corr)
+			}
+			if e, err := decodeError(payload); err != nil || e.Code != CodeBadRequest {
+				t.Errorf("error frame = %+v, %v; want code %d", e, err, CodeBadRequest)
+			}
+			if _, _, err := readConnFrame(t, conn); err == nil {
+				t.Error("session stayed open after the malformed frame")
+			}
+		})
+	}
+}
+
 func TestSealedTenantOnWire(t *testing.T) {
 	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 1})
 	_, addr := startWireServer(t, reg, Config{})

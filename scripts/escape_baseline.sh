@@ -20,7 +20,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BASELINE=docs/escape_baseline.txt
-PACKAGES="./internal/service ./internal/mmu ./internal/tenant ./rings"
+PACKAGES="./internal/service ./internal/hist ./internal/mmu ./internal/tenant ./rings"
 
 current() {
 	# shellcheck disable=SC2086  # PACKAGES must word-split
