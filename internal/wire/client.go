@@ -66,9 +66,8 @@ func (c ClientConfig) withDefaults() ClientConfig {
 
 // Client is one streaming wire session. It is safe for concurrent
 // use: calls from multiple goroutines pipeline on the single
-// connection, correlated by ID, and may complete out of order — the
-// intended way to keep every decision processor busy from one client
-// process.
+// connection, correlated by ID. The protocol lets responses arrive in
+// any order; each is matched to its call by its ID.
 type Client struct {
 	conn    net.Conn
 	cfg     ClientConfig
@@ -91,15 +90,34 @@ type Client struct {
 	readerDone chan struct{}
 }
 
-// call is one request in flight.
+// call is one request in flight. Records are reused together with
+// their wake-up channel: one send on done wakes the waiting caller,
+// which releases the record once it has read the result.
 type call struct {
 	typ     FrameType // expected response type
 	dst     []service.Decision
 	version uint64
 	health  Health
-	tables  Tables
+	tables  *Tables // Fetch's result
 	err     error
 	done    chan struct{}
+}
+
+// callPool recycles call records, each with its wake-up channel.
+var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
+
+// newCall takes a call record expecting a typ response.
+func newCall(typ FrameType) *call {
+	cl := callPool.Get().(*call)
+	cl.typ = typ
+	return cl
+}
+
+// release returns a call record for reuse. The caller must know that
+// nothing will wake it any more, as it does once roundTrip returns.
+func (cl *call) release() {
+	*cl = call{done: cl.done}
+	callPool.Put(cl)
 }
 
 // Dial opens a wire session to addr: TCP connect, Hello/Welcome
@@ -242,13 +260,13 @@ func (c *Client) readLoop() {
 				return
 			}
 			cl.complete(h.Type, payload)
+			cl.done <- struct{}{}
 		}
 	}
 }
 
-// complete decodes one response into its call and wakes the waiter.
+// complete decodes one response into its call.
 func (cl *call) complete(t FrameType, payload []byte) {
-	defer close(cl.done)
 	if t == FrameError {
 		e, err := decodeError(payload)
 		if err != nil {
@@ -279,7 +297,7 @@ func (cl *call) complete(t FrameType, payload []byte) {
 	case FramePong:
 		cl.health, cl.err = decodePong(payload)
 	case FrameTables:
-		cl.tables, cl.err = decodeTables(payload)
+		*cl.tables, cl.err = decodeTables(payload)
 	default:
 		cl.err = ErrBadFrame
 	}
@@ -324,16 +342,16 @@ func (c *Client) fail(err error) {
 	}
 	for _, cl := range pending {
 		cl.err = err
-		close(cl.done)
+		cl.done <- struct{}{}
 	}
 	c.conn.Close()
 }
 
 // roundTrip registers a call, writes its request frame (encoded by
 // enc into the shared scratch buffer under the write lock) and waits
-// for the response.
+// for the response. Once it returns nothing will wake cl again, so the
+// caller may release it.
 func (c *Client) roundTrip(cl *call, enc func(buf []byte, corr uint64) ([]byte, error)) error {
-	cl.done = make(chan struct{})
 	c.mu.Lock()
 	if c.fatal != nil {
 		err := c.fatal
@@ -361,15 +379,18 @@ func (c *Client) roundTrip(cl *call, enc func(buf []byte, corr uint64) ([]byte, 
 		_, werr = c.conn.Write(b)
 	}
 	c.wmu.Unlock()
-	if err != nil || werr != nil {
+	switch {
+	case werr != nil:
+		c.fail(werr) // wakes every pending call, this one included
+	case err != nil:
 		c.mu.Lock()
+		_, waiting := c.pending[id]
 		delete(c.pending, id)
 		c.mu.Unlock()
-		if err != nil {
-			return err
+		if !waiting {
+			<-cl.done // a failure took the call first and wakes it
 		}
-		c.fail(werr)
-		return werr
+		return err
 	}
 	<-cl.done
 	return cl.err
@@ -382,7 +403,9 @@ func (c *Client) CheckInto(queries []service.Query, dst []service.Decision) erro
 	if len(dst) < len(queries) {
 		return errors.New("wire: dst shorter than queries")
 	}
-	cl := &call{typ: FrameDecisions, dst: dst[:len(queries)]}
+	cl := newCall(FrameDecisions)
+	defer cl.release()
+	cl.dst = dst[:len(queries)]
 	return c.roundTrip(cl, func(buf []byte, corr uint64) ([]byte, error) {
 		return EncodeCheck(buf, corr, queries)
 	})
@@ -400,7 +423,8 @@ func (c *Client) Check(queries ...service.Query) ([]service.Decision, error) {
 // Mutate applies one supervisor mutation and returns the store
 // version after it.
 func (c *Client) Mutate(m Mutation) (uint64, error) {
-	cl := &call{typ: FrameMutated}
+	cl := newCall(FrameMutated)
+	defer cl.release()
 	err := c.roundTrip(cl, func(buf []byte, corr uint64) ([]byte, error) {
 		return EncodeMutate(buf, corr, m)
 	})
@@ -413,7 +437,8 @@ func (c *Client) Mutate(m Mutation) (uint64, error) {
 // subscription's starting epoch sum — every mutation published after
 // it will be announced. Idempotent.
 func (c *Client) Subscribe() (Health, error) {
-	cl := &call{typ: FramePong}
+	cl := newCall(FramePong)
+	defer cl.release()
 	err := c.roundTrip(cl, func(buf []byte, corr uint64) ([]byte, error) {
 		return EncodeSubscribe(buf, corr), nil
 	})
@@ -424,24 +449,28 @@ func (c *Client) Subscribe() (Health, error) {
 // f.Shards, each stamped with its even epoch, plus the image's segment
 // names when f.Names is set.
 func (c *Client) Fetch(f Fetch) (*Tables, error) {
-	cl := &call{typ: FrameTables}
+	ts := new(Tables)
+	cl := newCall(FrameTables)
+	defer cl.release()
+	cl.tables = ts
 	err := c.roundTrip(cl, func(buf []byte, corr uint64) ([]byte, error) {
 		return EncodeFetch(buf, corr, f), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, tab := range cl.tables.Tables {
+	for i, tab := range ts.Tables {
 		if (tab != nil) != (f.Shards&(1<<i) != 0) {
 			return nil, ErrBadFrame // not the shards asked for
 		}
 	}
-	return &cl.tables, nil
+	return ts, nil
 }
 
 // Ping probes liveness and returns the tenant's current image shape.
 func (c *Client) Ping() (Health, error) {
-	cl := &call{typ: FramePong}
+	cl := newCall(FramePong)
+	defer cl.release()
 	err := c.roundTrip(cl, func(buf []byte, corr uint64) ([]byte, error) {
 		return EncodePing(buf, corr), nil
 	})

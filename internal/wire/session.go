@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -17,9 +18,9 @@ import (
 )
 
 // readBufSize sizes the buffered reader of every session and client
-// read loop. 16 KiB holds a session's default 8 in-flight 64-query
-// check frames, so a frame's header, its payload and the frames
-// pipelined behind it arrive in one read.
+// read loop, so a frame's header, its payload and the frames pipelined
+// behind it arrive in one read. It also bounds the answers a session
+// holds before writing them.
 const readBufSize = 16 << 10
 
 // ErrServerClosed is returned by Serve after Shutdown.
@@ -34,11 +35,6 @@ type Config struct {
 	// MaxFrame bounds a frame payload in bytes; default DefaultMaxFrame.
 	// Enforced against the length prefix before any allocation.
 	MaxFrame uint32
-	// InFlight is the number of check batches a session may have in
-	// flight at once (one pooled decode/submit job each); default 8.
-	// Further check frames wait in the kernel socket buffer, so a
-	// hostile pipeliner cannot balloon the session's memory.
-	InFlight int
 	// HandshakeTimeout bounds the wait for the Hello frame; default 10s.
 	HandshakeTimeout time.Duration
 }
@@ -46,9 +42,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxFrame == 0 {
 		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.InFlight <= 0 {
-		c.InFlight = 8
 	}
 	if c.HandshakeTimeout <= 0 {
 		c.HandshakeTimeout = 10 * time.Second
@@ -174,15 +167,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// job is one pooled check batch in flight: the decode target, the
-// response scratch buffer, and the correlation ID to answer under.
-type job struct {
-	corr  uint64
-	batch Batch
-	out   []byte
-}
-
-// session is one accepted wire connection.
+// session is one accepted wire connection, served by one goroutine
+// (plus the pusher once subscribed): it reads each frame, decides it
+// and queues or writes its answer.
 type session struct {
 	srv  *Server
 	conn net.Conn
@@ -191,13 +178,14 @@ type session struct {
 	t       *tenant.Tenant
 	version uint16
 
-	rbuf []byte // reader scratch, reused frame to frame
+	// Reader state, touched only by the serve goroutine: the frame
+	// scratch, the check decode target, and the answers not yet written.
+	rbuf  []byte
+	batch Batch
+	out   []byte
 
 	wmu  sync.Mutex
 	wbuf []byte //ring:guarded wmu (inline-response scratch)
-
-	jobs chan *job
-	free chan *job
 
 	// sub is the session's lease subscription (nil until the client
 	// sends Subscribe); pusherStop/pusherWG bound the pusher goroutine
@@ -211,39 +199,17 @@ type session struct {
 }
 
 func (s *Server) newSession(conn net.Conn) *session {
-	return &session{
-		srv:  s,
-		conn: conn,
-		cfg:  s.cfg,
-		jobs: make(chan *job, s.cfg.InFlight),
-		free: make(chan *job, s.cfg.InFlight),
-	}
+	return &session{srv: s, conn: conn, cfg: s.cfg}
 }
 
-// serve runs the session to completion: handshake, responder pool,
-// read loop, drain. It owns the connection's lifetime.
+// serve runs the session to completion: handshake, read loop, drain.
+// It owns the connection's lifetime.
 func (s *session) serve() {
 	defer s.conn.Close()
 	if !s.handshake() {
 		return
 	}
-	for i := 0; i < s.cfg.InFlight; i++ {
-		s.free <- &job{}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < s.cfg.InFlight; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.responder()
-		}()
-	}
-	s.readLoop()
-	// The reader accepts no more frames. Closing jobs lets the
-	// responders finish everything already accepted before exiting, so
-	// a graceful drain never drops an accepted batch.
-	close(s.jobs)
-	wg.Wait()
+	s.readLoop(bufio.NewReaderSize(s.conn, readBufSize))
 	// Stop the shootdown pusher before any GoAway: GoAway must be the
 	// last frame on the wire, and a push racing it would break that.
 	if s.sub != nil {
@@ -351,16 +317,26 @@ func (s *session) health() Health {
 	}
 }
 
-// readLoop accepts frames until the connection fails, the session
-// drains, or the client commits a protocol error. Check batches are
-// handed to the responder pool (bounded by the free-job pool — the
-// session's backpressure); mutations and pings are answered inline,
-// off the hot path. Frames are read through a buffer, so pipelined
-// frames cost one read between them; the handshake read the connection
-// directly, so the buffer starts at the first frame after Hello.
-func (s *session) readLoop() {
-	br := bufio.NewReaderSize(s.conn, readBufSize)
+// readLoop answers frames until the connection fails, the session
+// drains, or the client commits a protocol error. Frames are read
+// through br, so pipelined frames cost one read between them; the
+// handshake read the connection directly, so the buffer starts at the
+// first frame after Hello.
+//
+// A check frame is decided here, on the session's own goroutine, and
+// its answer queued in s.out. The queue is written with one write when
+// br holds no further complete frame (so no answer waits while the
+// reader blocks), before any other frame is answered (so answers leave
+// in arrival order, and a ping's shootdowns still precede its pong),
+// once it reaches readBufSize, and when the loop ends (so GoAway stays
+// the last frame). A client that pipelines faster than the session
+// answers is held back by TCP flow control.
+func (s *session) readLoop(br *bufio.Reader) {
+	defer s.flush()
 	for {
+		if len(s.out) >= readBufSize || !frameBuffered(br) {
+			s.flush()
+		}
 		h, payload, err := readFrame(br, &s.rbuf, s.cfg.MaxFrame)
 		if err != nil {
 			if !s.draining.Load() {
@@ -368,16 +344,14 @@ func (s *session) readLoop() {
 			}
 			return
 		}
+		if h.Type != FrameCheck {
+			s.flush()
+		}
 		switch h.Type {
 		case FrameCheck:
-			j := <-s.free
-			if derr := DecodeCheckInto(payload, &j.batch); derr != nil {
-				s.free <- j
-				s.writeError(h.Corr, CodeBadRequest, derr.Error())
+			if !s.answer(h.Corr, payload) {
 				return
 			}
-			j.corr = h.Corr
-			s.jobs <- j
 		case FrameMutate:
 			if !s.handleMutate(h.Corr, payload) {
 				return
@@ -410,44 +384,74 @@ func (s *session) frameError(err error) {
 	}
 }
 
-// responder serves pooled check jobs until the jobs channel closes,
-// deciding each batch on its own goroutine: the session's responders
-// are its concurrency.
+// frameBuffered reports whether br holds a whole frame, so reading it
+// cannot block.
 //
 //ring:hotpath
-func (s *session) responder() {
-	for j := range s.jobs {
-		s.serveJob(j)
-		s.free <- j
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < HeaderLen {
+		return false
+	}
+	hdr, _ := br.Peek(HeaderLen)
+	return uint64(n-HeaderLen) >= uint64(binary.BigEndian.Uint32(hdr))
+}
+
+// answer decides one check frame through the tenant's zero-alloc
+// decision path and queues its Decisions frame; a rejected batch
+// queues an Error frame with the HTTP status mapping instead. It
+// reports false on a malformed frame, which ends the session.
+//
+//ring:hotpath
+func (s *session) answer(corr uint64, payload []byte) bool {
+	if err := DecodeCheckInto(payload, &s.batch); err != nil {
+		s.writeError(corr, CodeBadRequest, err.Error())
+		return false
+	}
+	if len(s.batch.Queries) == 0 {
+		s.queueError(corr, CodeBadRequest, "empty batch")
+	} else if err := s.t.SubmitInto(context.Background(), s.batch.Queries, s.batch.Dst); err != nil {
+		s.queueError(corr, submitCode(err), err.Error())
+	} else if b, err := EncodeDecisions(s.out[len(s.out):], corr, s.batch.Dst); err != nil {
+		// Service decisions always fit the wire widths; defensive only.
+		s.queueError(corr, CodeBadRequest, err.Error())
+	} else {
+		s.queue(b)
+	}
+	return true
+}
+
+// queue appends one encoded answer to s.out. The encoders write into
+// the spare capacity of s.out, so b normally sits in place already; a
+// frame that did not fit was encoded into a fresh buffer.
+//
+//ring:hotpath
+func (s *session) queue(b []byte) {
+	//ring:allow amortized growth of the queued answers; steady state reuses capacity
+	s.out = append(s.out, b...)
+}
+
+// queueError queues an Error frame behind the answers already queued.
+//
+//ring:hotpath
+func (s *session) queueError(corr uint64, code uint16, msg string) {
+	if b, err := EncodeError(s.out[len(s.out):], corr, code, msg); err == nil {
+		s.queue(b)
 	}
 }
 
-// serveJob answers one decoded check batch: submit through the
-// tenant's zero-alloc decision path, encode the decisions into the
-// job's pooled buffer, write. Submission failures answer as Error
-// frames with the HTTP status mapping.
+// flush writes the queued answers with one write, under the write lock
+// the pusher shares.
 //
 //ring:hotpath
-func (s *session) serveJob(j *job) {
-	if len(j.batch.Queries) == 0 {
-		s.writeError(j.corr, CodeBadRequest, "empty batch")
+func (s *session) flush() {
+	if len(s.out) == 0 {
 		return
 	}
-	if err := s.t.SubmitInto(context.Background(), j.batch.Queries, j.batch.Dst); err != nil {
-		code := submitCode(err)
-		s.writeError(j.corr, code, err.Error())
-		return
-	}
-	out, err := EncodeDecisions(j.out, j.corr, j.batch.Dst)
-	if err != nil {
-		// Service decisions always fit the wire widths; defensive only.
-		s.writeError(j.corr, CodeBadRequest, err.Error())
-		return
-	}
-	j.out = out
 	s.wmu.Lock()
-	s.writeLocked(out)
+	s.writeLocked(s.out)
 	s.wmu.Unlock()
+	s.out = s.out[:0]
 }
 
 // submitCode maps a check-path rejection to its error-frame code,
@@ -652,18 +656,13 @@ func (s *session) pongLocked(corr uint64) {
 	s.writeLocked(s.wbuf)
 }
 
-// writeError writes an Error frame under the write lock, reusing the
-// session's scratch buffer.
+// writeError writes an Error frame behind every queued answer. Only
+// the serve goroutine calls it.
 //
 //ring:hotpath
 func (s *session) writeError(corr uint64, code uint16, msg string) {
-	s.wmu.Lock()
-	b, err := EncodeError(s.wbuf, corr, code, msg)
-	if err == nil {
-		s.wbuf = b
-		s.writeLocked(b)
-	}
-	s.wmu.Unlock()
+	s.queueError(corr, code, msg)
+	s.flush()
 }
 
 // writeLocked writes one frame; the caller holds wmu. A failed write

@@ -1,15 +1,17 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -384,7 +386,7 @@ func TestSessionOversizeFrameRejectedBeforeAllocation(t *testing.T) {
 // serves again.
 func TestSessionBackpressureShed(t *testing.T) {
 	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 1, QueueDepth: 1, BatchLimit: 4096})
-	_, addr := startWireServer(t, reg, Config{InFlight: 16})
+	_, addr := startWireServer(t, reg, Config{})
 	conn := dialRaw(t, addr)
 	tnt, _ := reg.Get(tenant.DefaultTenant)
 
@@ -650,20 +652,29 @@ func TestGoAwayIsLastFrame(t *testing.T) {
 
 // scriptConn is a net.Conn whose reads replay chunks, each Read taking
 // as much of the current chunk as fits, and fail once a past read
-// deadline is set; writes are recorded. onLast runs once, right after
-// the first Read that takes bytes from the last chunk.
+// deadline is set; writes are recorded and counted. onLast runs once,
+// right after the first Read that takes bytes from the last chunk. A
+// Read of the last chunk first waits until the conn has taken holdLast
+// writes.
 type scriptConn struct {
 	nopConn
 	mu       sync.Mutex
+	wrote    sync.Cond // broadcast by Write and SetReadDeadline
 	chunks   [][]byte
 	deadline time.Time
 	onLast   func()
+	holdLast int
 	out      bytes.Buffer
+	writes   int
 }
 
 func (c *scriptConn) Read(p []byte) (int, error) {
 	c.mu.Lock()
-	if !c.deadline.IsZero() && time.Now().After(c.deadline) {
+	c.wrote.L = &c.mu
+	for len(c.chunks) == 1 && c.writes < c.holdLast && !c.pastDeadline() {
+		c.wrote.Wait()
+	}
+	if c.pastDeadline() {
 		c.mu.Unlock()
 		return 0, os.ErrDeadlineExceeded
 	}
@@ -687,9 +698,15 @@ func (c *scriptConn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+func (c *scriptConn) pastDeadline() bool {
+	return !c.deadline.IsZero() && time.Now().After(c.deadline)
+}
+
 func (c *scriptConn) Write(p []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.writes++
+	c.wrote.Broadcast()
 	return c.out.Write(p)
 }
 
@@ -697,7 +714,115 @@ func (c *scriptConn) SetReadDeadline(t time.Time) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.deadline = t
+	c.wrote.Broadcast()
 	return nil
+}
+
+// scriptFrames encodes a session's input: Hello, then a check frame
+// of one allowed query for each correlation ID.
+func scriptFrames(t *testing.T, corrs ...uint64) (hello, checks []byte) {
+	t.Helper()
+	hello, err := EncodeHello(nil, Hello{MinVersion: Version, MaxVersion: Version})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, corr := range corrs {
+		b, err := EncodeCheck(nil, corr, []service.Query{{Op: service.OpAccess, Ring: 3, Segno: 0, Wordno: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checks = append(checks, b...)
+	}
+	return hello, checks
+}
+
+// decodeFrames splits a session's output into frames.
+func decodeFrames(t *testing.T, out []byte) []Frame {
+	t.Helper()
+	var fs []Frame
+	for len(out) > 0 {
+		f, n, err := DecodeFrame(out)
+		if err != nil {
+			t.Fatalf("session wrote an undecodable frame after %d frames: %v", len(fs), err)
+		}
+		fs = append(fs, f)
+		out = out[n:]
+	}
+	return fs
+}
+
+// frameSeq renders frames as "type/corr" for comparison.
+func frameSeq(fs []Frame) string {
+	var b strings.Builder
+	for i, f := range fs {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%v/%d", f.Type, f.Corr)
+	}
+	return b.String()
+}
+
+// TestSessionAnswersBurstInOneWrite: check frames that arrive in one
+// read are decided in arrival order and answered with one write, and a
+// ping behind them gets its pong after their decisions.
+func TestSessionAnswersBurstInOneWrite(t *testing.T) {
+	srv := NewServer(newTestRegistry(t, tenant.TenantConfig{Workers: 1}), Config{})
+	hello, checks := scriptFrames(t, 1, 2, 3)
+	for _, tc := range []struct {
+		name   string
+		burst  []byte
+		writes int
+		want   string
+	}{
+		{"checks", checks, 2, "welcome/0 decisions/1 decisions/2 decisions/3"},
+		{"checks then ping", append(append([]byte{}, checks...), EncodePing(nil, 4)...), 3,
+			"welcome/0 decisions/1 decisions/2 decisions/3 pong/4"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn := &scriptConn{chunks: [][]byte{hello, tc.burst}}
+			srv.newSession(conn).serve()
+			fs := decodeFrames(t, conn.out.Bytes())
+			if got := frameSeq(fs); got != tc.want {
+				t.Fatalf("session wrote %s, want %s", got, tc.want)
+			}
+			for _, f := range fs {
+				if f.Type == FrameDecisions && (len(f.Decisions) != 1 || !f.Decisions[0].Allowed) {
+					t.Errorf("corr %d answered %+v, want one allowed decision", f.Corr, f.Decisions)
+				}
+			}
+			if conn.writes != tc.writes {
+				t.Errorf("session made %d writes, want %d: the welcome, one for the three decisions, then any pong", conn.writes, tc.writes)
+			}
+		})
+	}
+}
+
+// TestAnswerNotHeldWhileReading: a session writes the answers it holds
+// before its reader waits for input. The read that brings the second
+// check waits until the first check's answer has been written, so a
+// session that held that answer until more input arrived would never
+// finish.
+func TestAnswerNotHeldWhileReading(t *testing.T) {
+	srv := NewServer(newTestRegistry(t, tenant.TenantConfig{Workers: 1}), Config{})
+	hello, first := scriptFrames(t, 1)
+	_, second := scriptFrames(t, 2)
+	conn := &scriptConn{chunks: [][]byte{hello, first, second}, holdLast: 2}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.newSession(conn).serve()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		_ = conn.SetReadDeadline(time.Unix(1, 0)) // release the held read
+		<-done
+		t.Fatal("session held the first answer while its reader waited for input")
+	}
+	if got, want := frameSeq(decodeFrames(t, conn.out.Bytes())), "welcome/0 decisions/1 decisions/2"; got != want {
+		t.Errorf("session wrote %s, want %s", got, want)
+	}
 }
 
 // TestDrainAnswersBufferedFrames: a drain that begins right after one
@@ -827,52 +952,276 @@ func (nopConn) SetDeadline(time.Time) error      { return nil }
 func (nopConn) SetReadDeadline(time.Time) error  { return nil }
 func (nopConn) SetWriteDeadline(time.Time) error { return nil }
 
-// TestWireCheckZeroAlloc gates the steady-state session loop — read
-// frame, decode batch, submit, encode decisions, write — at zero heap
-// allocations per batch (the wire analogue of TestSubmitIntoZeroAlloc,
-// backed statically by ringvet's hotpath analyzer).
-func TestWireCheckZeroAlloc(t *testing.T) {
-	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 1})
-	tnt, _ := reg.Get(tenant.DefaultTenant)
-	s := &session{conn: nopConn{}, cfg: Config{}.withDefaults(), t: tnt}
-
-	// Segno-form queries: the zero-alloc contract covers frames that
-	// carry no segment names (name decode allocates its string, by
-	// design — the //ring:allow lines in getPackedString).
-	queries := []service.Query{
+// zeroAllocQueries is a batch for the allocation gates, in segno form:
+// the zero-alloc contract covers frames that carry no segment names
+// (name decode allocates its string, by design — the //ring:allow
+// lines in getPackedString).
+func zeroAllocQueries() []service.Query {
+	return []service.Query{
 		{Op: service.OpAccess, Ring: 4, Segno: 0, Wordno: 3, Kind: core.AccessRead},
 		{Op: service.OpAccess, Ring: 5, Segno: 0, Kind: core.AccessWrite},
 		{Op: service.OpCall, Ring: 4, Segno: 1, Wordno: 1},
 		{Op: service.OpReturn, Ring: 2, Segno: 1, EffRing: ringp(3)},
 		{Op: service.OpEffRing, Ring: 2, Chain: []service.ChainStep{{PR: true, Ring: 3}, {Segno: 2, Ring: 1}}},
 	}
-	frame, err := EncodeCheck(nil, 9, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	br := bytes.NewReader(frame)
-	j := &job{}
-	var rbuf []byte
-	allocs := testing.AllocsPerRun(200, func() {
-		br.Reset(frame)
-		h, payload, err := readFrame(br, &rbuf, DefaultMaxFrame)
+}
+
+// TestWireCheckZeroAlloc gates the steady-state session loop at zero
+// heap allocations per burst: the read loop reads a burst of pipelined
+// check frames, decodes and decides each, queues its decisions and
+// writes them all with one write (the wire analogue of
+// TestSubmitIntoZeroAlloc, backed statically by ringvet's hotpath
+// analyzer).
+func TestWireCheckZeroAlloc(t *testing.T) {
+	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 1})
+	tnt, _ := reg.Get(tenant.DefaultTenant)
+	conn := &scriptConn{}
+	s := NewServer(reg, Config{}).newSession(conn)
+	s.t = tnt
+
+	const frames = 8
+	var burst []byte
+	for corr := uint64(1); corr <= frames; corr++ {
+		b, err := EncodeCheck(nil, corr, zeroAllocQueries())
 		if err != nil {
-			panic(err)
+			t.Fatal(err)
 		}
-		if err := DecodeCheckInto(payload, &j.batch); err != nil {
-			panic(err)
-		}
-		j.corr = h.Corr
-		s.serveJob(j)
+		burst = append(burst, b...)
+	}
+	br := bufio.NewReaderSize(conn, readBufSize)
+	script := make([][]byte, 1) // reads consume it, so each run refills it
+	allocs := testing.AllocsPerRun(200, func() {
+		script[0] = burst
+		conn.chunks = script
+		conn.out.Reset()
+		conn.writes = 0
+		br.Reset(conn)
+		s.readLoop(br)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state wire check loop allocates %.1f times per batch, want 0", allocs)
+		t.Fatalf("steady-state wire check loop allocates %.1f times per burst, want 0", allocs)
 	}
-	// Sanity: the loop produced real decisions, not error frames.
-	if !j.batch.Dst[0].Allowed || j.batch.Dst[2].Outcome != core.CallDownward.String() {
-		t.Fatalf("zero-alloc loop produced wrong decisions: %+v", j.batch.Dst)
+	if conn.writes != 1 {
+		t.Fatalf("a burst of %d check frames was answered with %d writes, want 1", frames, conn.writes)
 	}
-	if binary.BigEndian.Uint64(j.out[8:16]) != 9 {
-		t.Fatalf("response frame lost its correlation ID")
+	// Sanity: the loop produced real decisions, in arrival order, not
+	// error frames.
+	fs := decodeFrames(t, conn.out.Bytes())
+	if len(fs) != frames {
+		t.Fatalf("session answered %d frames, want %d: %s", len(fs), frames, frameSeq(fs))
 	}
+	for i, f := range fs {
+		if f.Type != FrameDecisions || f.Corr != uint64(i+1) {
+			t.Fatalf("answer %d is %v/%d, want decisions/%d", i, f.Type, f.Corr, i+1)
+		}
+		if !f.Decisions[0].Allowed || f.Decisions[2].Outcome != core.CallDownward.String() {
+			t.Fatalf("zero-alloc loop produced wrong decisions: %+v", f.Decisions)
+		}
+	}
+}
+
+// TestClientCheckZeroAlloc gates a steady-state loopback round trip at
+// zero heap allocations per batch. AllocsPerRun counts the whole
+// process, so it gates both ends: the client's call record, encode,
+// write and wake-up, and the session's read, decide, encode and write.
+func TestClientCheckZeroAlloc(t *testing.T) {
+	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 1})
+	_, addr := startWireServer(t, reg, Config{})
+	c, err := Dial(addr, ClientConfig{})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	queries := zeroAllocQueries()
+	dst := make([]service.Decision, len(queries))
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := c.CheckInto(queries, dst); err != nil {
+			panic(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state client round trip allocates %.1f times per batch, want 0", allocs)
+	}
+	if !dst[0].Allowed || dst[2].Outcome != core.CallDownward.String() {
+		t.Fatalf("zero-alloc round trip produced wrong decisions: %+v", dst)
+	}
+}
+
+// TestClientMatchesReorderedReplies: the protocol lets a server answer
+// pipelined calls in any order, and the client matches each reply to
+// its call by correlation ID. A scripted peer reads two pipelined
+// checks and answers the later one first; the two batches differ in
+// length and in their decisions, so a mismatched reply fails its call.
+func TestClientMatchesReorderedReplies(t *testing.T) {
+	tnt, _ := newTestRegistry(t, tenant.TenantConfig{Workers: 1}).Get(tenant.DefaultTenant)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	peer := make(chan error, 1)
+	go func() { peer <- reorderingPeer(ln, tnt) }()
+
+	c, err := Dial(ln.Addr().String(), ClientConfig{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	batches := [][]service.Query{
+		{{Op: service.OpAccess, Ring: 4, Segno: 0, Wordno: 3, Kind: core.AccessRead}},
+		{{Op: service.OpAccess, Ring: 7, Segno: 2, Kind: core.AccessRead}, {Op: service.OpCall, Ring: 4, Segno: 1, Wordno: 1}},
+	}
+	var wg sync.WaitGroup
+	for _, qs := range batches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			want, err := tnt.Submit(context.Background(), qs)
+			if err != nil {
+				t.Errorf("in-process submit: %v", err)
+				return
+			}
+			got := make([]service.Decision, len(qs))
+			if err := c.CheckInto(qs, got); err != nil {
+				t.Errorf("check %+v: %v", qs, err)
+				return
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("check %+v got %+v, want %+v", qs, got, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := <-peer; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// reorderingPeer accepts one wire session, reads two check frames,
+// and answers them in reverse correlation order with tnt's decisions.
+func reorderingPeer(ln net.Listener, tnt *tenant.Tenant) error {
+	conn, err := ln.Accept()
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	var rbuf []byte
+	if h, _, err := readFrame(conn, &rbuf, DefaultMaxFrame); err != nil || h.Type != FrameHello {
+		return fmt.Errorf("read hello: %v %v", h.Type, err)
+	}
+	welcome, err := EncodeWelcome(nil, Welcome{Version: Version})
+	if err != nil {
+		return err
+	}
+	if _, err := conn.Write(welcome); err != nil {
+		return err
+	}
+	var answers [2][]byte
+	var corrs [2]uint64
+	for i := range answers {
+		h, payload, err := readFrame(conn, &rbuf, DefaultMaxFrame)
+		if err != nil || h.Type != FrameCheck {
+			return fmt.Errorf("read check %d: %v %v", i, h.Type, err)
+		}
+		var b Batch
+		if err := DecodeCheckInto(payload, &b); err != nil {
+			return err
+		}
+		ds, err := tnt.Submit(context.Background(), b.Queries)
+		if err != nil {
+			return err
+		}
+		if answers[i], err = EncodeDecisions(nil, h.Corr, ds); err != nil {
+			return err
+		}
+		corrs[i] = h.Corr
+	}
+	if corrs[0] < corrs[1] {
+		answers[0], answers[1] = answers[1], answers[0]
+	}
+	for _, a := range answers {
+		if _, err := conn.Write(a); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// settledGoroutines returns runtime.NumGoroutine once it has held
+// still for 50 ms, so goroutines of earlier tests that are still
+// exiting do not skew a baseline.
+func settledGoroutines(t *testing.T) int {
+	t.Helper()
+	n, since := runtime.NumGoroutine(), time.Now()
+	for deadline := time.Now().Add(5 * time.Second); time.Since(since) < 50*time.Millisecond; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine count never settled (last %d)", n)
+		}
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, since = m, time.Now()
+		}
+	}
+	return n
+}
+
+// waitGoroutines waits until runtime.NumGoroutine reads want.
+func waitGoroutines(t *testing.T, want int, what string) {
+	t.Helper()
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n != want; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, want %d", what, n, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSessionGoroutines counts a session's goroutines through
+// runtime.NumGoroutine deltas: one per plain session, one more (the
+// pusher) once subscribed, and none left once the clients close and
+// Shutdown returns.
+func TestSessionGoroutines(t *testing.T) {
+	base := settledGoroutines(t)
+	srv := NewServer(newTestRegistry(t, tenant.TenantConfig{Workers: 1}), Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+
+	const sessions = 3
+	var clients []*Client
+	for i := 0; i < sessions; i++ {
+		c, err := Dial(ln.Addr().String(), ClientConfig{})
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		clients = append(clients, c)
+		if _, err := c.Ping(); err != nil { // the session is past its handshake
+			t.Fatalf("ping: %v", err)
+		}
+	}
+	// The accept loop, then per session its server goroutine and the
+	// client's reader.
+	waitGoroutines(t, base+1+2*sessions, fmt.Sprintf("%d plain sessions", sessions))
+	if _, err := clients[0].Subscribe(); err != nil {
+		t.Fatalf("subscribe: %v", err)
+	}
+	waitGoroutines(t, base+2+2*sessions, "one session subscribed")
+
+	for _, c := range clients {
+		c.Close()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := <-served; !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("serve returned %v, want ErrServerClosed", err)
+	}
+	waitGoroutines(t, base, "after close and shutdown")
 }

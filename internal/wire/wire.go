@@ -7,10 +7,12 @@
 // The paper's argument is that the common-case protection check must
 // not trap to the supervisor; this package applies the same argument to
 // the network edge. A client opens one session, binds it to a tenant,
-// and pipelines check frames continuously; responses carry the client's
-// correlation IDs and may complete out of order, so the session keeps
-// every decision processor busy without per-request connections,
-// headers or JSON.
+// and pipelines check frames continuously, without per-request
+// connections, headers or JSON; responses carry the client's
+// correlation IDs. The protocol lets responses arrive in any order. The
+// server decides each check frame on the session's own goroutine, with
+// no hand-off to another, and answers in arrival order, writing every
+// answer to a burst of pipelined frames at once.
 //
 // # Frame layout
 //
