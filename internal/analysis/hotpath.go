@@ -13,10 +13,10 @@ import (
 // points.
 //
 // Limitation, by design: dynamic calls (interface methods, func
-// values) are not followed — the mmu.SDWSource, mmu.Sink and mem.Store
-// interfaces are dispatch points whose hot implementations carry their
-// own //ring:hotpath markers, and the runtime gates backstop the
-// dispatch itself.
+// values) are not followed — the mmu.Sink and mem.Store interfaces are
+// dispatch points whose hot implementations carry their own
+// //ring:hotpath markers, and the runtime gates backstop the dispatch
+// itself.
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "flags heap-allocating constructs reachable from //ring:hotpath functions",

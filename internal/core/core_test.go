@@ -158,6 +158,13 @@ func TestCheckFetchViolationKinds(t *testing.T) {
 	if viol := CheckFetch(noE, 0, 3); viol == nil || viol.Kind != ViolationNoExecute {
 		t.Errorf("execute flag off: %v", viol)
 	}
+	// Figure 4 tests the E flag before the execute bracket: with both
+	// failing, the flag is what is reported.
+	for _, r := range []Ring{1, 5} {
+		if viol := CheckFetch(noE, 0, r); viol == nil || viol.Kind != ViolationNoExecute {
+			t.Errorf("execute flag off, ring %d outside the bracket: %v", r, viol)
+		}
+	}
 	if viol := CheckFetch(v, 0, 5); viol == nil || viol.Kind != ViolationExecuteBracket {
 		t.Errorf("above execute bracket: %v", viol)
 	}

@@ -40,19 +40,6 @@
 // With the cache disabled (the default), every fetch reads the
 // descriptor segment and no discipline is required of supervisor
 // software.
-//
-// # Read-only descriptor sources
-//
-// An MMU can instead be pointed at an SDWSource (SetSDWSource): an
-// immutable, concurrency-safe descriptor view such as an RCU snapshot
-// published by the decision service's store. In source mode FetchSDW
-// never touches core, the associative memory, or the shootdown queue —
-// the source is coherent by construction (a new snapshot is a new
-// source state, not an in-place edit), so no invalidation discipline
-// applies. This is the software analogue of the paper's observation
-// that validation is a pure function of descriptor state: the unit
-// evaluates against a fixed configuration, and configuration changes
-// arrive as whole new configurations.
 package mmu
 
 import (
@@ -140,29 +127,6 @@ type cacheEntry struct {
 	sdw   seg.SDW
 }
 
-// SDWSource is a read-only descriptor provider: an immutable (or
-// immutable-per-published-state) view of the descriptor segment that
-// the fetch path consults instead of core. Implementations must be
-// safe for use by the owning goroutine without locks and must mirror
-// the architectural absence rule of seg.Table.Fetch — segment numbers
-// at or beyond the descriptor bound return a zero (Present == false)
-// SDW and a nil error; errors are reserved for simulator integrity
-// faults.
-type SDWSource interface {
-	LookupSDW(segno uint32) (seg.SDW, error)
-}
-
-// SetSDWSource redirects descriptor retrieval to src, a read-only
-// descriptor view; nil restores descriptor-segment fetches through
-// core. While a source is installed the associative memory and the
-// shootdown queue are bypassed entirely: an immutable source cannot go
-// stale, so there is nothing to cache coherently or invalidate. The
-// MMU must be quiescent (owned, between references) when the source
-// changes.
-func (u *MMU) SetSDWSource(src SDWSource) {
-	u.source = src
-}
-
 // MMU is one processor's memory management unit. It is owned by a
 // single goroutine (its processor); the only cross-goroutine traffic is
 // the shootdown queue, which remote members post under its own lock.
@@ -178,10 +142,9 @@ type MMU struct {
 	sink   Sink
 	cycles *uint64
 
-	cache  []cacheEntry
-	mask   uint32
-	stats  CacheStats
-	source SDWSource
+	cache []cacheEntry
+	mask  uint32
+	stats CacheStats
 
 	// Shootdown plumbing (see group.go). shootGen is bumped by remote
 	// members after posting to pending; the owner compares it against
@@ -275,20 +238,14 @@ func (u *MMU) Flush() {
 // associative memory is disabled).
 func (u *MMU) CacheStats() CacheStats { return u.stats }
 
-// FetchSDW retrieves the SDW for segno: from the installed SDWSource
-// when one is set (see SetSDWSource), otherwise through the
-// associative memory and the descriptor segment in core. The error
-// return is a physical memory fault (simulator integrity problem),
-// never an access issue — absent segments come back with Present false
-// and the caller raises the architectural trap.
+// FetchSDW retrieves the SDW for segno through the associative memory
+// and the descriptor segment in core. The error return is a physical
+// memory fault (simulator integrity problem), never an access issue —
+// absent segments come back with Present false and the caller raises
+// the architectural trap.
 //
 //ring:hotpath
 func (u *MMU) FetchSDW(segno uint32) (seg.SDW, error) {
-	if u.source != nil {
-		// A snapshot lookup is as cheap as an associative hit: no
-		// descriptor-segment read, so no SDWMiss charge.
-		return u.source.LookupSDW(segno)
-	}
 	if len(u.cache) == 0 {
 		*u.cycles += u.opt.Costs.SDWMiss // every reference reads the descriptor segment
 		return u.Table().Fetch(segno)
@@ -428,8 +385,8 @@ func (u *MMU) DecideReturn(v core.SDWView, wordno uint32, execRing, effRing core
 
 // Trace detail strings are precomputed so that recording a validation
 // event never concatenates (and therefore never allocates): the sink
-// contract is "cheap when enabled", and the decision service leaves a
-// trace.Counters sink enabled on every processor's hot path.
+// contract is "cheap when enabled", so a counting sink keeps the
+// reference path allocation-free.
 const (
 	traceRead = iota
 	traceWrite
@@ -448,116 +405,14 @@ func init() {
 	}
 }
 
-// traceValidateKind records one validation outcome using the
-// precomputed detail tables; what is one of traceRead/Write/Transfer.
-//
-//ring:hotpath
-func (u *MMU) traceValidateKind(what int, ring core.Ring, segno, wordno uint32, kind core.ViolationKind) {
+// traceValidate records one validation outcome using the precomputed
+// detail tables; what is one of traceRead/Write/Transfer.
+func (u *MMU) traceValidate(what int, ring core.Ring, segno, wordno uint32, viol *core.Violation) {
 	detail := traceOK[what]
-	if kind != core.ViolationNone && int(kind) < len(traceViol[what]) {
-		detail = traceViol[what][kind]
+	if viol != nil && int(viol.Kind) < len(traceViol[what]) {
+		detail = traceViol[what][viol.Kind]
 	}
 	u.sink.Record(trace.Event{Kind: trace.KindValidate, Ring: ring, Segno: segno, Wordno: wordno, Detail: detail})
-}
-
-func (u *MMU) traceValidate(what int, ring core.Ring, segno, wordno uint32, viol *core.Violation) {
-	kind := core.ViolationNone
-	if viol != nil {
-		kind = viol.Kind
-	}
-	u.traceValidateKind(what, ring, segno, wordno, kind)
-}
-
-// ---- Allocation-free query variants ----
-//
-// Access, Call and Return are the decision-service fast path: one SDW
-// fetch through the associative memory plus the bracket check, with the
-// outcome returned as a bare core.ViolationKind instead of an allocated
-// *core.Violation. They honour the same cost model, tracing and T5
-// ablation rules as the Check*/Decide* forms; the error return is a
-// physical memory fault only, never an access outcome.
-
-// AccessView validates one reference of the given kind against an
-// already-fetched view, allocation-free. Callers that do not hold the
-// view use Access, which performs the SDW fetch too.
-//
-//ring:hotpath
-func (u *MMU) AccessView(v core.SDWView, segno, wordno uint32, ring core.Ring, kind core.AccessKind) core.ViolationKind {
-	*u.cycles += u.opt.Costs.Validate
-	if !u.opt.Validate {
-		return core.BoundCheck(v, wordno)
-	}
-	var k core.ViolationKind
-	switch kind {
-	case core.AccessRead:
-		k = core.ReadCheck(v, wordno, ring)
-		if u.sink.Enabled() {
-			u.traceValidateKind(traceRead, ring, segno, wordno, k)
-		}
-	case core.AccessWrite:
-		k = core.WriteCheck(v, wordno, ring)
-		if u.sink.Enabled() {
-			u.traceValidateKind(traceWrite, ring, segno, wordno, k)
-		}
-	default: // core.AccessExecute; the fetch check is untraced, as in CheckFetch
-		k = core.FetchCheck(v, wordno, ring)
-	}
-	return k
-}
-
-// Access validates one reference end to end — SDW retrieval through the
-// associative memory, then the kind's bracket check — without
-// allocating. ring is the effective ring for read/write and the ring of
-// execution for execute.
-//
-//ring:hotpath
-func (u *MMU) Access(segno, wordno uint32, ring core.Ring, kind core.AccessKind) (core.ViolationKind, error) {
-	sdw, err := u.FetchSDW(segno)
-	if err != nil {
-		return core.ViolationNone, err
-	}
-	return u.AccessView(sdw.View(), segno, wordno, ring, kind), nil
-}
-
-// Call evaluates the CALL decision of Figure 8 end to end, allocation-
-// free: SDW retrieval, then core.CallCheck under the same ablation rule
-// as DecideCall.
-//
-//ring:hotpath
-func (u *MMU) Call(segno, wordno uint32, execRing, effRing core.Ring, sameSegment bool) (core.CallDecision, core.ViolationKind, error) {
-	sdw, err := u.FetchSDW(segno)
-	if err != nil {
-		return core.CallDecision{}, core.ViolationNone, err
-	}
-	v := sdw.View()
-	decision, k := core.CallCheck(v, wordno, execRing, effRing, sameSegment)
-	if k == core.ViolationNone || u.opt.Validate {
-		return decision, k, nil
-	}
-	if bk := core.BoundCheck(v, wordno); bk != core.ViolationNone {
-		return core.CallDecision{}, bk, nil
-	}
-	return core.CallDecision{Outcome: core.CallSameRing, NewRing: execRing}, core.ViolationNone, nil
-}
-
-// Return evaluates the RETURN decision of Figure 9 end to end,
-// allocation-free, under the same ablation rule as DecideReturn.
-//
-//ring:hotpath
-func (u *MMU) Return(segno, wordno uint32, execRing, effRing core.Ring) (core.ReturnDecision, core.ViolationKind, error) {
-	sdw, err := u.FetchSDW(segno)
-	if err != nil {
-		return core.ReturnDecision{}, core.ViolationNone, err
-	}
-	v := sdw.View()
-	decision, k := core.ReturnCheck(v, wordno, execRing, effRing)
-	if k == core.ViolationNone || u.opt.Validate {
-		return decision, k, nil
-	}
-	if bk := core.BoundCheck(v, wordno); bk != core.ViolationNone {
-		return core.ReturnDecision{}, bk, nil
-	}
-	return core.ReturnDecision{Outcome: core.ReturnSameRing, NewRing: effRing}, core.ViolationNone, nil
 }
 
 // ---- Translation and core access ----

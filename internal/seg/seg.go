@@ -81,6 +81,21 @@ func (s SDW) View() core.SDWView {
 	}
 }
 
+// FromView returns the descriptor with access-control content v and
+// core address 0: the inverse of View for a segment with no core image,
+// such as the decision service's descriptors.
+func FromView(v core.SDWView) SDW {
+	return SDW{
+		Present:  v.Present,
+		Bound:    v.Bound,
+		Read:     v.Read,
+		Write:    v.Write,
+		Execute:  v.Execute,
+		Brackets: v.Brackets,
+		Gate:     v.GateCount,
+	}
+}
+
 // Validate checks the SDW invariants supervisor code must maintain.
 func (s SDW) Validate() error {
 	if !s.Present {

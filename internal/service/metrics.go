@@ -13,8 +13,8 @@ import (
 const violationKinds = core.ViolationKindCount
 
 // counters is one processor's share of the service's always-on
-// instrumentation: decision counts, faults by kind, trace events by
-// kind, and a histogram of batch latency. They are plain integers,
+// instrumentation: decision counts, faults by kind, and a histogram of
+// batch latency. They are plain integers,
 // written by the borrower under the processor's mutex; Snapshot sums
 // them across processors.
 type counters struct {
@@ -34,8 +34,6 @@ type counters struct {
 	faults [violationKinds]uint64
 	// latency holds each batch's submit-to-completion time.
 	latency hist.Hist
-	// events is the processor MMU's trace sink.
-	events trace.Counters
 }
 
 // count tallies one decision.
@@ -93,9 +91,6 @@ func (c *counters) add(o *counters) {
 		c.faults[k] += o.faults[k]
 	}
 	c.latency.Merge(&o.latency)
-	for k := range c.events.Counts {
-		c.events.Counts[k] += o.events.Counts[k]
-	}
 }
 
 // LatencyBucket is one non-empty histogram bucket.
@@ -141,8 +136,9 @@ type Snapshot struct {
 	// PerWorkerReads lists each processor's own counters, in index
 	// order.
 	PerWorkerReads []ReaderSnapshot `json:"per_worker_reads"`
-	// Events tallies trace events by kind across all processors, fed
-	// from the zero-alloc mmu.Sink each processor's unit records into.
+	// Events tallies validation events by trace kind across all
+	// processors: "validate" counts read and write accesses and effring
+	// indirect steps (the references the simulator's MMU traces).
 	Events map[string]uint64 `json:"events"`
 	// LatencyNs is the non-empty part of the batch latency histogram,
 	// in ascending order.
@@ -172,10 +168,12 @@ func (s *Service) Snapshot() Snapshot {
 	var m counters
 	var reads ReaderSnapshot
 	var perProc []ReaderSnapshot
+	var validates uint64
 	for _, p := range s.procs {
 		p.mu.Lock()
 		m.add(&p.counts)
-		rd := ReaderSnapshot{Pins: p.rd.pins, Lookups: p.rd.lookups}
+		rd := ReaderSnapshot{Pins: p.dc.pins, Lookups: p.dc.lookups}
+		validates += p.dc.validates
 		p.mu.Unlock()
 		reads.Pins += rd.Pins
 		reads.Lookups += rd.Lookups
@@ -213,10 +211,8 @@ func (s *Service) Snapshot() Snapshot {
 			snap.Faults[metricKey(core.ViolationKind(k).String())] = n
 		}
 	}
-	for k, n := range m.events.Counts {
-		if n > 0 {
-			snap.Events[metricKey(trace.Kind(k).String())] = n
-		}
+	if validates > 0 {
+		snap.Events[metricKey(trace.KindValidate.String())] = validates
 	}
 	m.latency.Buckets(func(lo, hi int64, n uint64) {
 		snap.LatencyNs = append(snap.LatencyNs, LatencyBucket{LoNs: lo, HiNs: hi, Count: n})

@@ -3,7 +3,7 @@ package service
 import (
 	"math/bits"
 
-	"repro/internal/seg"
+	"repro/internal/core"
 )
 
 // RCU snapshot publication.
@@ -20,18 +20,18 @@ import (
 //
 //  1. Build. A mutator, holding the shard mutex, edits and validates a
 //     copy of the descriptor's snapshot entry; then, with the shard
-//     epoch odd, copies the current SDW table into a fresh slice and
-//     folds in the edited descriptor.
+//     epoch odd, copies the current table of descriptor views into a
+//     fresh slice and folds in the edited view.
 //  2. Publish. One atomic pointer store makes the new table, stamped
 //     with the closing (even) epoch, the shard's current snapshot.
 //  3. Freed by the garbage collector. Nothing writes the predecessor
 //     again: batches that pinned it finish deciding against it, and
 //     the garbage collector frees it once no batch still holds it.
 //
-// Readers pin per batch: the first lookup in a shard loads that
-// shard's snapshot pointer (one atomic operation) and every later
-// lookup of the batch reads the same table, so a batch never sees half
-// of an edit. unpin drops the views at the end of the batch, so the
+// Readers pin per batch: the first decision consulting a shard loads
+// that shard's snapshot pointer (one atomic operation) and every later
+// decision of the batch reads the same table, so a batch never sees
+// half of an edit. unpin drops the tables at the end of the batch, so the
 // next batch loads the current pointers and sees every edit that has
 // already returned. The pointer store and load are Go sync/atomic
 // operations, so the race detector sees the publication edge: a write
@@ -43,93 +43,63 @@ import (
 // therefore a clean snapshot in the T12/T13 sense — explainable at
 // exactly one state of the consulted shard.
 
-// Table is one immutable per-shard descriptor table: SDWs()[k] is the
-// descriptor of segment number shard + k*Shards, one entry per image
-// segment the shard owns, and Epoch is the shard's (even) mutation
-// epoch when the table was published. The store's published snapshots
-// are Tables, and so are a client replica's fetched copies of them.
-// Once shared a Table is never written again.
+// Table is one immutable per-shard descriptor table: Views()[k] is the
+// access-control view of segment number shard + k*Shards, one entry
+// per image segment the shard owns, and Epoch is the shard's (even)
+// mutation epoch when the table was published. The store's published
+// snapshots are Tables, and so are a client replica's fetched copies of
+// them. Each view is converted once, when its table is built, from a
+// descriptor that holds seg.SDW's invariants; once shared a Table is
+// never written again.
 type Table struct {
 	epoch uint64
-	sdws  []seg.SDW
+	views []core.SDWView
 }
 
-// NewTable returns a table of sdws stamped with epoch. The table owns
-// sdws: the caller must not write the slice afterwards.
-func NewTable(epoch uint64, sdws []seg.SDW) *Table { return &Table{epoch: epoch, sdws: sdws} }
+// NewTable returns a table of views stamped with epoch. The table owns
+// views: the caller must not write the slice afterwards.
+func NewTable(epoch uint64, views []core.SDWView) *Table { return &Table{epoch: epoch, views: views} }
 
 // Epoch returns the shard epoch the table was published at.
 //
 //ring:hotpath
 func (t *Table) Epoch() uint64 { return t.epoch }
 
-// SDWs returns the table's descriptors; the slice is shared and must
-// not be written.
-func (t *Table) SDWs() []seg.SDW { return t.sdws }
+// Views returns the table's descriptor views; the slice is shared and
+// must not be written.
+func (t *Table) Views() []core.SDWView { return t.views }
 
-// Tables is a set of per-shard descriptor tables decisions are
-// evaluated over: the store's published snapshots, or a client's
-// replica of them. Shards is a power of two, and shard i holds the
-// descriptors of segment numbers congruent to i modulo Shards.
-type Tables interface {
-	Shards() int
-	// Table returns shard i's current table.
-	Table(i int) *Table
-	// Segno resolves a segment name.
-	Segno(name string) (uint32, bool)
+// decider returns a decider pinning st's published snapshots.
+func (st *Store) decider() Decider {
+	dc := NewDecider(st.names, make([]*Table, len(st.shards)))
+	dc.store = st
+	return dc
 }
 
-// reader is the read side of a Tables for one decider: its per-batch
-// pinned tables. It implements mmu.SDWSource, so an MMU pointed at the
-// reader resolves every descriptor fetch from the pinned tables. Used
-// only by the decider's owner.
-type reader struct {
-	src       Tables
-	shardMask uint32
-	shardBits uint32 // log2(Shards): segno >> shardBits indexes a shard's table
-	// views[i] is the table pinned for shard i in the current batch;
-	// nil when not yet pinned this batch.
-	views []*Table
-	// pins and lookups count table pins and descriptor lookups —
-	// hot-path counters, read for /metrics under the processor's
-	// mutex.
-	pins, lookups uint64
-}
-
-// newReader returns a read side over src for one decider.
-func newReader(src Tables) *reader {
-	n := src.Shards()
-	return &reader{
-		src:       src,
-		shardMask: uint32(n - 1),
-		shardBits: uint32(bits.TrailingZeros32(uint32(n))),
-		views:     make([]*Table, n),
-	}
-}
-
-// pin returns the table this reader uses for shard sh, loading it on
-// first use in the current batch. No locks, no allocations: one
-// Tables.Table call on first use per shard per batch, a plain slice
-// read afterwards.
+// pin returns the table dc decides from for shard sh in the current
+// batch, loading the store's published snapshot on first use. No
+// locks, no allocations: one atomic pointer load on first use per
+// shard per batch, a plain slice read afterwards. A decider without a
+// store decides from the tables its caller supplied.
 //
 //ring:hotpath
 //ring:pins
-func (r *reader) pin(sh int) *Table {
-	if s := r.views[sh]; s != nil {
-		return s
+func (dc *Decider) pin(sh int) *Table {
+	if t := dc.tabs[sh]; t != nil {
+		return t
 	}
-	s := r.src.Table(sh)
-	r.views[sh] = s
-	r.pins++
-	return s
+	t := dc.store.Table(sh)
+	dc.tabs[sh] = t
+	dc.pins++
+	return t
 }
 
-// unpin ends the batch: drop every pinned view, so the next batch
-// loads the current tables.
+// unpin ends the batch: drop every pinned table, so the next batch
+// loads the current snapshots.
 //
 //ring:hotpath
-func (r *reader) unpin() {
-	clear(r.views)
+func (dc *Decider) unpin() {
+	clear(dc.tabs)
 }
 
 // pinSum pins every shard in mask (a bit per shard index) and returns
@@ -137,32 +107,30 @@ func (r *reader) unpin() {
 //
 //ring:hotpath
 //ring:pins
-func (r *reader) pinSum(mask uint64) uint64 {
+func (dc *Decider) pinSum(mask uint64) uint64 {
 	var sum uint64
 	for mask != 0 {
 		i := bits.TrailingZeros64(mask)
 		mask &^= 1 << i
-		sum += r.pin(i).epoch
+		sum += dc.pin(i).epoch
 	}
 	return sum
 }
 
-// LookupSDW implements mmu.SDWSource over the pinned tables:
-// shard-route the segment number, pin that shard's table if this batch
-// has not yet, and index the immutable SDW table. Segment numbers past
-// the image are absent, as past a descriptor segment's bound
-// (seg.Table.Fetch).
+// view returns segno's descriptor view from its shard's table, which
+// the decision has already pinned: eval stamps every decision, pinning
+// each shard it consults, before it looks a descriptor up. Segment
+// numbers past the image are absent, as past a descriptor segment's
+// bound (seg.Table.Fetch).
 //
 //ring:hotpath
-//ring:pins
-func (r *reader) LookupSDW(segno uint32) (seg.SDW, error) {
-	r.lookups++
-	s := r.pin(int(segno & r.shardMask))
-	idx := int(segno >> r.shardBits)
-	if idx >= len(s.sdws) {
-		return seg.SDW{}, nil
+func (dc *Decider) view(segno uint32) core.SDWView {
+	dc.lookups++
+	views := dc.tabs[segno&dc.shardMask].views
+	if idx := segno >> dc.shardBits; idx < uint32(len(views)) {
+		return views[idx]
 	}
-	return s.sdws[idx], nil
+	return core.SDWView{}
 }
 
 // Table returns shard i's current published snapshot.
@@ -171,18 +139,18 @@ func (r *reader) LookupSDW(segno uint32) (seg.SDW, error) {
 func (st *Store) Table(i int) *Table { return st.shards[i].snap.Load() }
 
 // publishLocked builds and publishes the successor snapshot of shard
-// index shi with sdw as segno's descriptor. Caller holds sh.mu with
+// index shi with v as segno's descriptor view. Caller holds sh.mu with
 // the shard epoch odd; epoch is the closing (even) epoch the new
 // snapshot is stamped with.
 //
 //ring:locked mu
-func (st *Store) publishLocked(shi int, segno uint32, sdw seg.SDW, epoch uint64) {
+func (st *Store) publishLocked(shi int, segno uint32, v core.SDWView, epoch uint64) {
 	sh := &st.shards[shi]
-	old := sh.snap.Load().sdws
-	sdws := make([]seg.SDW, len(old))
-	copy(sdws, old)
-	sdws[segno>>st.shardBits] = sdw
-	sh.snap.Store(&Table{epoch: epoch, sdws: sdws})
+	old := sh.snap.Load().views
+	views := make([]core.SDWView, len(old))
+	copy(views, old)
+	views[segno>>st.shardBits] = v
+	sh.snap.Store(&Table{epoch: epoch, views: views})
 	sh.publishes.Add(1)
 	if hook := st.publishHook.Load(); hook != nil {
 		// Still under sh.mu: hook calls for one shard arrive in strictly

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/mmu"
 )
 
 // TestReaderPinsSnapshotAcrossMutationBurst pins a shard snapshot and
@@ -22,14 +21,12 @@ func TestReaderPinsSnapshotAcrossMutationBurst(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	rd := newReader(st)
-	u := mmu.New(nil, mmu.Options{Validate: true})
-	u.SetSDWSource(rd)
+	dc := st.decider()
 
 	probes, _ := shardProbes()
 	pre := make([]Decision, len(probes))
 	for i := range probes {
-		evalQuery(rd, u, &probes[i], &pre[i])
+		dc.eval(&probes[i], &pre[i])
 		if pre[i].VersionLo != 0 || pre[i].VersionHi != 0 {
 			t.Fatalf("probe %d: pinned epoch interval [%d,%d], want [0,0]",
 				i, pre[i].VersionLo, pre[i].VersionHi)
@@ -52,7 +49,7 @@ func TestReaderPinsSnapshotAcrossMutationBurst(t *testing.T) {
 			}
 			for i := range probes {
 				var d Decision
-				evalQuery(rd, u, &probes[i], &d)
+				dc.eval(&probes[i], &d)
 				if d.VersionLo != 0 || d.VersionHi != 0 || stripDecision(d) != stripDecision(pre[i]) {
 					t.Errorf("probe %d: pinned decision drifted mid-burst: %+v (interval [%d,%d])",
 						i, stripDecision(d), d.VersionLo, d.VersionHi)
@@ -76,12 +73,12 @@ func TestReaderPinsSnapshotAcrossMutationBurst(t *testing.T) {
 
 	// Unpin and revoke: the reader now pins the latest snapshot and sees
 	// every edit — the "code" probe hits the revoked descriptor.
-	rd.unpin()
+	dc.unpin()
 	if err := st.Revoke(1); err != nil {
 		t.Fatalf("post-unpin mutation: %v", err)
 	}
 	var d Decision
-	evalQuery(rd, u, &probes[4], &d)
+	dc.eval(&probes[4], &d)
 	if want := st.ShardVersion(0); d.VersionLo != want || d.VersionHi != want {
 		t.Errorf("fresh pin interval [%d,%d], want [%d,%d]", d.VersionLo, d.VersionHi, want, want)
 	}

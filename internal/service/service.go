@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mmu"
 )
 
 // Op names a protection query kind.
@@ -111,7 +110,7 @@ type Decision struct {
 
 // Config sizes a Service.
 type Config struct {
-	// Workers is the number of processors, each with its own MMU
+	// Workers is the number of processors, each with its own decider
 	// reading the store's RCU descriptor snapshots: the most batches
 	// decided at once. Default 4.
 	Workers int
@@ -135,57 +134,74 @@ var (
 	ErrBatchTooLarge = errors.New("service: batch exceeds limit")
 )
 
-// Decider decides batches of queries over a Tables on the calling
-// goroutine: an MMU whose descriptor fetches resolve from a reader that
-// pins each consulted shard's table once per batch. The service's
-// processors and a client's SDW replica decide through it, so both run
-// the same procedure. A Decider is not safe for concurrent use.
+// Decider decides batches of queries on the calling goroutine from
+// per-shard descriptor tables, calling the internal/core predicates on
+// the views the tables hold. A service processor's decider pins each
+// consulted shard's published snapshot once per batch; a client
+// replica's decider reads the tables the replica checked or fetched
+// for the batch. Both run the same procedure. A Decider is not safe for
+// concurrent use.
 type Decider struct {
-	u  *mmu.MMU
-	rd *reader
+	// store supplies the snapshots pin loads; nil when the caller
+	// supplies, before Decide, the table of every shard the batch
+	// consults (Consults).
+	store     *Store
+	names     map[string]uint32
+	shardMask uint32
+	shardBits uint32 // log2(shards): segno >> shardBits indexes a shard's table
+	// tabs[i] is the table shard i decides from in the current batch;
+	// nil when not yet pinned.
+	tabs []*Table
+	// pins, lookups and validates count table pins, descriptor lookups
+	// and read/write validations (the "validate" event of /metrics) —
+	// hot-path counters, read for /metrics under the processor's mutex.
+	pins, lookups, validates uint64
 }
 
-// NewDecider returns a decider over src.
-func NewDecider(src Tables) *Decider { return newDecider(src, nil) }
-
-func newDecider(src Tables, sink mmu.Sink) *Decider {
-	dc := &Decider{u: mmu.New(nil, mmu.Options{Validate: true, Sink: sink}), rd: newReader(src)}
-	dc.u.SetSDWSource(dc.rd)
-	return dc
+// NewDecider returns a decider over tabs, which the caller fills with
+// the table of every shard a batch consults before calling Decide:
+// len(tabs) is the shard count, a power of two, and names resolves
+// segment names. Decide clears tabs when it returns.
+func NewDecider(names map[string]uint32, tabs []*Table) Decider {
+	return Decider{
+		names:     names,
+		shardMask: uint32(len(tabs) - 1),
+		shardBits: uint32(bits.TrailingZeros32(uint32(len(tabs)))),
+		tabs:      tabs,
+	}
 }
 
 // Decide answers queries into dst, which must hold len(queries)
-// decisions, pinning each consulted shard's table once for the whole
-// batch.
+// decisions, from the tables the caller supplied.
 //
 //ring:hotpath
 func (dc *Decider) Decide(queries []Query, dst []Decision) {
 	for i := range queries {
 		dst[i] = Decision{}
-		evalQuery(dc.rd, dc.u, &queries[i], &dst[i])
+		dc.eval(&queries[i], &dst[i])
 	}
-	dc.rd.unpin()
+	dc.unpin()
 }
 
 // Consults returns the set of shards (a bit per shard index) deciding q
 // may read: the target segment's shard, or the shards of an effring
-// chain's indirect steps. A name the tables cannot resolve consults
+// chain's indirect steps. A name the decider cannot resolve consults
 // none.
 //
 //ring:hotpath
 func (dc *Decider) Consults(q *Query) uint64 {
 	if q.Op == OpEffRing {
-		return chainShards(q.Chain, dc.rd.shardMask)
+		return chainShards(q.Chain, dc.shardMask)
 	}
 	segno := q.Segno
 	if q.Segment != "" {
-		n, ok := dc.rd.src.Segno(q.Segment)
+		n, ok := dc.names[q.Segment]
 		if !ok {
 			return 0
 		}
 		segno = n
 	}
-	return 1 << (segno & dc.rd.shardMask)
+	return 1 << (segno & dc.shardMask)
 }
 
 // chainShards returns the shards an effring chain's indirect steps
@@ -210,7 +226,7 @@ func chainShards(chain []ChainStep, shardMask uint32) uint64 {
 // per batch (rcu.go).
 type processor struct {
 	index int
-	*Decider
+	dc    Decider
 
 	mu     sync.Mutex
 	counts counters
@@ -242,8 +258,8 @@ type Service struct {
 }
 
 // New builds a Service over st with Config.Workers processors, each
-// with its own MMU reading the store's RCU descriptor snapshots through
-// its own reader. It starts no goroutine: callers decide on their own.
+// with its own decider pinning the store's RCU descriptor snapshots. It
+// starts no goroutine: callers decide on their own.
 func New(st *Store, cfg Config) (*Service, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -256,8 +272,7 @@ func New(st *Store, cfg Config) (*Service, error) {
 	}
 	s := &Service{store: st, cfg: cfg, free: make(chan *processor, cfg.Workers)}
 	for i := 0; i < cfg.Workers; i++ {
-		p := &processor{index: i}
-		p.Decider = newDecider(st, &p.counts.events)
+		p := &processor{index: i, dc: st.decider()}
 		s.procs = append(s.procs, p)
 		s.free <- p
 	}
@@ -344,7 +359,7 @@ func (s *Service) SubmitInto(ctx context.Context, queries []Query, dst []Decisio
 	for i := range queries {
 		p.decide(&queries[i], &dst[i])
 	}
-	p.rd.unpin() // end of batch: the next one pins the current snapshots
+	p.dc.unpin() // end of batch: the next one pins the current snapshots
 	p.counts.observe(start)
 	p.mu.Unlock()
 	s.free <- p
@@ -368,25 +383,24 @@ func (s *Service) Close() {
 //ring:pins
 func (p *processor) decide(q *Query, d *Decision) {
 	*d = Decision{Worker: p.index}
-	evalQuery(p.rd, p.u, q, d)
+	p.dc.eval(q, d)
 	p.counts.count(q.Op, d)
 }
 
-// evalQuery answers q into d using unit u, whose descriptor fetches
-// resolve from rd's pinned tables — the whole decision procedure.
-// Malformed queries set d.Err and report no epoch interval;
-// architectural outcomes (violations, traps) are regular decisions
-// stamped with the consulted shard's table epoch. internal/spec
-// states the same procedure as a plain model the tests check it
-// against.
+// eval answers q into d from the views of dc's pinned tables — the
+// whole decision procedure. Malformed queries set d.Err and report no
+// epoch interval; architectural outcomes (violations, traps) are
+// regular decisions stamped with the consulted shard's table epoch.
+// internal/spec states the same procedure as a plain model the tests
+// check it against.
 //
 //ring:hotpath
 //ring:pins
-func evalQuery(rd *reader, u *mmu.MMU, q *Query, d *Decision) {
+func (dc *Decider) eval(q *Query, d *Decision) {
 	d.Shard = -1
 	segno := q.Segno
 	if q.Segment != "" {
-		n, ok := rd.src.Segno(q.Segment)
+		n, ok := dc.names[q.Segment]
 		if !ok {
 			//ring:allow malformed query: Err formatting is the cold path
 			d.Err = fmt.Sprintf("unknown segment %q", q.Segment)
@@ -399,21 +413,26 @@ func evalQuery(rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 		d.Err = fmt.Sprintf("invalid ring %d", q.Ring)
 		return
 	}
-	segShard := uint64(1) << (segno & rd.shardMask) // the target segment's shard
+	segShard := uint64(1) << (segno & dc.shardMask) // the target segment's shard
 
 	switch q.Op {
 	case OpAccess:
+		var kind core.ViolationKind
 		switch q.Kind {
-		case core.AccessRead, core.AccessWrite, core.AccessExecute:
+		case core.AccessRead:
+			d.stamp(dc, segShard)
+			dc.validates++
+			kind = core.ReadCheck(dc.view(segno), q.Wordno, q.Ring)
+		case core.AccessWrite:
+			d.stamp(dc, segShard)
+			dc.validates++
+			kind = core.WriteCheck(dc.view(segno), q.Wordno, q.Ring)
+		case core.AccessExecute:
+			d.stamp(dc, segShard)
+			kind = core.FetchCheck(dc.view(segno), q.Wordno, q.Ring)
 		default:
 			//ring:allow malformed query: Err formatting is the cold path
 			d.Err = fmt.Sprintf("invalid access kind %d", q.Kind)
-			return
-		}
-		d.stamp(rd, segShard)
-		kind, err := u.Access(segno, q.Wordno, q.Ring, q.Kind)
-		if err != nil {
-			d.Err = err.Error()
 			return
 		}
 		d.setViolationKind(kind)
@@ -428,12 +447,8 @@ func evalQuery(rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 			d.Err = fmt.Sprintf("invalid effective ring %d", effRing)
 			return
 		}
-		d.stamp(rd, segShard)
-		dec, kind, err := u.Call(segno, q.Wordno, q.Ring, effRing, q.SameSegment)
-		if err != nil {
-			d.Err = err.Error()
-			return
-		}
+		d.stamp(dc, segShard)
+		dec, kind := core.CallCheck(dc.view(segno), q.Wordno, q.Ring, effRing, q.SameSegment)
 		if kind != core.ViolationNone {
 			d.setViolationKind(kind)
 			return
@@ -453,12 +468,8 @@ func evalQuery(rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 			d.Err = fmt.Sprintf("invalid effective ring %d", effRing)
 			return
 		}
-		d.stamp(rd, segShard)
-		dec, kind, err := u.Return(segno, q.Wordno, q.Ring, effRing)
-		if err != nil {
-			d.Err = err.Error()
-			return
-		}
+		d.stamp(dc, segShard)
+		dec, kind := core.ReturnCheck(dc.view(segno), q.Wordno, q.Ring, effRing)
 		if kind != core.ViolationNone {
 			d.setViolationKind(kind)
 			return
@@ -477,22 +488,18 @@ func evalQuery(rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 				return
 			}
 		}
-		d.stamp(rd, chainShards(q.Chain, rd.shardMask))
+		d.stamp(dc, chainShards(q.Chain, dc.shardMask))
 		eff := q.Ring
 		for _, step := range q.Chain {
 			if step.PR {
 				eff = core.EffectiveRingPR(eff, step.Ring)
 				continue
 			}
-			sdw, err := u.FetchSDW(step.Segno)
-			if err != nil {
-				d.Err = err.Error()
-				return
-			}
-			v := sdw.View()
 			// The indirect word itself is read during effective address
 			// formation, validated like any operand read (Figure 5).
-			if kind := u.AccessView(v, step.Segno, 0, eff, core.AccessRead); kind != core.ViolationNone {
+			v := dc.view(step.Segno)
+			dc.validates++
+			if kind := core.ReadCheck(v, 0, eff); kind != core.ViolationNone {
 				d.setViolationKind(kind)
 				return
 			}
@@ -508,14 +515,14 @@ func evalQuery(rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 }
 
 // stamp reports the set of shards d consulted (a bit per shard): the
-// sum of the publication epochs of the snapshots rd pins for them (0
-// for none) as a degenerate interval, and the shard itself when the
-// set holds exactly one.
+// sum of the publication epochs of the tables dc pins for them (0 for
+// none) as a degenerate interval, and the shard itself when the set
+// holds exactly one.
 //
 //ring:hotpath
 //ring:pins
-func (d *Decision) stamp(rd *reader, mask uint64) {
-	d.VersionLo = rd.pinSum(mask)
+func (d *Decision) stamp(dc *Decider, mask uint64) {
+	d.VersionLo = dc.pinSum(mask)
 	d.VersionHi = d.VersionLo
 	if bits.OnesCount64(mask) == 1 {
 		d.Shard = bits.TrailingZeros64(mask)

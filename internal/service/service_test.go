@@ -79,6 +79,9 @@ func TestDecisions(t *testing.T) {
 		{"fetch non-executable segment",
 			Query{Op: OpAccess, Ring: 3, Segment: "data", Kind: core.AccessExecute},
 			Decision{ViolationKind: core.ViolationNoExecute}},
+		{"fetch non-executable segment outside its bracket", // Figure 4 tests E first
+			Query{Op: OpAccess, Ring: 5, Segment: "data", Kind: core.AccessExecute},
+			Decision{ViolationKind: core.ViolationNoExecute}},
 		{"read beyond bound",
 			Query{Op: OpAccess, Ring: 3, Segment: "data", Wordno: 16, Kind: core.AccessRead},
 			Decision{ViolationKind: core.ViolationBound}},
@@ -727,5 +730,63 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 	if len(snap.Events) == 0 {
 		t.Error("no trace events recorded")
+	}
+}
+
+// TestDecisionPathCounters pins the exact values of the counters the
+// decision path keeps: validate events (one per read or write access
+// and per effring indirect step reached; fetch, call and return record
+// none), shard pins (once per consulted shard per batch) and
+// descriptor lookups (one per access, call and return, and one per
+// indirect step reached). Malformed queries touch none of them.
+func TestDecisionPathCounters(t *testing.T) {
+	svc := newTestService(t, Config{Workers: 1}) // 8 shards: data 0, code 1, secret 2
+	qs := []Query{
+		{Op: OpAccess, Ring: 4, Segment: "data", Wordno: 3, Kind: core.AccessRead}, // validate, lookup, pin 0
+		{Op: OpAccess, Ring: 1, Segment: "data", Kind: core.AccessWrite},           // validate, lookup
+		{Op: OpAccess, Ring: 5, Segment: "data", Kind: core.AccessWrite},           // validate, lookup (denied)
+		{Op: OpAccess, Ring: 2, Segment: "code", Kind: core.AccessExecute},         // lookup, pin 1
+		{Op: OpAccess, Ring: 3, Segment: "secret", Kind: core.AccessRead},          // validate, lookup, pin 2 (denied)
+		{Op: OpCall, Ring: 4, Segment: "code", Wordno: 1},                          // lookup
+		{Op: OpReturn, Ring: 2, Segment: "code", EffRing: ring(3)},                 // lookup
+		// PR step, then data (validate, lookup), then secret: the read
+		// bracket fails there (validate, lookup) and the chain ends.
+		{Op: OpEffRing, Ring: 1, Chain: []ChainStep{{PR: true, Ring: 2}, {Ring: 0, Segno: 0}, {Ring: 0, Segno: 2}, {Ring: 0, Segno: 1}}},
+		{Op: OpEffRing, Ring: 0, Chain: []ChainStep{{Ring: 0, Segno: 5}}},            // past the image: pin 5, lookup, validate
+		{Op: OpAccess, Ring: 0, Segno: 300, Kind: core.AccessRead},                   // past the image: pin 4, lookup, validate
+		{Op: OpAccess, Ring: 3, Segment: "nonesuch", Kind: core.AccessRead},          // malformed
+		{Op: OpAccess, Ring: 3, Segment: "data", Kind: core.AccessKind(9)},           // malformed
+		{Op: OpCall, Ring: 3, Segment: "code", EffRing: ring(9)},                     // malformed
+		{Op: OpEffRing, Ring: 1, Chain: []ChainStep{{Ring: 0, Segno: 3}, {Ring: 8}}}, // malformed
+	}
+	const (
+		batches   = 2
+		validates = 8  // per batch
+		pins      = 5  // shards 0, 1, 2, 4 and 5, per batch
+		lookups   = 11 // per batch
+	)
+	dst := make([]Decision, len(qs))
+	for i := 0; i < batches; i++ {
+		if err := svc.SubmitInto(context.Background(), qs, dst); err != nil {
+			t.Fatalf("SubmitInto: %v", err)
+		}
+	}
+	if dst[7].Allowed || dst[7].ViolationKind != core.ViolationReadBracket {
+		t.Fatalf("chain through secret: %+v, want a read-bracket denial", dst[7])
+	}
+	for i := len(qs) - 4; i < len(qs); i++ {
+		if dst[i].Err == "" {
+			t.Fatalf("query %d decided %+v, want a malformed-query error", i, dst[i])
+		}
+	}
+	snap := svc.Snapshot()
+	if got := snap.Events["validate"]; got != batches*validates {
+		t.Errorf(`Events["validate"] = %d, want %d`, got, batches*validates)
+	}
+	if len(snap.Events) != 1 {
+		t.Errorf("Events = %v, want only validate", snap.Events)
+	}
+	if snap.Reads.Pins != batches*pins || snap.Reads.Lookups != batches*lookups {
+		t.Errorf("Reads = %+v, want pins %d, lookups %d", snap.Reads, batches*pins, batches*lookups)
 	}
 }

@@ -1,27 +1,30 @@
-// Package service exposes the MMU decision procedure as a concurrent
-// protection-decision server: the reference monitor the paper's
-// hardware implements, offered as a policy-decision point for many
-// clients at once.
+// Package service exposes the paper's validation procedure as a
+// concurrent protection-decision server: the reference monitor the
+// paper's hardware implements, offered as a policy-decision point for
+// many clients at once.
 //
 // The paper's validation logic — bracket checks, gate lists, the
 // CALL/RETURN decision tables — is a mechanical procedure evaluated on
-// every reference. internal/mmu already packages that procedure as the
-// single access path of the simulated machine; this package puts a
-// server around it:
+// every reference, and it is cheap because it compares descriptor
+// fields that translation has already fetched. internal/core states
+// that procedure as pure predicates over a descriptor view; this
+// package puts a server around them:
 //
 //   - a Store holds one machine image's descriptor table, sharded by
-//     segment number. Each shard publishes its descriptors as an
-//     immutable RCU snapshot behind an atomic pointer (see rcu.go), and
-//     that snapshot is the only copy: supervisor edits build and
-//     publish a successor;
-//   - a Service keeps a set of processors, each owning its own MMU
-//     pointed at a snapshot reader — the paper's
+//     segment number. Each shard publishes its descriptors, converted
+//     once to the core.SDWView the predicates read, as an immutable RCU
+//     snapshot behind an atomic pointer (see rcu.go), and that snapshot
+//     is the only copy: supervisor edits build and publish a successor;
+//   - a Service keeps a set of processors, each a Decider pinning the
+//     store's snapshots — the paper's
 //     several-processors-sharing-one-descriptor-segment configuration,
 //     with the descriptor state distributed as published configurations
 //     instead of coherently-cached mutable core. A caller borrows a
 //     processor and decides its batch on its own goroutine, as the
 //     processor making a reference validates it; a bounded number of
-//     callers may wait for a processor (backpressure);
+//     callers may wait for a processor (backpressure). A client's
+//     descriptor replica decides through a Decider too, over the
+//     tables it fetched;
 //   - json.go declares the JSON form of queries, decisions and health
 //     that ringd's HTTP handler (internal/tenant) and its clients share.
 //
@@ -167,7 +170,7 @@ func NewStore(cfg StoreConfig, defs []Segment) (*Store, error) {
 	// Shard i's table covers segment numbers i, i+Shards, i+2*Shards, ...
 	// below len(defs); it is filled in place before the store is shared.
 	for i := range st.shards {
-		st.shards[i].snap.Store(&Table{sdws: make([]seg.SDW, (len(defs)+cfg.Shards-1-i)/cfg.Shards)})
+		st.shards[i].snap.Store(&Table{views: make([]core.SDWView, (len(defs)+cfg.Shards-1-i)/cfg.Shards)})
 	}
 	for i, def := range defs {
 		if def.Name == "" {
@@ -180,15 +183,15 @@ func NewStore(cfg StoreConfig, defs []Segment) (*Store, error) {
 			return nil, fmt.Errorf("service: segment %q has negative size %d", def.Name, def.Size)
 		}
 		size := max(def.Size, 1) // a zero-length segment would make every reference a bound fault
-		sdw := seg.SDW{
+		v := core.SDWView{
 			Present: true, Bound: uint32(size),
 			Read: def.Read, Write: def.Write, Execute: def.Execute,
-			Brackets: def.Brackets, Gate: def.Gates,
+			Brackets: def.Brackets, GateCount: def.Gates,
 		}
-		if err := sdw.Validate(); err != nil {
+		if err := seg.FromView(v).Validate(); err != nil {
 			return nil, fmt.Errorf("service: segment %q: %w", def.Name, err)
 		}
-		st.shards[uint32(i)&st.shardMask].snap.Load().sdws[uint32(i)>>st.shardBits] = sdw
+		st.shards[uint32(i)&st.shardMask].snap.Load().views[uint32(i)>>st.shardBits] = v
 		st.names[def.Name] = uint32(i)
 		st.segnos[i] = def.Name
 	}
@@ -236,12 +239,13 @@ func (st *Store) Version() uint64 {
 	return sum
 }
 
-// mutate applies edit to a copy of segno's descriptor under the shard
-// mutex and validates the result, so a rejected edit changes nothing;
+// mutate applies edit to a copy of segno's descriptor view under the
+// shard mutex and validates the result against seg.SDW's invariants,
+// so a rejected edit changes nothing;
 // an accepted one is published inside the shard's odd/even epoch
 // window as a successor snapshot stamped with the closing (even)
 // epoch. Segment numbers outside the image are rejected.
-func (st *Store) mutate(segno uint32, edit func(sdw seg.SDW) (seg.SDW, error)) error {
+func (st *Store) mutate(segno uint32, edit func(v core.SDWView) (core.SDWView, error)) error {
 	if segno >= uint32(len(st.segnos)) {
 		return fmt.Errorf("service: segment %d is not in the image (%d segments)", segno, len(st.segnos))
 	}
@@ -249,18 +253,18 @@ func (st *Store) mutate(segno uint32, edit func(sdw seg.SDW) (seg.SDW, error)) e
 	sh := &st.shards[shi]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sdw, err := edit(sh.snap.Load().sdws[segno>>st.shardBits])
+	v, err := edit(sh.snap.Load().views[segno>>st.shardBits])
 	if err != nil {
 		return err
 	}
-	if err := sdw.Validate(); err != nil {
+	if err := seg.FromView(v).Validate(); err != nil {
 		return fmt.Errorf("service: segment %d: %w", segno, err)
 	}
 	epoch := sh.epoch.Add(1) // odd: edit in flight
 	if st.hold != nil {
 		<-st.hold
 	}
-	st.publishLocked(shi, segno, sdw, epoch+1)
+	st.publishLocked(shi, segno, v, epoch+1)
 	sh.epoch.Add(1)
 	return nil
 }
@@ -283,14 +287,14 @@ func (st *Store) SetPublishHook(f func(shard int, segno uint32, epoch uint64)) {
 // keeping its bound. Supervisor functionality: every decision batch
 // that starts after the call returns sees the edit.
 func (st *Store) SetBrackets(segno uint32, read, write, execute bool, b core.Brackets, gates uint32) error {
-	return st.mutate(segno, func(sdw seg.SDW) (seg.SDW, error) {
-		if !sdw.Present {
-			return sdw, fmt.Errorf("service: setbrackets on absent segment %d", segno)
+	return st.mutate(segno, func(v core.SDWView) (core.SDWView, error) {
+		if !v.Present {
+			return v, fmt.Errorf("service: setbrackets on absent segment %d", segno)
 		}
-		sdw.Read, sdw.Write, sdw.Execute = read, write, execute
-		sdw.Brackets = b
-		sdw.Gate = gates
-		return sdw, nil
+		v.Read, v.Write, v.Execute = read, write, execute
+		v.Brackets = b
+		v.GateCount = gates
+		return v, nil
 	})
 }
 
@@ -298,16 +302,16 @@ func (st *Store) SetBrackets(segno uint32, read, write, execute bool, b core.Bra
 // descriptor intact: every subsequent reference takes a missing-segment
 // fault.
 func (st *Store) Revoke(segno uint32) error {
-	return st.mutate(segno, func(sdw seg.SDW) (seg.SDW, error) {
-		sdw.Present = false
-		return sdw, nil
+	return st.mutate(segno, func(v core.SDWView) (core.SDWView, error) {
+		v.Present = false
+		return v, nil
 	})
 }
 
 // Restore re-sets the present flag of a revoked segment.
 func (st *Store) Restore(segno uint32) error {
-	return st.mutate(segno, func(sdw seg.SDW) (seg.SDW, error) {
-		sdw.Present = true
-		return sdw, nil
+	return st.mutate(segno, func(v core.SDWView) (core.SDWView, error) {
+		v.Present = true
+		return v, nil
 	})
 }

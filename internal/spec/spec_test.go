@@ -76,6 +76,40 @@ func TestModelMatchesService(t *testing.T) {
 	}
 }
 
+// TestFetchFlagBeforeBracket pins the order of Figure 4's checks in
+// the service: an instruction fetch from a ring outside the execute
+// bracket of a segment whose E flag is off reports the flag, not the
+// bracket, and the model agrees.
+func TestFetchFlagBeforeBracket(t *testing.T) {
+	segs := []service.Segment{{Name: "data", Size: 16, Read: true, Write: true,
+		Brackets: core.Brackets{R1: 2, R2: 4, R3: 4}}}
+	st, err := service.NewStore(service.StoreConfig{Shards: 1}, segs)
+	if err != nil {
+		t.Fatalf("NewStore: %v", err)
+	}
+	svc, err := service.New(st, service.Config{Workers: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer svc.Close()
+	model := spec.New(1, segs)
+	for _, r := range []core.Ring{0, 1, 5, 7} { // outside [R1, R2] = [2, 4]
+		q := service.Query{Op: service.OpAccess, Ring: r, Segment: "data", Kind: core.AccessExecute}
+		ds, err := svc.Submit(context.Background(), []service.Query{q})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		d := ds[0]
+		d.Worker = 0
+		if want := model.Decide(q); d != want {
+			t.Errorf("ring %d: service %+v, model %+v", r, d, want)
+		}
+		if d.Allowed || d.ViolationKind != core.ViolationNoExecute {
+			t.Errorf("ring %d: %+v, want %q", r, d, core.ViolationNoExecute)
+		}
+	}
+}
+
 func randomRing(rng *rand.Rand) core.Ring { return core.Ring(rng.Intn(8)) }
 
 func randomImage(rng *rand.Rand) []service.Segment {

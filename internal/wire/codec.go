@@ -1096,8 +1096,9 @@ func decodeLeaseExpire(p []byte) (LeaseExpire, error) {
 // The replication pair: a client keeping a replica of its tenant's
 // descriptor tables fetches the shards it needs, and the server answers
 // with each named shard's current published table, stamped with the
-// shard's even epoch, every SDW in the Figure 3 even/odd word format
-// (seg.SDW.Encode). The first fetch of a session also asks for the
+// shard's even epoch, every descriptor view written back as its
+// Figure 3 even/odd word pair at core address 0 (seg.FromView,
+// seg.SDW.Encode). The first fetch of a session also asks for the
 // image's segment names, so named queries decide locally too.
 
 // Fetch is the payload of a FrameFetch request: the shards whose
@@ -1154,7 +1155,8 @@ func canonicalSDW(sdw seg.SDW) bool {
 }
 
 // EncodeTables fills buf with a Tables frame. Every table's epoch must
-// be even and every SDW canonical; names follow the query-name rules.
+// be even and every view canonical as an SDW at core address 0; names
+// follow the query-name rules.
 //
 //	0   8  mask of the shards carried (bit i: Tables[i] follows)
 //	8   4  name count
@@ -1172,13 +1174,13 @@ func EncodeTables(buf []byte, corr uint64, t *Tables) ([]byte, error) {
 		if tab.Epoch()&1 != 0 {
 			return nil, ErrNotEncodable
 		}
-		for _, sdw := range tab.SDWs() {
-			if !canonicalSDW(sdw) {
+		for _, v := range tab.Views() {
+			if !canonicalSDW(seg.FromView(v)) {
 				return nil, ErrNotEncodable
 			}
 		}
 		mask |= 1 << i
-		size += 16 + 2*wordBytes*len(tab.SDWs())
+		size += 16 + 2*wordBytes*len(tab.Views())
 	}
 	for _, name := range t.Names {
 		if err := validString(name, maxQueryName); err != nil {
@@ -1197,11 +1199,11 @@ func EncodeTables(buf []byte, corr uint64, t *Tables) ([]byte, error) {
 			continue
 		}
 		binary.BigEndian.PutUint64(b[off:], tab.Epoch())
-		binary.BigEndian.PutUint32(b[off+8:], uint32(len(tab.SDWs())))
+		binary.BigEndian.PutUint32(b[off+8:], uint32(len(tab.Views())))
 		binary.BigEndian.PutUint32(b[off+12:], 0)
 		off += 16
-		for _, sdw := range tab.SDWs() {
-			even, odd := sdw.Encode()
+		for _, v := range tab.Views() {
+			even, odd := seg.FromView(v).Encode()
 			off = putWord(b, off, even)
 			off = putWord(b, off, odd)
 		}
@@ -1214,8 +1216,9 @@ func EncodeTables(buf []byte, corr uint64, t *Tables) ([]byte, error) {
 }
 
 // decodeTables decodes a Tables payload, enforcing even epochs and
-// canonical SDWs. Every count is bounded by the payload length before
-// anything is allocated for it.
+// canonical SDWs at core address 0 — a descriptor view holds no
+// address — and converts each SDW to its view. Every count is bounded
+// by the payload length before anything is allocated for it.
 func decodeTables(p []byte) (Tables, error) {
 	var t Tables
 	if len(p) < 16 || binary.BigEndian.Uint32(p[12:16]) != 0 {
@@ -1235,11 +1238,11 @@ func decodeTables(p []byte) (Tables, error) {
 			return t, ErrBadFrame
 		}
 		off += 16
-		var sdws []seg.SDW
+		var views []core.SDWView
 		if count > 0 {
-			sdws = make([]seg.SDW, count)
+			views = make([]core.SDWView, count)
 		}
-		for k := range sdws {
+		for k := range views {
 			even, err := getWord(p, off)
 			if err != nil {
 				return t, err
@@ -1249,12 +1252,13 @@ func decodeTables(p []byte) (Tables, error) {
 				return t, err
 			}
 			off += 2 * wordBytes
-			sdws[k] = seg.Decode(even, odd)
-			if e2, o2 := sdws[k].Encode(); e2 != even || o2 != odd || sdws[k].Validate() != nil {
+			sdw := seg.Decode(even, odd)
+			if e2, o2 := sdw.Encode(); e2 != even || o2 != odd || sdw.Validate() != nil || sdw.Addr != 0 {
 				return t, ErrBadFrame
 			}
+			views[k] = sdw.View()
 		}
-		t.Tables[bits.TrailingZeros64(m)] = service.NewTable(epoch, sdws)
+		t.Tables[bits.TrailingZeros64(m)] = service.NewTable(epoch, views)
 	}
 	if uint64(names)*wordBytes > uint64(len(p)-off) {
 		return t, ErrBadFrame

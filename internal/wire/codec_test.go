@@ -148,13 +148,11 @@ func TestEncodeRejectsUnencodable(t *testing.T) {
 		"error zero code":      {Type: FrameError, Err: ErrFrame{Msg: "x"}},
 		"tables odd epoch": {Type: FrameTables, Tables: Tables{
 			Tables: [service.MaxShards]*service.Table{service.NewTable(3, nil)}}},
-		"tables address too wide": {Type: FrameTables, Tables: Tables{
-			Tables: [service.MaxShards]*service.Table{service.NewTable(2, []seg.SDW{{Addr: 1 << seg.AddrBits}})}}},
 		"tables brackets out of order": {Type: FrameTables, Tables: Tables{
-			Tables: [service.MaxShards]*service.Table{service.NewTable(2, []seg.SDW{{Present: true, Bound: 1,
+			Tables: [service.MaxShards]*service.Table{service.NewTable(2, []core.SDWView{{Present: true, Bound: 1,
 				Brackets: core.Brackets{R1: 3, R2: 1, R3: 1}}})}}},
 		"tables gates past bound": {Type: FrameTables, Tables: Tables{
-			Tables: [service.MaxShards]*service.Table{service.NewTable(2, []seg.SDW{{Present: true, Bound: 1, Gate: 2}})}}},
+			Tables: [service.MaxShards]*service.Table{service.NewTable(2, []core.SDWView{{Present: true, Bound: 1, GateCount: 2}})}}},
 		"tables nul in name": {Type: FrameTables, Tables: Tables{Names: []string{"da\x00ta"}}},
 	}
 	for name, f := range cases {
@@ -163,6 +161,31 @@ func TestEncodeRejectsUnencodable(t *testing.T) {
 				t.Errorf("encode accepted %+v", f)
 			}
 		})
+	}
+}
+
+// TestDecodeTablesRejectsAddress checks that a tables frame whose SDW
+// carries a nonzero core address is rejected. A table holds descriptor
+// views, which have no address, so such a frame could not re-encode to
+// its own bytes.
+func TestDecodeTablesRejectsAddress(t *testing.T) {
+	b, err := EncodeFrame(nil, Frame{Type: FrameTables, Corr: 14, Tables: goldenTables()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shard 0's epoch, SDW count and reserved word precede its first
+	// SDW's even word, which holds the address field.
+	off := HeaderLen + 16 + 16
+	for _, addr := range []uint64{1, 1<<seg.AddrBits - 1} {
+		mut := bytes.Clone(b)
+		even, err := getWord(mut, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		putWord(mut, off, even.Deposit(0, seg.AddrBits, addr))
+		if _, _, err := DecodeFrame(mut); err == nil {
+			t.Errorf("decode accepted an SDW at core address %o", addr)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/seg"
 	"repro/internal/service"
 )
 
@@ -69,12 +68,13 @@ func goldenFrames() []struct {
 
 // goldenTables answers the golden fetch against testSegments in an
 // 8-shard store: shard 0 ("data") after two edits, shard 2 ("secret")
-// revoked — an absent SDW keeps its other fields — and the names.
+// revoked — an absent descriptor keeps its other fields — and the
+// names.
 func goldenTables() Tables {
 	var ts Tables
-	ts.Tables[0] = service.NewTable(4, []seg.SDW{{Present: true, Bound: 16, Read: true, Write: true,
+	ts.Tables[0] = service.NewTable(4, []core.SDWView{{Present: true, Bound: 16, Read: true, Write: true,
 		Brackets: core.Brackets{R1: 2, R2: 4, R3: 4}}})
-	ts.Tables[2] = service.NewTable(2, []seg.SDW{{Bound: 8, Read: true,
+	ts.Tables[2] = service.NewTable(2, []core.SDWView{{Bound: 8, Read: true,
 		Brackets: core.Brackets{R1: 0, R2: 1, R3: 1}}})
 	ts.Names = []string{"data", "code", "secret"}
 	return ts

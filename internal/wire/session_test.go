@@ -460,6 +460,7 @@ func TestSessionBackpressureShed(t *testing.T) {
 	// and the depth-1 queue full while the first wave floods in.
 	stop := make(chan struct{})
 	var bwg sync.WaitGroup
+	var blockerSheds atomic.Int64
 	for i := 0; i < 3; i++ {
 		bwg.Add(1)
 		go func() {
@@ -475,18 +476,27 @@ func TestSessionBackpressureShed(t *testing.T) {
 					return
 				default:
 				}
-				_ = tnt.SubmitInto(context.Background(), big, dst)
+				if err := tnt.SubmitInto(context.Background(), big, dst); errors.Is(err, service.ErrQueueFull) {
+					blockerSheds.Add(1)
+				}
 			}
 		}()
 	}
 
-	// The flood must meet a full queue. A blocker shed before the flood
-	// shows the other two hold the processor and the waiting slot.
-	for deadline := time.Now().Add(10 * time.Second); tnt.Service().Snapshot().Rejected == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("blockers never filled the depth-1 queue")
+	// The flood must meet a full queue. A blocker shed shows the other
+	// two hold the processor and the waiting slot, so each part of the
+	// flood is written only after a blocker was shed since the part
+	// before. Written in one burst, the flood could be decided whole
+	// while the scheduler ran none of the blockers, and find the queue
+	// empty.
+	awaitHeld := func() {
+		n := blockerSheds.Load()
+		for deadline := time.Now().Add(10 * time.Second); blockerSheds.Load() == n; {
+			if time.Now().After(deadline) {
+				t.Fatal("blockers never filled the depth-1 queue")
+			}
+			time.Sleep(100 * time.Microsecond)
 		}
-		time.Sleep(100 * time.Microsecond)
 	}
 
 	var wbuf []byte
@@ -502,7 +512,11 @@ func TestSessionBackpressureShed(t *testing.T) {
 			}
 		}
 	}
-	writeWave(1, shedWave)
+	const part = 16
+	for lo := uint64(1); lo <= shedWave; lo += part {
+		awaitHeld()
+		writeWave(lo, lo+part-1)
+	}
 	// Hold the blockers until every first-wave response has landed:
 	// socket buffering means the server processes the flood long after
 	// the writes return.

@@ -361,14 +361,14 @@ func TestFetchTables(t *testing.T) {
 	st := def.Store()
 	for i := 0; i < 3; i++ {
 		got, want := ts.Tables[i], st.Table(i)
-		if got.Epoch() != want.Epoch() || !reflect.DeepEqual(got.SDWs(), want.SDWs()) {
+		if got.Epoch() != want.Epoch() || !reflect.DeepEqual(got.Views(), want.Views()) {
 			t.Errorf("shard %d: fetched epoch %d %v, store has epoch %d %v",
-				i, got.Epoch(), got.SDWs(), want.Epoch(), want.SDWs())
+				i, got.Epoch(), got.Views(), want.Epoch(), want.Views())
 		}
 	}
-	if sdw := ts.Tables[2].SDWs()[0]; ts.Tables[2].Epoch() != 2 || sdw.Present || sdw.Bound != 8 {
-		t.Errorf("revoked secret fetched at epoch %d as %v, want epoch 2, absent, bound kept",
-			ts.Tables[2].Epoch(), sdw)
+	if v := ts.Tables[2].Views()[0]; ts.Tables[2].Epoch() != 2 || v.Present || v.Bound != 8 {
+		t.Errorf("revoked secret fetched at epoch %d as %+v, want epoch 2, absent, bound kept",
+			ts.Tables[2].Epoch(), v)
 	}
 	if !reflect.DeepEqual(ts.Names, st.Segments()) {
 		t.Errorf("names %q, want %q", ts.Names, st.Segments())

@@ -112,36 +112,6 @@ type replica struct {
 
 	flightMu sync.Mutex
 	flights  [service.MaxShards]*flight //ring:guarded flightMu
-
-	// idle holds batch scratch between calls; a call finding it empty
-	// builds a new batch, and a full one drops the batch it returns.
-	idle chan *batch
-}
-
-// maxIdleBatches bounds a replica's idle batch scratch, about 1 KB
-// each: more concurrent callers than this allocate a batch per call.
-// It is several times the callers one client process usually runs
-// (perfbench and ringload run four).
-const maxIdleBatches = 16
-
-// batch is one caller's scratch for deciding locally: the tables it
-// checked or fetched, which it implements service.Tables over, and a
-// decider reading them.
-type batch struct {
-	r    *replica
-	tabs [service.MaxShards]*service.Table
-	dc   *service.Decider
-}
-
-func (b *batch) Shards() int                { return b.r.shards }
-func (b *batch) Table(i int) *service.Table { return b.tabs[i] }
-
-// Segno resolves a segment name from the image's names.
-//
-//ring:hotpath
-func (b *batch) Segno(name string) (uint32, bool) {
-	n, ok := b.r.names[name]
-	return n, ok
 }
 
 // dialReplica opens a session with its own replica, subscribes it, and
@@ -180,7 +150,6 @@ func (rc *RemoteChecker) dialReplica() (*replica, error) {
 	}
 	r.install(all, ts, sent)
 	r.heard.Store(sent)
-	r.idle = make(chan *batch, maxIdleBatches)
 	return r, nil
 }
 
@@ -199,7 +168,7 @@ const syncEvery = 500 * time.Microsecond
 
 // decide answers the batch locally: it checks the table of every shard
 // the batch consults, fetches the stale ones, and decides from exactly
-// the tables it checked.
+// the tables it checked, with a decider on its own stack.
 //
 //ring:hotpath
 func (r *replica) decide(queries []Query, dst []Decision) error {
@@ -216,47 +185,34 @@ func (r *replica) decide(queries []Query, dst []Decision) error {
 		r.heard.Store(now)
 		now = time.Now().UnixNano()
 	}
-	var b *batch
-	select {
-	case b = <-r.idle:
-	default:
-		//ring:allow more concurrent callers than idle batches: each builds its own
-		b = &batch{r: r}
-		//ring:allow more concurrent callers than idle batches: each builds its own
-		b.dc = service.NewDecider(b)
-	}
+	var tabs [service.MaxShards]*service.Table
+	dc := service.NewDecider(r.names, tabs[:r.shards])
 	var need uint64
 	for i := range queries {
-		need |= b.dc.Consults(&queries[i])
+		need |= dc.Consults(&queries[i])
 	}
 	var stale, missed uint64
 	for m := need; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		if b.tabs[i] = r.fresh(i, now); b.tabs[i] == nil {
+		if tabs[i] = r.fresh(i, now); tabs[i] == nil {
 			stale |= 1 << i
 		}
 	}
-	var err error
 	if stale != 0 {
 		for i := range queries {
-			if b.dc.Consults(&queries[i])&stale != 0 {
+			if dc.Consults(&queries[i])&stale != 0 {
 				missed++
 			}
 		}
 		r.stats.misses.Add(missed)
 		//ring:allow miss path: a fetch allocates its flight and the tables it brings
-		err = r.fetch(stale, &b.tabs)
+		if err := r.fetch(stale, &tabs); err != nil {
+			return err
+		}
 	}
-	if err == nil {
-		r.stats.hits.Add(uint64(len(queries)) - missed)
-		b.dc.Decide(queries, dst)
-	}
-	clear(b.tabs[:])
-	select {
-	case r.idle <- b:
-	default:
-	}
-	return err
+	r.stats.hits.Add(uint64(len(queries)) - missed)
+	dc.Decide(queries, dst)
+	return nil
 }
 
 // fresh returns shard i's resident table if a batch beginning at now

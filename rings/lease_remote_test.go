@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/seg"
+	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/spec"
 	"repro/internal/tenant"
@@ -88,8 +88,9 @@ func buildLeaseOracle(t *testing.T, probes []rings.Query, mutations, shards int)
 }
 
 // servedDecision is one answer a cached client returned during the
-// concurrent phase, with the interval it claimed.
+// concurrent phase, with the round it was served in.
 type servedDecision struct {
+	round int
 	probe int
 	dec   rings.Decision
 }
@@ -97,7 +98,12 @@ type servedDecision struct {
 // TestDistributedOracleDifferential is the decision-lease acceptance
 // test: cached wire clients race a supervisor mutating shard 0 through
 // a known script, and every served decision — lease hit or miss — must
-// equal the model's answer at the epoch the decision records. Run
+// equal the model's answer at the epoch the decision records. Each
+// client pings before its racing batch, and the server announces every
+// edit it published before its pong, so no decision of round r may be
+// older than the 2·r·perRound epoch the earlier rounds' edits reached.
+// After each round a quiet step, with no edit in flight, has each
+// client decide twice, so the phase is certain to see lease hits. Run
 // under -race in CI.
 func TestDistributedOracleDifferential(t *testing.T) {
 	const (
@@ -125,31 +131,38 @@ func TestDistributedOracleDifferential(t *testing.T) {
 		rcs[c] = rc
 	}
 
-	// Concurrent phase: each round, every client answers the probe
-	// batch (from leases where it can) while the mutator walks the
-	// script — a round barrier keeps the interleaving adversarial
+	// Concurrent phase: each round, every client pings and then answers
+	// the probe batch (from leases where it can) while the mutator walks
+	// the script — a round barrier keeps the interleaving adversarial
 	// without letting either side starve.
 	var mu sync.Mutex
 	served := make([][]servedDecision, clients)
+	check := func(c, r int) {
+		dst := make([]rings.Decision, len(probes))
+		if err := rcs[c].CheckInto(probes, dst); err != nil {
+			if errors.Is(err, rings.ErrQueueFull) {
+				return // backpressure is a legal answer
+			}
+			t.Errorf("client %d round %d: %v", c, r, err)
+			return
+		}
+		mu.Lock()
+		for p := range dst {
+			served[c] = append(served[c], servedDecision{round: r, probe: p, dec: dst[p]})
+		}
+		mu.Unlock()
+	}
 	for r := 0; r < rounds; r++ {
 		var wg sync.WaitGroup
 		for c := range rcs {
 			wg.Add(1)
 			go func(c int) {
 				defer wg.Done()
-				dst := make([]rings.Decision, len(probes))
-				if err := rcs[c].CheckInto(probes, dst); err != nil {
-					if errors.Is(err, rings.ErrQueueFull) {
-						return // backpressure is a legal answer
-					}
-					t.Errorf("client %d round %d: %v", c, r, err)
+				if _, err := rcs[c].Health(); err != nil {
+					t.Errorf("client %d round %d: ping: %v", c, r, err)
 					return
 				}
-				mu.Lock()
-				for p := range dst {
-					served[c] = append(served[c], servedDecision{probe: p, dec: dst[p]})
-				}
-				mu.Unlock()
+				check(c, r)
 			}(c)
 		}
 		wg.Add(1)
@@ -162,6 +175,12 @@ func TestDistributedOracleDifferential(t *testing.T) {
 			}
 		}()
 		wg.Wait()
+		// Quiet step: the second batch decides from a table no edit can
+		// have retired, whatever the first one found.
+		for c := range rcs {
+			check(c, r)
+			check(c, r)
+		}
 	}
 
 	if got := st.ShardVersion(0); got != 2*mutations {
@@ -169,7 +188,8 @@ func TestDistributedOracleDifferential(t *testing.T) {
 	}
 
 	// Replay: every served decision must be one published epoch of
-	// shard 0 and match the model at that epoch's state.
+	// shard 0, no older than its round's ping allows, and match the
+	// model at that epoch's state.
 	var total, hits, shootdowns uint64
 	for c, list := range served {
 		for _, sd := range list {
@@ -177,6 +197,10 @@ func TestDistributedOracleDifferential(t *testing.T) {
 			d := sd.dec
 			if d.Shard != 0 || d.VersionLo != d.VersionHi || d.VersionLo%2 != 0 || d.VersionLo > 2*mutations {
 				t.Fatalf("client %d probe %d: not one published epoch of shard 0: %+v", c, sd.probe, d)
+			}
+			if floor := uint64(2 * sd.round * perRound); d.VersionLo < floor {
+				t.Fatalf("client %d round %d probe %d: decided at epoch %d, before the %d its ping announced",
+					c, sd.round, sd.probe, d.VersionLo, floor)
 			}
 			d.Worker = 0
 			if want := oracle[d.VersionLo/2][sd.probe]; d != want {
@@ -698,7 +722,7 @@ func stallAfterHandshake(t *testing.T) string {
 	t.Cleanup(func() { ln.Close() })
 	shape := wire.Health{Segments: 1, Shards: 1, Workers: 1}
 	var tables wire.Tables
-	tables.Tables[0] = service.NewTable(0, []seg.SDW{{Present: true, Bound: 64, Read: true,
+	tables.Tables[0] = service.NewTable(0, []core.SDWView{{Present: true, Bound: 64, Read: true,
 		Brackets: rings.Brackets{R1: 2, R2: 4, R3: 4}}})
 	tables.Names = []string{"data"}
 	go func() {

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/seg"
+	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/wire"
 )
@@ -16,12 +16,12 @@ func testReplica(ttl time.Duration) *replica {
 	return &replica{ttl: ttl, shards: 8, stats: &cacheCounters{}}
 }
 
-// tablesAt returns a fetch answer holding a one-SDW table at epoch for
-// each of the given shards.
+// tablesAt returns a fetch answer holding a one-descriptor table at
+// epoch for each of the given shards.
 func tablesAt(epoch uint64, shards ...int) *wire.Tables {
 	var ts wire.Tables
 	for _, i := range shards {
-		ts.Tables[i] = service.NewTable(epoch, []seg.SDW{{Present: true, Bound: 16, Read: true}})
+		ts.Tables[i] = service.NewTable(epoch, []core.SDWView{{Present: true, Bound: 16, Read: true}})
 	}
 	return &ts
 }
