@@ -12,6 +12,11 @@ import (
 // covers the whole static call graph instead of the sampled entry
 // points.
 //
+// Calls out of the module are not followed. The standard library's
+// slice growers (the Append functions of encoding/binary, strconv and
+// unicode/utf8, slices.Grow and its kin, bytes.Clone) are banned at the
+// call instead, like the builtin append.
+//
 // Limitation, by design: dynamic calls (interface methods, func
 // values) are not followed — the mmu.Sink and mem.Store interfaces are
 // dispatch points whose hot implementations carry their own
@@ -36,8 +41,9 @@ func runHotPath(pass *Pass) error {
 		for _, cs := range fact.Calls {
 			callee := h.lookup(cs.Callee)
 			if callee == nil || callee.Hot {
-				// Unknown callees are outside the module; hot callees
-				// are verified at their own definitions.
+				// Unknown callees are outside the module, where the
+				// scan banned the growers at the call; hot callees are
+				// verified at their own definitions.
 				continue
 			}
 			trace := h.firstBan(cs.Callee)

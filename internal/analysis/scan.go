@@ -211,6 +211,11 @@ func (s *scanner) call(call *ast.CallExpr) {
 		}
 	}
 
+	if fn := s.calledFunc(fun); fn != nil && growsSlice(fn) {
+		s.ban(call.Pos(), fmt.Sprintf("calls %s: append may grow its backing array (allocates)", types.ExprString(fun)))
+		return
+	}
+
 	fn := s.staticCallee(fun)
 	if fn != nil && fn.Pkg() != nil {
 		switch fn.Pkg().Path() {
@@ -408,37 +413,67 @@ func (s *scanner) captures(lit *ast.FuncLit) bool {
 // staticCallee resolves fun to the *types.Func it will invoke, or nil
 // for dynamic calls (interface methods, func values).
 func (s *scanner) staticCallee(fun ast.Expr) *types.Func {
-	switch f := fun.(type) {
-	case *ast.Ident:
-		if fn, ok := s.pkg.Info.Uses[f].(*types.Func); ok {
-			return fn
+	fn := s.calledFunc(fun)
+	if fn == nil {
+		return nil
+	}
+	// A method reached through an interface is dynamic.
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		if _, isIface := recv.Type().Underlying().(*types.Interface); isIface {
+			return nil
 		}
+	}
+	return fn
+}
+
+// calledFunc resolves fun to the function or method a call of it
+// names, interface methods and explicitly instantiated generic
+// functions included, or nil for a func value.
+func (s *scanner) calledFunc(fun ast.Expr) *types.Func {
+	switch f := fun.(type) {
+	case *ast.IndexExpr:
+		return s.calledFunc(f.X)
+	case *ast.IndexListExpr:
+		return s.calledFunc(f.X)
+	case *ast.Ident:
+		fn, _ := s.pkg.Info.Uses[f].(*types.Func)
+		return fn
 	case *ast.SelectorExpr:
 		if sel, ok := s.pkg.Info.Selections[f]; ok {
 			if sel.Kind() != types.MethodVal {
 				return nil
 			}
-			fn, ok := sel.Obj().(*types.Func)
-			if !ok {
-				return nil
-			}
-			// A method reached through an interface is dynamic.
-			recv := fn.Type().(*types.Signature).Recv()
-			if recv != nil {
-				if _, isIface := recv.Type().Underlying().(*types.Interface); isIface {
-					return nil
-				}
-			}
-			s.markCalled(f)
+			fn, _ := sel.Obj().(*types.Func)
 			return fn
 		}
 		// Package-qualified call: pkg.F.
-		if fn, ok := s.pkg.Info.Uses[f.Sel].(*types.Func); ok {
-			s.markCalled(f)
-			return fn
-		}
+		fn, _ := s.pkg.Info.Uses[f.Sel].(*types.Func)
+		return fn
 	}
 	return nil
+}
+
+// growsSlice reports whether fn is a standard-library function that
+// appends to, grows or copies the slice it is given: every Append
+// function or method of encoding/binary, strconv and unicode/utf8, and
+// slices.Grow, Clone, Insert and Concat and bytes.Clone. The analyzer
+// follows no call out of the module, so these are banned at the call.
+func growsSlice(fn *types.Func) bool {
+	if fn.Pkg() == nil {
+		return false
+	}
+	switch fn.Pkg().Path() {
+	case "encoding/binary", "strconv", "unicode/utf8":
+		return strings.HasPrefix(fn.Name(), "Append")
+	case "slices":
+		switch fn.Name() {
+		case "Grow", "Clone", "Insert", "Concat":
+			return true
+		}
+	case "bytes":
+		return fn.Name() == "Clone"
+	}
+	return false
 }
 
 func (s *scanner) inModule(path string) bool {

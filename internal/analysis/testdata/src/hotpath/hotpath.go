@@ -3,7 +3,14 @@
 // must be free of heap-allocating constructs.
 package hotpath
 
-import "fmt"
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"slices"
+	"strconv"
+	"unicode/utf8"
+)
 
 type buf struct{ n int }
 
@@ -96,7 +103,71 @@ func inner() {
 	sink = len(m)
 }
 
+// The standard library's slice growers allocate as append does, and
+// the analyzer follows no call out of the module, so each is banned
+// at the call.
+
+//ring:hotpath
+func binaryGrows(b []byte, x uint64) []byte {
+	b = binary.BigEndian.AppendUint64(b, x) // want `hot path: calls binary\.BigEndian\.AppendUint64: append may grow its backing array \(allocates\)`
+	return binary.AppendUvarint(b, x)       // want `hot path: calls binary\.AppendUvarint: append may grow`
+}
+
+//ring:hotpath
+func byteOrderGrows(o binary.AppendByteOrder, b []byte) []byte {
+	return o.AppendUint32(b, 1) // want `hot path: calls o\.AppendUint32: append may grow`
+}
+
+//ring:hotpath
+func strconvGrows(b []byte, x int64) []byte {
+	return strconv.AppendInt(b, x, 10) // want `hot path: calls strconv\.AppendInt: append may grow`
+}
+
+//ring:hotpath
+func utf8Grows(b []byte, r rune) []byte {
+	return utf8.AppendRune(b, r) // want `hot path: calls utf8\.AppendRune: append may grow`
+}
+
+//ring:hotpath
+func slicesGrow(s []int) []int {
+	s = slices.Grow(s, 4)         // want `hot path: calls slices\.Grow: append may grow`
+	s = slices.Insert(s, 0, 1, 2) // want `hot path: calls slices\.Insert: append may grow`
+	s = slices.Concat(s, s)       // want `hot path: calls slices\.Concat: append may grow`
+	s = slices.Clone[[]int](s)    // want `hot path: calls slices\.Clone\[\[\]int\]: append may grow`
+	return slices.Clone(s)        // want `hot path: calls slices\.Clone: append may grow`
+}
+
+//ring:hotpath
+func bytesClone(b []byte) []byte {
+	return bytes.Clone(b) // want `hot path: calls bytes\.Clone: append may grow`
+}
+
+// viaAppender reaches a standard-library grower through a non-hot
+// helper.
+//
+//ring:hotpath
+func viaAppender(b []byte) []byte {
+	return appender(b) // want `hot path: viaAppender calls hotpath\.appender, which reaches calls strconv\.AppendBool: append may grow its backing array \(allocates\) at .*hotpath\.go:\d+ \(via hotpath\.appender\)`
+}
+
+func appender(b []byte) []byte { return strconv.AppendBool(b, true) }
+
 // ---- negatives: none of the following may be flagged ----
+
+// putInPlace writes into storage the caller sized.
+//
+//ring:hotpath
+func putInPlace(b []byte, x uint64) {
+	binary.BigEndian.PutUint64(b, x)
+}
+
+// allowedAppend documents its growth with a reason.
+//
+//ring:hotpath
+func allowedAppend(b []byte, x uint64) []byte {
+	//ring:allow fixture: amortized growth, measured separately
+	return binary.BigEndian.AppendUint64(b, x)
+}
 
 // methodCall is a static method call, not a method value.
 //

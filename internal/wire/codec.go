@@ -92,16 +92,49 @@ func ensure(buf []byte, n int) []byte {
 	return make([]byte, n)
 }
 
-// putWord writes one 36-bit word at off, big endian, and returns the
-// next offset. It stores the byte-reversed word little endian: the
-// compiler fuses that into one swap and one store, where a big-endian
-// store of the masked word compiles to four stores.
+// Every encoder makes one pass over its input. It starts the frame at
+// the start of buf's storage with startFrame, appends each field right
+// after checking it, and closes the frame with endFrame, which writes
+// the payload length. A field the wire cannot carry rejects the frame
+// with ErrNotEncodable and no frame, once a prefix may already be
+// written. Nothing before buf's start is written, so a session that
+// encodes into the spare capacity of its queued answers keeps them.
+
+// startFrame begins a frame in buf's storage: the header, with a zero
+// payload length.
 //
 //ring:hotpath
-func putWord(b []byte, off int, w word.Word) int {
-	binary.LittleEndian.PutUint64(b[off:off+wordBytes], bits.ReverseBytes64(w.Uint64()))
-	return off + wordBytes
+func startFrame(buf []byte, t FrameType, corr uint64) []byte {
+	b := ensure(buf, HeaderLen)
+	PutHeader(b, Header{Type: t, Corr: corr})
+	return b
 }
+
+// endFrame writes the payload length into the header of the frame b
+// holds and returns the frame.
+//
+//ring:hotpath
+func endFrame(b []byte) []byte {
+	binary.BigEndian.PutUint32(b, uint32(len(b)-HeaderLen))
+	return b
+}
+
+// appendUint64 appends v, big endian. Payload fields narrower than
+// eight bytes are appended in eight-byte groups, the first field in
+// the high bytes. It appends the byte-reversed value little endian:
+// the compiler fuses that into one swap and one store, where a
+// big-endian append of a masked word compiles to four stores.
+//
+//ring:hotpath
+func appendUint64(b []byte, v uint64) []byte {
+	//ring:allow frame growth is amortized-cold; steady state reuses capacity
+	return binary.LittleEndian.AppendUint64(b, bits.ReverseBytes64(v))
+}
+
+// appendWord appends one 36-bit word.
+//
+//ring:hotpath
+func appendWord(b []byte, w word.Word) []byte { return appendUint64(b, w.Uint64()) }
 
 // getWord reads one 36-bit word at off, rejecting values with nonzero
 // high bits.
@@ -115,41 +148,41 @@ func getWord(b []byte, off int) (word.Word, error) {
 	return word.Word(v), nil
 }
 
-// validString rejects strings the packed-character format cannot carry
-// canonically: longer than max, or containing NUL (the padding
-// character).
-func validString(s string, max int) error {
-	if len(s) > max {
-		return ErrNotEncodable
-	}
-	for i := 0; i < len(s); i++ {
-		if s[i] == 0 {
-			return ErrNotEncodable
-		}
-	}
-	return nil
-}
-
 // stringWords returns the number of words PackChars' convention needs
 // for n characters.
 //
 //ring:hotpath
 func stringWords(n int) int { return (n + 3) / 4 }
 
-// putPackedString writes s as packed character words (four 9-bit
-// characters per word, high first, NUL padded) and returns the next
-// offset. The caller has validated s with validString.
+// appendChars appends s as packed character words (four 9-bit
+// characters per word, high first, NUL padded). It reports false for a
+// NUL in s, which would read back as padding.
 //
 //ring:hotpath
-func putPackedString(b []byte, off int, s string) int {
+func appendChars(b []byte, s string) ([]byte, bool) {
 	for i := 0; i < len(s); i += 4 {
 		var w word.Word
 		for j := 0; j < 4 && i+j < len(s); j++ {
+			if s[i+j] == 0 {
+				return nil, false
+			}
 			w = w.Deposit(uint(27-9*j), 9, uint64(s[i+j]))
 		}
-		off = putWord(b, off, w)
+		b = appendWord(b, w)
 	}
-	return off
+	return b, true
+}
+
+// appendString appends s as a length word (the byte count in the low
+// 18 bits) and its packed characters. It reports false for a string
+// longer than max or holding a NUL.
+//
+//ring:hotpath
+func appendString(b []byte, s string, max int) ([]byte, bool) {
+	if len(s) > max {
+		return nil, false
+	}
+	return appendChars(appendWord(b, word.Word(len(s))), s)
 }
 
 // getPackedString reads an n-character packed string at off, enforcing
@@ -188,14 +221,6 @@ func getPackedString(b []byte, off, n int) (string, int, error) {
 	return string(buf), off, nil
 }
 
-// putLenWord writes a string-length word (byte count in the low 18
-// bits, high bits zero).
-//
-//ring:hotpath
-func putLenWord(b []byte, off, n int) int {
-	return putWord(b, off, word.Word(0).Deposit(0, 18, uint64(n)))
-}
-
 // getLenWord reads a string-length word, rejecting nonzero high bits
 // and lengths beyond max.
 //
@@ -217,51 +242,8 @@ func getLenWord(b []byte, off, max int) (int, int, error) {
 
 // ---- Check frames ----
 
-// querySize validates one query's encodability and returns its wire
-// size in bytes.
-func querySize(q *service.Query) (int, error) {
-	switch q.Op {
-	case service.OpAccess, service.OpCall, service.OpReturn, service.OpEffRing:
-	default:
-		return 0, ErrNotEncodable
-	}
-	if q.Ring > 7 || q.Kind < 0 || q.Kind > 3 {
-		return 0, ErrNotEncodable
-	}
-	if q.EffRing != nil && *q.EffRing > 7 {
-		return 0, ErrNotEncodable
-	}
-	if q.Segno > seg.MaxSegno || q.Wordno >= 1<<seg.WordnoBits {
-		return 0, ErrNotEncodable
-	}
-	if q.Segment != "" {
-		if q.Segno != 0 {
-			return 0, ErrNotEncodable
-		}
-		if err := validString(q.Segment, maxQueryName); err != nil {
-			return 0, err
-		}
-	}
-	if len(q.Chain) >= 1<<16 {
-		return 0, ErrNotEncodable
-	}
-	for i := range q.Chain {
-		st := &q.Chain[i]
-		if st.Ring > 7 {
-			return 0, ErrNotEncodable
-		}
-		if st.PR {
-			if st.Segno != 0 {
-				return 0, ErrNotEncodable
-			}
-		} else if st.Segno > seg.MaxSegno {
-			return 0, ErrNotEncodable
-		}
-	}
-	return 2*wordBytes + stringWords(len(q.Segment))*wordBytes + len(q.Chain)*wordBytes, nil
-}
-
-// opCode returns the wire op code for q.Op (validated by querySize).
+// opCode returns the wire op code for op, or 0 for an op the wire does
+// not carry.
 //
 //ring:hotpath
 func opCode(op service.Op) uint64 {
@@ -272,46 +254,75 @@ func opCode(op service.Op) uint64 {
 		return opCall
 	case service.OpReturn:
 		return opReturn
-	default:
+	case service.OpEffRing:
 		return opEffRing
 	}
+	return 0
 }
 
-// putQuery writes one validated query at off and returns the next
-// offset.
+// appendQuery appends one query, checking each field against its wire
+// width before it is packed. It reports false for a query the wire
+// cannot carry: an unknown op, a ring, kind, segment or word number
+// beyond its width, a name too long, holding a NUL or beside a segment
+// number, or a chain too long or with a step beyond its widths.
 //
 //ring:hotpath
-func putQuery(b []byte, off int, q *service.Query) int {
+func appendQuery(b []byte, q *service.Query) ([]byte, bool) {
+	op := opCode(q.Op)
+	if op == 0 || q.Ring > 7 || q.Kind < 0 || q.Kind > 3 {
+		return nil, false
+	}
+	if len(q.Segment) > maxQueryName || len(q.Chain) >= 1<<16 {
+		return nil, false
+	}
 	cw := word.Word(0).
-		Deposit(33, 3, opCode(q.Op)).
+		Deposit(33, 3, op).
 		Deposit(30, 3, uint64(q.Ring)).
 		Deposit(28, 2, uint64(q.Kind)).
 		WithBit(27, q.SameSegment).
 		Deposit(16, 7, uint64(len(q.Segment))).
 		Deposit(0, 16, uint64(len(q.Chain)))
 	if q.EffRing != nil {
+		if *q.EffRing > 7 {
+			return nil, false
+		}
 		cw = cw.WithBit(26, true).Deposit(23, 3, uint64(*q.EffRing))
 	}
-	off = putWord(b, off, cw)
-	aw := word.Word(0).
+	b = appendWord(b, cw)
+	if q.Segno > seg.MaxSegno || q.Wordno >= 1<<seg.WordnoBits {
+		return nil, false
+	}
+	if q.Segment != "" && q.Segno != 0 {
+		return nil, false
+	}
+	b = appendWord(b, word.Word(0).
 		Deposit(18, seg.SegnoBits, uint64(q.Segno)).
-		Deposit(0, seg.WordnoBits, uint64(q.Wordno))
-	off = putWord(b, off, aw)
-	if q.Segment != "" {
-		off = putPackedString(b, off, q.Segment)
+		Deposit(0, seg.WordnoBits, uint64(q.Wordno)))
+	b, ok := appendChars(b, q.Segment)
+	if !ok {
+		return nil, false
 	}
 	for i := range q.Chain {
 		st := &q.Chain[i]
-		sw := word.Word(0).
+		if st.Ring > 7 {
+			return nil, false
+		}
+		if st.PR {
+			if st.Segno != 0 {
+				return nil, false
+			}
+		} else if st.Segno > seg.MaxSegno {
+			return nil, false
+		}
+		b = appendWord(b, word.Word(0).
 			WithBit(35, st.PR).
 			Deposit(32, 3, uint64(st.Ring)).
-			Deposit(18, seg.SegnoBits, uint64(st.Segno))
-		off = putWord(b, off, sw)
+			Deposit(18, seg.SegnoBits, uint64(st.Segno)))
 	}
-	return off
+	return b, true
 }
 
-// EncodeCheck appends nothing: it fills buf (reusing its storage when
+// EncodeCheck fills buf from its start (reusing its storage when
 // large enough) with a complete Check frame for the batch and returns
 // it. Encoding is rejected with ErrNotEncodable when a query's fields
 // exceed the wire widths (invalid rings, out-of-range segment or word
@@ -319,23 +330,15 @@ func putQuery(b []byte, off int, q *service.Query) int {
 //
 //ring:hotpath
 func EncodeCheck(buf []byte, corr uint64, queries []service.Query) ([]byte, error) {
-	size := 8
+	// The query count, then four reserved zero bytes.
+	b := appendUint64(startFrame(buf, FrameCheck, corr), uint64(len(queries))<<32)
 	for i := range queries {
-		n, err := querySize(&queries[i])
-		if err != nil {
-			return nil, err
+		var ok bool
+		if b, ok = appendQuery(b, &queries[i]); !ok {
+			return nil, ErrNotEncodable
 		}
-		size += n
 	}
-	b := ensure(buf, HeaderLen+size)
-	PutHeader(b, Header{Len: uint32(size), Type: FrameCheck, Corr: corr})
-	binary.BigEndian.PutUint32(b[HeaderLen:], uint32(len(queries)))
-	binary.BigEndian.PutUint32(b[HeaderLen+4:], 0)
-	off := HeaderLen + 8
-	for i := range queries {
-		off = putQuery(b, off, &queries[i])
-	}
-	return b, nil
+	return endFrame(b), nil
 }
 
 // Batch is a reusable decode target for Check frames: the queries plus
@@ -488,39 +491,27 @@ func (b *Batch) decodeQuery(p []byte, off, i int) (int, error) {
 
 // ---- Decisions frames ----
 
-// decisionSize validates one decision's encodability and returns its
-// wire size.
-func decisionSize(d *service.Decision) (int, error) {
-	if d.NewRing > 7 || d.Worker < 0 || d.Worker >= 1<<15 {
-		return 0, ErrNotEncodable
-	}
-	if d.Shard < -1 || d.Shard >= (1<<7)-1 {
-		return 0, ErrNotEncodable
-	}
-	if d.ViolationKind < 0 || int(d.ViolationKind) >= core.ViolationKindCount {
-		return 0, ErrNotEncodable
-	}
-	if _, ok := outcomeCode(d.Outcome); !ok {
-		return 0, ErrNotEncodable
-	}
-	size := wordBytes + 16
-	if d.Err != "" {
-		if err := validString(d.Err, maxString); err != nil {
-			return 0, err
-		}
-		size += wordBytes + stringWords(len(d.Err))*wordBytes
-	}
-	return size, nil
-}
-
-// putDecision writes one validated decision at off. The Violation
-// string is not carried: it is derived from ViolationKind on decode
-// (the two are interned pairs in internal/core).
+// appendDecision appends one decision, checking each field against
+// its wire width before it is packed. The Violation string is not
+// carried: it is derived from ViolationKind on decode (the two are
+// interned pairs in internal/core).
 //
 //ring:hotpath
-func putDecision(b []byte, off int, d *service.Decision) int {
-	oc, _ := outcomeCode(d.Outcome)
-	cw := word.Word(0).
+func appendDecision(b []byte, d *service.Decision) ([]byte, bool) {
+	if d.NewRing > 7 || d.Worker < 0 || d.Worker >= 1<<15 {
+		return nil, false
+	}
+	if d.Shard < -1 || d.Shard >= (1<<7)-1 {
+		return nil, false
+	}
+	if d.ViolationKind < 0 || int(d.ViolationKind) >= core.ViolationKindCount {
+		return nil, false
+	}
+	oc, ok := outcomeCode(d.Outcome)
+	if !ok {
+		return nil, false
+	}
+	b = appendWord(b, word.Word(0).
 		WithBit(35, d.Allowed).
 		WithBit(34, d.Trapped).
 		WithBit(33, d.Err != "").
@@ -528,16 +519,13 @@ func putDecision(b []byte, off int, d *service.Decision) int {
 		Deposit(25, 4, uint64(d.ViolationKind)).
 		Deposit(22, 3, uint64(d.NewRing)).
 		Deposit(15, 7, uint64(d.Shard+1)).
-		Deposit(0, 15, uint64(d.Worker))
-	off = putWord(b, off, cw)
-	binary.BigEndian.PutUint64(b[off:], d.VersionLo)
-	binary.BigEndian.PutUint64(b[off+8:], d.VersionHi)
-	off += 16
-	if d.Err != "" {
-		off = putLenWord(b, off, len(d.Err))
-		off = putPackedString(b, off, d.Err)
+		Deposit(0, 15, uint64(d.Worker)))
+	b = appendUint64(b, d.VersionLo)
+	b = appendUint64(b, d.VersionHi)
+	if d.Err == "" {
+		return b, true
 	}
-	return off
+	return appendString(b, d.Err, maxString)
 }
 
 // EncodeDecisions fills buf (reusing its storage when large enough)
@@ -545,23 +533,15 @@ func putDecision(b []byte, off int, d *service.Decision) int {
 //
 //ring:hotpath
 func EncodeDecisions(buf []byte, corr uint64, ds []service.Decision) ([]byte, error) {
-	size := 8
+	// The decision count, then four reserved zero bytes.
+	b := appendUint64(startFrame(buf, FrameDecisions, corr), uint64(len(ds))<<32)
 	for i := range ds {
-		n, err := decisionSize(&ds[i])
-		if err != nil {
-			return nil, err
+		var ok bool
+		if b, ok = appendDecision(b, &ds[i]); !ok {
+			return nil, ErrNotEncodable
 		}
-		size += n
 	}
-	b := ensure(buf, HeaderLen+size)
-	PutHeader(b, Header{Len: uint32(size), Type: FrameDecisions, Corr: corr})
-	binary.BigEndian.PutUint32(b[HeaderLen:], uint32(len(ds)))
-	binary.BigEndian.PutUint32(b[HeaderLen+4:], 0)
-	off := HeaderLen + 8
-	for i := range ds {
-		off = putDecision(b, off, &ds[i])
-	}
-	return b, nil
+	return endFrame(b), nil
 }
 
 // DecodeDecisionsInto decodes a Decisions payload into dst and returns
@@ -666,18 +646,13 @@ func EncodeHello(buf []byte, h Hello) ([]byte, error) {
 	if h.MinVersion == 0 || h.MinVersion > h.MaxVersion {
 		return nil, ErrNotEncodable
 	}
-	if err := validString(h.Tenant, maxQueryName); err != nil {
-		return nil, err
+	b := startFrame(buf, FrameHello, 0)
+	b = appendUint64(b, uint64(Magic)<<32|uint64(h.MinVersion)<<16|uint64(h.MaxVersion))
+	b, ok := appendString(b, h.Tenant, maxQueryName)
+	if !ok {
+		return nil, ErrNotEncodable
 	}
-	size := 8 + wordBytes + stringWords(len(h.Tenant))*wordBytes
-	b := ensure(buf, HeaderLen+size)
-	PutHeader(b, Header{Len: uint32(size), Type: FrameHello})
-	binary.BigEndian.PutUint32(b[HeaderLen:], Magic)
-	binary.BigEndian.PutUint16(b[HeaderLen+4:], h.MinVersion)
-	binary.BigEndian.PutUint16(b[HeaderLen+6:], h.MaxVersion)
-	off := putLenWord(b, HeaderLen+8, len(h.Tenant))
-	putPackedString(b, off, h.Tenant)
-	return b, nil
+	return endFrame(b), nil
 }
 
 // decodeHello decodes a Hello payload.
@@ -730,18 +705,8 @@ func EncodeWelcome(buf []byte, w Welcome) ([]byte, error) {
 	if w.Version == 0 {
 		return nil, ErrNotEncodable
 	}
-	const size = 32
-	b := ensure(buf, HeaderLen+size)
-	PutHeader(b, Header{Len: size, Type: FrameWelcome})
-	binary.BigEndian.PutUint32(b[HeaderLen:], Magic)
-	binary.BigEndian.PutUint16(b[HeaderLen+4:], w.Version)
-	binary.BigEndian.PutUint16(b[HeaderLen+6:], 0)
-	binary.BigEndian.PutUint32(b[HeaderLen+8:], w.Segments)
-	binary.BigEndian.PutUint32(b[HeaderLen+12:], w.Shards)
-	binary.BigEndian.PutUint32(b[HeaderLen+16:], w.Workers)
-	binary.BigEndian.PutUint32(b[HeaderLen+20:], 0)
-	binary.BigEndian.PutUint64(b[HeaderLen+24:], w.StoreVersion)
-	return b, nil
+	b := appendUint64(startFrame(buf, FrameWelcome, 0), uint64(Magic)<<32|uint64(w.Version)<<16)
+	return endFrame(appendHealth(b, w.Health)), nil
 }
 
 // decodeWelcome decodes a Welcome payload.
@@ -754,14 +719,12 @@ func decodeWelcome(p []byte) (Welcome, error) {
 		return w, ErrBadMagic
 	}
 	w.Version = binary.BigEndian.Uint16(p[4:6])
-	if w.Version == 0 || binary.BigEndian.Uint16(p[6:8]) != 0 || binary.BigEndian.Uint32(p[20:24]) != 0 {
+	if w.Version == 0 || binary.BigEndian.Uint16(p[6:8]) != 0 {
 		return w, ErrBadFrame
 	}
-	w.Segments = binary.BigEndian.Uint32(p[8:12])
-	w.Shards = binary.BigEndian.Uint32(p[12:16])
-	w.Workers = binary.BigEndian.Uint32(p[16:20])
-	w.StoreVersion = binary.BigEndian.Uint64(p[24:32])
-	return w, nil
+	var err error
+	w.Health, err = decodePong(p[8:])
+	return w, err
 }
 
 // ---- Mutation frames ----
@@ -783,42 +746,35 @@ func EncodeMutate(buf []byte, corr uint64, m Mutation) ([]byte, error) {
 	default:
 		return nil, ErrNotEncodable
 	}
-	if m.Segment != "" {
-		if m.Segno != 0 {
-			return nil, ErrNotEncodable
-		}
-		if err := validString(m.Segment, maxQueryName); err != nil {
-			return nil, err
-		}
-	}
-	if m.Segno > seg.MaxSegno {
+	if len(m.Segment) > maxQueryName || m.Segno > seg.MaxSegno {
 		return nil, ErrNotEncodable
 	}
-	size := 8 + 2*wordBytes + stringWords(len(m.Segment))*wordBytes
-	if m.Op == MutSetBrackets {
-		if m.Brackets.R1 > 7 || m.Brackets.R2 > 7 || m.Brackets.R3 > 7 || m.Gates > seg.MaxGate {
-			return nil, ErrNotEncodable
-		}
-		size += 2 * wordBytes
-	} else if m.Read || m.Write || m.Execute || m.Brackets != (core.Brackets{}) || m.Gates != 0 {
+	if m.Segment != "" && m.Segno != 0 {
 		return nil, ErrNotEncodable
 	}
-	b := ensure(buf, HeaderLen+size)
-	PutHeader(b, Header{Len: uint32(size), Type: FrameMutate, Corr: corr})
-	binary.BigEndian.PutUint32(b[HeaderLen:], uint32(m.Op))
-	binary.BigEndian.PutUint32(b[HeaderLen+4:], 0)
-	off := putLenWord(b, HeaderLen+8, len(m.Segment))
-	off = putWord(b, off, word.Word(0).Deposit(18, seg.SegnoBits, uint64(m.Segno)))
-	off = putPackedString(b, off, m.Segment)
-	if m.Op == MutSetBrackets {
-		even, odd := seg.SDW{
-			Present: true, Read: m.Read, Write: m.Write, Execute: m.Execute,
-			Brackets: m.Brackets, Gate: m.Gates,
-		}.Encode()
-		off = putWord(b, off, even)
-		putWord(b, off, odd)
+	// The op, four reserved zero bytes, the name's length word, the
+	// segment number word and the name's characters.
+	b := appendUint64(startFrame(buf, FrameMutate, corr), uint64(m.Op)<<32)
+	b = appendWord(b, word.Word(len(m.Segment)))
+	b = appendWord(b, word.Word(0).Deposit(18, seg.SegnoBits, uint64(m.Segno)))
+	b, ok := appendChars(b, m.Segment)
+	if !ok {
+		return nil, ErrNotEncodable
 	}
-	return b, nil
+	if m.Op != MutSetBrackets {
+		if m.Read || m.Write || m.Execute || m.Brackets != (core.Brackets{}) || m.Gates != 0 {
+			return nil, ErrNotEncodable
+		}
+		return endFrame(b), nil
+	}
+	if m.Brackets.R1 > 7 || m.Brackets.R2 > 7 || m.Brackets.R3 > 7 || m.Gates > seg.MaxGate {
+		return nil, ErrNotEncodable
+	}
+	even, odd := seg.SDW{
+		Present: true, Read: m.Read, Write: m.Write, Execute: m.Execute,
+		Brackets: m.Brackets, Gate: m.Gates,
+	}.Encode()
+	return endFrame(appendWord(appendWord(b, even), odd)), nil
 }
 
 // decodeMutate decodes a Mutate payload, enforcing a canonical SDW
@@ -891,35 +847,32 @@ func decodeMutate(p []byte) (Mutation, error) {
 // EncodeMutated fills buf with a Mutated frame reporting the store
 // version after the mutation.
 func EncodeMutated(buf []byte, corr, version uint64) []byte {
-	b := ensure(buf, HeaderLen+8)
-	PutHeader(b, Header{Len: 8, Type: FrameMutated, Corr: corr})
-	binary.BigEndian.PutUint64(b[HeaderLen:], version)
-	return b
+	return endFrame(appendUint64(startFrame(buf, FrameMutated, corr), version))
 }
 
 // ---- Ping / Pong ----
 
 // EncodePing fills buf with a Ping frame.
 func EncodePing(buf []byte, corr uint64) []byte {
-	b := ensure(buf, HeaderLen)
-	PutHeader(b, Header{Type: FramePing, Corr: corr})
-	return b
+	return startFrame(buf, FramePing, corr)
 }
 
 // EncodePong fills buf with a Pong frame carrying the image shape.
 func EncodePong(buf []byte, corr uint64, h Health) []byte {
-	const size = 24
-	b := ensure(buf, HeaderLen+size)
-	PutHeader(b, Header{Len: size, Type: FramePong, Corr: corr})
-	binary.BigEndian.PutUint32(b[HeaderLen:], h.Segments)
-	binary.BigEndian.PutUint32(b[HeaderLen+4:], h.Shards)
-	binary.BigEndian.PutUint32(b[HeaderLen+8:], h.Workers)
-	binary.BigEndian.PutUint32(b[HeaderLen+12:], 0)
-	binary.BigEndian.PutUint64(b[HeaderLen+16:], h.StoreVersion)
-	return b
+	return endFrame(appendHealth(startFrame(buf, FramePong, corr), h))
 }
 
-// decodePong decodes a Pong payload.
+// appendHealth appends the image shape: the segment and shard counts,
+// the worker count and four reserved zero bytes, and the store
+// version. It is a Pong's payload and follows a Welcome's version.
+func appendHealth(b []byte, h Health) []byte {
+	b = appendUint64(b, uint64(h.Segments)<<32|uint64(h.Shards))
+	b = appendUint64(b, uint64(h.Workers)<<32)
+	return appendUint64(b, h.StoreVersion)
+}
+
+// decodePong decodes a Pong payload, which is also a Welcome's image
+// shape.
 func decodePong(p []byte) (Health, error) {
 	var h Health
 	if len(p) != 24 || binary.BigEndian.Uint32(p[12:16]) != 0 {
@@ -952,18 +905,13 @@ func EncodeError(buf []byte, corr uint64, code uint16, msg string) ([]byte, erro
 	if code == 0 {
 		return nil, ErrNotEncodable
 	}
-	if err := validString(msg, maxString); err != nil {
-		return nil, err
+	// The code, then six reserved zero bytes.
+	b := appendUint64(startFrame(buf, FrameError, corr), uint64(code)<<48)
+	b, ok := appendString(b, msg, maxString)
+	if !ok {
+		return nil, ErrNotEncodable
 	}
-	size := 8 + wordBytes + stringWords(len(msg))*wordBytes
-	b := ensure(buf, HeaderLen+size)
-	PutHeader(b, Header{Len: uint32(size), Type: FrameError, Corr: corr})
-	binary.BigEndian.PutUint16(b[HeaderLen:], code)
-	binary.BigEndian.PutUint16(b[HeaderLen+2:], 0)
-	binary.BigEndian.PutUint32(b[HeaderLen+4:], 0)
-	off := putLenWord(b, HeaderLen+8, len(msg))
-	putPackedString(b, off, msg)
-	return b, nil
+	return endFrame(b), nil
 }
 
 // decodeError decodes an Error payload.
@@ -992,9 +940,7 @@ func decodeError(p []byte) (ErrFrame, error) {
 
 // EncodeGoAway fills buf with a GoAway frame.
 func EncodeGoAway(buf []byte) []byte {
-	b := ensure(buf, HeaderLen)
-	PutHeader(b, Header{Type: FrameGoAway})
-	return b
+	return startFrame(buf, FrameGoAway, 0)
 }
 
 // ---- Subscribe / Shootdown / LeaseExpire ----
@@ -1026,9 +972,7 @@ type LeaseExpire struct {
 
 // EncodeSubscribe fills buf with a Subscribe frame (empty payload).
 func EncodeSubscribe(buf []byte, corr uint64) []byte {
-	b := ensure(buf, HeaderLen)
-	PutHeader(b, Header{Type: FrameSubscribe, Corr: corr})
-	return b
+	return startFrame(buf, FrameSubscribe, corr)
 }
 
 // EncodeShootdown fills buf with a Shootdown push frame. The epoch
@@ -1040,13 +984,8 @@ func EncodeShootdown(buf []byte, sd Shootdown) ([]byte, error) {
 	if sd.Epoch&1 != 0 {
 		return nil, ErrNotEncodable
 	}
-	const size = 16
-	b := ensure(buf, HeaderLen+size)
-	PutHeader(b, Header{Len: size, Type: FrameShootdown})
-	binary.BigEndian.PutUint32(b[HeaderLen:], sd.Shard)
-	binary.BigEndian.PutUint32(b[HeaderLen+4:], sd.Segno)
-	binary.BigEndian.PutUint64(b[HeaderLen+8:], sd.Epoch)
-	return b, nil
+	b := appendUint64(startFrame(buf, FrameShootdown, 0), uint64(sd.Shard)<<32|uint64(sd.Segno))
+	return endFrame(appendUint64(b, sd.Epoch)), nil
 }
 
 // decodeShootdown decodes a Shootdown payload.
@@ -1069,13 +1008,8 @@ func EncodeLeaseExpire(buf []byte, le LeaseExpire) ([]byte, error) {
 	if le.Code == 0 {
 		return nil, ErrNotEncodable
 	}
-	const size = 8
-	b := ensure(buf, HeaderLen+size)
-	PutHeader(b, Header{Len: size, Type: FrameLeaseExpire})
-	binary.BigEndian.PutUint16(b[HeaderLen:], le.Code)
-	binary.BigEndian.PutUint16(b[HeaderLen+2:], 0)
-	binary.BigEndian.PutUint32(b[HeaderLen+4:], 0)
-	return b, nil
+	// The code, then six reserved zero bytes.
+	return endFrame(appendUint64(startFrame(buf, FrameLeaseExpire, 0), uint64(le.Code)<<48)), nil
 }
 
 // decodeLeaseExpire decodes a LeaseExpire payload.
@@ -1120,17 +1054,13 @@ type Tables struct {
 
 // EncodeFetch fills buf with a Fetch frame.
 func EncodeFetch(buf []byte, corr uint64, f Fetch) []byte {
-	const size = 16
-	b := ensure(buf, HeaderLen+size)
-	PutHeader(b, Header{Len: size, Type: FrameFetch, Corr: corr})
-	binary.BigEndian.PutUint64(b[HeaderLen:], f.Shards)
-	var flags uint32
+	// The shard mask, then the flags and four reserved zero bytes.
+	var flags uint64
 	if f.Names {
 		flags = 1
 	}
-	binary.BigEndian.PutUint32(b[HeaderLen+8:], flags)
-	binary.BigEndian.PutUint32(b[HeaderLen+12:], 0)
-	return b
+	b := appendUint64(startFrame(buf, FrameFetch, corr), f.Shards)
+	return endFrame(appendUint64(b, flags<<32))
 }
 
 // decodeFetch decodes a Fetch payload.
@@ -1148,12 +1078,6 @@ func decodeFetch(p []byte) (Fetch, error) {
 	return f, nil
 }
 
-// canonicalSDW reports whether sdw survives its Figure 3 word pair
-// unchanged and holds the store's invariants (seg.SDW.Validate).
-func canonicalSDW(sdw seg.SDW) bool {
-	return seg.Decode(sdw.Encode()) == sdw && sdw.Validate() == nil
-}
-
 // EncodeTables fills buf with a Tables frame. Every table's epoch must
 // be even and every view canonical as an SDW at core address 0; names
 // follow the query-name rules.
@@ -1165,8 +1089,10 @@ func canonicalSDW(sdw seg.SDW) bool {
 //	(4), reserved (4), and the SDWs as even/odd word pairs; then each
 //	name as a length word and packed characters.
 func EncodeTables(buf []byte, corr uint64, t *Tables) ([]byte, error) {
+	b := startFrame(buf, FrameTables, corr)
+	b = appendUint64(b, 0) // the mask, written once the shards are
+	b = appendUint64(b, uint64(len(t.Names))<<32)
 	var mask uint64
-	size := 16
 	for i, tab := range t.Tables {
 		if tab == nil {
 			continue
@@ -1174,45 +1100,28 @@ func EncodeTables(buf []byte, corr uint64, t *Tables) ([]byte, error) {
 		if tab.Epoch()&1 != 0 {
 			return nil, ErrNotEncodable
 		}
+		mask |= 1 << i
+		b = appendUint64(b, tab.Epoch())
+		b = appendUint64(b, uint64(len(tab.Views()))<<32)
 		for _, v := range tab.Views() {
-			if !canonicalSDW(seg.FromView(v)) {
+			// The view must survive its Figure 3 word pair unchanged and
+			// hold the store's invariants (seg.SDW.Validate).
+			sdw := seg.FromView(v)
+			even, odd := sdw.Encode()
+			if seg.Decode(even, odd) != sdw || sdw.Validate() != nil {
 				return nil, ErrNotEncodable
 			}
+			b = appendWord(appendWord(b, even), odd)
 		}
-		mask |= 1 << i
-		size += 16 + 2*wordBytes*len(tab.Views())
 	}
-	for _, name := range t.Names {
-		if err := validString(name, maxQueryName); err != nil {
-			return nil, err
-		}
-		size += wordBytes + stringWords(len(name))*wordBytes
-	}
-	b := ensure(buf, HeaderLen+size)
-	PutHeader(b, Header{Len: uint32(size), Type: FrameTables, Corr: corr})
 	binary.BigEndian.PutUint64(b[HeaderLen:], mask)
-	binary.BigEndian.PutUint32(b[HeaderLen+8:], uint32(len(t.Names)))
-	binary.BigEndian.PutUint32(b[HeaderLen+12:], 0)
-	off := HeaderLen + 16
-	for _, tab := range t.Tables {
-		if tab == nil {
-			continue
-		}
-		binary.BigEndian.PutUint64(b[off:], tab.Epoch())
-		binary.BigEndian.PutUint32(b[off+8:], uint32(len(tab.Views())))
-		binary.BigEndian.PutUint32(b[off+12:], 0)
-		off += 16
-		for _, v := range tab.Views() {
-			even, odd := seg.FromView(v).Encode()
-			off = putWord(b, off, even)
-			off = putWord(b, off, odd)
-		}
-	}
 	for _, name := range t.Names {
-		off = putLenWord(b, off, len(name))
-		off = putPackedString(b, off, name)
+		var ok bool
+		if b, ok = appendString(b, name, maxQueryName); !ok {
+			return nil, ErrNotEncodable
+		}
 	}
-	return b, nil
+	return endFrame(b), nil
 }
 
 // decodeTables decodes a Tables payload, enforcing even epochs and

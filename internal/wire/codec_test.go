@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -109,58 +111,162 @@ func TestDecisionViolationDerivedFromKind(t *testing.T) {
 	}
 }
 
+// TestEncodeRejectsUnencodable lists every input the encoders reject.
+// Each row must fail with ErrNotEncodable and no frame, also when
+// encoded behind queued answers. A row that exceeds a field width has
+// an accepted twin, the same frame with that field at its limit, which
+// must round-trip through DecodeFrame. Some rows put the bad element
+// after valid ones, so an encoder that writes as it checks has already
+// written part of the frame when it rejects.
 func TestEncodeRejectsUnencodable(t *testing.T) {
-	cases := map[string]Frame{
-		"ring too wide": {Type: FrameCheck, Queries: []service.Query{
-			{Op: service.OpAccess, Ring: 8, Segment: "data"}}},
-		"effring too wide": {Type: FrameCheck, Queries: []service.Query{
-			{Op: service.OpAccess, Ring: 1, EffRing: ringp(9)}}},
-		"segno too wide": {Type: FrameCheck, Queries: []service.Query{
-			{Op: service.OpAccess, Segno: seg.MaxSegno + 1}}},
-		"wordno too wide": {Type: FrameCheck, Queries: []service.Query{
-			{Op: service.OpAccess, Wordno: 1 << seg.WordnoBits}}},
-		"bad op": {Type: FrameCheck, Queries: []service.Query{{Op: "sniff"}}},
-		"bad kind": {Type: FrameCheck, Queries: []service.Query{
-			{Op: service.OpAccess, Kind: 4}}},
-		"name and segno": {Type: FrameCheck, Queries: []service.Query{
-			{Op: service.OpAccess, Segment: "data", Segno: 3}}},
-		"name too long": {Type: FrameCheck, Queries: []service.Query{
-			{Op: service.OpAccess, Segment: strings.Repeat("x", maxQueryName+1)}}},
-		"nul in name": {Type: FrameCheck, Queries: []service.Query{
-			{Op: service.OpAccess, Segment: "da\x00ta"}}},
-		"chain ring too wide": {Type: FrameCheck, Queries: []service.Query{
-			{Op: service.OpEffRing, Chain: []service.ChainStep{{Ring: 8}}}}},
-		"pr step with segno": {Type: FrameCheck, Queries: []service.Query{
-			{Op: service.OpEffRing, Chain: []service.ChainStep{{PR: true, Segno: 1}}}}},
-		"decision bad outcome": {Type: FrameDecisions, Decisions: []service.Decision{
-			{Outcome: "sideways call"}}},
-		"decision worker too wide": {Type: FrameDecisions, Decisions: []service.Decision{
-			{Worker: 1 << 15}}},
-		"decision shard too wide": {Type: FrameDecisions, Decisions: []service.Decision{
-			{Shard: 127}}},
-		"mutation bad op": {Type: FrameMutate, Mutation: Mutation{Op: 9}},
-		"mutation gates too wide": {Type: FrameMutate, Mutation: Mutation{
-			Op: MutSetBrackets, Segment: "code", Gates: 1 << 14}},
-		"mutation brackets on revoke": {Type: FrameMutate, Mutation: Mutation{
-			Op: MutRevoke, Segment: "data", Read: true}},
-		"hello zero min":       {Type: FrameHello, Hello: Hello{MaxVersion: 1}},
-		"hello inverted range": {Type: FrameHello, Hello: Hello{MinVersion: 2, MaxVersion: 1}},
-		"error zero code":      {Type: FrameError, Err: ErrFrame{Msg: "x"}},
-		"tables odd epoch": {Type: FrameTables, Tables: Tables{
-			Tables: [service.MaxShards]*service.Table{service.NewTable(3, nil)}}},
-		"tables brackets out of order": {Type: FrameTables, Tables: Tables{
-			Tables: [service.MaxShards]*service.Table{service.NewTable(2, []core.SDWView{{Present: true, Bound: 1,
-				Brackets: core.Brackets{R1: 3, R2: 1, R3: 1}}})}}},
-		"tables gates past bound": {Type: FrameTables, Tables: Tables{
-			Tables: [service.MaxShards]*service.Table{service.NewTable(2, []core.SDWView{{Present: true, Bound: 1, GateCount: 2}})}}},
-		"tables nul in name": {Type: FrameTables, Tables: Tables{Names: []string{"da\x00ta"}}},
+	check := func(qs ...service.Query) Frame { return Frame{Type: FrameCheck, Corr: 1, Queries: qs} }
+	access := func(q service.Query) service.Query { q.Op = service.OpAccess; return q }
+	// batch is a 64-query check whose last query is last.
+	batch := func(last service.Query) Frame {
+		qs := make([]service.Query, 64)
+		for i := range qs[:63] {
+			qs[i] = service.Query{Op: service.OpAccess, Ring: core.Ring(i % 8), Segno: uint32(i)}
+		}
+		qs[63] = last
+		return check(qs...)
 	}
-	for name, f := range cases {
+	decisions := func(ds ...service.Decision) Frame { return Frame{Type: FrameDecisions, Corr: 1, Decisions: ds} }
+	// decided is a valid decision followed by last.
+	decided := func(last service.Decision) Frame {
+		return decisions(service.Decision{Allowed: true, Shard: 2, VersionLo: 4, VersionHi: 4}, last)
+	}
+	effring := func(last service.ChainStep) Frame {
+		return check(service.Query{Op: service.OpEffRing, Ring: 1, Chain: []service.ChainStep{
+			{PR: true, Ring: 2}, {Segno: 7, Ring: 3}, last}})
+	}
+	mutate := func(m Mutation) Frame { return Frame{Type: FrameMutate, Corr: 1, Mutation: m} }
+	setBrackets := func(b core.Brackets, gates uint32) Frame {
+		return mutate(Mutation{Op: MutSetBrackets, Segment: "code", Execute: true, Brackets: b, Gates: gates})
+	}
+	// shards carries a valid shard 0 and a shard 5 holding view.
+	shards := func(view core.SDWView) Frame {
+		var ts Tables
+		ts.Tables[0] = service.NewTable(2, []core.SDWView{{Present: true, Bound: 4, Read: true,
+			Brackets: core.Brackets{R1: 1, R2: 2, R3: 3}}})
+		ts.Tables[5] = service.NewTable(6, []core.SDWView{{Bound: 1}, view})
+		return Frame{Type: FrameTables, Corr: 1, Tables: ts}
+	}
+	// shards0 carries only shard 0, holding view.
+	shards0 := func(view core.SDWView) Frame {
+		return Frame{Type: FrameTables, Tables: Tables{Tables: [service.MaxShards]*service.Table{service.NewTable(2, []core.SDWView{view})}}}
+	}
+	oddSecond := shards(core.SDWView{})
+	oddSecond.Tables.Tables[5] = service.NewTable(7, nil)
+	names := func(last string) Frame {
+		return Frame{Type: FrameTables, Corr: 1, Tables: Tables{Names: []string{"data", "code", last}}}
+	}
+	long := func(n int) string { return strings.Repeat("x", n) }
+	longChain := func(n int) []service.ChainStep { return make([]service.ChainStep, n) }
+
+	// Rows beyond a field width, each with its twin at the limit.
+	widths := map[string][2]Frame{
+		"ring too wide":    {check(access(service.Query{Ring: 8, Segment: "data"})), check(access(service.Query{Ring: 7, Segment: "data"}))},
+		"effring too wide": {check(access(service.Query{Ring: 1, EffRing: ringp(8)})), check(access(service.Query{Ring: 1, EffRing: ringp(7)}))},
+		"bad kind":         {check(access(service.Query{Kind: 4})), check(access(service.Query{Kind: 3}))},
+		"segno too wide":   {check(access(service.Query{Segno: seg.MaxSegno + 1})), check(access(service.Query{Segno: seg.MaxSegno}))},
+		"wordno too wide":  {check(access(service.Query{Wordno: 1 << seg.WordnoBits})), check(access(service.Query{Wordno: 1<<seg.WordnoBits - 1}))},
+		"name too long":    {check(access(service.Query{Segment: long(maxQueryName + 1)})), check(access(service.Query{Segment: long(maxQueryName)}))},
+		"chain too long": {check(service.Query{Op: service.OpEffRing, Chain: longChain(1 << 16)}),
+			check(service.Query{Op: service.OpEffRing, Chain: longChain(1<<16 - 1)})},
+		"chain ring too wide": {check(service.Query{Op: service.OpEffRing, Chain: []service.ChainStep{{Ring: 8}}}),
+			check(service.Query{Op: service.OpEffRing, Chain: []service.ChainStep{{Ring: 7}}})},
+		"last query wordno too wide": {batch(access(service.Query{Wordno: 1 << seg.WordnoBits})),
+			batch(access(service.Query{Wordno: 1<<seg.WordnoBits - 1}))},
+		"last chain step ring too wide":   {effring(service.ChainStep{Ring: 8}), effring(service.ChainStep{Ring: 7})},
+		"last chain step segno too wide":  {effring(service.ChainStep{Segno: seg.MaxSegno + 1}), effring(service.ChainStep{Segno: seg.MaxSegno})},
+		"decision worker too wide":        {decisions(service.Decision{Worker: 1 << 15}), decisions(service.Decision{Worker: 1<<15 - 1})},
+		"decision shard too wide":         {decisions(service.Decision{Shard: 127}), decisions(service.Decision{Shard: 126})},
+		"last decision new ring too wide": {decided(service.Decision{NewRing: 8}), decided(service.Decision{NewRing: 7})},
+		"last decision worker too wide":   {decided(service.Decision{Worker: 1 << 15}), decided(service.Decision{Worker: 1<<15 - 1})},
+		"last decision shard too wide":    {decided(service.Decision{Shard: 127}), decided(service.Decision{Shard: 126})},
+		"last decision shard below -1":    {decided(service.Decision{Shard: -2}), decided(service.Decision{Shard: -1})},
+		"last decision violation kind too wide": {
+			decided(service.Decision{ViolationKind: core.ViolationKind(core.ViolationKindCount)}),
+			decided(service.Decision{ViolationKind: core.ViolationKind(core.ViolationKindCount - 1),
+				Violation: core.ViolationKind(core.ViolationKindCount - 1).String()})},
+		"last decision negative violation kind": {decided(service.Decision{ViolationKind: -1}), decided(service.Decision{})},
+		"last decision err too long":            {decided(service.Decision{Err: long(maxString + 1)}), decided(service.Decision{Err: long(maxString)})},
+		"mutation segno too wide": {mutate(Mutation{Op: MutRevoke, Segno: seg.MaxSegno + 1}),
+			mutate(Mutation{Op: MutRevoke, Segno: seg.MaxSegno})},
+		"mutation name too long": {mutate(Mutation{Op: MutRestore, Segment: long(maxQueryName + 1)}),
+			mutate(Mutation{Op: MutRestore, Segment: long(maxQueryName)})},
+		"mutation ring too wide": {setBrackets(core.Brackets{R1: 7, R2: 7, R3: 8}, 0), setBrackets(core.Brackets{R1: 7, R2: 7, R3: 7}, 0)},
+		"mutation gates too wide": {setBrackets(core.Brackets{R1: 1, R2: 1, R3: 5}, seg.MaxGate+1),
+			setBrackets(core.Brackets{R1: 1, R2: 1, R3: 5}, seg.MaxGate)},
+		"hello tenant too long": {{Type: FrameHello, Hello: Hello{MinVersion: 1, MaxVersion: 1, Tenant: long(maxQueryName + 1)}},
+			{Type: FrameHello, Hello: Hello{MinVersion: 1, MaxVersion: 1, Tenant: long(maxQueryName)}}},
+		"error message too long": {{Type: FrameError, Corr: 1, Err: ErrFrame{Code: CodeBadRequest, Msg: long(maxString + 1)}},
+			{Type: FrameError, Corr: 1, Err: ErrFrame{Code: CodeBadRequest, Msg: long(maxString)}}},
+		"last name too long": {names(long(maxQueryName + 1)), names(long(maxQueryName))},
+	}
+	// Rows no field limit separates from an accepted frame.
+	cases := map[string]Frame{
+		"bad op":                             check(service.Query{Op: "sniff"}),
+		"negative kind":                      check(access(service.Query{Kind: -1})),
+		"name and segno":                     check(access(service.Query{Segment: "data", Segno: 3})),
+		"nul in name":                        check(access(service.Query{Segment: "da\x00ta"})),
+		"pr step with segno":                 check(service.Query{Op: service.OpEffRing, Chain: []service.ChainStep{{PR: true, Segno: 1}}}),
+		"last chain step pr with segno":      effring(service.ChainStep{PR: true, Segno: 1}),
+		"last query bad op":                  batch(service.Query{Op: "sniff"}),
+		"decision bad outcome":               decisions(service.Decision{Outcome: "sideways call"}),
+		"last decision bad outcome":          decided(service.Decision{Outcome: "sideways call"}),
+		"last decision nul in err":           decided(service.Decision{Err: "bad\x00"}),
+		"mutation bad op":                    mutate(Mutation{Op: 9}),
+		"mutation name and segno":            mutate(Mutation{Op: MutRevoke, Segment: "data", Segno: 3}),
+		"mutation nul in name":               mutate(Mutation{Op: MutRevoke, Segment: "da\x00ta"}),
+		"mutation brackets on revoke":        mutate(Mutation{Op: MutRevoke, Segment: "data", Read: true}),
+		"mutation gates on restore":          mutate(Mutation{Op: MutRestore, Segment: "data", Gates: 1}),
+		"hello zero min":                     {Type: FrameHello, Hello: Hello{MaxVersion: 1}},
+		"hello inverted range":               {Type: FrameHello, Hello: Hello{MinVersion: 2, MaxVersion: 1}},
+		"hello nul in tenant":                {Type: FrameHello, Hello: Hello{MinVersion: 1, MaxVersion: 1, Tenant: "a\x00"}},
+		"welcome zero version":               {Type: FrameWelcome},
+		"error zero code":                    {Type: FrameError, Err: ErrFrame{Msg: "x"}},
+		"error nul in message":               {Type: FrameError, Corr: 1, Err: ErrFrame{Code: CodeBadRequest, Msg: "x\x00"}},
+		"shootdown odd epoch":                {Type: FrameShootdown, Shootdown: Shootdown{Epoch: 3}},
+		"lease expire zero code":             {Type: FrameLeaseExpire},
+		"tables odd epoch":                   {Type: FrameTables, Tables: Tables{Tables: [service.MaxShards]*service.Table{service.NewTable(3, nil)}}},
+		"tables brackets out of order":       shards0(core.SDWView{Present: true, Bound: 1, Brackets: core.Brackets{R1: 3, R2: 1, R3: 1}}),
+		"tables gates past bound":            shards0(core.SDWView{Present: true, Bound: 1, GateCount: 2}),
+		"second shard brackets out of order": shards(core.SDWView{Present: true, Bound: 1, Brackets: core.Brackets{R1: 3, R2: 1, R3: 1}}),
+		"second shard odd epoch":             oddSecond,
+		"tables nul in name":                 {Type: FrameTables, Tables: Tables{Names: []string{"da\x00ta"}}},
+		"last name nul":                      names("co\x00de"),
+	}
+	// A session encodes each answer into the spare capacity of the
+	// answers it has queued, so a rejected frame must leave those as
+	// they were.
+	queue, err := EncodeDecisions(make([]byte, 0, 1<<16), 1, []service.Decision{{Allowed: true, Shard: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := bytes.Clone(queue)
+	rejects := func(t *testing.T, f Frame) {
+		t.Helper()
+		for _, buf := range [][]byte{nil, queue[len(queue):]} {
+			if b, err := EncodeFrame(buf, f); !errors.Is(err, ErrNotEncodable) || b != nil {
+				t.Errorf("encode = %d bytes, %v; want no frame and ErrNotEncodable", len(b), err)
+			}
+		}
+		if !bytes.Equal(queue, queued) {
+			t.Errorf("rejected encode changed the queued answers:\n got %x\nwant %x", queue, queued)
+		}
+	}
+	for name, pair := range widths {
 		t.Run(name, func(t *testing.T) {
-			if _, err := EncodeFrame(nil, f); err == nil {
-				t.Errorf("encode accepted %+v", f)
+			rejects(t, pair[0])
+			b := roundTrip(t, pair[1])
+			if got, _, _ := DecodeFrame(b); !reflect.DeepEqual(got, pair[1]) {
+				t.Errorf("twin at the limit decodes to\n %+v\nwant\n %+v", got, pair[1])
 			}
 		})
+	}
+	for name, f := range cases {
+		t.Run(name, func(t *testing.T) { rejects(t, f) })
 	}
 }
 
@@ -182,7 +288,7 @@ func TestDecodeTablesRejectsAddress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		putWord(mut, off, even.Deposit(0, seg.AddrBits, addr))
+		binary.BigEndian.PutUint64(mut[off:], even.Deposit(0, seg.AddrBits, addr).Uint64())
 		if _, _, err := DecodeFrame(mut); err == nil {
 			t.Errorf("decode accepted an SDW at core address %o", addr)
 		}

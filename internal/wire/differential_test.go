@@ -117,8 +117,8 @@ func TestDifferentialGoldenReplay(t *testing.T) {
 	}
 
 	// check_queue_full.json <-> the shed error frame's message
-	// (TestSessionBackpressureShed drives a live shed and asserts
-	// code 429 with exactly this string).
+	// (internal/service's TestSessionBackpressureShed drives a live
+	// shed and asserts code 429 with exactly this string).
 	readGolden(t, "check_queue_full.json", &fixtureErr)
 	if service.ErrQueueFull.Error() != fixtureErr.Error {
 		t.Errorf("shed message %q, fixture %q", service.ErrQueueFull.Error(), fixtureErr.Error)

@@ -2,11 +2,17 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"net"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/seg"
+	"repro/internal/service"
 	"repro/internal/tenant"
 )
 
@@ -39,6 +45,77 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		if !bytes.Equal(re, data[:n]) {
 			t.Fatalf("round trip drifted:\n got %x\nwant %x", re, data[:n])
+		}
+	})
+}
+
+// FuzzEncodeRoundTrip drives the encoders with arbitrary field values,
+// widths exceeded included: one query and one decision built from the
+// fuzz arguments. Encoding either rejects the value with
+// ErrNotEncodable and no frame, or yields a frame that decodes back to
+// the same value and re-encodes to the same bytes. A decision's
+// Violation is derived from its ViolationKind, as the codec defines.
+func FuzzEncodeRoundTrip(f *testing.F) {
+	// op, ring, kind, eff, same, segno, wordno, name, chain, then the
+	// decision's flags, outcome, kind, new ring, shard, worker, version
+	// and message.
+	f.Add(uint8(0), uint8(4), int8(1), int16(-1), false, uint32(0), uint32(3), "data", []byte{},
+		uint8(1), uint8(0), int8(0), uint8(0), int16(0), int32(0), uint64(2), "")
+	f.Add(uint8(1), uint8(4), int8(0), int16(3), true, uint32(2), uint32(1), "", []byte{},
+		uint8(1), uint8(2), int8(0), uint8(3), int16(1), int32(7), uint64(4), "")
+	f.Add(uint8(3), uint8(2), int8(0), int16(-1), false, uint32(0), uint32(0), "", []byte{0x83, 0, 0, 0, 0x01, 0, 0, 9},
+		uint8(0), uint8(0), int8(4), uint8(0), int16(-1), int32(1<<15-1), uint64(1<<60), "")
+	f.Add(uint8(2), uint8(7), int8(3), int16(7), false, uint32(seg.MaxSegno), uint32(1<<seg.WordnoBits-1), "", []byte{},
+		uint8(3), uint8(6), int8(core.ViolationKindCount-1), uint8(7), int16(126), int32(0), uint64(0), "invalid access kind 3")
+	f.Add(uint8(4), uint8(8), int8(4), int16(8), false, uint32(seg.MaxSegno+1), uint32(1<<seg.WordnoBits), "da\x00ta", []byte{0x08, 0xFF, 0xFF, 0xFF},
+		uint8(0), uint8(7), int8(core.ViolationKindCount), uint8(8), int16(127), int32(1<<15), uint64(1), "bad\x00")
+	f.Add(uint8(0), uint8(0), int8(-1), int16(-1), false, uint32(3), uint32(0), "code", []byte{},
+		uint8(0), uint8(0), int8(-1), uint8(0), int16(-2), int32(-1), uint64(0), strings.Repeat("x", maxString+1))
+	ops := [...]service.Op{service.OpAccess, service.OpCall, service.OpReturn, service.OpEffRing, "sniff"}
+	outcomes := append(outcomeName[:], "sideways call")
+	f.Fuzz(func(t *testing.T, op, ring uint8, kind int8, eff int16, same bool, segno, wordno uint32, name string, chain []byte,
+		flags, outcome uint8, vk int8, newRing uint8, shard int16, worker int32, version uint64, msg string) {
+		q := service.Query{Op: ops[int(op)%len(ops)], Ring: core.Ring(ring), Kind: core.AccessKind(kind),
+			SameSegment: same, Segno: segno, Wordno: wordno, Segment: name}
+		if eff >= 0 {
+			r := core.Ring(min(eff, 0xFF))
+			q.EffRing = &r
+		}
+		// Four bytes per chain step: PR in the top bit and the ring in
+		// the other seven, then a 24-bit segment number.
+		for i := 0; i+4 <= len(chain); i += 4 {
+			q.Chain = append(q.Chain, service.ChainStep{PR: chain[i]&0x80 != 0, Ring: core.Ring(chain[i] & 0x7F),
+				Segno: uint32(chain[i+1])<<16 | uint32(chain[i+2])<<8 | uint32(chain[i+3])})
+		}
+		d := service.Decision{Allowed: flags&1 != 0, Trapped: flags&2 != 0,
+			Outcome: outcomes[int(outcome)%len(outcomes)], ViolationKind: core.ViolationKind(vk),
+			NewRing: core.Ring(newRing), Shard: int(shard), Worker: int(worker),
+			VersionLo: version, VersionHi: version + uint64(flags), Err: msg}
+		if vk != 0 {
+			d.Violation = d.ViolationKind.String()
+		}
+		for _, fr := range []Frame{
+			{Type: FrameCheck, Corr: version, Queries: []service.Query{q}},
+			{Type: FrameDecisions, Corr: version, Decisions: []service.Decision{d}},
+		} {
+			b, err := EncodeFrame(nil, fr)
+			if err != nil {
+				if !errors.Is(err, ErrNotEncodable) || b != nil {
+					t.Fatalf("%v: encode = %d bytes, %v; want no frame and ErrNotEncodable", fr.Type, len(b), err)
+				}
+				continue
+			}
+			got, n, err := DecodeFrame(b)
+			if err != nil || n != len(b) {
+				t.Fatalf("%v: encoded frame does not decode: %v (%d of %d bytes)", fr.Type, err, n, len(b))
+			}
+			if !reflect.DeepEqual(got, fr) {
+				t.Fatalf("%v: decoded\n %+v\nwant\n %+v", fr.Type, got, fr)
+			}
+			re, err := EncodeFrame(nil, got)
+			if err != nil || !bytes.Equal(re, b) {
+				t.Fatalf("%v: re-encode drifted (%v):\n got %x\nwant %x", fr.Type, err, re, b)
+			}
 		}
 	})
 }

@@ -465,9 +465,8 @@ func submitCode(err error) uint16 {
 		return CodeShed
 	case errors.Is(err, service.ErrBatchTooLarge):
 		return CodeBadRequest
-	case errors.Is(err, tenant.ErrLoading), errors.Is(err, tenant.ErrDraining),
-		errors.Is(err, service.ErrClosed), errors.Is(err, tenant.ErrTenantNotFound):
-		return CodeUnavailable
+	case errors.Is(err, tenant.ErrTenantNotFound):
+		return CodeNotFound
 	default:
 		return CodeUnavailable
 	}

@@ -251,6 +251,31 @@ func TestHandshakeRejections(t *testing.T) {
 	})
 }
 
+// TestCheckOnEvictedTenantNotFound checks a batch on a session whose
+// tenant was evicted after the handshake: the answer is code 404, as
+// the HTTP surface answers an evicted tenant, and the session stays
+// open.
+func TestCheckOnEvictedTenantNotFound(t *testing.T) {
+	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 1})
+	_, addr := startWireServer(t, reg, Config{})
+	c, err := Dial(addr, ClientConfig{})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	if err := reg.Evict(tenant.DefaultTenant); err != nil {
+		t.Fatalf("evict: %v", err)
+	}
+	_, err = c.Check(service.Query{Op: service.OpAccess, Ring: 3, Segment: "data"})
+	var ef *ErrFrame
+	if !errors.As(err, &ef) || ef.Code != CodeNotFound || ef.Msg != tenant.ErrTenantNotFound.Error() {
+		t.Errorf("check on an evicted tenant = %v, want code %d %q", err, CodeNotFound, tenant.ErrTenantNotFound.Error())
+	}
+	if _, err := c.Ping(); err != nil {
+		t.Errorf("ping after the rejected check: %v", err)
+	}
+}
+
 // TestPayloadOnEmptyFrameRejected sends, after the handshake, a Ping
 // and a Subscribe that each carry a payload their type forbids, as
 // DecodeFrame rules: the session answers Error 400 and closes.
@@ -376,184 +401,6 @@ func TestSessionOversizeFrameRejectedBeforeAllocation(t *testing.T) {
 	if _, _, err := readFrame(conn, &buf, DefaultMaxFrame); err == nil {
 		t.Error("session stayed open after oversize frame")
 	}
-}
-
-// TestSessionBackpressureShed floods a 1-worker depth-1 tenant whose
-// queue is held full by in-process blocker batches: overload must
-// answer 429-coded error frames — not hang, not drop — and every
-// correlation ID must get exactly one response (conservation). A
-// second wave after the blockers stop proves the session recovers and
-// serves again.
-func TestSessionBackpressureShed(t *testing.T) {
-	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 1, QueueDepth: 1, BatchLimit: 4096})
-	_, addr := startWireServer(t, reg, Config{})
-	conn := dialRaw(t, addr)
-	tnt, _ := reg.Get(tenant.DefaultTenant)
-
-	queries := make([]service.Query, 64)
-	for i := range queries {
-		queries[i] = service.Query{Op: service.OpAccess, Ring: 3, Segno: uint32(i % 3), Wordno: 1}
-	}
-	const shedWave, servedWave = 256, 64
-	const frames = shedWave + servedWave
-
-	// The response reader runs concurrently with the flood so neither
-	// side can stall on a full socket buffer.
-	type tally struct {
-		answered     map[uint64]int
-		shed, served int
-		err          error
-	}
-	results := make(chan tally, 1)
-	firstWave := make(chan struct{})
-	go func() {
-		res := tally{answered: make(map[uint64]int, frames)}
-		signalled := false
-		var rbuf []byte
-		for {
-			if !signalled && len(res.answered) == shedWave {
-				signalled = true
-				close(firstWave)
-			}
-			_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-			h, payload, err := readFrame(conn, &rbuf, DefaultMaxFrame)
-			if err != nil {
-				if err != io.EOF {
-					res.err = err
-				}
-				results <- res
-				return
-			}
-			res.answered[h.Corr]++
-			switch h.Type {
-			case FrameDecisions:
-				n, derr := DecodeDecisionsInto(payload, make([]service.Decision, len(queries)))
-				if derr != nil || n != len(queries) {
-					res.err = fmt.Errorf("decisions frame corr %d: n=%d err=%v", h.Corr, n, derr)
-					results <- res
-					return
-				}
-				res.served++
-			case FrameError:
-				e, derr := decodeError(payload)
-				if derr != nil {
-					res.err = derr
-					results <- res
-					return
-				}
-				if e.Code != CodeShed || e.Msg != service.ErrQueueFull.Error() {
-					res.err = fmt.Errorf("error frame corr %d: %d %q, want %d %q",
-						h.Corr, e.Code, e.Msg, CodeShed, service.ErrQueueFull.Error())
-					results <- res
-					return
-				}
-				res.shed++
-			default:
-				res.err = fmt.Errorf("unexpected frame %v for corr %d", h.Type, h.Corr)
-				results <- res
-				return
-			}
-		}
-	}()
-
-	// Blockers: big in-process batches that keep the single worker busy
-	// and the depth-1 queue full while the first wave floods in.
-	stop := make(chan struct{})
-	var bwg sync.WaitGroup
-	var blockerSheds atomic.Int64
-	for i := 0; i < 3; i++ {
-		bwg.Add(1)
-		go func() {
-			defer bwg.Done()
-			big := make([]service.Query, 4096)
-			for j := range big {
-				big[j] = service.Query{Op: service.OpAccess, Ring: 3, Segno: uint32(j % 3)}
-			}
-			dst := make([]service.Decision, len(big))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := tnt.SubmitInto(context.Background(), big, dst); errors.Is(err, service.ErrQueueFull) {
-					blockerSheds.Add(1)
-				}
-			}
-		}()
-	}
-
-	// The flood must meet a full queue. A blocker shed shows the other
-	// two hold the processor and the waiting slot, so each part of the
-	// flood is written only after a blocker was shed since the part
-	// before. Written in one burst, the flood could be decided whole
-	// while the scheduler ran none of the blockers, and find the queue
-	// empty.
-	awaitHeld := func() {
-		n := blockerSheds.Load()
-		for deadline := time.Now().Add(10 * time.Second); blockerSheds.Load() == n; {
-			if time.Now().After(deadline) {
-				t.Fatal("blockers never filled the depth-1 queue")
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-
-	var wbuf []byte
-	writeWave := func(lo, hi uint64) {
-		for corr := lo; corr <= hi; corr++ {
-			b, err := EncodeCheck(wbuf, corr, queries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wbuf = b
-			if _, err := conn.Write(b); err != nil {
-				t.Fatalf("write frame %d: %v", corr, err)
-			}
-		}
-	}
-	const part = 16
-	for lo := uint64(1); lo <= shedWave; lo += part {
-		awaitHeld()
-		writeWave(lo, lo+part-1)
-	}
-	// Hold the blockers until every first-wave response has landed:
-	// socket buffering means the server processes the flood long after
-	// the writes return.
-	select {
-	case <-firstWave:
-	case res := <-results:
-		t.Fatalf("reader quit before the first wave resolved: %v (answered %d)", res.err, len(res.answered))
-	}
-	close(stop)
-	bwg.Wait()
-	writeWave(shedWave+1, frames)
-	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
-		t.Fatalf("close write: %v", err)
-	}
-
-	res := <-results
-	if res.err != nil {
-		t.Fatal(res.err)
-	}
-	if len(res.answered) != frames {
-		t.Errorf("answered %d of %d correlation IDs", len(res.answered), frames)
-	}
-	for corr, n := range res.answered {
-		if corr == 0 || corr > frames {
-			t.Errorf("response for unsent correlation %d", corr)
-		}
-		if n != 1 {
-			t.Errorf("correlation %d answered %d times", corr, n)
-		}
-	}
-	if res.shed == 0 {
-		t.Error("no batch shed through a held depth-1 queue")
-	}
-	if res.served == 0 {
-		t.Error("no batch served after the blockers released")
-	}
-	t.Logf("served %d, shed %d", res.served, res.shed)
 }
 
 // TestGracefulDrainKeepsAcceptedBatches shuts the server down while
