@@ -1,12 +1,12 @@
 // Command ringd is the protection-decision daemon: an image registry
 // serving N independent descriptor spaces (tenants) from one process.
 // Each loaded machine image becomes a tenant with its own sharded
-// descriptor store, its own decision processors — each an MMU reading
-// immutable RCU descriptor snapshots pinned per batch, so decisions
-// never lock against supervisor edits, borrowed by a request to decide
-// its batch — and its own bound on requests waiting for a processor,
-// so one hot tenant sheds its own overload instead of starving the
-// rest.
+// descriptor store, its own decision processors — each a decider over
+// the immutable RCU descriptor snapshots it pins per batch, so
+// decisions never lock against supervisor edits, borrowed by a request
+// to decide its batch — and its own bound on requests waiting for a
+// processor, so one hot tenant sheds its own overload instead of
+// starving the rest.
 //
 // Usage:
 //
@@ -38,14 +38,16 @@
 // binds its tenant at the Hello handshake; seal/drain races answer
 // 409-equivalent error frames). A session that sends a Subscribe frame
 // additionally receives the tenant's descriptor-invalidation stream:
-// one Shootdown push per mutation (naming the publishing shard's new
-// epoch) and a final LeaseExpire when the tenant drains — the feed a
-// client-side SDW replica (rings.DialRemote with CacheSize) stays
-// coherent by. A Fetch frame answers the published descriptor tables
-// of the shards it names, each stamped with its even epoch, which is
-// how the replica fills and refreshes itself. Per-tenant
-// subscriber/shootdown/expire counters appear under "leases" in
-// /metrics. See DESIGN.md "Wire protocol" and "Client SDW replicas".
+// a Shootdown push for each shard whose published table moved, naming
+// the table's epoch and the segment whose edit published it (edits
+// that land before a push is written coalesce into one), and a final
+// LeaseExpire when the tenant is evicted — the feed a client-side SDW
+// replica (rings.DialRemote with CacheSize) stays coherent by. A Fetch
+// frame answers the published descriptor tables of the shards it
+// names, each stamped with its even epoch, which is how the replica
+// fills and refreshes itself. Per-tenant subscriber/shootdown/expire
+// counters appear under "leases" in /metrics. See DESIGN.md "Wire
+// protocol" and "Client SDW replicas".
 //
 // The startup image (the -image file, or a built-in demonstration
 // image) is loaded as the tenant named "default". Image files are JSON
@@ -115,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8642", "listen address")
 	wireAddr := fs.String("listen-wire", "", "TCP address for the binary streaming protocol (disabled when empty)")
-	workers := fs.Int("workers", 4, "default tenant's processors, one snapshot-reading MMU each")
+	workers := fs.Int("workers", 4, "default tenant's processors: batches it decides at once, each from pinned snapshots")
 	queue := fs.Int("queue", 64, "per tenant, the bound on callers waiting for a processor (one more answers 429)")
 	batchLimit := fs.Int("batch", 1024, "maximum queries per batch")
 	shards := fs.Int("shards", 0, "descriptor-store shards per tenant (power of two; 0 = default 8)")

@@ -23,7 +23,10 @@ import (
 //     epoch odd, copies the current table of descriptor views into a
 //     fresh slice and folds in the edited view.
 //  2. Publish. One atomic pointer store makes the new table, stamped
-//     with the closing (even) epoch, the shard's current snapshot.
+//     with the closing (even) epoch and the edited segment number, the
+//     shard's current snapshot. Then every watcher (Store.Watch) is
+//     woken with a non-blocking send: a wire session announcing
+//     shootdowns reads which shards moved from the tables themselves.
 //  3. Freed by the garbage collector. Nothing writes the predecessor
 //     again: batches that pinned it finish deciding against it, and
 //     the garbage collector frees it once no batch still holds it.
@@ -52,8 +55,9 @@ import (
 // descriptor that holds seg.SDW's invariants; once shared a Table is
 // never written again.
 type Table struct {
-	epoch uint64
-	views []core.SDWView
+	epoch  uint64
+	edited uint32
+	views  []core.SDWView
 }
 
 // NewTable returns a table of views stamped with epoch. The table owns
@@ -64,6 +68,12 @@ func NewTable(epoch uint64, views []core.SDWView) *Table { return &Table{epoch: 
 //
 //ring:hotpath
 func (t *Table) Epoch() uint64 { return t.epoch }
+
+// Edited returns the segment number whose edit published the table:
+// exact, since the table and its stamp are published together. It is
+// 0 for a table no edit published (a store's first tables, and a
+// replica's fetched copies, which carry no segment number).
+func (t *Table) Edited() uint32 { return t.edited }
 
 // Views returns the table's descriptor views; the slice is shared and
 // must not be written.
@@ -150,13 +160,13 @@ func (st *Store) publishLocked(shi int, segno uint32, v core.SDWView, epoch uint
 	views := make([]core.SDWView, len(old))
 	copy(views, old)
 	views[segno>>st.shardBits] = v
-	sh.snap.Store(&Table{epoch: epoch, views: views})
+	sh.snap.Store(&Table{epoch: epoch, edited: segno, views: views})
 	sh.publishes.Add(1)
-	if hook := st.publishHook.Load(); hook != nil {
-		// Still under sh.mu: hook calls for one shard arrive in strictly
-		// increasing epoch order, so a shootdown always names the epoch
-		// whose publication it follows.
-		(*hook)(shi, segno, epoch)
+	for _, ch := range *st.watchers.Load() {
+		select {
+		case ch <- struct{}{}:
+		default: // a wake is already pending
+		}
 	}
 }
 

@@ -14,7 +14,10 @@
 //     segment number. Each shard publishes its descriptors, converted
 //     once to the core.SDWView the predicates read, as an immutable RCU
 //     snapshot behind an atomic pointer (see rcu.go), and that snapshot
-//     is the only copy: supervisor edits build and publish a successor;
+//     is the only copy: supervisor edits build and publish a successor,
+//     stamped with its shard's epoch and the edited segment, and wake
+//     the store's watchers, which read what moved from the snapshots
+//     themselves (a wire session's shootdown feed is one);
 //   - a Service keeps a set of processors, each a Decider pinning the
 //     store's snapshots — the paper's
 //     several-processors-sharing-one-descriptor-segment configuration,
@@ -57,6 +60,7 @@ package service
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -129,15 +133,11 @@ type Store struct {
 	shardMask uint32
 	shardBits uint32 // log2(Shards): segno >> shardBits indexes a shard's Table
 
-	// publishHook, when set, is called after every snapshot publication
-	// with the shard index, the edited segment number and the new (even)
-	// publication epoch — still under the shard's mutation lock, so for
-	// a given shard the calls arrive in strictly increasing epoch order.
-	// This is the network analogue of the paper's associative-memory
-	// shootdown: the tenant layer fans the event out to subscribed wire
-	// sessions. The hook must not block and must not call back into the
-	// store's mutation path.
-	publishHook atomic.Pointer[func(shard int, segno uint32, epoch uint64)]
+	// watchers is the copy-on-write set of wake channels publishLocked
+	// signals after every publication; watchMu serializes its writers
+	// (Watch, Unwatch), and publication reads it without a lock.
+	watchMu  sync.Mutex
+	watchers atomic.Pointer[[]chan struct{}]
 
 	// hold, when non-nil (tests), parks every edit inside its odd epoch
 	// window, shard mutex held, until the channel is closed.
@@ -167,6 +167,7 @@ func NewStore(cfg StoreConfig, defs []Segment) (*Store, error) {
 		names:     make(map[string]uint32, len(defs)),
 		segnos:    make([]string, len(defs)),
 	}
+	st.watchers.Store(&[]chan struct{}{})
 	// Shard i's table covers segment numbers i, i+Shards, i+2*Shards, ...
 	// below len(defs); it is filled in place before the store is shared.
 	for i := range st.shards {
@@ -269,19 +270,30 @@ func (st *Store) mutate(segno uint32, edit func(v core.SDWView) (core.SDWView, e
 	return nil
 }
 
-// SetPublishHook installs f to be called after every snapshot
-// publication (shard index, edited segno, new even epoch), under the
-// publishing shard's mutation lock — per-shard calls are serialized in
-// strictly increasing epoch order. A nil f removes the hook. Intended
-// to be set once, before mutations begin, by the layer distributing
-// invalidations (internal/tenant's lease hub).
-func (st *Store) SetPublishHook(f func(shard int, segno uint32, epoch uint64)) {
-	if f == nil {
-		st.publishHook.Store(nil)
-		return
-	}
-	st.publishHook.Store(&f)
+// Watch registers ch to be woken after every table publication, with
+// a non-blocking send: a one-slot channel holds one wake however many
+// tables were published, and its reader learns which from the
+// published tables themselves (Table). A watcher that records the
+// tables' epochs after Watch returns hears of every later publication.
+func (st *Store) Watch(ch chan struct{}) {
+	st.watchMu.Lock()
+	defer st.watchMu.Unlock()
+	old := *st.watchers.Load()
+	next := append(old[:len(old):len(old)], ch) // a copy: readers hold old
+	st.watchers.Store(&next)
 }
+
+// Unwatch removes ch from the watchers (idempotent).
+func (st *Store) Unwatch(ch chan struct{}) {
+	st.watchMu.Lock()
+	defer st.watchMu.Unlock()
+	next := slices.DeleteFunc(slices.Clone(*st.watchers.Load()),
+		func(w chan struct{}) bool { return w == ch })
+	st.watchers.Store(&next)
+}
+
+// Watchers returns the number of registered wake channels.
+func (st *Store) Watchers() int { return len(*st.watchers.Load()) }
 
 // SetBrackets replaces the flags, brackets and gate count of segno,
 // keeping its bound. Supervisor functionality: every decision batch

@@ -323,12 +323,13 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, name, endpoint s
 			Version:  t.store.Version(),
 		})
 	case "metrics":
-		// Embedding inlines the service snapshot's keys, so the lease-hub
-		// counters only add a "leases" object to its document.
+		// Embedding inlines the service snapshot's keys, so the
+		// invalidation-feed counters only add a "leases" object to its
+		// document.
 		writeJSON(w, http.StatusOK, struct {
 			service.Snapshot
-			Leases LeaseStats `json:"leases"`
-		}{t.svc.Snapshot(), t.LeaseStats()})
+			Leases SubscriptionStats `json:"leases"`
+		}{t.svc.Snapshot(), t.SubscriptionStats()})
 	default:
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown tenant endpoint %q", endpoint)})
 	}

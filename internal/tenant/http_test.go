@@ -477,7 +477,7 @@ func TestHTTPHealthzAndMetrics(t *testing.T) {
 	}
 	var m struct {
 		service.Snapshot
-		Leases *LeaseStats `json:"leases"`
+		Leases *SubscriptionStats `json:"leases"`
 	}
 	decodeJSON(t, docs[0], &m)
 	snap := m.Snapshot

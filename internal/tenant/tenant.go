@@ -124,8 +124,8 @@ var (
 // the registry's defaults.
 type TenantConfig struct {
 	// Workers is the tenant's decision worker quota — the number of
-	// processors (one snapshot-reading MMU each), and so of batches
-	// the tenant decides at once.
+	// processors (one decider over pinned snapshots each), and so of
+	// batches the tenant decides at once.
 	Workers int
 	// QueueDepth bounds the tenant's callers waiting for a processor;
 	// overload sheds with service.ErrQueueFull instead of starving
@@ -159,10 +159,11 @@ type Tenant struct {
 
 	store *service.Store
 	svc   *service.Service
-	// hub fans descriptor mutations out to wire-session lease
-	// subscribers (leases.go); published with the same
-	// assign-then-activate discipline as store/svc.
-	hub *leaseHub
+	// revoked is closed by Evict, ending every subscription to the
+	// store's publications; shootdowns and expires count the feed
+	// (subscriptions.go).
+	revoked             chan struct{}
+	shootdowns, expires atomic.Uint64
 
 	// deniedMutations counts mutations rejected by seal or drain —
 	// the tenant-level conflict counter surfaced in /v1/images.
@@ -399,7 +400,7 @@ func (r *Registry) Load(name string, segs []service.Segment, cfg TenantConfig) (
 	}
 	cfg = r.resolve(cfg)
 
-	t := &Tenant{name: name, cfg: cfg}
+	t := &Tenant{name: name, cfg: cfg, revoked: make(chan struct{})}
 	t.state.Store(int32(StateLoading))
 
 	r.mu.Lock()
@@ -435,8 +436,6 @@ func (r *Registry) Load(name string, segs []service.Segment, cfg TenantConfig) (
 		r.unregister(t)
 		return nil, fmt.Errorf("tenant %q: %w", name, err)
 	}
-	t.hub = newLeaseHub(st.Shards())
-	st.SetPublishHook(t.hub.broadcast)
 	t.state.Store(int32(StateActive))
 	return t, nil
 }
@@ -540,9 +539,8 @@ func (r *Registry) Evict(name string) error {
 	// against a store about to disappear. Sealing, by contrast, leaves
 	// replicas valid — a frozen descriptor space can never invalidate
 	// them.
-	if t.hub != nil {
-		t.hub.close()
-	}
+	close(t.revoked)
+	t.expires.Add(uint64(t.store.Watchers()))
 	// Drain outside any registry lock: Close waits for every admitted
 	// batch to be answered.
 	t.svc.Close()

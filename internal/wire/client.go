@@ -32,10 +32,10 @@ type ClientConfig struct {
 	Timeout time.Duration
 
 	// OnShootdown, when set, receives every Shootdown push the server
-	// sends after a Subscribe: the shard index, the advisory edited
-	// segno, and the shard's new (even) publication epoch. Called on
-	// the session's reader goroutine — it must not block and must not
-	// call back into the client.
+	// sends after a Subscribe: the shard index, the segno whose edit
+	// published the shard's table, and that table's (even) epoch.
+	// Called on the session's reader goroutine — it must not block and
+	// must not call back into the client.
 	OnShootdown func(sd Shootdown)
 	// OnLeaseExpire receives the subscription-revoked push (same
 	// constraints). After it fires no further shootdowns arrive on this

@@ -952,10 +952,10 @@ func EncodeGoAway(buf []byte) []byte {
 // correlation ID 0 — they answer no request.
 
 // Shootdown is the payload of a FrameShootdown push: shard Shard
-// published epoch Epoch after a mutation of segment Segno. Epoch is
-// the authority — a replica's table of Shard older than Epoch is
-// stale; Segno is advisory (coalesced pushes report the latest
-// edited segment).
+// published epoch Epoch after a mutation of segment Segno. A replica's
+// table of Shard older than Epoch is stale. Pushes coalesce: a
+// shootdown names the shard's latest table when it is sent, and Segno
+// is the segment whose edit published that table.
 type Shootdown struct {
 	Shard uint32
 	Segno uint32
@@ -964,8 +964,8 @@ type Shootdown struct {
 
 // LeaseExpire is the payload of a FrameLeaseExpire push: the
 // subscription is revoked and the client's replica must be dropped.
-// Code mirrors the error-code vocabulary (CodeConflict: the tenant is
-// draining; CodeUnavailable: the server is shutting the stream down).
+// Code mirrors the error-code vocabulary: the server sends
+// CodeUnavailable when the tenant's eviction revokes the subscription.
 type LeaseExpire struct {
 	Code uint16
 }

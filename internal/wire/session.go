@@ -187,11 +187,15 @@ type session struct {
 	wmu  sync.Mutex
 	wbuf []byte //ring:guarded wmu (inline-response scratch)
 
-	// sub is the session's lease subscription (nil until the client
-	// sends Subscribe); pusherStop/pusherWG bound the pusher goroutine
-	// that turns its mailbox into Shootdown frames. Both are touched
-	// only by the serve goroutine (readLoop runs on it).
-	sub        *tenant.Subscriber
+	// wake is the channel the session watches the tenant's store with
+	// (nil until the client sends Subscribe), and announced[i] the last
+	// epoch of shard i it announced: the epochs themselves live in the
+	// store's published tables. pusherStop/pusherWG bound the pusher
+	// goroutine that turns wakes into Shootdown frames. The serve
+	// goroutine (readLoop runs on it) sets wake and pusherStop before
+	// the pusher starts, and neither changes after.
+	wake       chan struct{}
+	announced  []uint64 //ring:guarded wmu
 	pusherStop chan struct{}
 	pusherWG   sync.WaitGroup
 
@@ -212,10 +216,10 @@ func (s *session) serve() {
 	s.readLoop(bufio.NewReaderSize(s.conn, readBufSize))
 	// Stop the shootdown pusher before any GoAway: GoAway must be the
 	// last frame on the wire, and a push racing it would break that.
-	if s.sub != nil {
+	if s.wake != nil {
 		close(s.pusherStop)
 		s.pusherWG.Wait()
-		s.t.Unsubscribe(s.sub)
+		s.t.Store().Unwatch(s.wake)
 	}
 	if s.draining.Load() {
 		s.wmu.Lock()
@@ -554,84 +558,94 @@ func (s *session) handleFetch(corr uint64, payload []byte) bool {
 
 // handleSubscribe registers the session for descriptor-invalidation
 // pushes and acks with a Pong (its StoreVersion is the subscription's
-// starting epoch sum). Registration happens BEFORE the ack is written,
-// so no mutation can fall between the ack and the first shootdown the
-// client could hear about; the pusher starts after the ack, so pushes
-// never precede it on the wire. A repeated Subscribe just re-acks.
+// starting epoch sum). The session watches the store and records every
+// shard's published epoch BEFORE the ack is written, so no publication
+// can fall between the ack and the first shootdown the client could
+// hear about; the pusher starts after the ack, so pushes never precede
+// it on the wire. A repeated Subscribe just re-acks.
 func (s *session) handleSubscribe(corr uint64, payload []byte) bool {
 	if len(payload) != 0 {
 		s.writeError(corr, CodeBadRequest, "subscribe carries no payload")
 		return false
 	}
-	first := s.sub == nil
-	if first {
-		s.sub = s.t.Subscribe()
-		s.pusherStop = make(chan struct{})
-	}
+	first := s.wake == nil
 	s.wmu.Lock()
-	s.pongLocked(corr) // no flush: no push precedes the ack
+	if first {
+		st := s.t.Store()
+		s.wake = make(chan struct{}, 1)
+		st.Watch(s.wake)
+		s.announced = make([]uint64, st.Shards())
+		for i := range s.announced {
+			s.announced[i] = st.Table(i).Epoch()
+		}
+	}
+	s.pongLocked(corr) // no announcement: no push precedes the ack
 	s.wmu.Unlock()
 	if first {
+		s.pusherStop = make(chan struct{})
 		s.pusherWG.Add(1)
 		go s.pusher()
 	}
 	return true
 }
 
-// pusher drains the session's lease mailbox into Shootdown frames (and
-// a final LeaseExpire when the tenant revokes the subscription). It
-// runs until the subscription expires or the session closes; serve()
-// joins it before writing GoAway.
+// pusher announces the shards each store wake published, and sends a
+// final LeaseExpire when the tenant's eviction revokes the
+// subscription. It runs until then or until the session closes;
+// serve() joins it before writing GoAway.
 func (s *session) pusher() {
 	defer s.pusherWG.Done()
-	sub := s.sub
 	for {
 		select {
 		case <-s.pusherStop:
 			return
-		case <-sub.Notify():
-		}
-		if sub.Expired() {
-			s.writeLeaseExpire(CodeUnavailable)
+		case <-s.t.Revoked():
+			s.wmu.Lock()
+			s.announced = nil // nothing is announced after the expiry
+			if b, err := EncodeLeaseExpire(s.wbuf, LeaseExpire{Code: CodeUnavailable}); err == nil {
+				s.wbuf = b
+				s.writeLocked(b)
+			}
+			s.wmu.Unlock()
 			return
+		case <-s.wake:
+			s.wmu.Lock()
+			s.announceLocked()
+			s.wmu.Unlock()
 		}
-		s.wmu.Lock()
-		s.flushLocked()
-		s.wmu.Unlock()
 	}
 }
 
-// flushLocked writes a Shootdown frame for every invalidation pending
-// in the session's subscription. Drains run under the write lock, so
-// a frame written after one follows every event it drained.
+// announceLocked writes a Shootdown frame for every shard whose
+// published table has passed the last epoch the session announced for
+// it, naming that table's epoch and the segment whose edit published
+// it. Announcements run under the write lock, so a frame written after
+// one follows every publication it read; publications between two
+// announcements coalesce into the later one.
 //
 //ring:locked wmu
-func (s *session) flushLocked() {
-	s.sub.Drain(func(shard int, segno uint32, epoch uint64) {
-		b, err := EncodeShootdown(s.wbuf, Shootdown{Shard: uint32(shard), Segno: segno, Epoch: epoch})
+func (s *session) announceLocked() {
+	st := s.t.Store()
+	for i, last := range s.announced {
+		tab := st.Table(i)
+		if tab.Epoch() <= last {
+			continue
+		}
+		s.announced[i] = tab.Epoch()
+		b, err := EncodeShootdown(s.wbuf, Shootdown{Shard: uint32(i), Segno: tab.Edited(), Epoch: tab.Epoch()})
 		if err == nil {
 			s.wbuf = b
 			s.writeLocked(b)
+			s.t.CountShootdown()
 		}
-	})
-}
-
-// writeLeaseExpire pushes the subscription-revoked frame.
-func (s *session) writeLeaseExpire(code uint16) {
-	s.wmu.Lock()
-	b, err := EncodeLeaseExpire(s.wbuf, LeaseExpire{Code: code})
-	if err == nil {
-		s.wbuf = b
-		s.writeLocked(b)
 	}
-	s.wmu.Unlock()
 }
 
 // handlePing answers one Ping frame inline on the reader. On a
-// subscribed session it first announces every invalidation still
-// pending, under the same write lock: a ping is then a barrier after
-// which the client has been told of every edit published before the
-// server answered. A Ping with a payload is a protocol error, as
+// subscribed session it first announces every shard published since
+// its last announcement, under the same write lock: a ping is then a
+// barrier after which the client has been told of every edit published
+// before the server answered. A Ping with a payload is a protocol error, as
 // DecodeFrame rules, and ends the session.
 func (s *session) handlePing(corr uint64, payload []byte) bool {
 	if len(payload) != 0 {
@@ -639,9 +653,7 @@ func (s *session) handlePing(corr uint64, payload []byte) bool {
 		return false
 	}
 	s.wmu.Lock()
-	if s.sub != nil {
-		s.flushLocked()
-	}
+	s.announceLocked()
 	s.pongLocked(corr)
 	s.wmu.Unlock()
 	return true

@@ -443,3 +443,197 @@ func TestPingFlushesShootdowns(t *testing.T) {
 		}
 	}
 }
+
+// TestSubscribeShootdownNamesEdit checks that a shootdown names the
+// edit that published the table it announces: its epoch and its
+// segment, whichever segment of the shard was edited. Pushes that
+// coalesce name the last edit.
+func TestSubscribeShootdownNamesEdit(t *testing.T) {
+	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 1, Shards: 1})
+	_, addr := startWireServer(t, reg, Config{})
+	pushes := make(chan Shootdown, 64)
+	c, err := Dial(addr, ClientConfig{OnShootdown: func(sd Shootdown) { pushes <- sd }})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	if _, err := c.Subscribe(); err != nil {
+		t.Fatalf("subscribe: %v", err)
+	}
+	def, _ := reg.Get(tenant.DefaultTenant)
+	st := def.Store()
+	// Segments 0 ("data") and 2 ("secret") share the one shard; each
+	// edit keeps the segment's flags and flips its brackets.
+	edit := func(k int) uint32 {
+		t.Helper()
+		segno := uint32(2 * (k % 2))
+		b := core.Brackets{R1: 0, R2: 1, R3: 1}
+		if k%4 >= 2 {
+			b = core.Brackets{R1: 2, R2: 4, R3: 4}
+		}
+		if err := st.SetBrackets(segno, true, segno == 0, false, b, 0); err != nil {
+			t.Fatalf("edit %d: %v", k, err)
+		}
+		return segno
+	}
+	drained := func() []Shootdown {
+		var got []Shootdown
+		for {
+			select {
+			case sd := <-pushes:
+				got = append(got, sd)
+			default:
+				return got
+			}
+		}
+	}
+
+	for k := 0; k < 8; k++ {
+		segno := edit(k)
+		if _, err := c.Ping(); err != nil {
+			t.Fatalf("ping %d: %v", k, err)
+		}
+		want := Shootdown{Shard: 0, Segno: segno, Epoch: uint64(2 * (k + 1))}
+		if got := drained(); len(got) != 1 || got[0] != want {
+			t.Fatalf("edit %d: shootdowns %+v, want exactly %+v", k, got, want)
+		}
+	}
+
+	var last uint32
+	for k := 8; k < 12; k++ {
+		last = edit(k)
+	}
+	if _, err := c.Ping(); err != nil {
+		t.Fatalf("ping after burst: %v", err)
+	}
+	got := drained()
+	want := Shootdown{Shard: 0, Segno: last, Epoch: 24}
+	if len(got) == 0 || got[len(got)-1] != want {
+		t.Fatalf("after four unpinged edits: shootdowns %+v, want the last to be %+v", got, want)
+	}
+	for i, sd := range got {
+		if sd.Epoch <= 16 || (i > 0 && sd.Epoch <= got[i-1].Epoch) {
+			t.Errorf("burst shootdown epochs %+v are not increasing past 16", got)
+			break
+		}
+	}
+}
+
+// TestSubscribeAfterEvictExpires checks a subscription made after the
+// tenant's eviction: the ack arrives, then exactly one LeaseExpire and
+// no shootdown, and the subscription is gone once the session closes.
+func TestSubscribeAfterEvictExpires(t *testing.T) {
+	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 1})
+	_, addr := startWireServer(t, reg, Config{})
+	def, _ := reg.Get(tenant.DefaultTenant)
+	expires := make(chan LeaseExpire, 4)
+	pushes := make(chan Shootdown, 4)
+	c, err := Dial(addr, ClientConfig{
+		OnShootdown:   func(sd Shootdown) { pushes <- sd },
+		OnLeaseExpire: func(le LeaseExpire) { expires <- le },
+	})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	if err := reg.Evict(tenant.DefaultTenant); err != nil {
+		t.Fatalf("evict: %v", err)
+	}
+	if _, err := c.Subscribe(); err != nil {
+		t.Fatalf("subscribe after evict: %v", err)
+	}
+	select {
+	case le := <-expires:
+		if le.Code != CodeUnavailable {
+			t.Errorf("lease-expire code = %d, want %d", le.Code, CodeUnavailable)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no lease-expire after a subscribe on an evicted tenant")
+	}
+	if _, err := c.Ping(); err != nil {
+		t.Fatalf("ping after lease-expire: %v", err)
+	}
+	select {
+	case le := <-expires:
+		t.Errorf("second lease-expire: %+v", le)
+	case sd := <-pushes:
+		t.Errorf("shootdown on an evicted tenant: %+v", sd)
+	case <-time.After(50 * time.Millisecond):
+	}
+	c.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for def.SubscriptionStats().Subscribers != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d subscriber(s) left after the session closed", def.SubscriptionStats().Subscribers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSubscribeCountsFramesAndExpires checks the tenant's feed
+// counters against what clients saw: after edits and a ping on every
+// subscribed session, the shootdown count equals the frames received,
+// coalesced pushes included, and an eviction counts each subscription
+// it revoked.
+func TestSubscribeCountsFramesAndExpires(t *testing.T) {
+	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 1, Shards: 2})
+	_, addr := startWireServer(t, reg, Config{})
+	def, _ := reg.Get(tenant.DefaultTenant)
+	var frames atomic.Uint64
+	expired := make(chan struct{}, 2)
+	var subs []*Client
+	for i := 0; i < 2; i++ {
+		c, err := Dial(addr, ClientConfig{
+			OnShootdown:   func(Shootdown) { frames.Add(1) },
+			OnLeaseExpire: func(LeaseExpire) { expired <- struct{}{} },
+		})
+		if err != nil {
+			t.Fatalf("dial %d: %v", i, err)
+		}
+		defer c.Close()
+		if _, err := c.Subscribe(); err != nil {
+			t.Fatalf("subscribe %d: %v", i, err)
+		}
+		subs = append(subs, c)
+	}
+	plain, err := Dial(addr, ClientConfig{})
+	if err != nil {
+		t.Fatalf("dial unsubscribed: %v", err)
+	}
+	defer plain.Close()
+	if got := def.SubscriptionStats().Subscribers; got != 2 {
+		t.Fatalf("subscribers = %d, want 2", got)
+	}
+
+	st := def.Store()
+	for k := 0; k < 40; k++ {
+		b := core.Brackets{R1: 0, R2: 1, R3: 1}
+		if k%2 == 1 {
+			b = core.Brackets{R1: 2, R2: 4, R3: 4}
+		}
+		if err := st.SetBrackets(uint32(k%3), true, false, false, b, 0); err != nil {
+			t.Fatalf("edit %d: %v", k, err)
+		}
+	}
+	for i, c := range subs {
+		if _, err := c.Ping(); err != nil {
+			t.Fatalf("ping %d: %v", i, err)
+		}
+	}
+	if got, want := def.SubscriptionStats().Shootdowns, frames.Load(); got != want || want == 0 {
+		t.Errorf("tenant counts %d shootdowns, clients received %d", got, want)
+	}
+
+	if err := reg.Evict(tenant.DefaultTenant); err != nil {
+		t.Fatalf("evict: %v", err)
+	}
+	if got := def.SubscriptionStats().Expires; got != 2 {
+		t.Errorf("expires = %d after evicting two subscriptions, want 2", got)
+	}
+	for i := range subs {
+		select {
+		case <-expired:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("lease-expire %d never arrived", i)
+		}
+	}
+}

@@ -36,13 +36,14 @@ type RemoteConfig struct {
 	// error, and a cached checker's next call redials. Default 30s.
 	Timeout time.Duration
 
-	// CacheSize, when positive, puts an SDW replica in front of the
-	// session (wire transport only): the client keeps every shard's
+	// CacheSize only switches the replica on: any positive value puts
+	// an SDW replica in front of the session (wire transport only), and
+	// its size is not a bound, since a tenant's tables hold at most
+	// service.MaxSegments SDWs. The client keeps every shard's
 	// descriptor table, fetched at an even publication epoch and kept
 	// coherent by the server's shootdown stream, and decides each query
-	// locally; CacheTTL bounds a table's staleness. The value only
-	// switches the replica on, since a tenant's tables hold at most
-	// service.MaxSegments SDWs. See lease.go for the staleness argument.
+	// locally; CacheTTL bounds a table's staleness. See replica.go for
+	// the staleness argument.
 	CacheSize int
 	// CacheTTL bounds how long a fetched table may be decided from if
 	// the shootdown stream lags; default 1s when CacheSize is set.
