@@ -1,10 +1,10 @@
 // Command ringd is the protection-decision daemon: an image registry
 // serving N independent descriptor spaces (tenants) from one process.
 // Each loaded machine image becomes a tenant with its own sharded
-// descriptor store, its own decision processors — each a decider over
-// the immutable RCU descriptor snapshots it pins per batch, so
-// decisions never lock against supervisor edits, borrowed by a request
-// to decide its batch — and its own bound on requests waiting for a
+// descriptor store, its own decision processors — borrowed by a request
+// to decide its batch on a decider over the immutable RCU descriptor
+// snapshots it pins for that batch, so decisions never lock against
+// supervisor edits — and its own bound on requests waiting for a
 // processor, so one hot tenant sheds its own overload instead of
 // starving the rest.
 //

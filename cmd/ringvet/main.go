@@ -1,5 +1,5 @@
-// Command ringvet statically enforces the repo's hot-path, RCU, and
-// mutation invariants (see internal/analysis and DESIGN.md "Static
+// Command ringvet statically enforces the repo's hot-path and mutation
+// invariants (see internal/analysis and DESIGN.md "Static
 // invariants").
 //
 // Two ways to run it:

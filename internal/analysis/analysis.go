@@ -32,10 +32,6 @@
 //	                          module-internal function it statically
 //	                          calls must be free of heap-allocating
 //	                          constructs (see hotpath).
-//	//ring:pins               on a function: it may return with RCU
-//	                          snapshot pins held until the batch's
-//	                          unpin; its callers inherit the release
-//	                          obligation (see rcupin).
 //	//ring:locked <field>     on a function: the caller is required to
 //	                          hold the named mutex; guarded writes
 //	                          inside are legal, and every call site is
@@ -199,7 +195,6 @@ func lineKey(p token.Position) string {
 // FuncNote is the parsed markers of one function.
 type FuncNote struct {
 	Hot    bool
-	Pins   bool
 	Locked string // mutex field name from //ring:locked
 }
 
@@ -268,8 +263,6 @@ func ParseNotes(pkg *Package) *Notes {
 					switch verb {
 					case "hotpath":
 						note.Hot = true
-					case "pins":
-						note.Pins = true
 					case "locked":
 						if rest == "" {
 							n.Problems = append(n.Problems, Problem{c.Pos(), "ring:locked requires a mutex field name"})
@@ -309,7 +302,7 @@ func ParseNotes(pkg *Package) *Notes {
 				switch verb {
 				case "allow":
 					n.recordAllow(pkg, c, rest)
-				case "hotpath", "pins", "locked":
+				case "hotpath", "locked":
 					// Every marker consumed by a function's doc group
 					// was recorded above; anything left is attached to
 					// nothing that exists.

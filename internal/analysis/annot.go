@@ -18,4 +18,4 @@ var Annot = &Analyzer{
 }
 
 // Analyzers is the full ringvet suite, in reporting order.
-var Analyzers = []*Analyzer{Annot, HotPath, RCUPin, MutGuard}
+var Analyzers = []*Analyzer{Annot, HotPath, MutGuard}

@@ -24,7 +24,6 @@ import (
 )
 
 func TestHotPathFixture(t *testing.T) { runFixture(t, "hotpath", HotPath) }
-func TestRCUPinFixture(t *testing.T)  { runFixture(t, "rcupin", RCUPin) }
 func TestMutGuardFixture(t *testing.T) {
 	runFixture(t, "mutguard", MutGuard)
 }

@@ -145,7 +145,7 @@ func (g *guardWalker) checkWrite(lhs ast.Expr) {
 // checkLockedCall flags a call to a //ring:locked function made
 // without the mutex the callee requires.
 func (g *guardWalker) checkLockedCall(call *ast.CallExpr) {
-	fn := staticCalleeOf(g.pass.Pkg, call)
+	fn := (&scanner{pkg: g.pass.Pkg}).staticCallee(ast.Unparen(call.Fun))
 	if fn == nil {
 		return
 	}

@@ -26,7 +26,6 @@ type CallSite struct {
 // FuncFact is everything the suite exports about one function.
 type FuncFact struct {
 	Hot    bool
-	Pins   bool
 	Locked string
 	Bans   []Ban
 	Calls  []CallSite
@@ -92,7 +91,7 @@ func Scan(pkg *Package, notes *Notes, facts FactSet) *PackageFacts {
 			}
 			fact := &FuncFact{}
 			if note := notes.Funcs[fd]; note != nil {
-				fact.Hot, fact.Pins, fact.Locked = note.Hot, note.Pins, note.Locked
+				fact.Hot, fact.Locked = note.Hot, note.Locked
 			}
 			s := &scanner{pkg: pkg, notes: notes, fact: fact, decl: fd}
 			s.scan()

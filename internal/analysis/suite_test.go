@@ -34,9 +34,9 @@ func TestRepoClean(t *testing.T) {
 }
 
 // TestSprintfInjectionCaught copies the module aside, plants a
-// fmt.Sprintf inside decide — squarely in SubmitInto's call graph —
-// and demands that the hotpath analyzer reports it. This is the
-// end-to-end proof that the gate is live, not vacuously green.
+// fmt.Sprintf inside Decider.Decide — squarely in SubmitInto's call
+// graph — and demands that the hotpath analyzer reports it. This is
+// the end-to-end proof that the gate is live, not vacuously green.
 func TestSprintfInjectionCaught(t *testing.T) {
 	tmp := t.TempDir()
 	copyModule(t, repoRoot, tmp)
@@ -46,7 +46,7 @@ func TestSprintfInjectionCaught(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read victim: %v", err)
 	}
-	const anchor = "func (p *processor) decide(q *Query, d *Decision) {"
+	const anchor = "func (dc *Decider) Decide(queries []Query, dst []Decision) {"
 	if !strings.Contains(string(src), anchor) {
 		t.Fatalf("anchor %q not found in service.go; update the test", anchor)
 	}
@@ -69,7 +69,7 @@ func TestSprintfInjectionCaught(t *testing.T) {
 			return // gate tripped, as it must
 		}
 	}
-	t.Fatalf("injected fmt.Sprintf in decide was not reported; diagnostics: %v", diags)
+	t.Fatalf("injected fmt.Sprintf in Decide was not reported; diagnostics: %v", diags)
 }
 
 // TestHotpathMarkersAttach is the meta-test: every //ring:hotpath

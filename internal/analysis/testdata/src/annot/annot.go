@@ -47,7 +47,6 @@ func needsName()                                     {}
 // valid carries every function marker.
 //
 //ring:hotpath
-//ring:pins
 func valid() {}
 
 type guardedOK struct {

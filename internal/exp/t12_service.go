@@ -12,9 +12,9 @@ import (
 )
 
 // T12: the protection-decision service under concurrent load. The
-// service wraps the MMU decision procedure in processors that client
-// goroutines borrow — one MMU each, reading immutable RCU descriptor
-// snapshots pinned per batch — while a supervisor thread streams descriptor
+// service wraps the decision procedure in processors that client
+// goroutines borrow — each batch decided on a decider reading immutable
+// RCU descriptor snapshots it pins — while a supervisor thread streams descriptor
 // edits (SetBrackets, Revoke, Restore) through the store's publish
 // path. Every decision reports the publication epoch of the snapshot
 // it consulted; replaying the edit script on the executable
@@ -205,7 +205,7 @@ func init() {
 			return fmt.Errorf("/metrics reports an empty latency histogram")
 		}
 
-		r.addf("%d workers (one MMU reading pinned RCU snapshots each), %d clients x %d probe batches,",
+		r.addf("%d workers (each batch decided from RCU snapshots it pins), %d clients x %d probe batches,",
 			workers, clients, rounds)
 		r.addf("%d descriptor edits, each publishing a fresh shard snapshot", mutations)
 		r.addf("")

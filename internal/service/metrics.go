@@ -32,6 +32,9 @@ type counters struct {
 	opOther   uint64
 
 	faults [violationKinds]uint64
+	// pins, lookups and validates sum the counts of the batches'
+	// deciders (Decider).
+	pins, lookups, validates uint64
 	// latency holds each batch's submit-to-completion time.
 	latency hist.Hist
 }
@@ -67,10 +70,13 @@ func (c *counters) count(op Op, d *Decision) {
 	}
 }
 
-// observe tallies one completed batch and its submit-to-completion
-// latency.
-func (c *counters) observe(start time.Time) {
+// observe tallies one completed batch, the counts of the decider that
+// decided it, and its submit-to-completion latency.
+func (c *counters) observe(dc *Decider, start time.Time) {
 	c.batches++
+	c.pins += dc.pins
+	c.lookups += dc.lookups
+	c.validates += dc.validates
 	c.latency.Add(time.Since(start).Nanoseconds())
 }
 
@@ -90,6 +96,9 @@ func (c *counters) add(o *counters) {
 	for k := range c.faults {
 		c.faults[k] += o.faults[k]
 	}
+	c.pins += o.pins
+	c.lookups += o.lookups
+	c.validates += o.validates
 	c.latency.Merge(&o.latency)
 }
 
@@ -166,17 +175,12 @@ func metricKey(s string) string {
 // counters.
 func (s *Service) Snapshot() Snapshot {
 	var m counters
-	var reads ReaderSnapshot
 	var perProc []ReaderSnapshot
-	var validates uint64
 	for _, p := range s.procs {
 		p.mu.Lock()
 		m.add(&p.counts)
-		rd := ReaderSnapshot{Pins: p.dc.pins, Lookups: p.dc.lookups}
-		validates += p.dc.validates
+		rd := ReaderSnapshot{Pins: p.counts.pins, Lookups: p.counts.lookups}
 		p.mu.Unlock()
-		reads.Pins += rd.Pins
-		reads.Lookups += rd.Lookups
 		perProc = append(perProc, rd)
 	}
 	snap := Snapshot{
@@ -199,7 +203,7 @@ func (s *Service) Snapshot() Snapshot {
 		},
 		Faults:         map[string]uint64{},
 		RCU:            s.store.RCUStats(),
-		Reads:          reads,
+		Reads:          ReaderSnapshot{Pins: m.pins, Lookups: m.lookups},
 		PerWorkerReads: perProc,
 		Events:         map[string]uint64{},
 	}
@@ -211,8 +215,8 @@ func (s *Service) Snapshot() Snapshot {
 			snap.Faults[metricKey(core.ViolationKind(k).String())] = n
 		}
 	}
-	if validates > 0 {
-		snap.Events[metricKey(trace.KindValidate.String())] = validates
+	if m.validates > 0 {
+		snap.Events[metricKey(trace.KindValidate.String())] = m.validates
 	}
 	m.latency.Buckets(func(lo, hi int64, n uint64) {
 		snap.LatencyNs = append(snap.LatencyNs, LatencyBucket{LoNs: lo, HiNs: hi, Count: n})

@@ -34,11 +34,13 @@ import (
 // Readers pin per batch: the first decision consulting a shard loads
 // that shard's snapshot pointer (one atomic operation) and every later
 // decision of the batch reads the same table, so a batch never sees
-// half of an edit. unpin drops the tables at the end of the batch, so the
-// next batch loads the current pointers and sees every edit that has
-// already returned. The pointer store and load are Go sync/atomic
-// operations, so the race detector sees the publication edge: a write
-// to a published table would be a reported data race.
+// half of an edit. A batch's decider pins and nothing unpins: the
+// decider and its table array live on the deciding caller's stack for
+// one batch, so the next batch starts from a fresh decider, loads the
+// current pointers and sees every edit that has already returned. The
+// pointer store and load are Go sync/atomic operations, so the race
+// detector sees the publication edge: a write to a published table
+// would be a reported data race.
 //
 // Decision.VersionLo/VersionHi under snapshots: a pinned decision
 // reports the (even) publication epoch of the snapshot it consulted,
@@ -79,21 +81,21 @@ func (t *Table) Edited() uint32 { return t.edited }
 // must not be written.
 func (t *Table) Views() []core.SDWView { return t.views }
 
-// decider returns a decider pinning st's published snapshots.
-func (st *Store) decider() Decider {
-	dc := NewDecider(st.names, make([]*Table, len(st.shards)))
+// decider returns a decider for one batch over tabs, pinning st's
+// published snapshots into it on first use.
+func (st *Store) decider(tabs *[MaxShards]*Table) Decider {
+	dc := NewDecider(st.names, tabs[:len(st.shards)])
 	dc.store = st
 	return dc
 }
 
-// pin returns the table dc decides from for shard sh in the current
-// batch, loading the store's published snapshot on first use. No
-// locks, no allocations: one atomic pointer load on first use per
-// shard per batch, a plain slice read afterwards. A decider without a
-// store decides from the tables its caller supplied.
+// pin returns the table dc decides from for shard sh in its batch,
+// loading the store's published snapshot on first use. No locks, no
+// allocations: one atomic pointer load on first use per shard per
+// batch, a plain slice read afterwards. A decider without a store
+// decides from the tables its caller supplied.
 //
 //ring:hotpath
-//ring:pins
 func (dc *Decider) pin(sh int) *Table {
 	if t := dc.tabs[sh]; t != nil {
 		return t
@@ -104,19 +106,10 @@ func (dc *Decider) pin(sh int) *Table {
 	return t
 }
 
-// unpin ends the batch: drop every pinned table, so the next batch
-// loads the current snapshots.
-//
-//ring:hotpath
-func (dc *Decider) unpin() {
-	clear(dc.tabs)
-}
-
 // pinSum pins every shard in mask (a bit per shard index) and returns
 // the sum of the pinned epochs: a decision's epoch stamp.
 //
 //ring:hotpath
-//ring:pins
 func (dc *Decider) pinSum(mask uint64) uint64 {
 	var sum uint64
 	for mask != 0 {

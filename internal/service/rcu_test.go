@@ -7,21 +7,22 @@ import (
 	"repro/internal/core"
 )
 
-// TestReaderPinsSnapshotAcrossMutationBurst pins a shard snapshot and
-// keeps it pinned while a mutation burst republishes the shard many
-// times over. The pinned reader's decisions must stay bit-identical to
-// its snapshot's (epoch-0) state throughout, and the first decision
-// after unpin must see an edit that has already returned. Run under
-// -race this is also the test that a published table is never
-// written: a write to a table the reader goroutine is still reading
-// would be a reported data race.
+// TestReaderPinsSnapshotAcrossMutationBurst pins a shard snapshot in
+// one batch's decider and keeps deciding on it while a mutation burst
+// republishes the shard many times over. The pinned reader's decisions
+// must stay bit-identical to its snapshot's (epoch-0) state
+// throughout, and the first decision of a fresh decider must see an
+// edit that has already returned. Run under -race this is also the
+// test that a published table is never written: a write to a table
+// the reader goroutine is still reading would be a reported data race.
 func TestReaderPinsSnapshotAcrossMutationBurst(t *testing.T) {
 	const perScript = 20 // mutations per segment script; 3 scripts
 	st, err := NewStore(StoreConfig{Shards: 1}, testSegments())
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	dc := st.decider()
+	var tabs [MaxShards]*Table
+	dc := st.decider(&tabs)
 
 	probes, _ := shardProbes()
 	pre := make([]Decision, len(probes))
@@ -71,14 +72,16 @@ func TestReaderPinsSnapshotAcrossMutationBurst(t *testing.T) {
 		t.Fatalf("publishes = %d, want %d", got, want)
 	}
 
-	// Unpin and revoke: the reader now pins the latest snapshot and sees
-	// every edit — the "code" probe hits the revoked descriptor.
-	dc.unpin()
+	// Revoke, then decide in a fresh batch: its decider pins the latest
+	// snapshot and sees every edit — the "code" probe hits the revoked
+	// descriptor.
 	if err := st.Revoke(1); err != nil {
-		t.Fatalf("post-unpin mutation: %v", err)
+		t.Fatalf("post-burst mutation: %v", err)
 	}
+	var fresh [MaxShards]*Table
+	next := st.decider(&fresh)
 	var d Decision
-	dc.eval(&probes[4], &d)
+	next.eval(&probes[4], &d)
 	if want := st.ShardVersion(0); d.VersionLo != want || d.VersionHi != want {
 		t.Errorf("fresh pin interval [%d,%d], want [%d,%d]", d.VersionLo, d.VersionHi, want, want)
 	}

@@ -110,9 +110,9 @@ type Decision struct {
 
 // Config sizes a Service.
 type Config struct {
-	// Workers is the number of processors, each with its own decider
-	// reading the store's RCU descriptor snapshots: the most batches
-	// decided at once. Default 4.
+	// Workers is the number of processors: the most batches decided at
+	// once, each on a decider reading the store's RCU descriptor
+	// snapshots. Default 4.
 	Workers int
 	// QueueDepth bounds the callers waiting for a processor; one more
 	// is rejected with ErrQueueFull (backpressure). Default 64.
@@ -134,13 +134,14 @@ var (
 	ErrBatchTooLarge = errors.New("service: batch exceeds limit")
 )
 
-// Decider decides batches of queries on the calling goroutine from
+// Decider decides one batch of queries on the calling goroutine from
 // per-shard descriptor tables, calling the internal/core predicates on
-// the views the tables hold. A service processor's decider pins each
-// consulted shard's published snapshot once per batch; a client
+// the views the tables hold. A service caller's decider pins each
+// consulted shard's published snapshot on first use; a client
 // replica's decider reads the tables the replica checked or fetched
-// for the batch. Both run the same procedure. A Decider is not safe for
-// concurrent use.
+// for the batch. Both run the same procedure, on a decider and a table
+// array on the caller's stack that live for one batch. A Decider is
+// not safe for concurrent use.
 type Decider struct {
 	// store supplies the snapshots pin loads; nil when the caller
 	// supplies, before Decide, the table of every shard the batch
@@ -149,19 +150,20 @@ type Decider struct {
 	names     map[string]uint32
 	shardMask uint32
 	shardBits uint32 // log2(shards): segno >> shardBits indexes a shard's table
-	// tabs[i] is the table shard i decides from in the current batch;
-	// nil when not yet pinned.
+	// tabs[i] is the table shard i decides from in this batch; nil
+	// when not yet pinned.
 	tabs []*Table
 	// pins, lookups and validates count table pins, descriptor lookups
-	// and read/write validations (the "validate" event of /metrics) —
-	// hot-path counters, read for /metrics under the processor's mutex.
+	// and read/write validations (the "validate" event of /metrics);
+	// SubmitInto adds them to its processor's counters.
 	pins, lookups, validates uint64
 }
 
-// NewDecider returns a decider over tabs, which the caller fills with
-// the table of every shard a batch consults before calling Decide:
-// len(tabs) is the shard count, a power of two, and names resolves
-// segment names. Decide clears tabs when it returns.
+// NewDecider returns a decider for one batch over tabs, which the
+// caller fills with the table of every shard the batch consults before
+// calling Decide: len(tabs) is the shard count, a power of two, and
+// names resolves segment names. The next batch takes a fresh decider
+// over fresh tables.
 func NewDecider(names map[string]uint32, tabs []*Table) Decider {
 	return Decider{
 		names:     names,
@@ -172,7 +174,9 @@ func NewDecider(names map[string]uint32, tabs []*Table) Decider {
 }
 
 // Decide answers queries into dst, which must hold len(queries)
-// decisions, from the tables the caller supplied.
+// decisions, from the tables the caller supplied or, for a store's
+// decider, the snapshots it pins. It leaves the tables in place: a
+// decider serves one batch.
 //
 //ring:hotpath
 func (dc *Decider) Decide(queries []Query, dst []Decision) {
@@ -180,7 +184,6 @@ func (dc *Decider) Decide(queries []Query, dst []Decision) {
 		dst[i] = Decision{}
 		dc.eval(&queries[i], &dst[i])
 	}
-	dc.unpin()
 }
 
 // Consults returns the set of shards (a bit per shard index) deciding q
@@ -218,15 +221,12 @@ func chainShards(chain []ChainStep, shardMask uint32) uint64 {
 	return mask
 }
 
-// processor is one simulated processor: a decider over the store's
-// published snapshots and the counters of the batches decided on it. A
-// caller borrows it from the free list for one batch and holds mu while
-// deciding; Snapshot takes mu to read the counters. The read path takes
-// no other lock: the decider pins each consulted shard's snapshot once
-// per batch (rcu.go).
+// processor is one simulated processor: the counters of the batches
+// decided on it. A caller borrows it from the free list for one batch,
+// decides the batch on a decider of its own (rcu.go), and takes mu only
+// to add the batch to the counters, which Snapshot reads under mu.
 type processor struct {
 	index int
-	dc    Decider
 
 	mu     sync.Mutex
 	counts counters
@@ -257,9 +257,9 @@ type Service struct {
 	holdAck chan struct{}
 }
 
-// New builds a Service over st with Config.Workers processors, each
-// with its own decider pinning the store's RCU descriptor snapshots. It
-// starts no goroutine: callers decide on their own.
+// New builds a Service over st with Config.Workers processors. It
+// starts no goroutine: callers decide on their own, each batch on a
+// decider pinning the store's RCU descriptor snapshots.
 func New(st *Store, cfg Config) (*Service, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -272,7 +272,7 @@ func New(st *Store, cfg Config) (*Service, error) {
 	}
 	s := &Service{store: st, cfg: cfg, free: make(chan *processor, cfg.Workers)}
 	for i := 0; i < cfg.Workers; i++ {
-		p := &processor{index: i, dc: st.decider()}
+		p := &processor{index: i}
 		s.procs = append(s.procs, p)
 		s.free <- p
 	}
@@ -307,9 +307,10 @@ func (s *Service) Submit(ctx context.Context, queries []Query) ([]Decision, erro
 // SubmitInto is the allocation-free form of Submit: decision i for
 // queries[i] is written into dst[i], which must hold at least
 // len(queries) elements. The batch is decided on the calling goroutine,
-// on a processor borrowed for it; dst is written only when SubmitInto
-// returns nil. A SubmitInto round trip performs no heap allocation
-// (guarded by TestSubmitIntoZeroAlloc).
+// on a processor borrowed for it, by a decider whose tables live on
+// this call's stack, so no pinned table outlives the call; dst is
+// written only when SubmitInto returns nil. A SubmitInto round trip
+// performs no heap allocation (guarded by TestSubmitIntoZeroAlloc).
 //
 //ring:hotpath
 func (s *Service) SubmitInto(ctx context.Context, queries []Query, dst []Decision) error {
@@ -355,12 +356,15 @@ func (s *Service) SubmitInto(ctx context.Context, queries []Query, dst []Decisio
 		}
 		<-s.hold
 	}
+	var tabs [MaxShards]*Table
+	dc := s.store.decider(&tabs)
+	dc.Decide(queries, dst)
 	p.mu.Lock()
 	for i := range queries {
-		p.decide(&queries[i], &dst[i])
+		dst[i].Worker = p.index
+		p.counts.count(queries[i].Op, &dst[i])
 	}
-	p.dc.unpin() // end of batch: the next one pins the current snapshots
-	p.counts.observe(start)
+	p.counts.observe(&dc, start)
 	p.mu.Unlock()
 	s.free <- p
 	return nil
@@ -376,17 +380,6 @@ func (s *Service) Close() {
 	s.callers.Wait()
 }
 
-// decide evaluates one query on p into d, in place and without
-// allocating (for well-formed queries). The caller holds p.mu.
-//
-//ring:hotpath
-//ring:pins
-func (p *processor) decide(q *Query, d *Decision) {
-	*d = Decision{Worker: p.index}
-	p.dc.eval(q, d)
-	p.counts.count(q.Op, d)
-}
-
 // eval answers q into d from the views of dc's pinned tables — the
 // whole decision procedure. Malformed queries set d.Err and report no
 // epoch interval; architectural outcomes (violations, traps) are
@@ -395,7 +388,6 @@ func (p *processor) decide(q *Query, d *Decision) {
 // check it against.
 //
 //ring:hotpath
-//ring:pins
 func (dc *Decider) eval(q *Query, d *Decision) {
 	d.Shard = -1
 	segno := q.Segno
@@ -520,7 +512,6 @@ func (dc *Decider) eval(q *Query, d *Decision) {
 // holds exactly one.
 //
 //ring:hotpath
-//ring:pins
 func (d *Decision) stamp(dc *Decider, mask uint64) {
 	d.VersionLo = dc.pinSum(mask)
 	d.VersionHi = d.VersionLo

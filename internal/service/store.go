@@ -18,16 +18,16 @@
 //     stamped with its shard's epoch and the edited segment, and wake
 //     the store's watchers, which read what moved from the snapshots
 //     themselves (a wire session's shootdown feed is one);
-//   - a Service keeps a set of processors, each a Decider pinning the
-//     store's snapshots — the paper's
+//   - a Service keeps a set of processors — the paper's
 //     several-processors-sharing-one-descriptor-segment configuration,
 //     with the descriptor state distributed as published configurations
 //     instead of coherently-cached mutable core. A caller borrows a
 //     processor and decides its batch on its own goroutine, as the
-//     processor making a reference validates it; a bounded number of
-//     callers may wait for a processor (backpressure). A client's
-//     descriptor replica decides through a Decider too, over the
-//     tables it fetched;
+//     processor making a reference validates it, through a Decider on
+//     its own stack that pins the store's snapshots for that batch; a
+//     bounded number of callers may wait for a processor
+//     (backpressure). A client's descriptor replica decides through a
+//     Decider too, over the tables it fetched;
 //   - json.go declares the JSON form of queries, decisions and health
 //     that ringd's HTTP handler (internal/tenant) and its clients share.
 //
@@ -41,8 +41,8 @@
 // proceed concurrently; an operation that ever needs to quiesce the
 // whole store must take the shard locks in ascending index order.
 //
-// Decisions take no store lock: a processor pins, per batch, the
-// current snapshot of every shard it consults (one atomic pointer load
+// Decisions take no store lock: a batch's decider pins the current
+// snapshot of every shard the batch consults (one atomic pointer load
 // per shard per batch) and decides against that immutable table. A
 // blocked or slow mutation therefore never delays a decision — readers
 // keep answering from the last published snapshot. Mutators serialize

@@ -124,8 +124,8 @@ var (
 // the registry's defaults.
 type TenantConfig struct {
 	// Workers is the tenant's decision worker quota — the number of
-	// processors (one decider over pinned snapshots each), and so of
-	// batches the tenant decides at once.
+	// processors, and so of batches the tenant decides at once, each on
+	// a decider over the snapshots it pins.
 	Workers int
 	// QueueDepth bounds the tenant's callers waiting for a processor;
 	// overload sheds with service.ErrQueueFull instead of starving
@@ -361,14 +361,22 @@ func NewRegistry(cfg Config) *Registry {
 // Config returns the registry's resolved sizing.
 func (r *Registry) Config() Config { return r.cfg }
 
-// ValidName reports whether name is usable as a tenant name: non-empty,
-// at most 64 bytes, and free of '/' and whitespace (it becomes a URL
-// path element).
+// ValidName reports whether name is usable as a tenant name: 1 to 64
+// of RFC 3986's unreserved characters (A-Z a-z 0-9 - . _ ~), and
+// neither "." nor "..". Every such name is its own URL path segment:
+// nothing in it is escaped, decoded or cleaned on the way to
+// /v1/t/{name} or /v1/images/{name}.
 func ValidName(name string) bool {
-	if name == "" || len(name) > 64 {
+	if name == "" || len(name) > 64 || name == "." || name == ".." {
 		return false
 	}
-	return !strings.ContainsAny(name, "/ \t\r\n")
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || strings.IndexByte("-._~", c) >= 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // resolve fills cfg's zero fields from the registry defaults.

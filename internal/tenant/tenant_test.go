@@ -103,7 +103,8 @@ func TestDuplicateTenantName(t *testing.T) {
 
 func TestBadTenantName(t *testing.T) {
 	r := newTestRegistry(t, Config{})
-	for _, name := range []string{"", "a/b", "a b", "a\tb", "a\nb", string(make([]byte, 65))} {
+	for _, name := range []string{"", "a/b", "a b", "a\tb", "a\nb", string(make([]byte, 65)),
+		"a?b", "a#b", "a%41", "a%2Fb", ".", ".."} {
 		if _, err := r.Load(name, testImage(), TenantConfig{}); !errors.Is(err, ErrBadName) {
 			t.Errorf("Load(%q): %v, want ErrBadName", name, err)
 		}

@@ -14,17 +14,13 @@ import (
 	"repro/internal/service"
 )
 
-// ClientConfig configures Dial.
+// ClientConfig configures Dial. A client offers exactly Version in its
+// Hello, accepts only a Welcome at Version, and bounds every incoming
+// frame at DefaultMaxFrame.
 type ClientConfig struct {
 	// Tenant is the tenant name the session binds to; "" means the
 	// daemon's default tenant.
 	Tenant string
-	// MinVersion/MaxVersion is the offered protocol range; both default
-	// to Version.
-	MinVersion uint16
-	MaxVersion uint16
-	// MaxFrame bounds response payloads; default DefaultMaxFrame.
-	MaxFrame uint32
 	// Timeout bounds connection establishment and the handshake, and
 	// then every call: while calls are pending and no frame arrives
 	// within Timeout, the session fails and every pending call returns
@@ -49,15 +45,6 @@ type ClientConfig struct {
 }
 
 func (c ClientConfig) withDefaults() ClientConfig {
-	if c.MinVersion == 0 {
-		c.MinVersion = Version
-	}
-	if c.MaxVersion == 0 {
-		c.MaxVersion = Version
-	}
-	if c.MaxFrame == 0 {
-		c.MaxFrame = DefaultMaxFrame
-	}
 	if c.Timeout <= 0 {
 		c.Timeout = 10 * time.Second
 	}
@@ -148,8 +135,8 @@ func (c *Client) handshake() error {
 	_ = c.conn.SetDeadline(deadline)
 	defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
 	b, err := EncodeHello(nil, Hello{
-		MinVersion: c.cfg.MinVersion,
-		MaxVersion: c.cfg.MaxVersion,
+		MinVersion: Version,
+		MaxVersion: Version,
 		Tenant:     c.cfg.Tenant,
 	})
 	if err != nil {
@@ -159,7 +146,7 @@ func (c *Client) handshake() error {
 		return err
 	}
 	var rbuf []byte
-	h, payload, err := readFrame(c.conn, &rbuf, c.cfg.MaxFrame)
+	h, payload, err := readFrame(c.conn, &rbuf, DefaultMaxFrame)
 	if err != nil {
 		return err
 	}
@@ -169,7 +156,7 @@ func (c *Client) handshake() error {
 		if err != nil {
 			return err
 		}
-		if w.Version < c.cfg.MinVersion || w.Version > c.cfg.MaxVersion {
+		if w.Version != Version {
 			return ErrVersion
 		}
 		c.welcome = w
@@ -206,7 +193,7 @@ func (c *Client) readLoop() {
 	br := bufio.NewReaderSize(c.conn, readBufSize)
 	var rbuf []byte
 	for {
-		h, payload, err := readFrame(br, &rbuf, c.cfg.MaxFrame)
+		h, payload, err := readFrame(br, &rbuf, DefaultMaxFrame)
 		if err != nil {
 			c.fail(err)
 			return

@@ -19,8 +19,9 @@
 // Every frame is a 16-byte header followed by a payload:
 //
 //	offset  size  field
-//	0       4     payload length (uint32, big endian; bounded by
-//	              Config.MaxFrame BEFORE any allocation)
+//	0       4     payload length (uint32, big endian; bounded by the
+//	              server's Config.MaxFrame, a client's DefaultMaxFrame,
+//	              BEFORE any allocation)
 //	4       1     frame type
 //	5       1     flags (must be 0 in version 1)
 //	6       2     reserved (must be 0)

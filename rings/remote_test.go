@@ -175,6 +175,42 @@ func TestDialRemoteTenantRouting(t *testing.T) {
 	}
 }
 
+// TestDialRemoteTenantNamePunctuation reaches a tenant whose name
+// uses every punctuation mark a name may hold over both transports:
+// each valid name is its own URL path segment.
+func TestDialRemoteTenantNamePunctuation(t *testing.T) {
+	fx := startRemoteFixture(t)
+	const name = "a-b.c_d~e"
+	if _, err := fx.reg.Load(name, []rings.Segment{
+		{Name: "ledger", Size: 64, Read: true, Brackets: rings.Brackets{R1: 1, R2: 3, R3: 3}},
+	}, tenant.TenantConfig{Workers: 1}); err != nil {
+		t.Fatalf("Load %q: %v", name, err)
+	}
+	q := rings.Query{Op: rings.OpAccess, Ring: 2, Segment: "ledger", Kind: rings.AccessRead}
+	for _, tc := range []struct{ transport, target string }{
+		{"http", fx.httpURL},
+		{"wire", fx.wireAddr},
+	} {
+		t.Run(tc.transport, func(t *testing.T) {
+			rc, err := rings.DialRemote(tc.target, rings.RemoteConfig{Transport: tc.transport, Tenant: name})
+			if err != nil {
+				t.Fatalf("DialRemote: %v", err)
+			}
+			defer rc.Close()
+			if h, err := rc.Health(); err != nil || h.Segments != 1 {
+				t.Fatalf("%q health = %+v, %v", name, h, err)
+			}
+			ds, err := rc.Check(q)
+			if err != nil {
+				t.Fatalf("Check: %v", err)
+			}
+			if !ds[0].Allowed || ds[0].Err != "" {
+				t.Errorf("ledger read in ring 2: %+v", ds[0])
+			}
+		})
+	}
+}
+
 // TestRemoteUnknownKindNeverAllowed sends access kinds outside read,
 // write and execute down every path — in-process, HTTP, wire, and wire
 // behind a lease cache — for a reference that a read would pass. No
