@@ -1,12 +1,12 @@
 // Command ringvet statically enforces the repo's hot-path and mutation
 // invariants (see internal/analysis and DESIGN.md "Static
-// invariants").
+// invariants"). Run it from the module root over the packages to
+// check:
 //
-// Two ways to run it:
+//	go run ./cmd/ringvet ./...
 //
-//	go build -o /tmp/ringvet ./cmd/ringvet
-//	go vet -vettool=/tmp/ringvet ./...   # fact-driven, cached by cmd/go
-//	/tmp/ringvet ./...                   # standalone, in-process
+// It exits 0 when the packages are clean, 2 after printing
+// diagnostics, and 1 when they fail to load.
 package main
 
 import (

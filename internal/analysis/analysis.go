@@ -7,15 +7,15 @@
 //
 //   - an Analyzer is a named pass over one type-checked package;
 //   - a Pass hands the analyzer the syntax trees, the type
-//     information, the parsed //ring: annotations, and the facts
-//     exported by the package's dependencies;
-//   - facts flow between packages exactly as x/tools facts do — each
-//     analyzed package exports a gob-encoded fact file, and the
-//     unitchecker driver (unitchecker.go) plugs into `go vet
-//     -vettool` so the `go` tool schedules packages in dependency
-//     order and threads the fact files through;
-//   - the in-process driver (load.go) shells out to `go list` for the
-//     package graph, for standalone runs (`ringvet ./...`) and tests.
+//     information, the parsed //ring: annotations, and the facts of
+//     every function scanned so far;
+//   - Load (load.go) type-checks the module as one type universe: it
+//     lists the packages with `go list`, checks each module package
+//     from source against the module packages already checked, and
+//     reads only out-of-module packages (the standard library) from
+//     compiler export data. A callee in another package is therefore
+//     the very *types.Func its own package declared, and facts are
+//     keyed by it.
 //
 // The shared fact computation lives here rather than per-analyzer:
 // Scan walks every function once and records the heap-allocating
@@ -89,14 +89,11 @@ type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
 	Notes    *Notes
-	Local    *PackageFacts
-	// Facts holds the facts of every module package analyzed so far
-	// (dependencies first), keyed by package path; Local is also
-	// present under the current package's path.
-	Facts FactSet
+	// Facts holds the facts of every function scanned so far: those of
+	// this package and of every module package it imports.
+	Facts map[*types.Func]*FuncFact
 
-	report   func(token.Pos, string)
-	reportAt func(token.Position, string)
+	report func(token.Pos, string)
 }
 
 // Reportf records one diagnostic at pos. Diagnostics on lines covered
@@ -105,55 +102,25 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(pos, fmt.Sprintf(format, args...))
 }
 
-// ReportLinef records a diagnostic at a fact position ("file:line"),
-// for findings derived from serialized facts rather than syntax.
-func (p *Pass) ReportLinef(factPos string, format string, args ...any) {
-	pos := token.Position{Filename: factPos}
-	if i := strings.LastIndex(factPos, ":"); i >= 0 {
-		fmt.Sscanf(factPos[i+1:], "%d", &pos.Line)
-		pos.Filename = factPos[:i]
-	}
-	p.reportAt(pos, fmt.Sprintf(format, args...))
-}
-
-// FuncFactOf resolves the fact record of fn, looking at the current
-// package first and imported facts second. Returns nil for functions
-// outside the analyzed module (standard library and dynamic callees).
-func (p *Pass) FuncFactOf(fn *types.Func) *FuncFact {
-	if fn == nil || fn.Pkg() == nil {
-		return nil
-	}
-	if pf, ok := p.Facts[fn.Pkg().Path()]; ok {
-		return pf.Funcs[FuncKey(fn)]
-	}
-	return nil
-}
-
-// Run executes the analyzers over pkgs (which must be in dependency
-// order: a package after every package it imports). seed carries facts
-// from outside the run — the unitchecker driver passes the decoded
-// vetx facts of the dependencies; in-process whole-module runs pass
-// nil. It returns the diagnostics (sorted by position) and the full
-// fact set, including every analyzed package.
-func Run(pkgs []*Package, analyzers []*Analyzer, seed FactSet) ([]Diagnostic, FactSet, error) {
-	facts := FactSet{}
-	for path, pf := range seed {
-		facts[path] = pf
-	}
+// Run executes the analyzers over pkgs, which must share one type
+// universe and come in dependency order (a package after every package
+// it imports), as Load returns them. It returns the diagnostics,
+// sorted by position.
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	facts := map[*types.Func]*FuncFact{}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		notes := ParseNotes(pkg)
-		local := Scan(pkg, notes, facts)
-		facts[pkg.Path] = local
+		Scan(pkg, notes, facts)
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer: a,
 				Pkg:      pkg,
 				Notes:    notes,
-				Local:    local,
 				Facts:    facts,
 			}
-			pass.reportAt = func(position token.Position, msg string) {
+			pass.report = func(pos token.Pos, msg string) {
+				position := pkg.Fset.Position(pos)
 				// ring:allow suppression — except for the annot
 				// analyzer, whose whole job is grading annotations.
 				if a.Name != "annot" {
@@ -163,11 +130,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer, seed FactSet) ([]Diagnostic, Fa
 				}
 				diags = append(diags, Diagnostic{Pos: position, Analyzer: a.Name, Message: msg})
 			}
-			pass.report = func(pos token.Pos, msg string) {
-				pass.reportAt(pkg.Fset.Position(pos), msg)
-			}
 			if err := a.Run(pass); err != nil {
-				return nil, nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
+				return nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
 			}
 		}
 	}
@@ -181,11 +145,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer, seed FactSet) ([]Diagnostic, Fa
 		}
 		return a.Message < b.Message
 	})
-	return diags, facts, nil
+	return diags, nil
 }
 
-// lineKey is the "file:line" key allow suppression and fact positions
-// use.
+// lineKey is the "file:line" key of allow suppression, also the form
+// in which a diagnostic names a position in another function.
 func lineKey(p token.Position) string {
 	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
 }

@@ -34,7 +34,7 @@ func TestAnnotFixture(t *testing.T) { runFixture(t, "annot", Annot) }
 func runFixture(t *testing.T, name string, analyzers ...*Analyzer) {
 	t.Helper()
 	pkg := loadFixture(t, name)
-	diags, _, err := Run([]*Package{pkg}, analyzers, nil)
+	diags, err := Run([]*Package{pkg}, analyzers)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -64,7 +64,7 @@ func loadFixture(t *testing.T, name string) *Package {
 	fset := token.NewFileSet()
 	imp := exportImporter(fset, stdExportLookup(t))
 	modPath := "fix/" + name
-	pkg, err := typecheck(fset, modPath, modPath, files, imp, "")
+	pkg, err := typecheck(fset, modPath, modPath, files, imp)
 	if err != nil {
 		t.Fatalf("typecheck fixture %s: %v", name, err)
 	}

@@ -1,6 +1,10 @@
 package analysis
 
 import (
+	"fmt"
+	"go/types"
+	"math"
+	"path"
 	"strings"
 )
 
@@ -29,36 +33,25 @@ var HotPath = &Analyzer{
 }
 
 func runHotPath(pass *Pass) error {
-	h := &hotWalker{pass: pass, memo: map[string]*banTrace{}}
-	for key, fact := range pass.Local.Funcs {
-		if !fact.Hot {
+	h := &hotWalker{facts: pass.Facts, memo: map[*types.Func]*banTrace{}, depth: map[*types.Func]int{}}
+	for fd, note := range pass.Notes.Funcs {
+		fn, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
+		fact := pass.Facts[fn]
+		if !note.Hot || fact == nil {
 			continue
 		}
 		for _, b := range fact.Bans {
-			pass.ReportLinef(b.Pos, "hot path: %s", b.What)
+			pass.Reportf(b.Pos, "hot path: %s", b.What)
 		}
-		seenSite := map[string]bool{}
 		for _, cs := range fact.Calls {
-			callee := h.lookup(cs.Callee)
-			if callee == nil || callee.Hot {
-				// Unknown callees are outside the module, where the
-				// scan banned the growers at the call; hot callees are
-				// verified at their own definitions.
-				continue
-			}
-			trace := h.firstBan(cs.Callee)
+			trace, _ := h.firstBan(cs.Callee)
 			if trace == nil {
 				continue
 			}
-			sk := cs.Pos + "|" + trace.ban.Pos
-			if seenSite[sk] {
-				continue
-			}
-			seenSite[sk] = true
-			pass.ReportLinef(cs.Pos,
+			pass.Reportf(cs.Pos,
 				"hot path: %s calls %s, which reaches %s at %s (via %s)",
-				shortKey(key), shortKey(cs.Callee), trace.ban.What, trace.ban.Pos,
-				strings.Join(trace.chain, " -> "))
+				funcName(fn), qualified(cs.Callee), trace.ban.What,
+				lineKey(pass.Pkg.Fset.Position(trace.ban.Pos)), strings.Join(trace.chain, " -> "))
 		}
 	}
 	return nil
@@ -66,63 +59,89 @@ func runHotPath(pass *Pass) error {
 
 type banTrace struct {
 	ban   Ban
-	chain []string // GlobalKeys from the first callee to the offender
+	chain []string // qualified names from the first callee to the offender
 }
 
 type hotWalker struct {
-	pass *Pass
-	memo map[string]*banTrace // global key -> first reachable ban (nil entry = clean)
-}
-
-func (h *hotWalker) lookup(globalKey string) *FuncFact {
-	dot := strings.LastIndex(globalKey, ".")
-	for i := dot; i >= 0; i = strings.LastIndex(globalKey[:i], ".") {
-		if pf, ok := h.pass.Facts[globalKey[:i]]; ok {
-			if f, ok := pf.Funcs[globalKey[i+1:]]; ok {
-				return f
-			}
-		}
-	}
-	return nil
+	facts   map[*types.Func]*FuncFact
+	memo    map[*types.Func]*banTrace // settled: first reachable ban (nil entry = clean)
+	depth   map[*types.Func]int       // in progress: depth on the walk
+	pending []*types.Func             // clean so far, but only because a caller was in progress
 }
 
 // firstBan returns the first banned construct statically reachable
-// from the function named by globalKey, or nil if its transitive
-// closure is clean. Cycles are treated as clean while in progress.
-func (h *hotWalker) firstBan(globalKey string) *banTrace {
-	if t, done := h.memo[globalKey]; done {
-		return t
+// from fn, or nil if its transitive closure is clean. Functions outside
+// the module (where the scan banned the growers at the call) and hot
+// functions (verified at their own definitions) count as clean.
+//
+// A call back into a function still in progress (a cycle) counts as
+// clean for now, so a clean answer that leaned on one is not settled:
+// the function waits in pending until the shallowest function it
+// leaned on finishes clean, and is settled with it. The second result
+// is the least depth leaned on (math.MaxInt for a settled answer), as
+// in Tarjan's strongly connected components. So whether a ban is
+// found does not depend on the order the hot functions are walked in.
+func (h *hotWalker) firstBan(fn *types.Func) (*banTrace, int) {
+	if t, done := h.memo[fn]; done {
+		return t, math.MaxInt
 	}
-	h.memo[globalKey] = nil // in progress: break cycles optimistically
-	fact := h.lookup(globalKey)
-	if fact == nil {
-		return nil
+	if d, busy := h.depth[fn]; busy {
+		return nil, d
+	}
+	fact := h.facts[fn]
+	if fact == nil || fact.Hot {
+		return nil, math.MaxInt
 	}
 	if len(fact.Bans) > 0 {
-		t := &banTrace{ban: fact.Bans[0], chain: []string{shortKey(globalKey)}}
-		h.memo[globalKey] = t
-		return t
+		t := &banTrace{ban: fact.Bans[0], chain: []string{qualified(fn)}}
+		h.memo[fn] = t
+		return t, math.MaxInt
 	}
+	d, mark, low := len(h.depth), len(h.pending), math.MaxInt
+	h.depth[fn] = d
+	defer delete(h.depth, fn)
 	for _, cs := range fact.Calls {
-		callee := h.lookup(cs.Callee)
-		if callee == nil || callee.Hot {
-			continue
+		sub, l := h.firstBan(cs.Callee)
+		if sub != nil {
+			t := &banTrace{ban: sub.ban, chain: append([]string{qualified(fn)}, sub.chain...)}
+			h.memo[fn] = t
+			h.pending = h.pending[:mark]
+			return t, math.MaxInt
 		}
-		if sub := h.firstBan(cs.Callee); sub != nil {
-			t := &banTrace{ban: sub.ban, chain: append([]string{shortKey(globalKey)}, sub.chain...)}
-			h.memo[globalKey] = t
-			return t
-		}
+		low = min(low, l)
 	}
-	return nil
+	if low < d {
+		h.pending = append(h.pending, fn)
+		return nil, low
+	}
+	for _, g := range h.pending[mark:] {
+		h.memo[g] = nil
+	}
+	h.pending = h.pending[:mark]
+	h.memo[fn] = nil
+	return nil, math.MaxInt
 }
 
-// shortKey trims the module prefix off a global key for readable
-// diagnostics: "repro/internal/service.(*Store).SubmitInto" ->
-// "service.(*Store).SubmitInto".
-func shortKey(globalKey string) string {
-	if i := strings.LastIndex(globalKey, "/"); i >= 0 {
-		return globalKey[i+1:]
+// funcName names fn within its package: "Name" for a package function,
+// "(Recv).Name" or "(*Recv).Name" for a method.
+func funcName(fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return fn.Name()
 	}
-	return globalKey
+	t, ptr := recv.Type(), ""
+	if p, ok := t.(*types.Pointer); ok {
+		t, ptr = p.Elem(), "*"
+	}
+	name := "?"
+	if n, ok := t.(*types.Named); ok {
+		name = n.Obj().Name()
+	}
+	return fmt.Sprintf("(%s%s).%s", ptr, name, fn.Name())
+}
+
+// qualified prefixes funcName with the last element of fn's package
+// path: "service.(*Store).SubmitInto".
+func qualified(fn *types.Func) string {
+	return path.Base(fn.Pkg().Path()) + "." + funcName(fn)
 }

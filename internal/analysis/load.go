@@ -28,13 +28,41 @@ type listPackage struct {
 	Error      *struct{ Err string }
 }
 
+// Main is cmd/ringvet's entry point: `ringvet [packages]` loads the
+// packages (default ./...) from the current directory and runs every
+// analyzer over them. It returns the process exit code: 0 clean, 2
+// diagnostics, 1 error.
+func Main(patterns []string) int {
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	pkgs, err := Load(".", patterns...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ringvet: %v\n", err)
+		return 1
+	}
+	diags, err := Run(pkgs, Analyzers)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ringvet: %v\n", err)
+		return 1
+	}
+	for _, d := range diags {
+		fmt.Fprintf(os.Stderr, "%s\n", d)
+	}
+	if len(diags) > 0 {
+		return 2
+	}
+	return 0
+}
+
 // Load lists patterns with `go list -deps -export -json` from dir and
-// returns the module's packages, type-checked from source and in
-// dependency order. Out-of-module dependencies (the standard library)
-// are consumed through their compiler export data, so only the code
-// under analysis is parsed. This is the in-process driver used by
-// `ringvet [packages]` and the tests; `go vet -vettool` runs go
-// through the unitchecker driver instead.
+// returns the module's packages, type-checked from source in
+// dependency order as one type universe: each module package imports
+// the module packages already checked, and only out-of-module
+// dependencies (the standard library) are read from their compiler
+// export data. So only the code under analysis is parsed, and a
+// function seen from another package is the very *types.Func its own
+// package declared.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{"list", "-deps", "-export", "-json=Dir,ImportPath,Standard,Export,GoFiles,Module,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -59,35 +87,46 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if lp.Error != nil {
 			return nil, fmt.Errorf("go list: %s: %s", lp.ImportPath, lp.Error.Err)
 		}
-		if lp.Export != "" {
+		if lp.Standard || lp.Module == nil {
 			exports[lp.ImportPath] = lp.Export
+		} else {
+			listed = append(listed, lp)
 		}
-		listed = append(listed, lp)
 	}
 
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, func(path string) (string, bool) {
+	fromExport := exportImporter(fset, func(path string) (string, bool) {
 		f, ok := exports[path]
 		return f, ok
+	})
+	checked := map[string]*types.Package{}
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return fromExport.Import(path)
 	})
 
 	var pkgs []*Package
 	for _, lp := range listed {
-		if lp.Standard || lp.Module == nil {
-			continue
-		}
 		var files []string
 		for _, name := range lp.GoFiles {
 			files = append(files, filepath.Join(lp.Dir, name))
 		}
-		pkg, err := typecheck(fset, lp.ImportPath, lp.Module.Path, files, imp, "")
+		pkg, err := typecheck(fset, lp.ImportPath, lp.Module.Path, files, imp)
 		if err != nil {
 			return nil, err
 		}
+		checked[lp.ImportPath] = pkg.Types
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
 }
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // exportImporter returns a gc-export-data importer whose file lookup
 // is supplied by resolve (import path -> export file).
@@ -103,7 +142,7 @@ func exportImporter(fset *token.FileSet, resolve func(string) (string, bool)) ty
 
 // typecheck parses files (skipping _test.go — the static invariants
 // target production code) and type-checks them into a Package.
-func typecheck(fset *token.FileSet, path, module string, files []string, imp types.Importer, goVersion string) (*Package, error) {
+func typecheck(fset *token.FileSet, path, module string, files []string, imp types.Importer) (*Package, error) {
 	var syntax []*ast.File
 	for _, file := range files {
 		if strings.HasSuffix(filepath.Base(file), "_test.go") {
@@ -123,7 +162,7 @@ func typecheck(fset *token.FileSet, path, module string, files []string, imp typ
 		Implicits:  map[ast.Node]types.Object{},
 	}
 	sizes := types.SizesFor("gc", runtime.GOARCH)
-	conf := types.Config{Importer: imp, Sizes: sizes, GoVersion: goVersion}
+	conf := types.Config{Importer: imp, Sizes: sizes}
 	tpkg, err := conf.Check(path, fset, syntax, info)
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %v", path, err)

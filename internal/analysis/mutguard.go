@@ -149,7 +149,7 @@ func (g *guardWalker) checkLockedCall(call *ast.CallExpr) {
 	if fn == nil {
 		return
 	}
-	fact := g.pass.FuncFactOf(fn)
+	fact := g.pass.Facts[fn.Origin()]
 	if fact == nil || fact.Locked == "" {
 		return
 	}

@@ -11,19 +11,18 @@ import (
 // ---- Facts ----
 
 // A Ban is one heap-allocating construct found in a function body.
-// Positions are "file:line" strings so facts serialize stably.
 type Ban struct {
-	Pos  string
+	Pos  token.Pos
 	What string
 }
 
 // A CallSite is one static module-internal call.
 type CallSite struct {
-	Callee string // FuncKey of the callee
-	Pos    string
+	Callee *types.Func // the declared function: Origin of an instance
+	Pos    token.Pos
 }
 
-// FuncFact is everything the suite exports about one function.
+// FuncFact is everything the scan records about one function.
 type FuncFact struct {
 	Hot    bool
 	Locked string
@@ -31,54 +30,13 @@ type FuncFact struct {
 	Calls  []CallSite
 }
 
-// PackageFacts is one package's exported facts.
-type PackageFacts struct {
-	Path  string
-	Funcs map[string]*FuncFact // keyed by FuncKey
-}
-
-// FactSet maps package paths to their facts. A vetx file holds the
-// transitive closure — the package's own facts plus everything its
-// dependencies exported — so single-level PackageVetx maps suffice.
-type FactSet map[string]*PackageFacts
-
-// FuncKey is the stable identifier of a function within its package:
-// "Name" for package functions, "(Recv).Name" / "(*Recv).Name" for
-// methods.
-func FuncKey(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return fn.Name()
-	}
-	t := sig.Recv().Type()
-	ptr := ""
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		ptr = "*"
-		t = p.Elem()
-	}
-	name := "?"
-	switch tt := t.(type) {
-	case *types.Named:
-		name = tt.Obj().Name()
-	case *types.Interface:
-		name = t.String()
-	}
-	return fmt.Sprintf("(%s%s).%s", ptr, name, fn.Name())
-}
-
-// GlobalKey qualifies a FuncKey with its package path, for
-// cross-package fact lookups and diagnostics.
-func GlobalKey(pkgPath, key string) string { return pkgPath + "." + key }
-
 // ---- Scan ----
 
-// Scan walks every function of pkg once and records its facts: the
-// heap-allocating constructs it contains (after //ring:allow
-// filtering), its static module-internal callees, and its annotation
-// markers. The result feeds every analyzer and is what the package
-// exports to its dependents.
-func Scan(pkg *Package, notes *Notes, facts FactSet) *PackageFacts {
-	pf := &PackageFacts{Path: pkg.Path, Funcs: map[string]*FuncFact{}}
+// Scan walks every function of pkg once and records its facts in
+// facts: the heap-allocating constructs it contains (after
+// //ring:allow filtering), its static module-internal callees, and its
+// annotation markers. The result feeds every analyzer.
+func Scan(pkg *Package, notes *Notes, facts map[*types.Func]*FuncFact) {
 	for _, file := range pkg.Syntax {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -95,10 +53,9 @@ func Scan(pkg *Package, notes *Notes, facts FactSet) *PackageFacts {
 			}
 			s := &scanner{pkg: pkg, notes: notes, fact: fact, decl: fd}
 			s.scan()
-			pf.Funcs[FuncKey(obj)] = fact
+			facts[obj] = fact
 		}
 	}
-	return pf
 }
 
 // scanner walks one function body.
@@ -113,17 +70,12 @@ type scanner struct {
 	calledSelectors map[*ast.SelectorExpr]bool
 }
 
-func (s *scanner) posKey(pos token.Pos) string {
-	return lineKey(s.pkg.Fset.Position(pos))
-}
-
 // ban records a banned construct unless the line carries ring:allow.
 func (s *scanner) ban(pos token.Pos, what string) {
-	key := s.posKey(pos)
-	if _, allowed := s.notes.Allowed[key]; allowed {
+	if _, allowed := s.notes.Allowed[lineKey(s.pkg.Fset.Position(pos))]; allowed {
 		return
 	}
-	s.fact.Bans = append(s.fact.Bans, Ban{Pos: key, What: what})
+	s.fact.Bans = append(s.fact.Bans, Ban{Pos: pos, What: what})
 }
 
 func (s *scanner) scan() {
@@ -223,10 +175,7 @@ func (s *scanner) call(call *ast.CallExpr) {
 			return
 		}
 		if s.inModule(fn.Pkg().Path()) {
-			s.fact.Calls = append(s.fact.Calls, CallSite{
-				Callee: GlobalKey(fn.Pkg().Path(), FuncKey(fn)),
-				Pos:    s.posKey(call.Pos()),
-			})
+			s.fact.Calls = append(s.fact.Calls, CallSite{Callee: fn.Origin(), Pos: call.Pos()})
 		}
 	}
 

@@ -98,10 +98,7 @@ func init() {
 		if err != nil {
 			return err
 		}
-		svc, err := service.New(st, service.Config{Workers: workers, QueueDepth: 128})
-		if err != nil {
-			return err
-		}
+		svc := service.New(st, service.Config{Workers: workers, QueueDepth: 128})
 		defer svc.Close()
 
 		probes := t12Probes()

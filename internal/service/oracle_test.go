@@ -30,10 +30,7 @@ func TestShardedConcurrentOracle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	svc, err := service.New(st, service.Config{Workers: 4, QueueDepth: 64})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	svc := service.New(st, service.Config{Workers: 4, QueueDepth: 64})
 	defer svc.Close()
 
 	probes, probeSegno := service.ShardProbes()
@@ -160,10 +157,7 @@ func TestBlockedMutationDoesNotBlockReaders(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	svc, err := service.New(st, service.Config{Workers: 2})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	svc := service.New(st, service.Config{Workers: 2})
 	defer svc.Close()
 	codeShard := st.ShardOf(1)
 

@@ -260,7 +260,7 @@ type Service struct {
 // New builds a Service over st with Config.Workers processors. It
 // starts no goroutine: callers decide on their own, each batch on a
 // decider pinning the store's RCU descriptor snapshots.
-func New(st *Store, cfg Config) (*Service, error) {
+func New(st *Store, cfg Config) *Service {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
@@ -276,7 +276,7 @@ func New(st *Store, cfg Config) (*Service, error) {
 		s.procs = append(s.procs, p)
 		s.free <- p
 	}
-	return s, nil
+	return s
 }
 
 // Store returns the descriptor store the service decides against.

@@ -35,10 +35,7 @@ func newTestService(t *testing.T, cfg Config) *Service {
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	svc, err := New(st, cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	svc := New(st, cfg)
 	t.Cleanup(svc.Close)
 	return svc
 }
@@ -249,10 +246,7 @@ func TestBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	svc, err := New(st, Config{Workers: 1, QueueDepth: 1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	svc := New(st, Config{Workers: 1, QueueDepth: 1})
 	defer svc.Close()
 	hold := make(chan struct{})
 	ack := make(chan struct{}, 4)
@@ -402,10 +396,7 @@ func TestServiceStartsNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	svc, err := New(st, Config{Workers: 4})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	svc := New(st, Config{Workers: 4})
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("New started %d goroutines", n-before)
 	}
@@ -425,10 +416,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	svc, err := New(st, Config{Workers: 2, QueueDepth: 8})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	svc := New(st, Config{Workers: 2, QueueDepth: 8})
 	qs := []Query{{Op: OpAccess, Ring: 3, Segment: "data", Kind: core.AccessRead}}
 
 	var wg sync.WaitGroup
@@ -660,10 +648,7 @@ func TestGateCountBeyondField(t *testing.T) {
 	if got := st.ShardVersion(0); got != 0 {
 		t.Errorf("rejected edit moved the shard epoch to %d", got)
 	}
-	svc, err := New(st, Config{Workers: 1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	svc := New(st, Config{Workers: 1})
 	defer svc.Close()
 	ds, err := svc.Submit(context.Background(), []Query{{Op: OpCall, Ring: 4, Segno: 0, Wordno: 5000}})
 	if err != nil {

@@ -28,10 +28,7 @@ func TestModelMatchesService(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: NewStore: %v", seed, err)
 		}
-		svc, err := service.New(st, service.Config{Workers: 1})
-		if err != nil {
-			t.Fatalf("seed %d: New: %v", seed, err)
-		}
+		svc := service.New(st, service.Config{Workers: 1})
 		model := spec.New(shards, segs)
 		span := uint32(len(segs) + 3)
 		for round := 0; round < 40; round++ {
@@ -87,10 +84,7 @@ func TestFetchFlagBeforeBracket(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	svc, err := service.New(st, service.Config{Workers: 1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	svc := service.New(st, service.Config{Workers: 1})
 	defer svc.Close()
 	model := spec.New(1, segs)
 	for _, r := range []core.Ring{0, 1, 5, 7} { // outside [R1, R2] = [2, 4]

@@ -120,27 +120,35 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	return false
 }
 
-// writeError answers a rejected check or mutation: 429 for a shed
-// batch and 503 for a loading or draining tenant, both with
-// Retry-After; 409 for an edit of a sealed or draining tenant; 404 for
-// an evicted tenant or an unknown segment; 400 for any other rejected
-// edit or an oversized batch; 503 when the service has closed or the
-// client went away.
-func writeError(w http.ResponseWriter, err error, mutation bool) {
-	status, retry := http.StatusServiceUnavailable, false
+// Status maps a rejected check (mutation false) or edit (mutation
+// true) to the status both transports answer with: the HTTP status,
+// which is also the wire's error code. A shed batch is 429; an edit of
+// a sealed or draining tenant 409; an evicted tenant or an unknown
+// segment 404; any other rejected edit and an oversized batch 400; a
+// check on a draining tenant, a closed service or a departed client
+// 503.
+//
+//ring:hotpath
+func Status(err error, mutation bool) int {
 	switch {
 	case errors.Is(err, service.ErrQueueFull):
-		status, retry = http.StatusTooManyRequests, true
+		return http.StatusTooManyRequests
 	case errors.Is(err, ErrSealed), mutation && errors.Is(err, ErrDraining):
-		status = http.StatusConflict
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrLoading):
-		retry = true
+		return http.StatusConflict
 	case errors.Is(err, ErrTenantNotFound), errors.Is(err, ErrUnknownSegment):
-		status = http.StatusNotFound
+		return http.StatusNotFound
 	case mutation, errors.Is(err, service.ErrBatchTooLarge):
-		status = http.StatusBadRequest
+		return http.StatusBadRequest
 	}
-	if retry {
+	return http.StatusServiceUnavailable
+}
+
+// writeError answers a rejected check or mutation with its Status,
+// adding Retry-After for a shed batch and for a check on a draining
+// tenant, the two transient rejections.
+func writeError(w http.ResponseWriter, err error, mutation bool) {
+	status := Status(err, mutation)
+	if status == http.StatusTooManyRequests || !mutation && errors.Is(err, ErrDraining) {
 		w.Header().Set("Retry-After", "1")
 	}
 	writeJSON(w, status, errorResponse{Error: err.Error()})
@@ -253,12 +261,7 @@ func (h *Handler) handleDetail(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("%v: %q", ErrTenantNotFound, r.PathValue("name"))})
 		return
 	}
-	svc := t.Service()
-	if svc == nil {
-		writeError(w, ErrLoading, false)
-		return
-	}
-	writeJSON(w, http.StatusOK, detailResponse{Status: t.Status(), Metrics: svc.Snapshot()})
+	writeJSON(w, http.StatusOK, detailResponse{Status: t.Status(), Metrics: t.svc.Snapshot()})
 }
 
 type lifecycleResponse struct {
@@ -283,14 +286,11 @@ func (h *Handler) handleSeal(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) handleEvict(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := h.reg.Evict(name); err != nil {
-		switch {
-		case errors.Is(err, ErrTenantNotFound):
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
-		case errors.Is(err, ErrDraining):
-			writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
-		default:
-			writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
+		status := http.StatusConflict
+		if errors.Is(err, ErrTenantNotFound) {
+			status = http.StatusNotFound
 		}
+		writeJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, lifecycleResponse{OK: true, Name: name, State: StateEvicted.String()})
@@ -301,12 +301,6 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, name, endpoint s
 	t, ok := h.reg.Get(name)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("%v: %q", ErrTenantNotFound, name)})
-		return
-	}
-	// A tenant is listed while its image builds, and a failed build
-	// leaves it without a service to answer from.
-	if t.Service() == nil {
-		writeError(w, ErrLoading, false)
 		return
 	}
 	switch endpoint {

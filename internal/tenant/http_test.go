@@ -517,44 +517,3 @@ func TestHTTPGracefulShutdown(t *testing.T) {
 		t.Error("503 without error body")
 	}
 }
-
-// TestHandlerLoadingTenant checks that a tenant the registry lists
-// while its image still builds answers 503 with Retry-After on every
-// endpoint instead of reaching its unbuilt service.
-func TestHandlerLoadingTenant(t *testing.T) {
-	r := NewRegistry(Config{})
-	slow := &Tenant{name: "slow"} // the zero state is loading
-	r.mu.Lock()
-	r.tenants[slow.name] = slow
-	r.order = append(r.order, slow.name)
-	r.mu.Unlock()
-	h := NewHandler(r, HandlerOptions{})
-	ts := httptest.NewServer(h)
-	t.Cleanup(func() { ts.Close(); r.unregister(slow); h.Close() })
-
-	for _, endpoint := range []string{"check", "mutate", "healthz", "metrics"} {
-		resp, body := postRaw(t, ts.URL+"/v1/t/slow/"+endpoint, []byte("{}"))
-		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-			t.Errorf("%s on a loading tenant: status %d, Retry-After %q: %s",
-				endpoint, resp.StatusCode, resp.Header.Get("Retry-After"), body)
-		}
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/images/slow")
-	if err != nil {
-		t.Fatalf("GET /v1/images/slow: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-		t.Errorf("detail of a loading tenant: status %d, Retry-After %q",
-			resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-	code, list := do(t, http.MethodGet, ts.URL+"/v1/images", "")
-	rows, _ := list["tenants"].([]interface{})
-	if code != http.StatusOK || len(rows) != 1 {
-		t.Fatalf("listing with a loading tenant: status %d: %v", code, list)
-	}
-	if row, _ := rows[0].(map[string]interface{}); row["name"] != "slow" || row["state"] != "loading" {
-		t.Errorf("loading tenant listed as %v", rows[0])
-	}
-}

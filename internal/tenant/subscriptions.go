@@ -30,9 +30,9 @@ func (t *Tenant) CountShootdown() { t.shootdowns.Add(1) }
 
 // SubscriptionStats returns the tenant's invalidation-feed counters.
 func (t *Tenant) SubscriptionStats() SubscriptionStats {
-	s := SubscriptionStats{Shootdowns: t.shootdowns.Load(), Expires: t.expires.Load()}
-	if t.Service() != nil {
-		s.Subscribers = t.store.Watchers()
+	return SubscriptionStats{
+		Subscribers: t.store.Watchers(),
+		Shootdowns:  t.shootdowns.Load(),
+		Expires:     t.expires.Load(),
 	}
-	return s
 }

@@ -16,15 +16,15 @@
 //
 // # Lifecycle
 //
-// A tenant moves through a one-way state machine:
+// A tenant is built before its name is claimed: Load builds its store
+// and service first and then registers it, active, so every tenant the
+// registry holds can serve. From there it moves through a one-way
+// state machine:
 //
-//		loading → active → sealed ─┐
-//		            │              │
-//		            └──────→ draining → evicted
+//		active → sealed ─┐
+//		  │              │
+//		  └──────→ draining → evicted
 //
-//	  - loading: the image is being parsed and its store built; the
-//	    tenant is registered (so a duplicate load fails fast) but serves
-//	    nothing yet.
 //	  - active: decisions and supervisor mutations are served.
 //	  - sealed: the descriptor space is frozen — decisions are served,
 //	    mutations answer ErrSealed (HTTP 409). Sealing is the service
@@ -45,8 +45,8 @@
 // callers of other tenants borrow other processors and keep deciding
 // at their own pace (experiment T15 measures exactly this). The
 // registry's worker budget bounds the number of batches deciding at
-// once across tenants, so loading tenants cannot oversubscribe the
-// host.
+// once across tenants, so loading more tenants cannot oversubscribe
+// the host.
 package tenant
 
 import (
@@ -66,10 +66,9 @@ import (
 type State int32
 
 const (
-	// StateLoading marks a tenant whose image is still being built.
-	StateLoading State = iota
-	// StateActive marks a tenant serving decisions and mutations.
-	StateActive
+	// StateActive marks a tenant serving decisions and mutations: a
+	// loaded tenant's first state.
+	StateActive State = iota
 	// StateSealed marks a frozen descriptor space: decisions are
 	// served, mutations are rejected.
 	StateSealed
@@ -83,8 +82,6 @@ const (
 // String returns the wire name of the state.
 func (s State) String() string {
 	switch s {
-	case StateLoading:
-		return "loading"
 	case StateActive:
 		return "active"
 	case StateSealed:
@@ -109,8 +106,6 @@ var (
 	// ErrDraining reports work submitted while an eviction drains the
 	// tenant — the mutation-races-drain conflict (HTTP 409).
 	ErrDraining = errors.New("tenant: draining")
-	// ErrLoading reports work submitted before a load completed.
-	ErrLoading = errors.New("tenant: still loading")
 	// ErrWorkerBudget reports a load whose worker quota would exceed
 	// the registry's budget.
 	ErrWorkerBudget = errors.New("tenant: worker budget exhausted")
@@ -176,18 +171,11 @@ func (t *Tenant) Name() string { return t.name }
 // State returns the tenant's current lifecycle state.
 func (t *Tenant) State() State { return State(t.state.Load()) }
 
-// Store returns the tenant's descriptor store, or nil while loading.
+// Store returns the tenant's descriptor store.
 func (t *Tenant) Store() *service.Store { return t.store }
 
-// Service returns the tenant's decision service, or nil while loading
-// or after a failed load. It reads the service only after the state
-// shows the load finished, which orders the read after Load's write.
-func (t *Tenant) Service() *service.Service {
-	if t.State() == StateLoading {
-		return nil
-	}
-	return t.svc
-}
+// Service returns the tenant's decision service.
+func (t *Tenant) Service() *service.Service { return t.svc }
 
 // Config returns the tenant's resolved sizing.
 func (t *Tenant) Config() TenantConfig { return t.cfg }
@@ -204,8 +192,6 @@ func (t *Tenant) checkable() error {
 	switch t.State() {
 	case StateActive, StateSealed:
 		return nil
-	case StateLoading:
-		return ErrLoading
 	case StateDraining:
 		return ErrDraining
 	default:
@@ -244,8 +230,6 @@ func (t *Tenant) mutable() error {
 	case StateSealed:
 		t.deniedMutations.Add(1)
 		return ErrSealed
-	case StateLoading:
-		return ErrLoading
 	case StateDraining:
 		t.deniedMutations.Add(1)
 		return ErrDraining
@@ -291,7 +275,7 @@ var ErrUnknownSegment = errors.New("unknown segment")
 
 // Mutate applies one supervisor edit and returns the store version it
 // published. Every transport's edits take this one path: the lifecycle
-// gate (ErrSealed, ErrDraining, ErrLoading, ErrTenantNotFound; seal and
+// gate (ErrSealed, ErrDraining, ErrTenantNotFound; seal and
 // drain rejections are counted in DeniedMutations), segment-name
 // resolution (ErrUnknownSegment), bracket validation, then the store
 // edit, so a seal or drain race answers the same way over HTTP and the
@@ -398,54 +382,60 @@ func (r *Registry) resolve(cfg TenantConfig) TenantConfig {
 }
 
 // Load builds a new tenant named name from the image segments and
-// registers it. The name is claimed (state loading) before the store
-// is built, so concurrent duplicate loads fail fast with
-// ErrTenantExists; a failed build releases the name and the worker
-// quota. On success the tenant is active.
+// registers it, active. The name, the tenant count and the worker
+// budget are checked before the store and service are built, so a load
+// that fails them (ErrTenantExists, ErrTooManyTenants, ErrWorkerBudget)
+// allocates nothing; they are checked again, under the same registry
+// lock as the insert, because a concurrent load may have claimed the
+// name or the quota meanwhile.
 func (r *Registry) Load(name string, segs []service.Segment, cfg TenantConfig) (*Tenant, error) {
 	if !ValidName(name) {
 		return nil, fmt.Errorf("%w: %q", ErrBadName, name)
 	}
 	cfg = r.resolve(cfg)
-
-	t := &Tenant{name: name, cfg: cfg, revoked: make(chan struct{})}
-	t.state.Store(int32(StateLoading))
+	r.mu.RLock()
+	err := r.admit(name, cfg.Workers)
+	r.mu.RUnlock()
+	if err != nil {
+		return nil, err
+	}
+	st, err := service.NewStore(service.StoreConfig{Shards: cfg.Shards}, segs)
+	if err != nil {
+		return nil, fmt.Errorf("tenant %q: %w", name, err)
+	}
+	t := &Tenant{name: name, cfg: cfg, store: st, revoked: make(chan struct{})}
+	t.svc = service.New(st, service.Config{
+		Workers:    cfg.Workers,
+		QueueDepth: cfg.QueueDepth,
+		BatchLimit: cfg.BatchLimit,
+	})
 
 	r.mu.Lock()
-	if _, dup := r.tenants[name]; dup {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrTenantExists, name)
-	}
-	if len(r.tenants) >= r.cfg.MaxTenants {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d images loaded", ErrTooManyTenants, r.cfg.MaxTenants)
-	}
-	if r.workersInUse+cfg.Workers > r.cfg.WorkerBudget {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d in use + %d requested > budget %d",
-			ErrWorkerBudget, r.workersInUse, cfg.Workers, r.cfg.WorkerBudget)
+	defer r.mu.Unlock()
+	if err := r.admit(name, cfg.Workers); err != nil {
+		return nil, err
 	}
 	r.tenants[name] = t
 	r.order = append(r.order, name)
 	r.workersInUse += cfg.Workers
-	r.mu.Unlock()
-
-	st, err := service.NewStore(service.StoreConfig{Shards: cfg.Shards}, segs)
-	if err == nil {
-		t.store = st
-		t.svc, err = service.New(st, service.Config{
-			Workers:    cfg.Workers,
-			QueueDepth: cfg.QueueDepth,
-			BatchLimit: cfg.BatchLimit,
-		})
-	}
-	if err != nil {
-		t.state.Store(int32(StateEvicted))
-		r.unregister(t)
-		return nil, fmt.Errorf("tenant %q: %w", name, err)
-	}
-	t.state.Store(int32(StateActive))
 	return t, nil
+}
+
+// admit checks that a tenant named name with a quota of workers fits
+// the registry: the name is free, a tenant slot is free and the quota
+// fits what is left of the worker budget. The caller holds r.mu.
+func (r *Registry) admit(name string, workers int) error {
+	if _, dup := r.tenants[name]; dup {
+		return fmt.Errorf("%w: %q", ErrTenantExists, name)
+	}
+	if len(r.tenants) >= r.cfg.MaxTenants {
+		return fmt.Errorf("%w: %d images loaded", ErrTooManyTenants, r.cfg.MaxTenants)
+	}
+	if workers > r.cfg.WorkerBudget-r.workersInUse {
+		return fmt.Errorf("%w: %d in use + %d requested > budget %d",
+			ErrWorkerBudget, r.workersInUse, workers, r.cfg.WorkerBudget)
+	}
+	return nil
 }
 
 // unregister removes t from the map and returns its worker quota to
@@ -592,23 +582,20 @@ type TenantStatus struct {
 
 // Status returns the tenant's listing row.
 func (t *Tenant) Status() TenantStatus {
-	s := TenantStatus{
+	snap := t.svc.Snapshot()
+	return TenantStatus{
 		Name:            t.name,
 		State:           t.State().String(),
+		Segments:        len(t.store.Segments()),
+		Shards:          t.store.Shards(),
 		Workers:         t.cfg.Workers,
+		QueueCap:        snap.QueueCap,
+		QueueLen:        snap.QueueLen,
+		Version:         snap.Version,
+		Queries:         snap.Queries,
+		Rejected:        snap.Rejected,
 		DeniedMutations: t.deniedMutations.Load(),
 	}
-	if svc := t.Service(); svc != nil {
-		snap := svc.Snapshot()
-		s.Segments = len(t.store.Segments())
-		s.Shards = t.store.Shards()
-		s.QueueCap = snap.QueueCap
-		s.QueueLen = snap.QueueLen
-		s.Version = snap.Version
-		s.Queries = snap.Queries
-		s.Rejected = snap.Rejected
-	}
-	return s
 }
 
 // RegistryStatus is the /v1/images listing: every tenant plus the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -126,6 +127,24 @@ func TestWorkerBudget(t *testing.T) {
 		t.Fatalf("workers in use after evict = %d, want 0", got)
 	}
 	mustLoad(t, r, "b", TenantConfig{Workers: 2})
+}
+
+// TestHugeWorkerQuota checks that a quota far past the budget is
+// refused before anything is sized by it: service.New makes a channel
+// and a processor per worker, so building first would panic or exhaust
+// memory. The second load would overflow workersInUse+Workers.
+func TestHugeWorkerQuota(t *testing.T) {
+	r := newTestRegistry(t, Config{WorkerBudget: 4})
+	if _, err := r.Load("a", testImage(), TenantConfig{Workers: math.MaxInt}); !errors.Is(err, ErrWorkerBudget) {
+		t.Fatalf("first load: %v, want ErrWorkerBudget", err)
+	}
+	mustLoad(t, r, "b", TenantConfig{Workers: 1})
+	if _, err := r.Load("a", testImage(), TenantConfig{Workers: math.MaxInt}); !errors.Is(err, ErrWorkerBudget) {
+		t.Fatalf("load after one: %v, want ErrWorkerBudget", err)
+	}
+	if got := r.WorkersInUse(); got != 1 {
+		t.Fatalf("workers in use = %d, want 1", got)
+	}
 }
 
 func TestMaxTenants(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/service"
 	"repro/internal/tenant"
 )
 
@@ -175,8 +174,7 @@ type session struct {
 	conn net.Conn
 	cfg  Config
 
-	t       *tenant.Tenant
-	version uint16
+	t *tenant.Tenant
 
 	// Reader state, touched only by the serve goroutine: the frame
 	// scratch, the check decode target, and the answers not yet written.
@@ -284,7 +282,7 @@ func (s *session) handshake() bool {
 	}
 	switch t.State() {
 	case tenant.StateActive, tenant.StateSealed:
-	case tenant.StateLoading, tenant.StateDraining:
+	case tenant.StateDraining:
 		s.writeError(0, CodeUnavailable, t.State().String())
 		return false
 	default:
@@ -292,7 +290,6 @@ func (s *session) handshake() bool {
 		return false
 	}
 	s.t = t
-	s.version = v
 	s.wmu.Lock()
 	b, werr := EncodeWelcome(s.wbuf, Welcome{Version: v, Health: s.health()})
 	if werr == nil {
@@ -403,7 +400,7 @@ func frameBuffered(br *bufio.Reader) bool {
 
 // answer decides one check frame through the tenant's zero-alloc
 // decision path and queues its Decisions frame; a rejected batch
-// queues an Error frame with the HTTP status mapping instead. It
+// queues an Error frame whose code is tenant.Status instead. It
 // reports false on a malformed frame, which ends the session.
 //
 //ring:hotpath
@@ -415,7 +412,7 @@ func (s *session) answer(corr uint64, payload []byte) bool {
 	if len(s.batch.Queries) == 0 {
 		s.queueError(corr, CodeBadRequest, "empty batch")
 	} else if err := s.t.SubmitInto(context.Background(), s.batch.Queries, s.batch.Dst); err != nil {
-		s.queueError(corr, submitCode(err), err.Error())
+		s.queueError(corr, uint16(tenant.Status(err, false)), err.Error())
 	} else if b, err := EncodeDecisions(s.out[len(s.out):], corr, s.batch.Dst); err != nil {
 		// Service decisions always fit the wire widths; defensive only.
 		s.queueError(corr, CodeBadRequest, err.Error())
@@ -458,40 +455,6 @@ func (s *session) flush() {
 	s.out = s.out[:0]
 }
 
-// submitCode maps a check-path rejection to its error-frame code,
-// mirroring the HTTP status the JSON surface answers for the same
-// condition.
-//
-//ring:hotpath
-func submitCode(err error) uint16 {
-	switch {
-	case errors.Is(err, service.ErrQueueFull):
-		return CodeShed
-	case errors.Is(err, service.ErrBatchTooLarge):
-		return CodeBadRequest
-	case errors.Is(err, tenant.ErrTenantNotFound):
-		return CodeNotFound
-	default:
-		return CodeUnavailable
-	}
-}
-
-// mutateCode maps a rejected mutation to its error-frame code (the
-// tenant HTTP handler's mapping: seal and drain conflicts are 409, an
-// unknown tenant or segment 404).
-func mutateCode(err error) uint16 {
-	switch {
-	case errors.Is(err, tenant.ErrSealed), errors.Is(err, tenant.ErrDraining):
-		return CodeConflict
-	case errors.Is(err, tenant.ErrLoading):
-		return CodeUnavailable
-	case errors.Is(err, tenant.ErrTenantNotFound), errors.Is(err, tenant.ErrUnknownSegment):
-		return CodeNotFound
-	default:
-		return CodeBadRequest
-	}
-}
-
 // handleMutate answers one Mutate frame inline on the reader. It
 // reports false on a protocol error (malformed frame), which closes
 // the session; semantic rejections answer an Error frame and keep the
@@ -504,7 +467,7 @@ func (s *session) handleMutate(corr uint64, payload []byte) bool {
 	}
 	version, err := s.t.Mutate(m)
 	if err != nil {
-		s.writeError(corr, mutateCode(err), err.Error())
+		s.writeError(corr, uint16(tenant.Status(err, true)), err.Error())
 		return true
 	}
 	s.wmu.Lock()

@@ -166,8 +166,9 @@ func (t FrameType) String() string {
 //ring:hotpath
 func (t FrameType) valid() bool { return t >= FrameHello && t <= FrameTables }
 
-// Error codes carried by FrameError, mirroring the HTTP status the
-// JSON surface would answer for the same condition.
+// Error codes carried by FrameError: the HTTP status the JSON surface
+// answers for the same condition, tenant.Status's for a rejected check
+// or edit.
 const (
 	// CodeBadRequest: malformed frame or query (HTTP 400).
 	CodeBadRequest uint16 = 400
@@ -180,8 +181,7 @@ const (
 	// waiting callers reached; the batch was shed, not queued (HTTP
 	// 429). Retry after backing off.
 	CodeShed uint16 = 429
-	// CodeUnavailable: the tenant is loading, draining or closed
-	// (HTTP 503).
+	// CodeUnavailable: the tenant is draining or closed (HTTP 503).
 	CodeUnavailable uint16 = 503
 )
 

@@ -111,14 +111,11 @@ func NewCheckerWith(cfg CheckerConfig, segs []Segment) (*Checker, error) {
 	if workers <= 0 {
 		workers = 1
 	}
-	svc, err := service.New(st, service.Config{
+	svc := service.New(st, service.Config{
 		Workers:    workers,
 		QueueDepth: cfg.QueueDepth,
 		BatchLimit: cfg.BatchLimit,
 	})
-	if err != nil {
-		return nil, err
-	}
 	return &Checker{store: st, svc: svc}, nil
 }
 
