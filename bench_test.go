@@ -33,8 +33,8 @@ func BenchmarkFig1AccessCheck(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ring := core.Ring(i & 7)
-		_ = core.CheckWrite(v, 10, ring)
-		_ = core.CheckRead(v, 10, ring)
+		_ = core.WriteCheck(v, 10, ring)
+		_ = core.ReadCheck(v, 10, ring)
 	}
 }
 
@@ -44,7 +44,7 @@ func BenchmarkFig2GateCheck(b *testing.B) {
 	v := figures.Figure2View()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, _ = core.DecideCall(v, uint32(i&1), 4, 4, false)
+		_, _ = core.CallCheck(v, uint32(i&1), 4, 4, false)
 	}
 }
 
@@ -540,13 +540,13 @@ func BenchmarkGateCheckAblation(b *testing.B) {
 	b.Run("cross-segment-gated", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, _ = core.DecideCall(v, uint32(i&1), 4, 4, false)
+			_, _ = core.CallCheck(v, uint32(i&1), 4, 4, false)
 		}
 	})
 	b.Run("same-segment-exempt", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, _ = core.DecideCall(v, uint32(100+i&63), 3, 3, true)
+			_, _ = core.CallCheck(v, uint32(100+i&63), 3, 3, true)
 		}
 	})
 }

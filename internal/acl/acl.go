@@ -67,12 +67,13 @@ func (l List) Validate() error {
 }
 
 // CheckSetter enforces the sole-occupant constraint: a caller executing
-// in callerRing may not create or modify an entry granting brackets
-// below its own ring.
-func CheckSetter(callerRing core.Ring, e Entry) error {
-	if e.Brackets.R1 < callerRing || e.Brackets.R2 < callerRing || e.Brackets.R3 < callerRing {
+// in callerRing may not grant brackets b below its own ring, and b must
+// be well-formed. The supervisor's set-brackets service checks every
+// request here.
+func CheckSetter(callerRing core.Ring, b core.Brackets) error {
+	if b.R1 < callerRing || b.R2 < callerRing || b.R3 < callerRing {
 		return fmt.Errorf("acl: %s may not grant brackets %d,%d,%d below itself",
-			callerRing, e.Brackets.R1, e.Brackets.R2, e.Brackets.R3)
+			callerRing, b.R1, b.R2, b.R3)
 	}
-	return e.Validate()
+	return b.Validate()
 }

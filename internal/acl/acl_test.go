@@ -52,21 +52,21 @@ func TestValidate(t *testing.T) {
 
 func TestCheckSetterSoleOccupant(t *testing.T) {
 	// Ring-4 caller cannot grant ring-3 access.
-	if err := CheckSetter(4, entry("x", 3, 4, 4)); err == nil {
+	if err := CheckSetter(4, core.Brackets{R1: 3, R2: 4, R3: 4}); err == nil {
 		t.Error("R1 below caller accepted")
 	}
-	if err := CheckSetter(4, entry("x", 4, 4, 4)); err != nil {
+	if err := CheckSetter(4, core.Brackets{R1: 4, R2: 4, R3: 4}); err != nil {
 		t.Errorf("own-ring grant rejected: %v", err)
 	}
-	if err := CheckSetter(4, entry("x", 5, 6, 7)); err != nil {
+	if err := CheckSetter(4, core.Brackets{R1: 5, R2: 6, R3: 7}); err != nil {
 		t.Errorf("higher-ring grant rejected: %v", err)
 	}
 	// Ring 0 may grant anything well-formed.
-	if err := CheckSetter(0, entry("x", 0, 0, 0)); err != nil {
+	if err := CheckSetter(0, core.Brackets{R1: 0, R2: 0, R3: 0}); err != nil {
 		t.Errorf("ring-0 grant rejected: %v", err)
 	}
 	// But not malformed brackets.
-	if err := CheckSetter(0, Entry{User: "x", Brackets: core.Brackets{R1: 6, R2: 2, R3: 7}}); err == nil {
+	if err := CheckSetter(0, core.Brackets{R1: 6, R2: 2, R3: 7}); err == nil {
 		t.Error("malformed grant accepted")
 	}
 }

@@ -7,9 +7,15 @@
 // per-segment access brackets carried in segment descriptor words, the
 // effective-ring computation of Figure 5, the access validation
 // predicates of Figures 4, 6 and 7, and the CALL/RETURN ring-transition
-// decision procedures of Figures 8 and 9. The processor simulator in
-// internal/cpu drives these functions from its instruction cycle; the
-// experiment harness and the property tests drive them directly.
+// decision procedures of Figures 8 and 9, each stated once.
+//
+// A check returns the bare ViolationKind of the first test that fails
+// (ViolationNone when the reference is allowed), so the check made on
+// every reference allocates nothing. The decision service and the
+// client replica call the checks directly; the simulator's MMU
+// (internal/mmu) calls them from the instruction cycle and, when one
+// fails, builds the trap payload, a Violation naming the kind and the
+// ring it is reported against.
 //
 // # Rings and brackets
 //
@@ -104,21 +110,6 @@ type SDWView struct {
 	Bound     uint32 // segment length in words; word numbers ≥ Bound fault
 }
 
-// Validate checks the invariants supervisor code must maintain when
-// constructing an SDW.
-func (v SDWView) Validate() error {
-	if !v.Present {
-		return nil
-	}
-	if err := v.Brackets.Validate(); err != nil {
-		return err
-	}
-	if v.GateCount > v.Bound {
-		return fmt.Errorf("core: gate count %d exceeds segment bound %d", v.GateCount, v.Bound)
-	}
-	return nil
-}
-
 // ViolationKind enumerates the access-violation conditions the hardware
 // detects. Each corresponds to a trap exit in Figures 4-9.
 type ViolationKind int
@@ -186,34 +177,23 @@ func (k ViolationKind) String() string {
 // counters or precomputed string tables size them with this.
 const ViolationKindCount = int(ViolationRingAlarm) + 1
 
-// Violation is a failed validation: what went wrong and the ring the
-// reference was validated against.
+// Violation is the trap payload of a failed validation: the kind a
+// check returned and the ring the reference is reported against. The
+// checks return kinds only; the MMU (internal/mmu) chooses the ring
+// when it builds the trap.
 type Violation struct {
 	Kind ViolationKind
-	Ring Ring // the effective ring of the failed reference
+	Ring Ring
 }
 
 func (v *Violation) Error() string {
 	return fmt.Sprintf("access violation: %s (validated in %s)", v.Kind, v.Ring)
 }
 
-// violate is a local shorthand for constructing a violation.
-func violate(k ViolationKind, r Ring) *Violation { return &Violation{Kind: k, Ring: r} }
-
-// ---- Value-form checks ----
-//
-// Each Check* predicate below has a *Check twin that returns the bare
-// ViolationKind instead of a heap-allocated *Violation. The pointer
-// forms are retained for callers that propagate violations as errors
-// (the CPU trap path); the value forms are the every-reference fast
-// path — the paper's point is precisely that the common-case check is
-// branch-cheap, and a reference monitor answering millions of decisions
-// must not allocate per denial. The pointer forms are thin wrappers, so
-// the two can never disagree.
-
-// BoundCheck is the value form of CheckBound: it validates presence and
-// the word number against the segment bound, returning the violation
-// kind (ViolationNone when the reference is in bounds).
+// BoundCheck validates presence and the word number against the
+// segment bound: the address-translation test that every reference of
+// any kind makes, and a step of each of Figures 4–9. A missing
+// segment, or a word number at or beyond the bound, is a violation.
 func BoundCheck(v SDWView, wordno uint32) ViolationKind {
 	if !v.Present {
 		return ViolationMissingSegment
@@ -224,7 +204,12 @@ func BoundCheck(v SDWView, wordno uint32) ViolationKind {
 	return ViolationNone
 }
 
-// FetchCheck is the value form of CheckFetch.
+// FetchCheck is the instruction-retrieval validation of Figure 4: the
+// segment must be executable and the ring of execution must lie within
+// the execute bracket, the E flag being tested first. The ring here is
+// IPR.RING, the current ring of execution — instruction fetch is never
+// validated against an effective ring, because the instruction's own
+// location was determined by a previously validated transfer.
 func FetchCheck(v SDWView, wordno uint32, ring Ring) ViolationKind {
 	if k := BoundCheck(v, wordno); k != ViolationNone {
 		return k
@@ -238,7 +223,10 @@ func FetchCheck(v SDWView, wordno uint32, ring Ring) ViolationKind {
 	return ViolationNone
 }
 
-// ReadCheck is the value form of CheckRead.
+// ReadCheck is the operand-read validation of Figure 6, also applied
+// to each indirect-word retrieval during effective address formation
+// (Figure 5). effRing is TPR.RING, the effective ring at the time of
+// the reference.
 func ReadCheck(v SDWView, wordno uint32, effRing Ring) ViolationKind {
 	if k := BoundCheck(v, wordno); k != ViolationNone {
 		return k
@@ -252,7 +240,8 @@ func ReadCheck(v SDWView, wordno uint32, effRing Ring) ViolationKind {
 	return ViolationNone
 }
 
-// WriteCheck is the value form of CheckWrite.
+// WriteCheck is the operand-write validation of Figure 6, made with
+// respect to the effective ring effRing.
 func WriteCheck(v SDWView, wordno uint32, effRing Ring) ViolationKind {
 	if k := BoundCheck(v, wordno); k != ViolationNone {
 		return k
@@ -264,47 +253,6 @@ func WriteCheck(v SDWView, wordno uint32, effRing Ring) ViolationKind {
 		return ViolationWriteBracket
 	}
 	return ViolationNone
-}
-
-// CheckBound validates the word number against the segment bound. Every
-// reference, of any kind, performs this check during address translation.
-func CheckBound(v SDWView, wordno uint32, ring Ring) *Violation {
-	if k := BoundCheck(v, wordno); k != ViolationNone {
-		return violate(k, ring)
-	}
-	return nil
-}
-
-// CheckFetch is the instruction-retrieval validation of Figure 4: the
-// segment must be executable and the ring of execution must lie within
-// the execute bracket. The ring here is IPR.RING, the current ring of
-// execution — instruction fetch is never validated against an effective
-// ring, because the instruction's own location was determined by a
-// previously validated transfer.
-func CheckFetch(v SDWView, wordno uint32, ring Ring) *Violation {
-	if k := FetchCheck(v, wordno, ring); k != ViolationNone {
-		return violate(k, ring)
-	}
-	return nil
-}
-
-// CheckRead is the operand-read validation of Figure 6, also applied to
-// each indirect-word retrieval during effective address formation
-// (Figure 5). effRing is TPR.RING, the effective ring at the time of the
-// reference.
-func CheckRead(v SDWView, wordno uint32, effRing Ring) *Violation {
-	if k := ReadCheck(v, wordno, effRing); k != ViolationNone {
-		return violate(k, effRing)
-	}
-	return nil
-}
-
-// CheckWrite is the operand-write validation of Figure 6.
-func CheckWrite(v SDWView, wordno uint32, effRing Ring) *Violation {
-	if k := WriteCheck(v, wordno, effRing); k != ViolationNone {
-		return violate(k, effRing)
-	}
-	return nil
 }
 
 // EffectiveRingPR updates the effective ring when the instruction
@@ -324,31 +272,17 @@ func EffectiveRingIndirect(cur, indRing, containerR1 Ring) Ring {
 	return MaxRing(MaxRing(cur, indRing), containerR1)
 }
 
-// CheckTransfer is the advance check of Figure 7 for transfer
-// instructions other than CALL and RETURN. A transfer does not reference
-// its operand, so no validation is strictly required; the hardware
-// checks anyway so the violation is caught while the offending transfer
-// instruction can still be identified.
+// TransferCheck is the advance check of Figure 7 for transfer
+// instructions other than CALL and RETURN. A transfer does not
+// reference its operand, so no validation is strictly required; the
+// hardware checks anyway so the violation is caught while the offending
+// transfer instruction can still be identified.
 //
 // Transfers are constrained from changing the ring of execution: the
 // check is made with the current ring iprRing, and an effective ring
-// above the current ring is itself a violation (a higher-numbered ring
-// influenced the target address of a transfer that will execute with
-// the current ring's privilege).
-func CheckTransfer(v SDWView, wordno uint32, iprRing, effRing Ring) *Violation {
-	if k := TransferCheck(v, wordno, iprRing, effRing); k != ViolationNone {
-		// The ring alarm is detected against the effective ring; every
-		// other transfer check validates in the current ring.
-		ring := iprRing
-		if k == ViolationRingAlarm {
-			ring = effRing
-		}
-		return violate(k, ring)
-	}
-	return nil
-}
-
-// TransferCheck is the value form of CheckTransfer.
+// above the current ring is itself a violation, the ring alarm (a
+// higher-numbered ring influenced the target address of a transfer that
+// will execute with the current ring's privilege).
 func TransferCheck(v SDWView, wordno uint32, iprRing, effRing Ring) ViolationKind {
 	if effRing > iprRing {
 		return ViolationRingAlarm
@@ -401,7 +335,7 @@ type CallDecision struct {
 	NewRing Ring // ring of execution after the call (meaningful for SameRing/Downward)
 }
 
-// DecideCall performs the access validation of the CALL instruction
+// CallCheck performs the access validation of the CALL instruction
 // (Figure 8).
 //
 //   - v, wordno: the target segment's SDW view and target word number.
@@ -418,16 +352,6 @@ type CallDecision struct {
 // deems this an error and the hardware generates an access violation
 // (ViolationRingAlarm) rather than quietly calling with reduced
 // privilege.
-func DecideCall(v SDWView, wordno uint32, iprRing, effRing Ring, sameSegment bool) (CallDecision, *Violation) {
-	decision, k := CallCheck(v, wordno, iprRing, effRing, sameSegment)
-	if k != ViolationNone {
-		return decision, violate(k, effRing)
-	}
-	return decision, nil
-}
-
-// CallCheck is the value form of DecideCall: the same Figure 8 decision
-// procedure, returning the bare violation kind.
 func CallCheck(v SDWView, wordno uint32, iprRing, effRing Ring, sameSegment bool) (CallDecision, ViolationKind) {
 	var none CallDecision
 	if k := BoundCheck(v, wordno); k != ViolationNone {
@@ -512,7 +436,7 @@ type ReturnDecision struct {
 	NewRing Ring
 }
 
-// DecideReturn performs the access validation of the RETURN instruction
+// ReturnCheck performs the access validation of the RETURN instruction
 // (Figure 9). The ring returned to is the effective ring of the RETURN
 // operand address; because the caller's ring number was woven into the
 // stack pointer and return-point indirect words by the hardware, effRing
@@ -523,16 +447,6 @@ type ReturnDecision struct {
 // instructions, but made in the NEW ring: the instruction executed
 // immediately after an upward ring switch must come from a segment
 // executable in the new, higher-numbered ring.
-func DecideReturn(v SDWView, wordno uint32, iprRing, effRing Ring) (ReturnDecision, *Violation) {
-	decision, k := ReturnCheck(v, wordno, iprRing, effRing)
-	if k != ViolationNone {
-		return decision, violate(k, effRing)
-	}
-	return decision, nil
-}
-
-// ReturnCheck is the value form of DecideReturn: the same Figure 9
-// decision procedure, returning the bare violation kind.
 func ReturnCheck(v SDWView, wordno uint32, iprRing, effRing Ring) (ReturnDecision, ViolationKind) {
 	var none ReturnDecision
 	if effRing < iprRing {

@@ -82,26 +82,6 @@ func TestBracketMembership(t *testing.T) {
 	}
 }
 
-func TestSDWViewValidate(t *testing.T) {
-	v := figure2SDW()
-	if err := v.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	v.GateCount = 1000 // exceeds bound
-	if err := v.Validate(); err == nil {
-		t.Error("gate count beyond bound accepted")
-	}
-	v = SDWView{Present: false}
-	if err := v.Validate(); err != nil {
-		t.Errorf("absent SDW should validate: %v", err)
-	}
-	v = figure1SDW()
-	v.Brackets = Brackets{R1: 5, R2: 2, R3: 7}
-	if err := v.Validate(); err == nil {
-		t.Error("inverted brackets accepted")
-	}
-}
-
 // ---------------------------------------------------------------------
 // Figure 1: writable data segment semantics.
 
@@ -110,14 +90,14 @@ func TestFigure1AccessByRing(t *testing.T) {
 	for r := Ring(0); r < NumRings; r++ {
 		wantWrite := r <= 4
 		wantRead := r <= 5
-		if got := CheckWrite(v, 0, r) == nil; got != wantWrite {
+		if got := WriteCheck(v, 0, r) == ViolationNone; got != wantWrite {
 			t.Errorf("write from ring %d: got %v want %v", r, got, wantWrite)
 		}
-		if got := CheckRead(v, 0, r) == nil; got != wantRead {
+		if got := ReadCheck(v, 0, r) == ViolationNone; got != wantRead {
 			t.Errorf("read from ring %d: got %v want %v", r, got, wantRead)
 		}
 		// Data segment: never executable from any ring.
-		if CheckFetch(v, 0, r) == nil {
+		if FetchCheck(v, 0, r) == ViolationNone {
 			t.Errorf("fetch from ring %d allowed on data segment", r)
 		}
 	}
@@ -129,14 +109,14 @@ func TestFigure1AccessByRing(t *testing.T) {
 func TestFigure2AccessByRing(t *testing.T) {
 	v := figure2SDW()
 	for r := Ring(0); r < NumRings; r++ {
-		if got, want := CheckFetch(v, 10, r) == nil, r == 3; got != want {
+		if got, want := FetchCheck(v, 10, r) == ViolationNone, r == 3; got != want {
 			t.Errorf("fetch from ring %d: got %v want %v", r, got, want)
 		}
-		if got, want := CheckRead(v, 10, r) == nil, r <= 3; got != want {
+		if got, want := ReadCheck(v, 10, r) == ViolationNone, r <= 3; got != want {
 			t.Errorf("read from ring %d: got %v want %v", r, got, want)
 		}
 		// Pure procedure: never writable.
-		if CheckWrite(v, 10, r) == nil {
+		if WriteCheck(v, 10, r) == ViolationNone {
 			t.Errorf("write from ring %d allowed on pure procedure", r)
 		}
 	}
@@ -147,29 +127,29 @@ func TestFigure2AccessByRing(t *testing.T) {
 
 func TestCheckFetchViolationKinds(t *testing.T) {
 	v := figure2SDW()
-	if viol := CheckFetch(v, 600, 3); viol == nil || viol.Kind != ViolationBound {
-		t.Errorf("beyond bound: %v", viol)
+	if k := FetchCheck(v, 600, 3); k != ViolationBound {
+		t.Errorf("beyond bound: %v", k)
 	}
-	if viol := CheckFetch(SDWView{}, 0, 3); viol == nil || viol.Kind != ViolationMissingSegment {
-		t.Errorf("missing segment: %v", viol)
+	if k := FetchCheck(SDWView{}, 0, 3); k != ViolationMissingSegment {
+		t.Errorf("missing segment: %v", k)
 	}
 	noE := v
 	noE.Execute = false
-	if viol := CheckFetch(noE, 0, 3); viol == nil || viol.Kind != ViolationNoExecute {
-		t.Errorf("execute flag off: %v", viol)
+	if k := FetchCheck(noE, 0, 3); k != ViolationNoExecute {
+		t.Errorf("execute flag off: %v", k)
 	}
 	// Figure 4 tests the E flag before the execute bracket: with both
 	// failing, the flag is what is reported.
 	for _, r := range []Ring{1, 5} {
-		if viol := CheckFetch(noE, 0, r); viol == nil || viol.Kind != ViolationNoExecute {
-			t.Errorf("execute flag off, ring %d outside the bracket: %v", r, viol)
+		if k := FetchCheck(noE, 0, r); k != ViolationNoExecute {
+			t.Errorf("execute flag off, ring %d outside the bracket: %v", r, k)
 		}
 	}
-	if viol := CheckFetch(v, 0, 5); viol == nil || viol.Kind != ViolationExecuteBracket {
-		t.Errorf("above execute bracket: %v", viol)
+	if k := FetchCheck(v, 0, 5); k != ViolationExecuteBracket {
+		t.Errorf("above execute bracket: %v", k)
 	}
-	if viol := CheckFetch(v, 0, 1); viol == nil || viol.Kind != ViolationExecuteBracket {
-		t.Errorf("below execute bracket: %v", viol)
+	if k := FetchCheck(v, 0, 1); k != ViolationExecuteBracket {
+		t.Errorf("below execute bracket: %v", k)
 	}
 }
 
@@ -207,24 +187,24 @@ func TestEffectiveRingIndirect(t *testing.T) {
 
 func TestCheckReadWriteViolationKinds(t *testing.T) {
 	v := figure1SDW()
-	if viol := CheckRead(v, 2000, 0); viol == nil || viol.Kind != ViolationBound {
-		t.Errorf("read beyond bound: %v", viol)
+	if k := ReadCheck(v, 2000, 0); k != ViolationBound {
+		t.Errorf("read beyond bound: %v", k)
 	}
-	if viol := CheckRead(v, 0, 6); viol == nil || viol.Kind != ViolationReadBracket {
-		t.Errorf("read above bracket: %v", viol)
+	if k := ReadCheck(v, 0, 6); k != ViolationReadBracket {
+		t.Errorf("read above bracket: %v", k)
 	}
 	noR := v
 	noR.Read = false
-	if viol := CheckRead(noR, 0, 0); viol == nil || viol.Kind != ViolationNoRead {
-		t.Errorf("read flag off: %v", viol)
+	if k := ReadCheck(noR, 0, 0); k != ViolationNoRead {
+		t.Errorf("read flag off: %v", k)
 	}
-	if viol := CheckWrite(v, 0, 5); viol == nil || viol.Kind != ViolationWriteBracket {
-		t.Errorf("write above bracket: %v", viol)
+	if k := WriteCheck(v, 0, 5); k != ViolationWriteBracket {
+		t.Errorf("write above bracket: %v", k)
 	}
 	noW := v
 	noW.Write = false
-	if viol := CheckWrite(noW, 0, 0); viol == nil || viol.Kind != ViolationNoWrite {
-		t.Errorf("write flag off: %v", viol)
+	if k := WriteCheck(noW, 0, 0); k != ViolationNoWrite {
+		t.Errorf("write flag off: %v", k)
 	}
 }
 
@@ -233,20 +213,20 @@ func TestCheckReadWriteViolationKinds(t *testing.T) {
 
 func TestCheckTransfer(t *testing.T) {
 	v := figure2SDW()
-	if viol := CheckTransfer(v, 5, 3, 3); viol != nil {
-		t.Errorf("legal same-ring transfer: %v", viol)
+	if k := TransferCheck(v, 5, 3, 3); k != ViolationNone {
+		t.Errorf("legal same-ring transfer: %v", k)
 	}
 	// Effective ring above current: ring alarm, even if the target would
 	// otherwise validate.
-	if viol := CheckTransfer(v, 5, 3, 4); viol == nil || viol.Kind != ViolationRingAlarm {
-		t.Errorf("raised effective ring: %v", viol)
+	if k := TransferCheck(v, 5, 3, 4); k != ViolationRingAlarm {
+		t.Errorf("raised effective ring: %v", k)
 	}
 	// Current ring outside execute bracket.
-	if viol := CheckTransfer(v, 5, 4, 4); viol == nil || viol.Kind != ViolationExecuteBracket {
-		t.Errorf("ring 4 transfer, effRing 4: %v", viol)
+	if k := TransferCheck(v, 5, 4, 4); k != ViolationExecuteBracket {
+		t.Errorf("ring 4 transfer, effRing 4: %v", k)
 	}
-	if viol := CheckTransfer(v, 5, 2, 2); viol == nil || viol.Kind != ViolationExecuteBracket {
-		t.Errorf("ring 2 transfer below bracket: %v", viol)
+	if k := TransferCheck(v, 5, 2, 2); k != ViolationExecuteBracket {
+		t.Errorf("ring 2 transfer below bracket: %v", k)
 	}
 }
 
@@ -255,9 +235,9 @@ func TestCheckTransfer(t *testing.T) {
 
 func TestDecideCallSameRing(t *testing.T) {
 	v := figure2SDW()
-	d, viol := DecideCall(v, 0, 3, 3, false)
-	if viol != nil {
-		t.Fatalf("same-ring gated call: %v", viol)
+	d, k := CallCheck(v, 0, 3, 3, false)
+	if k != ViolationNone {
+		t.Fatalf("same-ring gated call: %v", k)
 	}
 	if d.Outcome != CallSameRing || d.NewRing != 3 {
 		t.Errorf("decision: %+v", d)
@@ -267,9 +247,9 @@ func TestDecideCallSameRing(t *testing.T) {
 func TestDecideCallDownward(t *testing.T) {
 	v := figure2SDW()
 	for caller := Ring(4); caller <= 5; caller++ {
-		d, viol := DecideCall(v, 1, caller, caller, false)
-		if viol != nil {
-			t.Fatalf("downward call from ring %d: %v", caller, viol)
+		d, k := CallCheck(v, 1, caller, caller, false)
+		if k != ViolationNone {
+			t.Fatalf("downward call from ring %d: %v", caller, k)
 		}
 		if d.Outcome != CallDownward || d.NewRing != 3 {
 			t.Errorf("from ring %d: %+v", caller, d)
@@ -279,31 +259,31 @@ func TestDecideCallDownward(t *testing.T) {
 
 func TestDecideCallAboveGateExtension(t *testing.T) {
 	v := figure2SDW()
-	_, viol := DecideCall(v, 0, 6, 6, false)
-	if viol == nil || viol.Kind != ViolationGateExtension {
-		t.Errorf("call from ring 6: %v", viol)
+	_, k := CallCheck(v, 0, 6, 6, false)
+	if k != ViolationGateExtension {
+		t.Errorf("call from ring 6: %v", k)
 	}
 }
 
 func TestDecideCallNotAGate(t *testing.T) {
 	v := figure2SDW()
 	// Word 2 is not a gate (gates are 0 and 1).
-	_, viol := DecideCall(v, 2, 4, 4, false)
-	if viol == nil || viol.Kind != ViolationNotAGate {
-		t.Errorf("non-gate call: %v", viol)
+	_, k := CallCheck(v, 2, 4, 4, false)
+	if k != ViolationNotAGate {
+		t.Errorf("non-gate call: %v", k)
 	}
 	// Even a same-ring call must hit a gate when crossing segments.
-	_, viol = DecideCall(v, 2, 3, 3, false)
-	if viol == nil || viol.Kind != ViolationNotAGate {
-		t.Errorf("same-ring non-gate call: %v", viol)
+	_, k = CallCheck(v, 2, 3, 3, false)
+	if k != ViolationNotAGate {
+		t.Errorf("same-ring non-gate call: %v", k)
 	}
 }
 
 func TestDecideCallSameSegmentBypassesGates(t *testing.T) {
 	v := figure2SDW()
-	d, viol := DecideCall(v, 100, 3, 3, true)
-	if viol != nil {
-		t.Fatalf("internal call: %v", viol)
+	d, k := CallCheck(v, 100, 3, 3, true)
+	if k != ViolationNone {
+		t.Fatalf("internal call: %v", k)
 	}
 	if d.Outcome != CallSameRing || d.NewRing != 3 {
 		t.Errorf("internal call decision: %+v", d)
@@ -312,9 +292,9 @@ func TestDecideCallSameSegmentBypassesGates(t *testing.T) {
 
 func TestDecideCallUpwardTrap(t *testing.T) {
 	v := figure2SDW()
-	d, viol := DecideCall(v, 0, 1, 1, false)
-	if viol != nil {
-		t.Fatalf("upward call should trap, not violate: %v", viol)
+	d, k := CallCheck(v, 0, 1, 1, false)
+	if k != ViolationNone {
+		t.Fatalf("upward call should trap, not violate: %v", k)
 	}
 	if d.Outcome != CallUpwardTrap || d.NewRing != 3 {
 		t.Errorf("upward decision: %+v", d)
@@ -326,15 +306,15 @@ func TestDecideCallRingAlarm(t *testing.T) {
 	// Executing in ring 1; effective ring raised to 3 by a pointer
 	// register. With respect to TPR.RING this looks like a same-ring
 	// call, but with respect to IPR.RING it is upward: access violation.
-	_, viol := DecideCall(v, 0, 1, 3, false)
-	if viol == nil || viol.Kind != ViolationRingAlarm {
-		t.Errorf("disguised upward call: %v", viol)
+	_, k := CallCheck(v, 0, 1, 3, false)
+	if k != ViolationRingAlarm {
+		t.Errorf("disguised upward call: %v", k)
 	}
 	// Executing in ring 2; effective ring raised to 4 (gate extension,
 	// R2=3 > 2 = iprRing): also an alarm.
-	_, viol = DecideCall(v, 0, 2, 4, false)
-	if viol == nil || viol.Kind != ViolationRingAlarm {
-		t.Errorf("disguised upward gated call: %v", viol)
+	_, k = CallCheck(v, 0, 2, 4, false)
+	if k != ViolationRingAlarm {
+		t.Errorf("disguised upward gated call: %v", k)
 	}
 }
 
@@ -344,30 +324,30 @@ func TestDecideCallDownwardViaRaisedEffRing(t *testing.T) {
 	// nothing. Also check a raised effective ring that stays legal:
 	// caller ring 5, effRing 5 (gate ext) → fine.
 	v := figure2SDW()
-	d, viol := DecideCall(v, 0, 5, 5, false)
-	if viol != nil || d.Outcome != CallDownward || d.NewRing != 3 {
-		t.Errorf("d=%+v viol=%v", d, viol)
+	d, k := CallCheck(v, 0, 5, 5, false)
+	if k != ViolationNone || d.Outcome != CallDownward || d.NewRing != 3 {
+		t.Errorf("d=%+v k=%v", d, k)
 	}
 	// Caller ring 4, effRing raised to 5: still a downward call whose
 	// new ring 3 ≤ iprRing 4 — legal, validated against ring 5.
-	d, viol = DecideCall(v, 0, 4, 5, false)
-	if viol != nil || d.Outcome != CallDownward || d.NewRing != 3 {
-		t.Errorf("raised effRing downward: d=%+v viol=%v", d, viol)
+	d, k = CallCheck(v, 0, 4, 5, false)
+	if k != ViolationNone || d.Outcome != CallDownward || d.NewRing != 3 {
+		t.Errorf("raised effRing downward: d=%+v k=%v", d, k)
 	}
 }
 
 func TestDecideCallChecksExecuteFlagAndBounds(t *testing.T) {
 	v := figure2SDW()
 	v.Execute = false
-	if _, viol := DecideCall(v, 0, 4, 4, false); viol == nil || viol.Kind != ViolationNoExecute {
-		t.Errorf("execute off: %v", viol)
+	if _, k := CallCheck(v, 0, 4, 4, false); k != ViolationNoExecute {
+		t.Errorf("execute off: %v", k)
 	}
 	v = figure2SDW()
-	if _, viol := DecideCall(v, 9999, 4, 4, false); viol == nil || viol.Kind != ViolationBound {
-		t.Errorf("bound: %v", viol)
+	if _, k := CallCheck(v, 9999, 4, 4, false); k != ViolationBound {
+		t.Errorf("bound: %v", k)
 	}
-	if _, viol := DecideCall(SDWView{}, 0, 4, 4, false); viol == nil || viol.Kind != ViolationMissingSegment {
-		t.Errorf("missing: %v", viol)
+	if _, k := CallCheck(SDWView{}, 0, 4, 4, false); k != ViolationMissingSegment {
+		t.Errorf("missing: %v", k)
 	}
 }
 
@@ -385,9 +365,9 @@ func returnTarget() SDWView {
 
 func TestDecideReturnUpward(t *testing.T) {
 	v := returnTarget()
-	d, viol := DecideReturn(v, 10, 1, 4)
-	if viol != nil {
-		t.Fatalf("upward return: %v", viol)
+	d, k := ReturnCheck(v, 10, 1, 4)
+	if k != ViolationNone {
+		t.Fatalf("upward return: %v", k)
 	}
 	if d.Outcome != ReturnUpward || d.NewRing != 4 {
 		t.Errorf("decision: %+v", d)
@@ -396,9 +376,9 @@ func TestDecideReturnUpward(t *testing.T) {
 
 func TestDecideReturnSameRing(t *testing.T) {
 	v := returnTarget()
-	d, viol := DecideReturn(v, 10, 4, 4)
-	if viol != nil {
-		t.Fatalf("same-ring return: %v", viol)
+	d, k := ReturnCheck(v, 10, 4, 4)
+	if k != ViolationNone {
+		t.Fatalf("same-ring return: %v", k)
 	}
 	if d.Outcome != ReturnSameRing || d.NewRing != 4 {
 		t.Errorf("decision: %+v", d)
@@ -407,9 +387,9 @@ func TestDecideReturnSameRing(t *testing.T) {
 
 func TestDecideReturnDownwardTraps(t *testing.T) {
 	v := returnTarget()
-	d, viol := DecideReturn(v, 10, 5, 4)
-	if viol != nil {
-		t.Fatalf("downward return decision should not violate: %v", viol)
+	d, k := ReturnCheck(v, 10, 5, 4)
+	if k != ViolationNone {
+		t.Fatalf("downward return decision should not violate: %v", k)
 	}
 	if d.Outcome != ReturnDownwardTrap {
 		t.Errorf("decision: %+v", d)
@@ -421,16 +401,16 @@ func TestDecideReturnValidatesInNewRing(t *testing.T) {
 	// Returning from ring 1 to ring 6: the target is not executable in
 	// ring 6, so the return must be an access violation, not a quiet
 	// transfer to an unexecutable segment.
-	if _, viol := DecideReturn(v, 10, 1, 6); viol == nil || viol.Kind != ViolationExecuteBracket {
-		t.Errorf("return into unexecutable ring: %v", viol)
+	if _, k := ReturnCheck(v, 10, 1, 6); k != ViolationExecuteBracket {
+		t.Errorf("return into unexecutable ring: %v", k)
 	}
 	noE := v
 	noE.Execute = false
-	if _, viol := DecideReturn(noE, 10, 1, 4); viol == nil || viol.Kind != ViolationNoExecute {
-		t.Errorf("return into E=off segment: %v", viol)
+	if _, k := ReturnCheck(noE, 10, 1, 4); k != ViolationNoExecute {
+		t.Errorf("return into E=off segment: %v", k)
 	}
-	if _, viol := DecideReturn(v, 9999, 1, 4); viol == nil || viol.Kind != ViolationBound {
-		t.Errorf("return beyond bound: %v", viol)
+	if _, k := ReturnCheck(v, 9999, 1, 4); k != ViolationBound {
+		t.Errorf("return beyond bound: %v", k)
 	}
 }
 
@@ -522,7 +502,7 @@ func TestQuickEffectiveRingMonotone(t *testing.T) {
 	}
 }
 
-// Property: DecideCall never hands back a NewRing above the caller's
+// Property: CallCheck never hands back a NewRing above the caller's
 // ring of execution without trapping — the hardware can lower or hold
 // the ring, never raise it silently.
 func TestQuickCallNeverRaisesRingSilently(t *testing.T) {
@@ -533,8 +513,8 @@ func TestQuickCallNeverRaisesRingSilently(t *testing.T) {
 		eff := ipr + Ring(rng.Intn(int(NumRings-ipr))) // eff ≥ ipr always holds in hardware
 		wordno := uint32(rng.Intn(int(v.Bound)))
 		same := rng.Intn(4) == 0
-		d, viol := DecideCall(v, wordno, ipr, eff, same)
-		if viol != nil {
+		d, k := CallCheck(v, wordno, ipr, eff, same)
+		if k != ViolationNone {
 			continue
 		}
 		if d.Outcome != CallUpwardTrap && d.NewRing > ipr {
@@ -543,7 +523,7 @@ func TestQuickCallNeverRaisesRingSilently(t *testing.T) {
 	}
 }
 
-// Property: DecideReturn never returns control downward without a trap.
+// Property: ReturnCheck never returns control downward without a trap.
 func TestQuickReturnNeverLowersRingSilently(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 20000; i++ {
@@ -551,8 +531,8 @@ func TestQuickReturnNeverLowersRingSilently(t *testing.T) {
 		ipr := Ring(rng.Intn(NumRings))
 		eff := Ring(rng.Intn(NumRings))
 		wordno := uint32(rng.Intn(int(v.Bound)))
-		d, viol := DecideReturn(v, wordno, ipr, eff)
-		if viol != nil {
+		d, k := ReturnCheck(v, wordno, ipr, eff)
+		if k != ViolationNone {
 			continue
 		}
 		if d.NewRing < ipr && d.Outcome != ReturnDownwardTrap {
@@ -585,8 +565,8 @@ func TestQuickRaisePRRings(t *testing.T) {
 	}
 }
 
-// Property: for a present SDW with valid brackets, CheckRead/CheckWrite/
-// CheckFetch agree exactly with the Permits predicate (given an in-bound
+// Property: for a present SDW with valid brackets, ReadCheck/WriteCheck/
+// FetchCheck agree exactly with the Permits predicate (given an in-bound
 // word number).
 func TestQuickChecksAgreeWithPermits(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -594,13 +574,13 @@ func TestQuickChecksAgreeWithPermits(t *testing.T) {
 		v := randomView(rng)
 		wordno := uint32(rng.Intn(int(v.Bound)))
 		r := Ring(rng.Intn(NumRings))
-		if got, want := CheckRead(v, wordno, r) == nil, v.Permits(AccessRead, r); got != want {
+		if got, want := ReadCheck(v, wordno, r) == ViolationNone, v.Permits(AccessRead, r); got != want {
 			t.Fatalf("read disagree: %+v ring %d", v, r)
 		}
-		if got, want := CheckWrite(v, wordno, r) == nil, v.Permits(AccessWrite, r); got != want {
+		if got, want := WriteCheck(v, wordno, r) == ViolationNone, v.Permits(AccessWrite, r); got != want {
 			t.Fatalf("write disagree: %+v ring %d", v, r)
 		}
-		if got, want := CheckFetch(v, wordno, r) == nil, v.Permits(AccessExecute, r); got != want {
+		if got, want := FetchCheck(v, wordno, r) == ViolationNone, v.Permits(AccessExecute, r); got != want {
 			t.Fatalf("fetch disagree: %+v ring %d", v, r)
 		}
 	}
@@ -677,7 +657,7 @@ func TestOutcomeStrings(t *testing.T) {
 	}
 }
 
-// Property: DecideCall is consistent with the fetch predicate — when a
+// Property: CallCheck is consistent with the fetch predicate — when a
 // CALL succeeds without trapping, the target segment is executable in
 // the new ring of execution (the next instruction fetch cannot fault on
 // the execute bracket).
@@ -689,18 +669,18 @@ func TestQuickCallConsistentWithFetch(t *testing.T) {
 		eff := ipr + Ring(rng.Intn(int(NumRings-ipr)))
 		wordno := uint32(rng.Intn(int(v.Bound)))
 		same := rng.Intn(4) == 0
-		d, viol := DecideCall(v, wordno, ipr, eff, same)
-		if viol != nil || d.Outcome == CallUpwardTrap {
+		d, k := CallCheck(v, wordno, ipr, eff, same)
+		if k != ViolationNone || d.Outcome == CallUpwardTrap {
 			continue
 		}
-		if f := CheckFetch(v, wordno, d.NewRing); f != nil {
-			t.Fatalf("call succeeded into unfetchable ring: %+v ipr=%d eff=%d d=%+v viol=%v",
+		if f := FetchCheck(v, wordno, d.NewRing); f != ViolationNone {
+			t.Fatalf("call succeeded into unfetchable ring: %+v ipr=%d eff=%d d=%+v k=%v",
 				v, ipr, eff, d, f)
 		}
 	}
 }
 
-// Property: DecideReturn never succeeds into a segment the new ring
+// Property: ReturnCheck never succeeds into a segment the new ring
 // cannot fetch from.
 func TestQuickReturnConsistentWithFetch(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
@@ -709,12 +689,12 @@ func TestQuickReturnConsistentWithFetch(t *testing.T) {
 		ipr := Ring(rng.Intn(NumRings))
 		eff := Ring(rng.Intn(NumRings))
 		wordno := uint32(rng.Intn(int(v.Bound)))
-		d, viol := DecideReturn(v, wordno, ipr, eff)
-		if viol != nil || d.Outcome == ReturnDownwardTrap {
+		d, k := ReturnCheck(v, wordno, ipr, eff)
+		if k != ViolationNone || d.Outcome == ReturnDownwardTrap {
 			continue
 		}
-		if f := CheckFetch(v, wordno, d.NewRing); f != nil {
-			t.Fatalf("return succeeded into unfetchable ring: %+v ipr=%d eff=%d d=%+v viol=%v",
+		if f := FetchCheck(v, wordno, d.NewRing); f != ViolationNone {
+			t.Fatalf("return succeeded into unfetchable ring: %+v ipr=%d eff=%d d=%+v k=%v",
 				v, ipr, eff, d, f)
 		}
 	}

@@ -2,7 +2,7 @@ package core
 
 import "testing"
 
-// This file verifies DecideCall and DecideReturn against independent
+// This file verifies CallCheck and ReturnCheck against independent
 // specification functions written directly from the paper's prose, by
 // exhaustive enumeration of the whole (small) input space: every valid
 // bracket triple, every flag combination, every caller/effective ring
@@ -10,25 +10,25 @@ import "testing"
 // a million cases per decision procedure.
 
 // specCall is an independent transcription of Figure 8's narrative.
-func specCall(v SDWView, wordno uint32, ipr, eff Ring, sameSegment bool) (CallDecision, *Violation) {
+func specCall(v SDWView, wordno uint32, ipr, eff Ring, sameSegment bool) (CallDecision, ViolationKind) {
 	var none CallDecision
 	// Address translation: presence and bound first.
 	if !v.Present {
-		return none, &Violation{Kind: ViolationMissingSegment, Ring: eff}
+		return none, ViolationMissingSegment
 	}
 	if wordno >= v.Bound {
-		return none, &Violation{Kind: ViolationBound, Ring: eff}
+		return none, ViolationBound
 	}
 	// The target must be executable at all.
 	if !v.Execute {
-		return none, &Violation{Kind: ViolationNoExecute, Ring: eff}
+		return none, ViolationNoExecute
 	}
 	// "a CALL must be directed at a gate location even when the called
 	// procedure will execute in the same ring ... The only exception
 	// ... occurs if the operand is in the same segment as the
 	// instruction."
 	if !sameSegment && wordno >= v.GateCount {
-		return none, &Violation{Kind: ViolationNotAGate, Ring: eff}
+		return none, ViolationNotAGate
 	}
 	// Validation is relative to the effective ring.
 	switch {
@@ -39,47 +39,47 @@ func specCall(v SDWView, wordno uint32, ipr, eff Ring, sameSegment bool) (CallDe
 		// call with respect to IPR.RING ... generate an access
 		// violation".
 		if eff > ipr {
-			return none, &Violation{Kind: ViolationRingAlarm, Ring: eff}
+			return none, ViolationRingAlarm
 		}
-		return CallDecision{Outcome: CallSameRing, NewRing: eff}, nil
+		return CallDecision{Outcome: CallSameRing, NewRing: eff}, ViolationNone
 	case eff > v.R2 && eff <= v.R3:
 		// Gate extension: downward call to the top of the execute
 		// bracket — unless that is still above the true ring.
 		if v.R2 > ipr {
-			return none, &Violation{Kind: ViolationRingAlarm, Ring: eff}
+			return none, ViolationRingAlarm
 		}
-		return CallDecision{Outcome: CallDownward, NewRing: v.R2}, nil
+		return CallDecision{Outcome: CallDownward, NewRing: v.R2}, ViolationNone
 	case eff < v.R1:
 		// Below the execute bracket: an upward call; hardware traps.
-		return CallDecision{Outcome: CallUpwardTrap, NewRing: v.R1}, nil
+		return CallDecision{Outcome: CallUpwardTrap, NewRing: v.R1}, ViolationNone
 	default:
 		// Above the gate extension.
-		return none, &Violation{Kind: ViolationGateExtension, Ring: eff}
+		return none, ViolationGateExtension
 	}
 }
 
 // specReturn is an independent transcription of Figure 9's narrative.
-func specReturn(v SDWView, wordno uint32, ipr, eff Ring) (ReturnDecision, *Violation) {
+func specReturn(v SDWView, wordno uint32, ipr, eff Ring) (ReturnDecision, ViolationKind) {
 	var none ReturnDecision
 	if eff < ipr {
-		return ReturnDecision{Outcome: ReturnDownwardTrap, NewRing: eff}, nil
+		return ReturnDecision{Outcome: ReturnDownwardTrap, NewRing: eff}, ViolationNone
 	}
 	if !v.Present {
-		return none, &Violation{Kind: ViolationMissingSegment, Ring: eff}
+		return none, ViolationMissingSegment
 	}
 	if wordno >= v.Bound {
-		return none, &Violation{Kind: ViolationBound, Ring: eff}
+		return none, ViolationBound
 	}
 	if !v.Execute {
-		return none, &Violation{Kind: ViolationNoExecute, Ring: eff}
+		return none, ViolationNoExecute
 	}
 	if !(eff >= v.R1 && eff <= v.R2) {
-		return none, &Violation{Kind: ViolationExecuteBracket, Ring: eff}
+		return none, ViolationExecuteBracket
 	}
 	if eff == ipr {
-		return ReturnDecision{Outcome: ReturnSameRing, NewRing: eff}, nil
+		return ReturnDecision{Outcome: ReturnSameRing, NewRing: eff}, ViolationNone
 	}
-	return ReturnDecision{Outcome: ReturnUpward, NewRing: eff}, nil
+	return ReturnDecision{Outcome: ReturnUpward, NewRing: eff}, ViolationNone
 }
 
 // enumerate walks every valid SDW view shape (brackets × flags × gate
@@ -106,16 +106,6 @@ func enumerate(f func(v SDWView)) {
 	}
 }
 
-func sameViolation(a, b *Violation) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	if a == nil {
-		return true
-	}
-	return a.Kind == b.Kind && a.Ring == b.Ring
-}
-
 func TestExhaustiveCallAgainstSpec(t *testing.T) {
 	cases := 0
 	enumerate(func(v SDWView) {
@@ -127,13 +117,13 @@ func TestExhaustiveCallAgainstSpec(t *testing.T) {
 				for _, wordno := range []uint32{0, 1, 2} {
 					for _, same := range []bool{false, true} {
 						cases++
-						got, gotV := DecideCall(v, wordno, ipr, eff, same)
-						want, wantV := specCall(v, wordno, ipr, eff, same)
-						if !sameViolation(gotV, wantV) {
+						got, gotK := CallCheck(v, wordno, ipr, eff, same)
+						want, wantK := specCall(v, wordno, ipr, eff, same)
+						if gotK != wantK {
 							t.Fatalf("violation mismatch: v=%+v w=%d ipr=%d eff=%d same=%v\n got %v\nwant %v",
-								v, wordno, ipr, eff, same, gotV, wantV)
+								v, wordno, ipr, eff, same, gotK, wantK)
 						}
-						if gotV == nil && got != want {
+						if gotK == ViolationNone && got != want {
 							t.Fatalf("decision mismatch: v=%+v w=%d ipr=%d eff=%d same=%v\n got %+v\nwant %+v",
 								v, wordno, ipr, eff, same, got, want)
 						}
@@ -154,13 +144,13 @@ func TestExhaustiveReturnAgainstSpec(t *testing.T) {
 			for eff := Ring(0); eff < NumRings; eff++ {
 				for _, wordno := range []uint32{0, 2} {
 					cases++
-					got, gotV := DecideReturn(v, wordno, ipr, eff)
-					want, wantV := specReturn(v, wordno, ipr, eff)
-					if !sameViolation(gotV, wantV) {
+					got, gotK := ReturnCheck(v, wordno, ipr, eff)
+					want, wantK := specReturn(v, wordno, ipr, eff)
+					if gotK != wantK {
 						t.Fatalf("violation mismatch: v=%+v w=%d ipr=%d eff=%d\n got %v\nwant %v",
-							v, wordno, ipr, eff, gotV, wantV)
+							v, wordno, ipr, eff, gotK, wantK)
 					}
-					if gotV == nil && got != want {
+					if gotK == ViolationNone && got != want {
 						t.Fatalf("decision mismatch: v=%+v w=%d ipr=%d eff=%d\n got %+v\nwant %+v",
 							v, wordno, ipr, eff, got, want)
 					}
@@ -177,10 +167,10 @@ func TestExhaustiveReturnAgainstSpec(t *testing.T) {
 // procedures.
 func TestExhaustiveAbsentSegment(t *testing.T) {
 	v := SDWView{}
-	if _, viol := DecideCall(v, 0, 4, 4, false); viol == nil || viol.Kind != ViolationMissingSegment {
-		t.Errorf("call into absent segment: %v", viol)
+	if _, k := CallCheck(v, 0, 4, 4, false); k != ViolationMissingSegment {
+		t.Errorf("call into absent segment: %v", k)
 	}
-	if _, viol := DecideReturn(v, 0, 1, 4); viol == nil || viol.Kind != ViolationMissingSegment {
-		t.Errorf("return into absent segment: %v", viol)
+	if _, k := ReturnCheck(v, 0, 1, 4); k != ViolationMissingSegment {
+		t.Errorf("return into absent segment: %v", k)
 	}
 }

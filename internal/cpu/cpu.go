@@ -134,22 +134,17 @@ type Options struct {
 	// MaxIndirections bounds chained indirect words per effective
 	// address calculation.
 	MaxIndirections int
-	// SDWCache enables the associative memory for segment descriptor
-	// words (see internal/mmu). Off by default: every reference then
-	// reads the descriptor segment, and no invalidation discipline is
-	// required of supervisor software.
+	// SDWCache enables the associative memory of DefaultSDWCacheSize
+	// registers for segment descriptor words (see internal/mmu). Off by
+	// default: every reference then reads the descriptor segment, and
+	// no invalidation discipline is required of supervisor software.
 	SDWCache bool
-	// SDWCacheSize is the number of associative registers when SDWCache
-	// is on; zero means DefaultSDWCacheSize. It must be a power of two
-	// (the cache is direct-mapped on segno low bits); New panics
-	// otherwise.
-	SDWCacheSize int
 	// Costs is the cycle cost model; zero value means DefaultCosts.
 	Costs Costs
 }
 
 // DefaultSDWCacheSize is the number of SDW associative registers when
-// Options.SDWCache is on and no explicit size is given.
+// Options.SDWCache is on.
 const DefaultSDWCacheSize = 32
 
 // DefaultOptions returns the standard configuration: validation on,
@@ -232,8 +227,7 @@ type IODevice interface {
 	StartIO(c *CPU, iocbSeg, iocbWord uint32) error
 }
 
-// New returns a CPU attached to storage m with the given options. It
-// panics if Options.SDWCacheSize is not a power of two.
+// New returns a CPU attached to storage m with the given options.
 func New(m mem.Store, opt Options) *CPU {
 	if opt.MaxIndirections <= 0 {
 		opt.MaxIndirections = 8
@@ -243,10 +237,7 @@ func New(m mem.Store, opt Options) *CPU {
 	}
 	size := 0
 	if opt.SDWCache {
-		size = opt.SDWCacheSize
-		if size == 0 {
-			size = DefaultSDWCacheSize
-		}
+		size = DefaultSDWCacheSize
 	}
 	c := &CPU{Opt: opt, tracer: mmu.Disabled}
 	c.MMU = mmu.New(m, mmu.Options{

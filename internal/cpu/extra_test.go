@@ -405,7 +405,7 @@ func TestSDWCacheHitsAndInvalidation(t *testing.T) {
 	if _, err := c.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	stats := c.SDWCacheStats()
+	stats := c.MMU.CacheStats()
 	// Two segments touched (main, data): 2 cold misses; everything else
 	// hits.
 	if stats.Misses != 2 {
@@ -423,7 +423,7 @@ func TestSDWCacheHitsAndInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sdw.Brackets = core.Brackets{R1: 1, R2: 1, R3: 1}
-	if err := c.StoreSDW(dseg, sdw); err != nil {
+	if err := c.MMU.StoreSDW(dseg, sdw); err != nil {
 		t.Fatal(err)
 	}
 	if err := img.Start(4, "main", 0); err != nil {
@@ -468,7 +468,7 @@ func TestSDWCacheFlushOnLDBR(t *testing.T) {
 	valB, _ := img.Segno("valB")
 	sdwA := mustSDW(t, img, valA)
 	sdwB := mustSDW(t, img, valB)
-	if err := c.StoreSDW(probe, sdwA); err != nil {
+	if err := c.MMU.StoreSDW(probe, sdwA); err != nil {
 		t.Fatal(err)
 	}
 	base2, err := img.Alloc.Alloc(2 * 64)

@@ -39,11 +39,10 @@ func exampleSegments() []struct {
 	}
 }
 
-func markFor(v *core.Violation) string {
-	if v == nil {
+func markFor(k core.ViolationKind) string {
+	switch k {
+	case core.ViolationNone:
 		return "ok"
-	}
-	switch v.Kind {
 	case core.ViolationBound:
 		return "bound"
 	case core.ViolationNoRead, core.ViolationNoWrite, core.ViolationNoExecute:
@@ -67,8 +66,8 @@ func init() {
 		// Verify the diagram against the validation predicates.
 		v := figures.Figure1View()
 		for ring := core.Ring(0); ring < core.NumRings; ring++ {
-			w := core.CheckWrite(v, 0, ring) == nil
-			rd := core.CheckRead(v, 0, ring) == nil
+			w := core.WriteCheck(v, 0, ring) == core.ViolationNone
+			rd := core.ReadCheck(v, 0, ring) == core.ViolationNone
 			if w != (ring <= 4) || rd != (ring <= 5) {
 				return fmt.Errorf("figure 1 semantics wrong at ring %d", ring)
 			}
@@ -81,12 +80,12 @@ func init() {
 		r.add(figures.Figure2())
 		v := figures.Figure2View()
 		for ring := core.Ring(0); ring < core.NumRings; ring++ {
-			x := core.CheckFetch(v, 0, ring) == nil
+			x := core.FetchCheck(v, 0, ring) == core.ViolationNone
 			if x != (ring == 3) {
 				return fmt.Errorf("figure 2 execute semantics wrong at ring %d", ring)
 			}
-			d, viol := core.DecideCall(v, 0, ring, ring, false)
-			gateOK := viol == nil && d.Outcome == core.CallDownward
+			d, k := core.CallCheck(v, 0, ring, ring, false)
+			gateOK := k == core.ViolationNone && d.Outcome == core.CallDownward
 			if gateOK != (ring == 4 || ring == 5) {
 				return fmt.Errorf("figure 2 gate semantics wrong at ring %d", ring)
 			}
@@ -106,7 +105,7 @@ func init() {
 		for _, s := range exampleSegments() {
 			row := fmt.Sprintf("%-30s     ", s.name)
 			for ring := core.Ring(0); ring < core.NumRings; ring++ {
-				row += fmt.Sprintf("%-5s", markFor(core.CheckFetch(s.view, 0, ring)))
+				row += fmt.Sprintf("%-5s", markFor(core.FetchCheck(s.view, 0, ring)))
 			}
 			r.add(row)
 		}
@@ -142,13 +141,13 @@ func init() {
 			for _, s := range exampleSegments() {
 				row := fmt.Sprintf("%-30s     ", s.name)
 				for ring := core.Ring(0); ring < core.NumRings; ring++ {
-					var viol *core.Violation
+					var k core.ViolationKind
 					if kind == core.AccessRead {
-						viol = core.CheckRead(s.view, 0, ring)
+						k = core.ReadCheck(s.view, 0, ring)
 					} else {
-						viol = core.CheckWrite(s.view, 0, ring)
+						k = core.WriteCheck(s.view, 0, ring)
 					}
-					row += fmt.Sprintf("%-5s", markFor(viol))
+					row += fmt.Sprintf("%-5s", markFor(k))
 				}
 				r.add(row)
 			}
@@ -163,16 +162,16 @@ func init() {
 		for _, s := range exampleSegments() {
 			row := fmt.Sprintf("%-30s     ", s.name)
 			for ring := core.Ring(0); ring < core.NumRings; ring++ {
-				row += fmt.Sprintf("%-5s", markFor(core.CheckTransfer(s.view, 0, ring, ring)))
+				row += fmt.Sprintf("%-5s", markFor(core.TransferCheck(s.view, 0, ring, ring)))
 			}
 			r.add(row)
 		}
 		r.add("")
 		r.addf("ring alarm: a transfer whose effective ring exceeds the ring of execution")
 		v := exampleSegments()[5].view // shared library, executable everywhere
-		viol := core.CheckTransfer(v, 0, 3, 5)
-		r.addf("  transfer in ring 3 with effective ring 5 into [0,7] library: %s", markFor(viol))
-		if viol == nil || viol.Kind != core.ViolationRingAlarm {
+		k := core.TransferCheck(v, 0, 3, 5)
+		r.addf("  transfer in ring 3 with effective ring 5 into [0,7] library: %s", markFor(k))
+		if k != core.ViolationRingAlarm {
 			return fmt.Errorf("ring alarm not raised")
 		}
 		r.add("EAP-type instructions form the address but reference nothing: never validated")
@@ -184,17 +183,17 @@ func init() {
 		r.addf("CALL at gate word 0 of the Figure-2 segment (execute [3,3], gates 2, ext 5):")
 		r.addf("%-12s %-28s %s", "caller ring", "outcome", "new ring")
 		for ring := core.Ring(0); ring < core.NumRings; ring++ {
-			d, viol := core.DecideCall(v, 0, ring, ring, false)
-			if viol != nil {
-				r.addf("%-12d %-28s %s", ring, "violation: "+viol.Kind.String(), "-")
+			d, k := core.CallCheck(v, 0, ring, ring, false)
+			if k != core.ViolationNone {
+				r.addf("%-12d %-28s %s", ring, "violation: "+k.String(), "-")
 				continue
 			}
 			r.addf("%-12d %-28s %d", ring, d.Outcome.String(), d.NewRing)
 		}
 		r.add("")
-		r.addf("CALL at non-gate word 2 from ring 4: %s",
-			markFor(func() *core.Violation { _, v := core.DecideCall(v, 2, 4, 4, false); return v }()))
-		d, _ := core.DecideCall(v, 100, 3, 3, true)
+		_, k := core.CallCheck(v, 2, 4, 4, false)
+		r.addf("CALL at non-gate word 2 from ring 4: %s", markFor(k))
+		d, _ := core.CallCheck(v, 100, 3, 3, true)
 		r.addf("CALL within the same segment bypasses the gate list: outcome %v", d.Outcome)
 
 		// Measured: downward call/return round trip, no traps.
@@ -241,10 +240,10 @@ func init() {
 		for _, c := range []struct{ ipr, eff core.Ring }{
 			{1, 4}, {1, 5}, {4, 4}, {5, 4}, {1, 6}, {1, 2},
 		} {
-			d, viol := core.DecideReturn(target, 0, c.ipr, c.eff)
+			d, k := core.ReturnCheck(target, 0, c.ipr, c.eff)
 			out := d.Outcome.String()
-			if viol != nil {
-				out = "violation: " + viol.Kind.String()
+			if k != core.ViolationNone {
+				out = "violation: " + k.String()
 			}
 			r.addf("%-14d %-14d %s", c.ipr, c.eff, out)
 		}

@@ -27,17 +27,17 @@ func init() {
 			Present: true, Read: true, Write: true,
 			Brackets: core.Brackets{R1: 3, R2: 3, R3: 3}, Bound: 16,
 		}
-		row := func(what string, viol *core.Violation) {
+		row := func(what string, k core.ViolationKind) {
 			outcome := "PERMITTED"
-			if viol != nil {
-				outcome = "denied (" + viol.Kind.String() + ")"
+			if k != core.ViolationNone {
+				outcome = "denied (" + k.String() + ")"
 			}
 			r.addf("  %-44s %s", what, outcome)
 		}
-		row("S1 (ring 2) reading S2's private data", core.CheckRead(s2data, 0, 2))
-		row("S1 (ring 2) writing S2's private data", core.CheckWrite(s2data, 0, 2))
-		row("S2 (ring 3) reading S1's private data", core.CheckRead(s1data, 0, 3))
-		row("S2 (ring 3) writing S1's private data", core.CheckWrite(s1data, 0, 3))
+		row("S1 (ring 2) reading S2's private data", core.ReadCheck(s2data, 0, 2))
+		row("S1 (ring 2) writing S2's private data", core.WriteCheck(s2data, 0, 2))
+		row("S2 (ring 3) reading S1's private data", core.ReadCheck(s1data, 0, 3))
+		row("S2 (ring 3) writing S1's private data", core.WriteCheck(s1data, 0, 3))
 
 		// Confirm on the machine: ring-2 code walks straight into the
 		// ring-3 subsystem's data.

@@ -196,7 +196,7 @@ func init() {
 			return err
 		}
 		onCycles := img.CPU.Cycles
-		stats := img.CPU.SDWCacheStats()
+		stats := img.CPU.MMU.CacheStats()
 
 		r.addf("workload: 200 cross-ring call/return round trips")
 		r.addf("")

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/seg"
 )
 
 func TestFigure1Content(t *testing.T) {
@@ -68,10 +69,10 @@ func TestFigure3ListsAllFormats(t *testing.T) {
 }
 
 func TestViewsValidate(t *testing.T) {
-	if err := Figure1View().Validate(); err != nil {
+	if err := seg.FromView(Figure1View()).Validate(); err != nil {
 		t.Error(err)
 	}
-	if err := Figure2View().Validate(); err != nil {
+	if err := seg.FromView(Figure2View()).Validate(); err != nil {
 		t.Error(err)
 	}
 }

@@ -15,14 +15,34 @@
 //   - bracket validation (read, write, fetch, transfer) and the
 //     CALL/RETURN decisions, on top of the pure predicates in
 //     internal/core, including the T5 validation-ablation switch;
+//   - the trap payload of a failed check (see below);
 //   - virtual-to-physical translation and the core access itself;
 //   - cycle accounting for descriptor reads and validations;
 //   - a pluggable, allocation-free Sink for trace events.
 //
+// # The ring of a violation
+//
+// The internal/core predicates return only the kind of a violation.
+// When one fails, the MMU builds the trap payload, a *core.Violation,
+// and chooses the ring it is reported against, which the processor
+// writes into the trap frame:
+//
+//   - read, write and fetch: the ring the reference was validated in;
+//   - transfer: the ring of execution, except the effective ring for a
+//     ring alarm;
+//   - CALL and RETURN: the effective ring;
+//   - with validation off, the bound faults of transfer, CALL and
+//     RETURN: the ring of execution.
+//
 // # Invalidation discipline
 //
-// The paper expects a changed SDW "to be immediately effective". The
-// associative memory therefore obeys three rules:
+// The paper leans on the observation that "the processor must examine
+// the SDW for a segment each time that segment is referenced by
+// two-part address anyway"; on the 645 and its successor that
+// examination was cheap because a small associative memory held
+// recently used SDWs. The paper also expects a changed SDW "to be
+// immediately effective". The associative memory therefore obeys
+// three rules:
 //
 //  1. SetDBR flushes every associative register: a new descriptor
 //     segment invalidates all cached translations (the processor does
@@ -296,38 +316,50 @@ func (u *MMU) invalidate(segno uint32) {
 	}
 }
 
-// ---- Access validation (Figures 4, 5, 6 and 7) ----
+// ---- Access validation (Figures 4 to 9) ----
 //
-// Each check charges the validation cost and honours the ablation
-// switch: with validation off, presence and bounds are still enforced
-// (via core.CheckBound) but brackets, flags and gates are not.
+// Each check charges the validation cost, calls the internal/core
+// predicate for its figure and honours the ablation switch: with
+// validation off, presence and bounds are still enforced (through
+// core.BoundCheck) but brackets, flags and gates are not. A failed
+// check returns the trap payload that violation builds.
+
+// violation is the trap payload for kind k reported in ring, or nil
+// when k is ViolationNone. The checks below choose the ring by the
+// rule in the package comment.
+func violation(k core.ViolationKind, ring core.Ring) *core.Violation {
+	if k == core.ViolationNone {
+		return nil
+	}
+	return &core.Violation{Kind: k, Ring: ring}
+}
 
 // CheckRead validates a read at (segno|wordno) with respect to the
-// effective ring.
+// effective ring (Figure 6).
 func (u *MMU) CheckRead(v core.SDWView, segno, wordno uint32, ring core.Ring) *core.Violation {
 	*u.cycles += u.opt.Costs.Validate
 	if !u.opt.Validate {
-		return core.CheckBound(v, wordno, ring)
+		return violation(core.BoundCheck(v, wordno), ring)
 	}
-	viol := core.CheckRead(v, wordno, ring)
+	k := core.ReadCheck(v, wordno, ring)
 	if u.sink.Enabled() {
-		u.traceValidate(traceRead, ring, segno, wordno, viol)
+		u.traceValidate(traceRead, ring, segno, wordno, k)
 	}
-	return viol
+	return violation(k, ring)
 }
 
 // CheckWrite validates a write at (segno|wordno) with respect to the
-// effective ring.
+// effective ring (Figure 6).
 func (u *MMU) CheckWrite(v core.SDWView, segno, wordno uint32, ring core.Ring) *core.Violation {
 	*u.cycles += u.opt.Costs.Validate
 	if !u.opt.Validate {
-		return core.CheckBound(v, wordno, ring)
+		return violation(core.BoundCheck(v, wordno), ring)
 	}
-	viol := core.CheckWrite(v, wordno, ring)
+	k := core.WriteCheck(v, wordno, ring)
 	if u.sink.Enabled() {
-		u.traceValidate(traceWrite, ring, segno, wordno, viol)
+		u.traceValidate(traceWrite, ring, segno, wordno, k)
 	}
-	return viol
+	return violation(k, ring)
 }
 
 // CheckFetch validates the instruction fetch (Figure 4) against the
@@ -335,9 +367,9 @@ func (u *MMU) CheckWrite(v core.SDWView, segno, wordno uint32, ring core.Ring) *
 func (u *MMU) CheckFetch(v core.SDWView, wordno uint32, ring core.Ring) *core.Violation {
 	*u.cycles += u.opt.Costs.Validate
 	if !u.opt.Validate {
-		return core.CheckBound(v, wordno, ring)
+		return violation(core.BoundCheck(v, wordno), ring)
 	}
-	return core.CheckFetch(v, wordno, ring)
+	return violation(core.FetchCheck(v, wordno, ring), ring)
 }
 
 // CheckTransfer performs the advance check of Figure 7 for a transfer
@@ -346,13 +378,18 @@ func (u *MMU) CheckFetch(v core.SDWView, wordno uint32, ring core.Ring) *core.Vi
 func (u *MMU) CheckTransfer(v core.SDWView, segno, wordno uint32, execRing, effRing core.Ring) *core.Violation {
 	*u.cycles += u.opt.Costs.Validate
 	if !u.opt.Validate {
-		return core.CheckBound(v, wordno, execRing)
+		return violation(core.BoundCheck(v, wordno), execRing)
 	}
-	viol := core.CheckTransfer(v, wordno, execRing, effRing)
+	k := core.TransferCheck(v, wordno, execRing, effRing)
 	if u.sink.Enabled() {
-		u.traceValidate(traceTransfer, effRing, segno, wordno, viol)
+		u.traceValidate(traceTransfer, effRing, segno, wordno, k)
 	}
-	return viol
+	if k == core.ViolationRingAlarm {
+		// The ring alarm is detected against the effective ring; every
+		// other transfer check validates in the ring of execution.
+		return violation(k, effRing)
+	}
+	return violation(k, execRing)
 }
 
 // DecideCall evaluates the CALL decision of Figure 8, honouring the
@@ -360,12 +397,12 @@ func (u *MMU) CheckTransfer(v core.SDWView, segno, wordno uint32, execRing, effR
 // bounds-checked same-ring transfer, exactly as if the ring hardware
 // were absent.
 func (u *MMU) DecideCall(v core.SDWView, wordno uint32, execRing, effRing core.Ring, sameSegment bool) (core.CallDecision, *core.Violation) {
-	decision, viol := core.DecideCall(v, wordno, execRing, effRing, sameSegment)
-	if viol == nil || u.opt.Validate {
-		return decision, viol
+	decision, k := core.CallCheck(v, wordno, execRing, effRing, sameSegment)
+	if k == core.ViolationNone || u.opt.Validate {
+		return decision, violation(k, effRing)
 	}
-	if bviol := core.CheckBound(v, wordno, execRing); bviol != nil {
-		return core.CallDecision{}, bviol
+	if k := core.BoundCheck(v, wordno); k != core.ViolationNone {
+		return core.CallDecision{}, violation(k, execRing)
 	}
 	return core.CallDecision{Outcome: core.CallSameRing, NewRing: execRing}, nil
 }
@@ -373,12 +410,12 @@ func (u *MMU) DecideCall(v core.SDWView, wordno uint32, execRing, effRing core.R
 // DecideReturn evaluates the RETURN decision of Figure 9 under the same
 // ablation rule as DecideCall.
 func (u *MMU) DecideReturn(v core.SDWView, wordno uint32, execRing, effRing core.Ring) (core.ReturnDecision, *core.Violation) {
-	decision, viol := core.DecideReturn(v, wordno, execRing, effRing)
-	if viol == nil || u.opt.Validate {
-		return decision, viol
+	decision, k := core.ReturnCheck(v, wordno, execRing, effRing)
+	if k == core.ViolationNone || u.opt.Validate {
+		return decision, violation(k, effRing)
 	}
-	if bviol := core.CheckBound(v, wordno, execRing); bviol != nil {
-		return core.ReturnDecision{}, bviol
+	if k := core.BoundCheck(v, wordno); k != core.ViolationNone {
+		return core.ReturnDecision{}, violation(k, execRing)
 	}
 	return core.ReturnDecision{Outcome: core.ReturnSameRing, NewRing: effRing}, nil
 }
@@ -407,10 +444,10 @@ func init() {
 
 // traceValidate records one validation outcome using the precomputed
 // detail tables; what is one of traceRead/Write/Transfer.
-func (u *MMU) traceValidate(what int, ring core.Ring, segno, wordno uint32, viol *core.Violation) {
+func (u *MMU) traceValidate(what int, ring core.Ring, segno, wordno uint32, k core.ViolationKind) {
 	detail := traceOK[what]
-	if viol != nil && int(viol.Kind) < len(traceViol[what]) {
-		detail = traceViol[what][viol.Kind]
+	if k != core.ViolationNone && int(k) < len(traceViol[what]) {
+		detail = traceViol[what][k]
 	}
 	u.sink.Record(trace.Event{Kind: trace.KindValidate, Ring: ring, Segno: segno, Wordno: wordno, Detail: detail})
 }

@@ -93,7 +93,7 @@ func (s *System) RunParallel(nproc, limit int) ([]ProcessorStats, error) {
 			}
 			st.Steps = c.Steps()
 			st.Cycles = c.Cycles
-			st.Cache = c.SDWCacheStats()
+			st.Cache = c.MMU.CacheStats()
 		}(i, c)
 	}
 	wg.Wait()

@@ -3,6 +3,7 @@ package sup
 import (
 	"fmt"
 
+	"repro/internal/acl"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/word"
@@ -104,13 +105,7 @@ func (s *Supervisor) serviceSetBrackets(c *cpu.CPU) {
 	segno := c.X[0]
 	read, write, execute, br := UnpackBrackets(c.A)
 	caller := callingRing(c)
-	if br.R1 < caller || br.R2 < caller || br.R3 < caller {
-		s.auditf("set-brackets denied: ring %d asked for %d,%d,%d",
-			caller, br.R1, br.R2, br.R3)
-		c.A = word.FromInt(-1)
-		return
-	}
-	if err := br.Validate(); err != nil {
+	if err := acl.CheckSetter(caller, br); err != nil {
 		s.auditf("set-brackets denied: %v", err)
 		c.A = word.FromInt(-1)
 		return
@@ -123,7 +118,7 @@ func (s *Supervisor) serviceSetBrackets(c *cpu.CPU) {
 	}
 	sdw.Read, sdw.Write, sdw.Execute = read, write, execute
 	sdw.Brackets = br
-	if err := c.StoreSDW(segno, sdw); err != nil {
+	if err := c.MMU.StoreSDW(segno, sdw); err != nil {
 		s.auditf("set-brackets: %v", err)
 		c.A = word.FromInt(-1)
 		return

@@ -386,7 +386,7 @@ func (s *Supervisor) Reserve(os *OnlineSegment) (uint32, error) {
 		return 0, err
 	}
 	sdw.Present = false
-	if err := s.Img.CPU.StoreSDW(segno, sdw); err != nil {
+	if err := s.Img.CPU.MMU.StoreSDW(segno, sdw); err != nil {
 		return 0, err
 	}
 	s.online[segno] = os
@@ -414,7 +414,7 @@ func (s *Supervisor) Initiate(segno uint32) error {
 	sdw.Execute = entry.Execute
 	sdw.Brackets = entry.Brackets
 	sdw.Gate = os.Gates
-	if err := s.Img.CPU.StoreSDW(segno, sdw); err != nil {
+	if err := s.Img.CPU.MMU.StoreSDW(segno, sdw); err != nil {
 		return err
 	}
 	s.auditf("initiated %q (segno %o) for %q: %v", os.Name, segno, s.User, sdw)
