@@ -107,7 +107,7 @@ func (dc *Decider) pin(sh int) *Table {
 }
 
 // pinSum pins every shard in mask (a bit per shard index) and returns
-// the sum of the pinned epochs: a decision's epoch stamp.
+// the sum of the pinned epochs: an effring chain's epoch stamp.
 //
 //ring:hotpath
 func (dc *Decider) pinSum(mask uint64) uint64 {

@@ -137,15 +137,14 @@ var (
 // Decider decides one batch of queries on the calling goroutine from
 // per-shard descriptor tables, calling the internal/core predicates on
 // the views the tables hold. A service caller's decider pins each
-// consulted shard's published snapshot on first use; a client
-// replica's decider reads the tables the replica checked or fetched
-// for the batch. Both run the same procedure, on a decider and a table
-// array on the caller's stack that live for one batch. A Decider is
-// not safe for concurrent use.
+// consulted shard's published snapshot on first use, into a table array
+// on the caller's stack; a client replica's decider reads the replica's
+// resident table set, and the replica then checks the tables the batch
+// read (Consulted). Both run the same procedure, on a decider that
+// lives for one batch. A Decider is not safe for concurrent use.
 type Decider struct {
 	// store supplies the snapshots pin loads; nil when the caller
-	// supplies, before Decide, the table of every shard the batch
-	// consults (Consults).
+	// supplies the table of every shard.
 	store     *Store
 	names     map[string]uint32
 	shardMask uint32
@@ -153,17 +152,20 @@ type Decider struct {
 	// tabs[i] is the table shard i decides from in this batch; nil
 	// when not yet pinned.
 	tabs []*Table
+	// consulted is the set of shards (a bit per shard index) whose
+	// tables the decisions so far read.
+	consulted uint64
 	// pins, lookups and validates count table pins, descriptor lookups
 	// and read/write validations (the "validate" event of /metrics);
 	// SubmitInto adds them to its processor's counters.
 	pins, lookups, validates uint64
 }
 
-// NewDecider returns a decider for one batch over tabs, which the
-// caller fills with the table of every shard the batch consults before
-// calling Decide: len(tabs) is the shard count, a power of two, and
-// names resolves segment names. The next batch takes a fresh decider
-// over fresh tables.
+// NewDecider returns a decider for one batch over tabs, which holds
+// the table of every shard: len(tabs) is the shard count, a power of
+// two, and names resolves segment names. The decider only reads tabs,
+// so a replica may pass its shared immutable table set. The next batch
+// takes a fresh decider.
 func NewDecider(names map[string]uint32, tabs []*Table) Decider {
 	return Decider{
 		names:     names,
@@ -186,10 +188,19 @@ func (dc *Decider) Decide(queries []Query, dst []Decision) {
 	}
 }
 
+// Consulted returns the set of shards (a bit per shard index) whose
+// tables the batch's decisions so far read: every decision's stamp adds
+// the shards it consulted. A replica checks exactly these tables after
+// deciding.
+//
+//ring:hotpath
+func (dc *Decider) Consulted() uint64 { return dc.consulted }
+
 // Consults returns the set of shards (a bit per shard index) deciding q
 // may read: the target segment's shard, or the shards of an effring
 // chain's indirect steps. A name the decider cannot resolve consults
-// none.
+// none. A replica calls it only on its miss path, to count the queries
+// that read a stale table.
 //
 //ring:hotpath
 func (dc *Decider) Consults(q *Query) uint64 {
@@ -405,22 +416,22 @@ func (dc *Decider) eval(q *Query, d *Decision) {
 		d.Err = fmt.Sprintf("invalid ring %d", q.Ring)
 		return
 	}
-	segShard := uint64(1) << (segno & dc.shardMask) // the target segment's shard
+	sh := int(segno & dc.shardMask) // the target segment's shard
 
 	switch q.Op {
 	case OpAccess:
 		var kind core.ViolationKind
 		switch q.Kind {
 		case core.AccessRead:
-			d.stamp(dc, segShard)
+			d.stampShard(dc, sh)
 			dc.validates++
 			kind = core.ReadCheck(dc.view(segno), q.Wordno, q.Ring)
 		case core.AccessWrite:
-			d.stamp(dc, segShard)
+			d.stampShard(dc, sh)
 			dc.validates++
 			kind = core.WriteCheck(dc.view(segno), q.Wordno, q.Ring)
 		case core.AccessExecute:
-			d.stamp(dc, segShard)
+			d.stampShard(dc, sh)
 			kind = core.FetchCheck(dc.view(segno), q.Wordno, q.Ring)
 		default:
 			//ring:allow malformed query: Err formatting is the cold path
@@ -439,7 +450,7 @@ func (dc *Decider) eval(q *Query, d *Decision) {
 			d.Err = fmt.Sprintf("invalid effective ring %d", effRing)
 			return
 		}
-		d.stamp(dc, segShard)
+		d.stampShard(dc, sh)
 		dec, kind := core.CallCheck(dc.view(segno), q.Wordno, q.Ring, effRing, q.SameSegment)
 		if kind != core.ViolationNone {
 			d.setViolationKind(kind)
@@ -460,7 +471,7 @@ func (dc *Decider) eval(q *Query, d *Decision) {
 			d.Err = fmt.Sprintf("invalid effective ring %d", effRing)
 			return
 		}
-		d.stamp(dc, segShard)
+		d.stampShard(dc, sh)
 		dec, kind := core.ReturnCheck(dc.view(segno), q.Wordno, q.Ring, effRing)
 		if kind != core.ViolationNone {
 			d.setViolationKind(kind)
@@ -506,13 +517,26 @@ func (dc *Decider) eval(q *Query, d *Decision) {
 	}
 }
 
-// stamp reports the set of shards d consulted (a bit per shard): the
-// sum of the publication epochs of the tables dc pins for them (0 for
-// none) as a degenerate interval, and the shard itself when the set
-// holds exactly one.
+// stampShard reports shard sh as the one shard d consulted: the
+// publication epoch of the table dc pins for it, as a degenerate
+// interval.
+//
+//ring:hotpath
+func (d *Decision) stampShard(dc *Decider, sh int) {
+	dc.consulted |= 1 << sh
+	d.VersionLo = dc.pin(sh).epoch
+	d.VersionHi = d.VersionLo
+	d.Shard = sh
+}
+
+// stamp reports the set of shards an effring chain consulted (a bit per
+// shard): the sum of the publication epochs of the tables dc pins for
+// them (0 for none) as a degenerate interval, and the shard itself when
+// the set holds exactly one.
 //
 //ring:hotpath
 func (d *Decision) stamp(dc *Decider, mask uint64) {
+	dc.consulted |= mask
 	d.VersionLo = dc.pinSum(mask)
 	d.VersionHi = d.VersionLo
 	if bits.OnesCount64(mask) == 1 {

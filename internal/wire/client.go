@@ -70,12 +70,19 @@ type Client struct {
 	watch    *time.Timer      //ring:guarded mu (runs watchdog; nil until the first call)
 
 	// progress is when the session last showed life to pending calls,
-	// in UnixNano: the last frame read, or the first call of a busy
-	// spell. The watchdog fails the session Timeout after it.
+	// as a monotonic() instant: the last frame read, or the first call
+	// of a busy spell. The watchdog fails the session Timeout after it.
 	progress atomic.Int64
 
 	readerDone chan struct{}
 }
+
+// clockBase anchors the client's monotonic clock.
+var clockBase = time.Now()
+
+// monotonic returns the time since clockBase on the monotonic clock, so
+// a step of the wall clock moves no watchdog deadline.
+func monotonic() time.Duration { return time.Since(clockBase) }
 
 // call is one request in flight. Records are reused together with
 // their wake-up channel: one send on done wakes the waiting caller,
@@ -198,7 +205,7 @@ func (c *Client) readLoop() {
 			c.fail(err)
 			return
 		}
-		c.progress.Store(time.Now().UnixNano())
+		c.progress.Store(int64(monotonic()))
 		switch {
 		case h.Type == FrameGoAway:
 			c.fail(ErrGoAway)
@@ -300,7 +307,7 @@ func (c *Client) watchdog() {
 		c.mu.Unlock()
 		return
 	}
-	if wait := time.Until(time.Unix(0, c.progress.Load())) + c.cfg.Timeout; wait > 0 {
+	if wait := time.Duration(c.progress.Load()) + c.cfg.Timeout - monotonic(); wait > 0 {
 		c.watch.Reset(wait)
 		c.mu.Unlock()
 		return
@@ -349,7 +356,7 @@ func (c *Client) roundTrip(cl *call, enc func(buf []byte, corr uint64) ([]byte, 
 	id := c.nextCorr
 	c.pending[id] = cl
 	if len(c.pending) == 1 { // the first pending call starts the clock
-		c.progress.Store(time.Now().UnixNano())
+		c.progress.Store(int64(monotonic()))
 		if c.watch == nil {
 			c.watch = time.AfterFunc(c.cfg.Timeout, c.watchdog)
 		} else {

@@ -67,7 +67,7 @@ type RemoteChecker struct {
 	ttl        time.Duration           // a fetched table's lifetime
 	rep        atomic.Pointer[replica] // the current session's replica
 	redialMu   sync.Mutex
-	lastRedial atomic.Int64
+	lastRedial atomic.Int64 // the last redial's monotonic() instant; 0 before the first
 	closed     atomic.Bool
 
 	hc     *http.Client

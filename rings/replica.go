@@ -19,7 +19,7 @@ import (
 // server runs (service.Decider). The wire session's subscription
 // stream delivers the supervisor's shootdowns: a shootdown naming shard
 // epoch E makes that shard's table stale if it is older than E, and the
-// next batch consulting the shard fetches it again.
+// next batch that reads the shard fetches it again.
 //
 // # Staleness argument
 //
@@ -28,9 +28,9 @@ import (
 //
 //  1. its epoch is at or beyond the shard's shootdown floor — no
 //     acknowledged shootdown names a newer publication;
-//  2. its TTL, counted from when its fetch was sent, has not elapsed —
-//     a stalled or lagging stream bounds staleness by the TTL instead
-//     of forever;
+//  2. its TTL, counted from when its fetch was sent, has not elapsed at
+//     the batch's start — a stalled or lagging stream bounds staleness
+//     by the TTL instead of forever;
 //  3. its session is live — a dead session (GoAway, disconnect, call
 //     timeout, lease-expire) lapses the whole replica, and every query
 //     goes to the server until a fresh session resubscribes and fills a
@@ -40,14 +40,23 @@ import (
 // the session's reader, leaving shootdowns the server sent unread; so
 // a batch that finds the stream silent for longer than syncEvery pings
 // it first, and the server announces every edit it published before
-// answering. A batch checks every shard it consults before deciding,
-// fetches the stale ones in one round trip, and decides from exactly
-// the tables it checked or fetched, each a clean snapshot of its
-// shard. Every decision is therefore the server's answer at the epoch
-// it reports, and no batch that begins after the client has
-// acknowledged a shootdown decides from a table older than the epoch
-// it names: the floor store in the shootdown handler happens before
-// the handler returns, and every later batch reads the floor.
+// answering. A batch loads the replica's table set once and decides
+// from it, and then checks every table it read (Decider.Consulted)
+// against conditions 1 and 2. If one is stale, the batch fetches the
+// stale tables in one round trip and decides again from the tables it
+// checked and the ones it fetched, each a clean snapshot of its shard;
+// the first answers are discarded. A set is immutable, so the tables a
+// batch read are the tables it checked. Every decision is therefore the
+// server's answer at the epoch it reports, and no batch that begins
+// after the client has acknowledged a shootdown decides from a table
+// older than the epoch it names: the floor store in the shootdown
+// handler happens before the handler returns, and every later batch
+// reads the floor after deciding.
+//
+// The replica's instants (a batch's start, a fetch's send, a table's
+// TTL deadline, heard, busy, the checker's last redial) are monotonic
+// time since clockBase, so a step of the wall clock neither stretches
+// nor cuts a table's TTL.
 
 // CacheStats is a replica's counters, for /metrics-style reporting and
 // the T17 experiment.
@@ -70,11 +79,20 @@ type cacheCounters struct {
 	hits, misses, shootdowns, expires, flushes atomic.Uint64
 }
 
-// resident is one shard's installed table and the instant its TTL runs
-// out.
-type resident struct {
-	tab     *service.Table
-	expires int64 // UnixNano
+// clockBase anchors the replica's monotonic clock.
+var clockBase = time.Now()
+
+// monotonic returns the current instant on the replica's clock, the
+// time since clockBase: one read of the monotonic clock.
+func monotonic() time.Duration { return time.Since(clockBase) }
+
+// tableSet is one immutable generation of a replica's resident tables:
+// tabs[i] is shard i's table and expires[i] the instant its TTL runs
+// out. install replaces a set with an edited copy; nothing writes a
+// set once it is shared.
+type tableSet struct {
+	tabs    [service.MaxShards]*service.Table
+	expires [service.MaxShards]time.Duration
 }
 
 // flight is one table fetch in progress; a batch needing one of its
@@ -99,14 +117,14 @@ type replica struct {
 	// floors[i] is shard i's shootdown floor: the highest epoch a
 	// shootdown on this session has named for it.
 	floors [service.MaxShards]atomic.Uint64
-	tables [service.MaxShards]atomic.Pointer[resident]
-	// lapsed is set once, when the session dies or its subscription is
-	// revoked; a lapsed replica holds no table and decides nothing.
-	lapsed atomic.Bool
-	// heard is when the stream last showed it was being read (UnixNano):
-	// the fill, a shootdown, or a ping barrier. busy is when a batch last
-	// marked the replica in use, at most once per syncEvery/4. syncing
-	// marks a barrier in flight.
+	// set holds the resident tables. It is empty until the fill, and nil
+	// once the session dies or its subscription is revoked: a lapsed
+	// replica holds no table and decides nothing.
+	set atomic.Pointer[tableSet]
+	// heard is when the stream last showed it was being read: the fill,
+	// a shootdown, or a ping barrier. busy is when a batch last marked
+	// the replica in use, at most once per syncEvery/4. Both are
+	// monotonic() instants. syncing marks a barrier in flight.
 	heard, busy atomic.Int64
 	syncing     atomic.Bool
 
@@ -118,6 +136,7 @@ type replica struct {
 // fills it with every shard's table and the image's segment names.
 func (rc *RemoteChecker) dialReplica() (*replica, error) {
 	r := &replica{ttl: rc.ttl, stats: rc.cache}
+	r.set.Store(new(tableSet)) // a lapse before the fill leaves nil, so the fill installs nothing
 	cfg := rc.wcfg
 	cfg.OnShootdown = r.shootdown
 	cfg.OnLeaseExpire = func(wire.LeaseExpire) {
@@ -133,14 +152,14 @@ func (rc *RemoteChecker) dialReplica() (*replica, error) {
 	r.shards = int(wc.Welcome().Shards)
 	var ts *wire.Tables
 	all := uint64(1)<<r.shards - 1
-	sent := time.Now().UnixNano()
+	sent := monotonic()
 	if r.shards < 1 || r.shards > service.MaxShards || r.shards&(r.shards-1) != 0 {
 		err = errors.New("rings: server reports an invalid shard count")
 	} else if _, err = wc.Subscribe(); err == nil {
 		ts, err = wc.Fetch(wire.Fetch{Shards: all, Names: true})
 	}
 	if err != nil {
-		r.lapsed.Store(true) // never installed: its close is no flush
+		r.set.Store(nil) // never installed: its close is no flush
 		wc.Close()
 		return nil, mapWireErr(err)
 	}
@@ -149,7 +168,7 @@ func (rc *RemoteChecker) dialReplica() (*replica, error) {
 		r.names[name] = uint32(i)
 	}
 	r.install(all, ts, sent)
-	r.heard.Store(sent)
+	r.heard.Store(int64(sent))
 	return r, nil
 }
 
@@ -166,65 +185,66 @@ func (rc *RemoteChecker) dialReplica() (*replica, error) {
 // that leaves its reader the processor and never pings.
 const syncEvery = 500 * time.Microsecond
 
-// decide answers the batch locally: it checks the table of every shard
-// the batch consults, fetches the stale ones, and decides from exactly
-// the tables it checked, with a decider on its own stack.
+// decide answers the batch locally from set, the replica's table set
+// when the batch began: it decides the whole batch from the set, then
+// checks the tables the decisions read. If any is stale it fetches
+// those, and decides the batch again from the tables it checked and
+// fetched, with a decider on its own stack.
 //
 //ring:hotpath
-func (r *replica) decide(queries []Query, dst []Decision) error {
-	now := time.Now().UnixNano()
-	if now-r.busy.Load() > int64(syncEvery/4) {
-		r.busy.Store(now)
-	} else if now-r.heard.Load() > int64(syncEvery) && r.syncing.CompareAndSwap(false, true) {
+func (r *replica) decide(set *tableSet, queries []Query, dst []Decision) error {
+	now := monotonic()
+	if now-time.Duration(r.busy.Load()) > syncEvery/4 {
+		r.busy.Store(int64(now))
+	} else if now-time.Duration(r.heard.Load()) > syncEvery && r.syncing.CompareAndSwap(false, true) {
 		//ring:allow stream barrier: one round trip per syncEvery of silence
 		_, err := r.wc.Ping()
 		r.syncing.Store(false)
 		if err != nil {
 			return mapWireErr(err)
 		}
-		r.heard.Store(now)
-		now = time.Now().UnixNano()
+		r.heard.Store(int64(now))
+		now = monotonic()
 	}
-	var tabs [service.MaxShards]*service.Table
-	dc := service.NewDecider(r.names, tabs[:r.shards])
-	var need uint64
+	dc := service.NewDecider(r.names, set.tabs[:r.shards])
+	dc.Decide(queries, dst)
+	stale := r.stale(set, dc.Consulted(), now)
+	if stale == 0 {
+		r.stats.hits.Add(uint64(len(queries)))
+		return nil
+	}
+	var missed uint64
 	for i := range queries {
-		need |= dc.Consults(&queries[i])
-	}
-	var stale, missed uint64
-	for m := need; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		if tabs[i] = r.fresh(i, now); tabs[i] == nil {
-			stale |= 1 << i
+		if dc.Consults(&queries[i])&stale != 0 {
+			missed++
 		}
 	}
-	if stale != 0 {
-		for i := range queries {
-			if dc.Consults(&queries[i])&stale != 0 {
-				missed++
-			}
-		}
-		r.stats.misses.Add(missed)
-		//ring:allow miss path: a fetch allocates its flight and the tables it brings
-		if err := r.fetch(stale, &tabs); err != nil {
-			return err
-		}
-	}
+	r.stats.misses.Add(missed)
 	r.stats.hits.Add(uint64(len(queries)) - missed)
+	tabs := set.tabs
+	//ring:allow miss path: a fetch allocates its flight and the tables it brings
+	if err := r.fetch(stale, &tabs); err != nil {
+		return err
+	}
+	dc = service.NewDecider(r.names, tabs[:r.shards])
 	dc.Decide(queries, dst)
 	return nil
 }
 
-// fresh returns shard i's resident table if a batch beginning at now
-// may decide from it: within its TTL and at or beyond the shard's
-// shootdown floor. Otherwise it returns nil.
+// stale returns the shards in mask whose tables in set a batch that
+// began at now may not decide from: past their TTL, or older than the
+// shard's shootdown floor.
 //
 //ring:hotpath
-func (r *replica) fresh(i int, now int64) *service.Table {
-	if e := r.tables[i].Load(); e != nil && now < e.expires && e.tab.Epoch() >= r.floors[i].Load() {
-		return e.tab
+func (r *replica) stale(set *tableSet, mask uint64, now time.Duration) uint64 {
+	var stale uint64
+	for m := mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if now >= set.expires[i] || set.tabs[i].Epoch() < r.floors[i].Load() {
+			stale |= 1 << i
+		}
 	}
-	return nil
+	return stale
 }
 
 // fetch stores a current table for every shard in stale into tabs.
@@ -247,7 +267,7 @@ func (r *replica) fetch(stale uint64, tabs *[service.MaxShards]*service.Table) e
 	}
 	r.flightMu.Unlock()
 	if lead != 0 {
-		sent := time.Now().UnixNano()
+		sent := monotonic()
 		if mine.ts, mine.err = r.wc.Fetch(wire.Fetch{Shards: lead}); mine.err == nil {
 			r.install(lead, mine.ts, sent)
 		}
@@ -270,17 +290,24 @@ func (r *replica) fetch(stale uint64, tabs *[service.MaxShards]*service.Table) e
 }
 
 // install makes the fetched tables of the shards in mask resident until
-// their TTL, counted from sent, runs out. A lapsed replica holds no
-// table: a lapse racing the stores either precedes the check below,
-// which undoes them, or follows it and drops them itself.
-func (r *replica) install(mask uint64, ts *wire.Tables, sent int64) {
-	for m := mask; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		r.tables[i].Store(&resident{tab: ts.Tables[i], expires: sent + int64(r.ttl)})
-	}
-	if r.lapsed.Load() {
+// their TTL, counted from sent, runs out: it swaps in a copy of the
+// current set with those tables replaced, by compare-and-swap, so
+// installs racing each other all land. A lapsed replica holds no set:
+// a lapse racing the swap either precedes it, and install finds nil and
+// installs nothing, or follows it and drops the new set.
+func (r *replica) install(mask uint64, ts *wire.Tables, sent time.Duration) {
+	for {
+		old := r.set.Load()
+		if old == nil {
+			return
+		}
+		next := *old
 		for m := mask; m != 0; m &= m - 1 {
-			r.tables[bits.TrailingZeros64(m)].Store(nil)
+			i := bits.TrailingZeros64(m)
+			next.tabs[i], next.expires[i] = ts.Tables[i], sent+r.ttl
+		}
+		if r.set.CompareAndSwap(old, &next) {
+			return
 		}
 	}
 }
@@ -290,7 +317,7 @@ func (r *replica) install(mask uint64, ts *wire.Tables, sent int64) {
 // return ordering is what makes the no-stale-after-acknowledge
 // property hold.
 func (r *replica) shootdown(sd wire.Shootdown) {
-	r.heard.Store(time.Now().UnixNano())
+	r.heard.Store(int64(monotonic()))
 	if sd.Shard < service.MaxShards {
 		f := &r.floors[sd.Shard]
 		for {
@@ -309,26 +336,23 @@ func (r *replica) shootdown(sd wire.Shootdown) {
 // subscription revoked, so its tables are unverifiable. Every table is
 // dropped, and the checker's next call redials.
 func (r *replica) lapse() {
-	if r.lapsed.Swap(true) {
-		return
+	if r.set.Swap(nil) != nil {
+		r.stats.flushes.Add(1)
 	}
-	for i := range r.tables {
-		r.tables[i].Store(nil)
-	}
-	r.stats.flushes.Add(1)
 }
 
 // cachedCheckInto is CheckInto with the replica in front of the wire
-// session: decided locally while the replica is live, sent to the
-// server while it is lapsed.
+// session: decided locally from the table set the batch loads, sent to
+// the server when there is none because the replica has lapsed.
 func (rc *RemoteChecker) cachedCheckInto(queries []Query, dst []Decision) error {
 	rc.ensureLive()
 	r := rc.rep.Load()
-	if r.lapsed.Load() {
+	set := r.set.Load()
+	if set == nil {
 		rc.cache.misses.Add(uint64(len(queries)))
 		return mapWireErr(r.wc.CheckInto(queries, dst))
 	}
-	return r.decide(queries, dst)
+	return r.decide(set, queries, dst)
 }
 
 // redialInterval paces reconnect attempts while the daemon is
@@ -340,17 +364,19 @@ const redialInterval = 50 * time.Millisecond
 // replica stays lapsed — every query goes to the server — and the next
 // call past the backoff retries.
 func (rc *RemoteChecker) ensureLive() {
-	if !rc.rep.Load().lapsed.Load() || rc.closed.Load() {
+	if rc.rep.Load().set.Load() != nil || rc.closed.Load() {
 		return
 	}
-	now := time.Now().UnixNano()
+	now := int64(monotonic())
 	last := rc.lastRedial.Load()
-	if now-last < int64(redialInterval) || !rc.lastRedial.CompareAndSwap(last, now) {
+	// The first redial is never paced: in a process's first
+	// redialInterval the clock itself reads less than the interval.
+	if last != 0 && now-last < int64(redialInterval) || !rc.lastRedial.CompareAndSwap(last, now) {
 		return
 	}
 	rc.redialMu.Lock()
 	defer rc.redialMu.Unlock()
-	if !rc.rep.Load().lapsed.Load() || rc.closed.Load() {
+	if rc.rep.Load().set.Load() != nil || rc.closed.Load() {
 		return
 	}
 	r, err := rc.dialReplica()
@@ -383,10 +409,11 @@ func (rc *RemoteChecker) CacheStats() CacheStats {
 		Expires:    c.expires.Load(),
 		Flushes:    c.flushes.Load(),
 	}
-	r := rc.rep.Load()
-	for i := range r.tables {
-		if r.tables[i].Load() != nil {
-			cs.Size++
+	if set := rc.rep.Load().set.Load(); set != nil {
+		for _, tab := range set.tabs {
+			if tab != nil {
+				cs.Size++
+			}
 		}
 	}
 	return cs
